@@ -22,7 +22,6 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/features"
 	"trafficreshape/internal/ml"
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
@@ -445,21 +444,6 @@ func BenchmarkSVMTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkSVMTrainParallel trains the NumApps one-vs-rest machines
-// over a shared pool — bit-identical to the serial path, wall-clock
-// bounded by NumApps-way parallelism (parity on a 1-vCPU runner).
-func BenchmarkSVMTrainParallel(b *testing.B) {
-	scaled := svmBenchExamples(b)
-	scratch := ml.NewSVMScratch()
-	trainer := (&ml.SVMTrainer{}).WithPool(par.NewPool(runtime.NumCPU()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- PR 10: MLP training + inference fast path --------------------------------
 
 // BenchmarkMLPTrain measures the scratch-reusing serial MLP trainer —
@@ -472,22 +456,6 @@ func BenchmarkMLPTrain(b *testing.B) {
 	scratch := ml.NewMLPScratch()
 	trainer := &ml.MLPTrainer{}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMLPTrainParallel fans each training step's weight rows out
-// over a pool-fed barrier team — bit-identical to the serial path at
-// every pool size (parity on a 1-vCPU runner, where the team still
-// runs but time-slices one core).
-func BenchmarkMLPTrainParallel(b *testing.B) {
-	scaled := svmBenchExamples(b)
-	scratch := ml.NewMLPScratch()
-	trainer := (&ml.MLPTrainer{}).WithPool(par.NewPool(runtime.NumCPU()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {

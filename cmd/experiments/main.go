@@ -4,7 +4,7 @@
 //
 //	experiments [-run name] [-quick] [-w duration] [-workers n] [-list]
 //	            [-dist-workers n] [-dist-listen addr] [-dist-cell-timeout d]
-//	            [-dist-proto 3|2|mix] [-dist-max-batch n] [-dist-heartbeat d]
+//	            [-dist-max-batch n] [-dist-heartbeat d]
 //	            [-dist-key k | -dist-key-file f]
 //	            [-dist-tls-cert c -dist-tls-key k | -dist-tls-auto]
 //	            [-captured dir] [-dump-traces dir]
@@ -65,7 +65,6 @@ func main() {
 	distWorkers := flag.Int("dist-workers", 0, "spawn this many local worker processes and distribute grid cells to them")
 	distListen := flag.String("dist-listen", "", "also accept standalone expworker processes on this address (host:port)")
 	distWait := flag.Int("dist-wait", 0, "wait until this many workers (spawned + standalone) are connected before starting; workers joining later still help, but cells submitted to an empty fleet run locally")
-	distProto := flag.String("dist-proto", "3", "wire dialect for spawned local workers: 3 (batched binary), 2 (legacy JSON), mix (alternate per worker — mixed-fleet rollout testing)")
 	captured := flag.String("captured", "", "build the primary dataset from <app>.{train,test}.trsh trace files in this directory instead of the generator (missing applications stay synthetic)")
 	journalDir := flag.String("journal", "", "append every completed grid cell to <dir>/grid.journal for crash-resume (implies a coordinator)")
 	resume := flag.Bool("resume", false, "answer cells already recorded in the -journal file instead of re-evaluating them")
@@ -73,17 +72,14 @@ func main() {
 	dumpTraces := flag.String("dump-traces", "", "write the run configuration's synthetic traffic to this directory in the -captured layout, then exit")
 	workerDial := flag.String("worker-dial", "", "run as a worker: dial this coordinator and evaluate cells (used by -dist-workers)")
 	workerTLS := flag.String("worker-tls-ca", "", "worker mode: dial over TLS, verifying against this PEM certificate ('insecure' skips verification)")
-	workerProto := flag.Int("worker-proto", 0, "worker mode: protocol version to announce (0 = newest; used by -dist-proto)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
 	ff.RegisterServe(flag.CommandLine)
-	// Pre-v3 spelling, kept for existing run-books.
-	dist.Alias(flag.CommandLine, "dist-cell-timeout", "cell-timeout")
 	flag.Parse()
 
 	if *workerDial != "" {
-		if err := serveWorker(*workerDial, *workers, *workerProto, *workerTLS, fleetKey(&ff)); err != nil {
+		if err := serveWorker(*workerDial, *workers, *workerTLS, fleetKey(&ff)); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -134,10 +130,6 @@ func main() {
 		os.Exit(2)
 	}
 	if *distWorkers > 0 || *distListen != "" || *journalDir != "" {
-		if *distProto != "3" && *distProto != "2" && *distProto != "mix" {
-			fmt.Fprintln(os.Stderr, "experiments: -dist-proto must be 3, 2, or mix")
-			os.Exit(2)
-		}
 		fc := fleetConfig{
 			listen:        *distListen,
 			workers:       *distWorkers,
@@ -149,7 +141,6 @@ func main() {
 			journalDir:    *journalDir,
 			resume:        *resume,
 			haltAfter:     *haltAfter,
-			proto:         *distProto,
 			key:           fleetKey(&ff),
 		}
 		var err error
@@ -202,10 +193,9 @@ func fleetKey(ff *dist.FleetFlags) string {
 }
 
 // serveWorker is the -worker-dial mode body.
-func serveWorker(addr string, engineWorkers, proto int, tlsCA, key string) error {
+func serveWorker(addr string, engineWorkers int, tlsCA, key string) error {
 	opt := dist.WorkerOptions{
 		EngineWorkers: engineWorkers,
-		Proto:         proto,
 		Net:           dist.NetOptions{AuthKey: key},
 	}
 	if tlsCA != "" {
@@ -238,7 +228,7 @@ type fleetConfig struct {
 	wait          int
 	engineWorkers int
 	cellTimeout   time.Duration
-	// maxBatch caps cells per v3 dispatch frame (0 = worker slots).
+	// maxBatch caps cells per dispatch frame (0 = worker slots).
 	maxBatch int
 	// heartbeat is the liveness ping interval (0 = disabled).
 	heartbeat time.Duration
@@ -248,12 +238,8 @@ type fleetConfig struct {
 	journalDir string
 	resume     bool
 	haltAfter  int
-	// proto is the wire dialect spawned workers announce: "3", "2",
-	// or "mix" (alternating — even-indexed workers speak v3,
-	// odd-indexed v2 — the mixed-fleet rollout shape CI pins).
-	proto string
-	key   string
-	tls   *tls.Config
+	key        string
+	tls        *tls.Config
 	// workerCA is what spawned local workers pass to -worker-tls-ca:
 	// the cert file when one was given, "insecure" under -dist-tls-auto
 	// (they cannot verify an ephemeral in-memory certificate; the HMAC
@@ -287,7 +273,7 @@ func fleetTLS(certFile, keyFile string, auto bool) (*tls.Config, string, error) 
 		// perfectly valid for the listen hostname. They are children
 		// of this process on this host, so they skip verification and
 		// are authenticated by the shared key; standalone expworkers
-		// on other hosts verify properly via -tls-ca.
+		// on other hosts verify properly via -dist-tls-ca.
 		return cfg, "insecure", nil
 	default:
 		return nil, "", nil
@@ -380,9 +366,6 @@ func startFleet(eng *experiments.Engine, fc fleetConfig) (*dist.Coordinator, fun
 		args := []string{
 			"-worker-dial", coord.Addr(),
 			"-workers", strconv.Itoa(fc.engineWorkers),
-		}
-		if fc.proto == "2" || (fc.proto == "mix" && i%2 == 1) {
-			args = append(args, "-worker-proto", "2")
 		}
 		if fc.workerCA != "" {
 			args = append(args, "-worker-tls-ca", fc.workerCA)

@@ -59,28 +59,6 @@ type TrainOptions struct {
 	// TimingOnly trains the §IV-D timing attack: size features are
 	// masked out in training and classification.
 	TimingOnly bool
-	// Pool, when set, is offered to trainers that can fan out
-	// internally (the SVM trains its one-vs-rest machines
-	// concurrently). Trained models are bit-identical to serial for
-	// every pool size, so this only changes wall-clock time.
-	Pool *par.Pool
-}
-
-// withPool hands opt's pool to trainers that support internal
-// parallelism (the SVM's per-class machines, the MLP's per-neuron row
-// team); others train as-is. Both fan-outs are bit-identical to
-// serial at every pool size, so this only changes wall-clock time.
-func withPool(t ml.Trainer, pool *par.Pool) ml.Trainer {
-	if pool == nil {
-		return t
-	}
-	switch t := t.(type) {
-	case *ml.SVMTrainer:
-		return t.WithPool(pool)
-	case *ml.MLPTrainer:
-		return t.WithPool(pool)
-	}
-	return t
 }
 
 // Train builds the adversary's classifier from labeled original
@@ -124,7 +102,7 @@ func Train(traces map[trace.App]*trace.Trace, opt TrainOptions) (*Classifier, er
 	scaled := scaler.ApplyAll(examples)
 
 	if opt.Trainer != nil {
-		model, err := withPool(opt.Trainer, opt.Pool).Train(scaled, opt.Seed)
+		model, err := opt.Trainer.Train(scaled, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +114,7 @@ func Train(traces map[trace.App]*trace.Trace, opt TrainOptions) (*Classifier, er
 	var best ml.Classifier
 	bestAcc := -1.0
 	for _, tr := range ml.Trainers() {
-		model, err := withPool(tr, opt.Pool).Train(trainSet, opt.Seed)
+		model, err := tr.Train(trainSet, opt.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("attack: training %s: %w", tr.Name(), err)
 		}
@@ -147,7 +125,7 @@ func Train(traces map[trace.App]*trace.Trace, opt TrainOptions) (*Classifier, er
 		}
 	}
 	// Refit the winning family on all data.
-	final, err := withPool(mustTrainer(best.Name()), opt.Pool).Train(scaled, opt.Seed)
+	final, err := mustTrainer(best.Name()).Train(scaled, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +150,10 @@ func TrainAll(traces map[trace.App]*trace.Trace, opt TrainOptions) ([]*Classifie
 }
 
 // TrainAllParallel is TrainAll over a worker pool (nil pool =
-// serial): the families train concurrently, and the pool is also
-// offered to each family's own fan-out (the SVM's per-class loops),
-// so spare permits beyond the family count still help. Every family
-// sees the same traces and the same seed and owns its result slot, so
-// the returned slice (in ml.Trainers order) is bit-identical to the
-// serial form for every pool size.
+// serial): the families train concurrently, each on one goroutine.
+// Every family sees the same traces and the same seed and owns its
+// result slot, so the returned slice (in ml.Trainers order) is
+// bit-identical to the serial form for every pool size.
 func TrainAllParallel(traces map[trace.App]*trace.Trace, opt TrainOptions, pool *par.Pool) ([]*Classifier, error) {
 	trainers := ml.Trainers()
 	out := make([]*Classifier, len(trainers))
@@ -185,7 +161,6 @@ func TrainAllParallel(traces map[trace.App]*trace.Trace, opt TrainOptions, pool 
 	pool.Each(len(trainers), func(i int) {
 		o := opt
 		o.Trainer = trainers[i]
-		o.Pool = pool
 		out[i], errs[i] = Train(traces, o)
 	})
 	for i, err := range errs {

@@ -78,22 +78,21 @@ type CoordinatorOptions struct {
 	// Net groups the transport security settings shared with the
 	// worker side: TLS config, shared auth key, handshake timeout.
 	Net NetOptions
-	// MaxBatch caps the cells packed into one v3 dispatch frame;
+	// MaxBatch caps the cells packed into one dispatch frame;
 	// <= 0 lets each worker's slot count size its batches. The cap
 	// exists for operators who want finer-grained reassignment on
 	// flaky fleets: a smaller batch strands fewer cells when a worker
 	// dies mid-frame.
 	MaxBatch int
-	// Heartbeat, when positive, turns on liveness probing: every v3
+	// Heartbeat, when positive, turns on liveness probing: every
 	// session is pinged at this interval, and a session that produces
 	// no inbound frames for three intervals is reaped — its in-flight
 	// cells requeued like any other worker death. This is the only
 	// detector for half-open peers: a partitioned or blackholed worker
 	// keeps its TCP session "up" indefinitely, holds its slots, and
 	// never errors, while CellTimeout (when the cell is honest work)
-	// can only grind through it with doubling deadlines. v2 sessions
-	// are exempt (their decoder predates the ping frame) and keep the
-	// old detection: TCP death and CellTimeout. Zero disables probing.
+	// can only grind through it with doubling deadlines. Zero disables
+	// probing.
 	Heartbeat time.Duration
 	// Journal, when set, records every completed wire-addressable cell
 	// (scheme, app, config, trace ref → confusion families) to a
@@ -105,20 +104,6 @@ type CoordinatorOptions struct {
 	Journal *GridJournal
 	// Logf, when set, receives worker lifecycle messages.
 	Logf func(format string, args ...any)
-
-	// TLS is the deprecated flat spelling of Net.TLS.
-	//
-	// Deprecated: set Net.TLS.
-	TLS *tls.Config
-	// AuthKey is the deprecated flat spelling of Net.AuthKey.
-	//
-	// Deprecated: set Net.AuthKey.
-	AuthKey string
-	// HandshakeTimeout is the deprecated flat spelling of
-	// Net.HandshakeTimeout.
-	//
-	// Deprecated: set Net.HandshakeTimeout.
-	HandshakeTimeout time.Duration
 }
 
 // job is one cell in flight: the request plus the slot its result is
@@ -166,7 +151,6 @@ type jobResult struct {
 type session struct {
 	conn  net.Conn
 	name  string
-	proto int           // negotiated protocol version (2 or 3)
 	slots chan struct{} // in-flight permits, capacity = Hello.Slots
 	die   chan struct{} // closed when the session fails
 
@@ -227,16 +211,15 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	netOpt := mergeNet(opt.Net, opt.TLS, opt.AuthKey, opt.HandshakeTimeout)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: listen: %w", err)
 	}
-	if netOpt.Wrap != nil {
-		ln = wrapListener{Listener: ln, wrap: netOpt.Wrap}
+	if opt.Net.Wrap != nil {
+		ln = wrapListener{Listener: ln, wrap: opt.Net.Wrap}
 	}
-	if netOpt.TLS != nil {
-		ln = tls.NewListener(ln, netOpt.TLS)
+	if opt.Net.TLS != nil {
+		ln = tls.NewListener(ln, opt.Net.TLS)
 	}
 	pool := opt.Pool
 	if pool == nil {
@@ -251,10 +234,10 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 		pool:         pool,
 		logf:         opt.Logf,
 		cellTimeout:  opt.CellTimeout,
-		hsTimeout:    netOpt.handshakeTimeout(),
-		writeTimeout: netOpt.writeTimeout(),
+		hsTimeout:    opt.Net.handshakeTimeout(),
+		writeTimeout: opt.Net.writeTimeout(),
 		heartbeat:    opt.Heartbeat,
-		authKey:      netOpt.AuthKey,
+		authKey:      opt.Net.AuthKey,
 		maxBatch:     opt.MaxBatch,
 		journal:      opt.Journal,
 		reapStop:     make(chan struct{}),
@@ -292,7 +275,7 @@ func (c *Coordinator) Stats() StatsSnapshot {
 	for s := range c.sessions {
 		snap.Workers = append(snap.Workers, WorkerSnapshot{
 			Name:     s.name,
-			Proto:    s.proto,
+			Proto:    ProtoVersion,
 			Slots:    cap(s.slots),
 			InFlight: len(s.inflight),
 			Wedged:   s.wedged,
@@ -384,8 +367,8 @@ func (c *Coordinator) admit(conn net.Conn) {
 		c.reject(conn, "bad handshake")
 		return
 	}
-	if hello.Version < MinProtoVersion || hello.Version > ProtoVersion {
-		c.reject(conn, "protocol version %d, want %d..%d", hello.Version, MinProtoVersion, ProtoVersion)
+	if hello.Version != ProtoVersion {
+		c.reject(conn, "protocol version %d, want %d", hello.Version, ProtoVersion)
 		return
 	}
 	if c.authKey != "" {
@@ -418,7 +401,6 @@ func (c *Coordinator) admit(conn net.Conn) {
 	s := &session{
 		conn:  conn,
 		name:  conn.RemoteAddr().String(),
-		proto: hello.Version,
 		slots: make(chan struct{}, slots),
 		die:   make(chan struct{}),
 		sent:  sent,
@@ -440,16 +422,16 @@ func (c *Coordinator) admit(conn net.Conn) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if c.logf != nil {
-		c.logf("dist: worker %s joined (proto v%d, %d slots)", s.name, s.proto, slots)
+		c.logf("dist: worker %s joined (%d slots)", s.name, slots)
 	}
 	go c.dispatch(s)
 	go c.read(s)
-	if c.heartbeat > 0 && s.proto >= 3 {
+	if c.heartbeat > 0 {
 		go c.ping(s)
 	}
 }
 
-// ping probes one v3 session at the heartbeat interval and reaps it
+// ping probes one session at the heartbeat interval and reaps it
 // when it has produced no inbound frame for three intervals. Pongs
 // come from the worker's read loop — not its evaluation goroutines —
 // so a busy worker stays live and a wedged-but-reading worker is
@@ -500,17 +482,14 @@ func (c *Coordinator) reject(conn net.Conn, format string, args ...any) {
 // advertised slot count in flight. Captured cells are preceded by
 // trace frames for any digest the worker does not yet hold — frames
 // are ordered per connection, so by the time the worker reads the
-// request its store has every named trace. A v2 session gets one JSON
-// frame per cell; a v3 session gets binary cell-batch frames sized to
-// however many of its slots are free when work is available,
-// amortizing framing and syscalls without ever delaying a lone cell.
+// request its store has every named trace. Cells go out as binary
+// cell-batch frames sized to however many of the worker's slots are
+// free when work is available, amortizing framing and syscalls without
+// ever delaying a lone cell.
 func (c *Coordinator) dispatch(s *session) {
-	maxBatch := 1
-	if s.proto >= 3 {
-		maxBatch = cap(s.slots)
-		if c.maxBatch > 0 && c.maxBatch < maxBatch {
-			maxBatch = c.maxBatch
-		}
+	maxBatch := cap(s.slots)
+	if c.maxBatch > 0 && c.maxBatch < maxBatch {
+		maxBatch = c.maxBatch
 	}
 	for {
 		// Claim one permit (blocking), then opportunistically every
@@ -559,26 +538,14 @@ func (c *Coordinator) dispatch(s *session) {
 		}
 		s.cells += len(jobs)
 		s.batches++
-		if s.proto >= 3 {
-			c.stats.BatchesSent++
-			c.stats.BatchedCells += len(jobs)
-		}
+		c.stats.BatchesSent++
+		c.stats.BatchedCells += len(jobs)
 		c.mu.Unlock()
-		err := s.write(c.writeTimeout, func(w io.Writer) error {
-			if s.proto >= 3 {
-				reqs := make([]CellRequest, len(jobs))
-				for i, j := range jobs {
-					reqs[i] = j.req
-				}
-				return EncodeCellBatch(w, reqs)
-			}
-			for _, j := range jobs {
-				if err := EncodeCellRequest(w, j.req); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		reqs := make([]CellRequest, len(jobs))
+		for i, j := range jobs {
+			reqs[i] = j.req
+		}
+		err := s.write(c.writeTimeout, func(w io.Writer) error { return EncodeCellBatch(w, reqs) })
 		if err != nil {
 			c.failSession(s, err)
 			return
@@ -586,13 +553,13 @@ func (c *Coordinator) dispatch(s *session) {
 	}
 }
 
-// preloadTraces ships the captured traces req needs that s has not
-// been sent, at most once per worker connection (a rejoining worker's
-// trace-have announcement carries its holdings forward, so the push
-// is resumable across reconnects). v3 sessions receive the traces
-// flate-compressed. A digest missing from the coordinator's own store
-// is skipped: the worker will answer with a store-miss error and the
-// cell falls back to local evaluation.
+// preloadTraces ships, flate-compressed, the captured traces req needs
+// that s has not been sent, at most once per worker connection (a
+// rejoining worker's trace-have announcement carries its holdings
+// forward, so the push is resumable across reconnects). A digest
+// missing from the coordinator's own store is skipped: the worker will
+// answer with a store-miss error and the cell falls back to local
+// evaluation.
 func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 	if req.Traces == nil {
 		return nil
@@ -615,12 +582,7 @@ func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 			app = tr.Packets[0].App
 		}
 		payload := TracePayload{App: app, Trace: tr}
-		err := s.write(c.writeTimeout, func(w io.Writer) error {
-			if s.proto >= 3 {
-				return EncodeTraceCompressed(w, payload)
-			}
-			return EncodeTrace(w, payload)
-		})
+		err := s.write(c.writeTimeout, func(w io.Writer) error { return EncodeTraceCompressed(w, payload) })
 		if err != nil {
 			return err
 		}
@@ -783,13 +745,11 @@ func (c *Coordinator) reap() {
 	}
 }
 
-// read consumes the worker's result stream. v2 workers answer one
-// result frame per cell; v3 workers may pack several into a
-// result-batch frame — both feed the same per-result delivery path.
-// Every decoded frame refreshes the session's liveness stamp; a frame
-// that fails to decode fails the session (its cells requeue), counted
-// apart from transport death so operators can tell corruption from
-// churn.
+// read consumes the worker's result stream: result-batch frames, each
+// result fed to the per-result delivery path. Every decoded frame
+// refreshes the session's liveness stamp; a frame that fails to decode
+// fails the session (its cells requeue), counted apart from transport
+// death so operators can tell corruption from churn.
 func (c *Coordinator) read(s *session) {
 	br := bufio.NewReader(s.conn)
 	for {
@@ -809,15 +769,8 @@ func (c *Coordinator) read(s *session) {
 			c.stats.PongsReceived++
 		}
 		c.mu.Unlock()
-		switch {
-		case msg.Result != nil:
-			c.deliver(s, *msg.Result)
-		case len(msg.Results) > 0:
-			for _, r := range msg.Results {
-				c.deliver(s, r)
-			}
-		default:
-			// tolerate unexpected kinds from newer workers
+		for _, r := range msg.Results {
+			c.deliver(s, r)
 		}
 	}
 }

@@ -3,9 +3,8 @@ package dist
 // Dispatch-path benchmark: coordinator scheduling + wire round-trip
 // with evaluation taken out of the loop. A scripted peer answers every
 // cell instantly from canned results, so the measured time is framing,
-// syscalls, and scheduler bookkeeping — the overhead v3's batched
-// binary dispatch exists to shrink. Run both dialects to see the
-// difference:
+// syscalls, and scheduler bookkeeping — the overhead batched binary
+// dispatch exists to shrink:
 //
 //	go test ./internal/dist -bench BenchmarkCoordinatorDispatch -run ^$
 
@@ -24,7 +23,9 @@ import (
 // that batching has something to amortize.
 const benchGridCells = 64
 
-func benchDispatch(b *testing.B, proto int) {
+// BenchmarkCoordinatorDispatchV3 keeps the name its BENCH_PR8.json
+// baseline was recorded under.
+func BenchmarkCoordinatorDispatchV3(b *testing.B) {
 	coord, err := NewCoordinator("", CoordinatorOptions{LocalWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -39,7 +40,7 @@ func benchDispatch(b *testing.B, proto int) {
 	if _, err := ReadChallenge(conn); err != nil {
 		b.Fatal(err)
 	}
-	if err := EncodeHello(conn, Hello{Magic: protoMagic, Version: proto, Slots: 8}); err != nil {
+	if err := EncodeHello(conn, Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 8}); err != nil {
 		b.Fatal(err)
 	}
 	if err := EncodeTraceHave(conn, TraceHave{}); err != nil {
@@ -60,29 +61,15 @@ func benchDispatch(b *testing.B, proto int) {
 			if err != nil {
 				return
 			}
-			var reqs []CellRequest
-			switch {
-			case msg.Request != nil:
-				reqs = []CellRequest{*msg.Request}
-			case len(msg.Batch) > 0:
-				reqs = msg.Batch
-			default:
+			if len(msg.Batch) == 0 {
 				continue
 			}
-			if proto >= 3 {
-				results := make([]CellResult, len(reqs))
-				for i, r := range reqs {
-					results[i] = CellResult{ID: r.ID, Families: canned}
-				}
-				if err := EncodeResultBatch(bw, results); err != nil {
-					return
-				}
-			} else {
-				for _, r := range reqs {
-					if err := EncodeCellResult(bw, CellResult{ID: r.ID, Families: canned}); err != nil {
-						return
-					}
-				}
+			results := make([]CellResult, len(msg.Batch))
+			for i, r := range msg.Batch {
+				results[i] = CellResult{ID: r.ID, Families: canned}
+			}
+			if err := EncodeResultBatch(bw, results); err != nil {
+				return
 			}
 			if err := bw.Flush(); err != nil {
 				return
@@ -116,6 +103,3 @@ func benchDispatch(b *testing.B, proto int) {
 		b.ReportMetric(float64(b.N*benchGridCells)/sec, "cells/s")
 	}
 }
-
-func BenchmarkCoordinatorDispatchV2(b *testing.B) { benchDispatch(b, 2) }
-func BenchmarkCoordinatorDispatchV3(b *testing.B) { benchDispatch(b, 3) }

@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +119,85 @@ func startWorker(t *testing.T, addr string, opt dist.WorkerOptions) func() error
 	return func() error { return <-done }
 }
 
+// awaitStats polls the coordinator until cond holds or a minute
+// passes, and returns the last snapshot: the fault tests wait on the
+// event they need, never on a sleep of a guessed length.
+func awaitStats(coord *dist.Coordinator, cond func(dist.StatsSnapshot) bool) dist.StatsSnapshot {
+	deadline := time.Now().Add(time.Minute)
+	for {
+		st := coord.Stats()
+		if cond(st) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// soleWorkerCells reports whether exactly one worker is connected and
+// has been dispatched n cells.
+func soleWorkerCells(n int) func(dist.StatsSnapshot) bool {
+	return func(st dist.StatsSnapshot) bool {
+		return len(st.Workers) == 1 && st.Workers[0].Cells == n
+	}
+}
+
+// writeGate makes a worker's death a function of the schedule, not of
+// which dispatcher wins a race: installed as the coordinator's
+// NetOptions.Wrap, it holds the coordinator's writes to the first
+// connection it wraps — the faulty worker, which joins alone — from
+// write number from (1-based) on, until open is called. On a
+// plaintext connection every frame is a header write plus a payload
+// write, so writes 1–2 are the challenge and the k-th single-cell
+// batch is writes 2k+1 and 2k+2: from = 2(MaxCells+1)+1 holds back
+// exactly the request the worker dies on.
+type writeGate struct {
+	from    int
+	release chan struct{}
+	once    sync.Once
+	wrapped atomic.Bool
+}
+
+func newWriteGate(maxCells int) *writeGate {
+	return &writeGate{from: 2*(maxCells+1) + 1, release: make(chan struct{})}
+}
+
+// open lets every held and later write through; safe to call twice,
+// so tests defer it ahead of the coordinator's Close (whose goodbye
+// frame would otherwise queue behind a held write).
+func (g *writeGate) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *writeGate) wrap(conn net.Conn) net.Conn {
+	if g.wrapped.Swap(true) {
+		return conn
+	}
+	return &gatedConn{Conn: conn, gate: g}
+}
+
+// gatedConn counts writes without a lock: the coordinator serializes
+// a session's writes (the challenge precedes the session, and every
+// later frame goes through the session's write mutex).
+type gatedConn struct {
+	net.Conn
+	gate   *writeGate
+	writes int
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.writes++
+	if c.writes >= c.gate.from {
+		<-c.gate.release
+	}
+	return c.Conn.Write(p)
+}
+
+// evalAsync starts the standard grid on eng and returns its result
+// channel, so a test can shape the fleet while the grid is in flight.
+func evalAsync(eng *experiments.Engine, ds *experiments.Dataset) <-chan []*ml.Confusion {
+	done := make(chan []*ml.Confusion, 1)
+	go func() { done <- eng.EvalSchemes(ds, experiments.StandardSchemes()) }()
+	return done
+}
+
 // TestGridByteIdenticalInProcess: coordinator + two wire-connected
 // workers reproduce the serial grid exactly, with every cell carried
 // by the fleet.
@@ -155,21 +236,34 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	gate := newWriteGate(1)
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
+		LocalWorkers: 2,
+		Net:          dist.NetOptions{Wrap: gate.wrap},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	// Short-lived worker: answers one cell, then aborts while holding
-	// the next assignment. Healthy worker: serves the rest.
+	defer gate.open()
+	// Short-lived worker: alone in the fleet, it answers one cell and
+	// is dispatched a second, which the gate holds back until the
+	// healthy worker has joined; reading it, the worker aborts.
 	shortLived := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, MaxCells: 1})
+	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	eng := experiments.NewEngine(4).WithBackend(coord)
+	done := evalAsync(eng, ds)
+	if st := awaitStats(coord, soleWorkerCells(2)); !soleWorkerCells(2)(st) {
+		t.Fatalf("short-lived worker never got its second cell: %+v", st)
+	}
 	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
+	gate.open()
+	got := <-done
 	sameConfusions(t, "grid with dying worker", want, got)
 
 	if err := shortLived(); !errors.Is(err, dist.ErrMaxCells) {
@@ -206,16 +300,24 @@ func TestCellTimeoutReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	// Wedged worker: answers one cell, then swallows every later
-	// request while staying connected. Healthy worker: serves the rest.
+	// Wedged worker: alone in the fleet, it answers one cell and is
+	// dispatched a second, which it swallows while staying connected.
+	// Only then does the healthy worker join to serve the rest, so a
+	// timeout happens whatever the scheduler does. (On a slow host the
+	// first cell's dataset build can outlast the deadline; that cell
+	// then times out itself, which is the same fault.)
 	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, WedgeCells: 1})
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
-	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
+	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
 	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
+	done := evalAsync(eng, ds)
+	wedged := func(st dist.StatsSnapshot) bool { return soleWorkerCells(2)(st) || st.TimedOut > 0 }
+	if st := awaitStats(coord, wedged); !wedged(st) {
+		t.Fatalf("wedged worker never held a cell: %+v", st)
+	}
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	got := <-done
 	sameConfusions(t, "grid with wedged worker", want, got)
 
 	stats := coord.Stats()
@@ -345,21 +447,36 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	gate := newWriteGate(3)
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
+		LocalWorkers: 2,
+		Net:          dist.NetOptions{Wrap: gate.wrap},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	// One worker dies after three cells (its fourth assignment is
-	// stranded mid-flight); one healthy worker carries the rest.
+	defer gate.open()
+	// One worker dies after three cells: alone in the fleet, it is
+	// dispatched a fourth, which the gate holds back until the healthy
+	// worker has joined — so the fourth assignment is stranded
+	// mid-flight with a peer to take it. The healthy worker carries
+	// the rest.
 	spawnWorkerProcess(t, coord.Addr(), 3)
+	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	eng := experiments.NewEngine(4).WithBackend(coord)
+	done := evalAsync(eng, ds)
+	if st := awaitStats(coord, soleWorkerCells(4)); !soleWorkerCells(4)(st) {
+		t.Fatalf("faulty worker never got its fourth cell: %+v", st)
+	}
 	spawnWorkerProcess(t, coord.Addr(), 0)
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
+	gate.open()
+	got := <-done
 	sameConfusions(t, "worker processes", want, got)
 
 	stats := coord.Stats()

@@ -63,7 +63,10 @@ func TestHeartbeatReapsBlackholedWorker(t *testing.T) {
 	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
 	sameConfusions(t, "blackholed worker", want, got)
 
-	st := coord.Stats()
+	// The grid can finish before the reap when the healthy worker drew
+	// every cell; the blackholed session still goes silent at its first
+	// pong, so the reap follows regardless — wait for it.
+	st := awaitStats(coord, func(st dist.StatsSnapshot) bool { return st.HeartbeatReaps >= 1 })
 	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
 	if st.RemoteCells+st.LocalCells != wantCells {
 		t.Errorf("conservation broken: %d remote + %d local != %d offered",
@@ -145,10 +148,11 @@ func TestMidSessionGarbageDropsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
 
-	// The evil worker: a clean v3 handshake by hand, then garbage on
-	// the first assignment.
+	// The evil worker: a clean handshake by hand, alone in the fleet
+	// so the first assignment is certainly its own; it answers with
+	// garbage once the healthy worker has joined to take the requeued
+	// cell.
 	conn, err := net.Dial("tcp", coord.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -165,29 +169,31 @@ func TestMidSessionGarbageDropsWorker(t *testing.T) {
 	if err := dist.EncodeTraceHave(conn, dist.TraceHave{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
+	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	garbageSent := make(chan struct{})
-	go func() {
-		defer close(garbageSent)
-		// Wait for an assignment so a cell is genuinely in flight on
-		// this session, then answer with a frame whose declared length
-		// exceeds the protocol bound — unambiguously garbage.
-		if _, err := dist.ReadMessage(conn); err != nil {
-			return
-		}
-		var junk [5]byte
-		junk[0] = 0xEE
-		binary.LittleEndian.PutUint32(junk[1:], 0xFFFFFFFF)
-		_, _ = conn.Write(junk[:])
-	}()
-
 	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
+	done := evalAsync(eng, ds)
+	// Wait for an assignment so a cell is genuinely in flight on this
+	// session.
+	if msg, err := dist.ReadMessage(conn); err != nil || len(msg.Batch) == 0 {
+		t.Fatalf("evil worker got no assignment: %+v, %v", msg, err)
+	}
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Answer with a frame whose declared length exceeds the protocol
+	// bound — unambiguously garbage.
+	var junk [5]byte
+	junk[0] = 0xEE
+	binary.LittleEndian.PutUint32(junk[1:], 0xFFFFFFFF)
+	if _, err := conn.Write(junk[:]); err != nil {
+		t.Fatal(err)
+	}
+	got := <-done
 	sameConfusions(t, "mid-session garbage", want, got)
-	<-garbageSent
 
 	st := coord.Stats()
 	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)

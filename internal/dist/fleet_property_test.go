@@ -1,9 +1,9 @@
 package dist_test
 
-// Property coverage for the v3 scheduler: whatever the fleet does —
-// mixed protocol versions, randomized join/leave/wedge schedules —
-// the grid must stay byte-identical to the serial engine, and the
-// placement counters must stay consistent with each other.
+// Property coverage for the scheduler: whatever the fleet does —
+// randomized join/leave/wedge schedules — the grid must stay
+// byte-identical to the serial engine, and the placement counters
+// must stay consistent with each other.
 
 import (
 	"fmt"
@@ -15,50 +15,6 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/trace"
 )
-
-// TestMixedProtocolFleetByteIdentical: a fleet holding both dialects
-// at once — one worker pinned to the legacy v2 JSON protocol, one on
-// the v3 batched binary protocol — reproduces the serial grid exactly.
-// This is the mixed-fleet rollout scenario: upgrade the coordinator
-// first, then workers one at a time.
-func TestMixedProtocolFleetByteIdentical(t *testing.T) {
-	ds := sharedDataset(t)
-	want := serialGrid(t, ds)
-
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, Proto: 2})
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
-	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	eng := experiments.NewEngine(4).WithBackend(coord)
-	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
-	sameConfusions(t, "mixed v2/v3 fleet", want, got)
-
-	st := coord.Stats()
-	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
-	if st.RemoteCells != wantCells {
-		t.Errorf("fleet evaluated %d cells, want all %d", st.RemoteCells, wantCells)
-	}
-	protos := make(map[int]int)
-	for _, w := range st.Workers {
-		protos[w.Proto]++
-	}
-	if protos[2] != 1 || protos[3] != 1 {
-		t.Errorf("worker protocols = %v, want one v2 and one v3", protos)
-	}
-	if st.BatchesSent == 0 || st.BatchedCells == 0 {
-		t.Errorf("v3 worker moved no batches (sent %d, cells %d)", st.BatchesSent, st.BatchedCells)
-	}
-	if st.BatchedCells > wantCells {
-		t.Errorf("BatchedCells = %d exceeds the grid's %d cells", st.BatchedCells, wantCells)
-	}
-}
 
 // TestFleetChurnPropertyByteIdentical drives randomized fleets —
 // workers that die after a few cells, wedge silently, wedge then
@@ -98,9 +54,6 @@ func TestFleetChurnPropertyByteIdentical(t *testing.T) {
 				case 2: // wedges then recovers
 					opt.WedgeCells = 1 + rng.Intn(3)
 					opt.WedgeFor = 1 + rng.Intn(2)
-				}
-				if rng.Intn(2) == 0 {
-					opt.Proto = 2 // chaos in both dialects
 				}
 				startWorker(t, coord.Addr(), opt)
 			}

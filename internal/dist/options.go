@@ -1,12 +1,9 @@
 package dist
 
-// Grouped option sub-structs. PRs 3–7 grew TLS/AuthKey/timeout fields
-// independently on CoordinatorOptions and WorkerOptions until the two
-// surfaces drifted; NetOptions and CacheOptions are the consolidated
-// spelling shared by both ends. The old flat fields survive as
-// deprecated aliases — NewCoordinator and Serve fold them into the
-// sub-structs, explicit sub-struct fields winning — so existing
-// callers keep working through the v3 protocol bump.
+// Option sub-structs shared by both ends of a fleet connection:
+// NetOptions is the transport surface CoordinatorOptions and
+// WorkerOptions both carry, CacheOptions bounds a worker's durable
+// state.
 
 import (
 	"crypto/tls"
@@ -103,19 +100,4 @@ type CacheOptions struct {
 	// the affected cells to coordinator-side fallback; it never
 	// changes a result.
 	Traces int
-}
-
-// mergeNet folds the deprecated flat fields into a NetOptions,
-// sub-struct fields winning where both are set.
-func mergeNet(net NetOptions, tlsCfg *tls.Config, authKey string, hsTimeout time.Duration) NetOptions {
-	if net.TLS == nil {
-		net.TLS = tlsCfg
-	}
-	if net.AuthKey == "" {
-		net.AuthKey = authKey
-	}
-	if net.HandshakeTimeout <= 0 {
-		net.HandshakeTimeout = hsTimeout
-	}
-	return net
 }

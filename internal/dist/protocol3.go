@@ -2,13 +2,12 @@ package dist
 
 // Protocol v3 payload codec: batched binary cell dispatch in the
 // style of the trace codec — little-endian, versioned, every length
-// bounds-checked before it allocates. The v2 protocol frames one JSON
-// cell per request/result; at fleet scale the coordinator spends more
-// time framing and syscalling than scheduling, so v3 packs many cells
+// bounds-checked before it allocates. The coordinator packs many cells
 // into one cell-batch frame (sized to the receiving worker's slots)
-// and many answers into one result-batch frame, and ships captured
-// trace preloads flate-compressed. Frame kinds and the outer
-// kind|length framing are shared with v2; only the payloads differ.
+// and a worker packs many answers into one result-batch frame, so
+// framing and syscalls amortize over the batch; captured trace
+// preloads ship flate-compressed. The outer kind|length framing is
+// protocol.go's.
 //
 // Payload layouts (all little-endian):
 //

@@ -1,9 +1,9 @@
 package dist
 
-// Round-trip and bounds coverage for the v3 binary payload codec. The
-// invariant mirrors the JSON frames': everything the encoder accepts
-// must decode back equal, and the decoder must reject corrupt counts,
-// versions, and truncations before allocating for them.
+// Round-trip and bounds coverage for the v3 binary payload codec:
+// everything the encoder accepts must decode back equal, and the
+// decoder must reject corrupt counts, versions, and truncations before
+// allocating for them.
 
 import (
 	"bytes"
@@ -80,11 +80,11 @@ func TestTraceCompressedRoundTrip(t *testing.T) {
 	if err := EncodeTraceCompressed(&z, TracePayload{App: trace.Gaming, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeTrace(&plain, TracePayload{App: trace.Gaming, Trace: tr}); err != nil {
+	if err := trace.WriteBinary(&plain, tr); err != nil {
 		t.Fatal(err)
 	}
 	if z.Len() >= plain.Len() {
-		t.Errorf("compressed preload (%d bytes) not smaller than plain (%d bytes)", z.Len(), plain.Len())
+		t.Errorf("compressed preload frame (%d bytes) not smaller than the plain trace codec (%d bytes)", z.Len(), plain.Len())
 	}
 	msg, err := ReadMessage(&z)
 	if err != nil {

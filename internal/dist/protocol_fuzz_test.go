@@ -10,6 +10,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -34,35 +35,15 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 	add(func(b *bytes.Buffer) error {
 		return EncodeHello(b, Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 4, Auth: AuthTag("k", []byte{1, 2})})
 	})
-	add(func(b *bytes.Buffer) error {
-		ref := experiments.TraceSetRef{Test: make([]string, trace.NumApps)}
-		ref.Test[0] = "00ff"
-		return EncodeCellRequest(b, CellRequest{
-			ID:     7,
-			Cfg:    experiments.Config{Seed: 42, TrainDuration: time.Minute, TestDuration: time.Second, W: 5 * time.Second},
-			Scheme: "OR modulo i=size%3",
-			App:    trace.Video,
-			Traces: &ref,
-		})
-	})
-	add(func(b *bytes.Buffer) error {
-		var conf ml.Confusion
-		conf[0][1] = 3
-		return EncodeCellResult(b, CellResult{ID: 9, Families: []ml.Confusion{conf}, Cached: true})
-	})
-	add(func(b *bytes.Buffer) error { return EncodeCellResult(b, CellResult{ID: 1, Err: "boom"}) })
-	add(func(b *bytes.Buffer) error {
-		tr := trace.New(1)
-		tr.Append(trace.Packet{Time: time.Second, Size: 100, Dir: trace.Uplink, App: trace.Gaming})
-		return EncodeTrace(b, TracePayload{App: trace.Gaming, Trace: tr})
-	})
 	add(func(b *bytes.Buffer) error { return EncodeTraceHave(b, TraceHave{Digests: []string{"aa", "bb"}}) })
 	add(func(b *bytes.Buffer) error {
 		_, err := EncodeChallenge(b, []byte{0xde, 0xad, 0xbe, 0xef})
 		return err
 	})
 	add(func(b *bytes.Buffer) error { return EncodeShutdown(b) })
-	// v3 binary frames.
+	add(func(b *bytes.Buffer) error { return EncodePing(b, 150*time.Millisecond) })
+	add(func(b *bytes.Buffer) error { return EncodePong(b) })
+	// Binary batch and preload frames.
 	add(func(b *bytes.Buffer) error {
 		ref := experiments.TraceSetRef{
 			Train: []string{digest64("aa"), ""},
@@ -90,6 +71,32 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 	return frames
 }
 
+// retiredFrames holds one well-formed frame of each retired
+// version-2 kind, exactly as a version-2 peer wrote them.
+func retiredFrames(f *testing.F) [][]byte {
+	f.Helper()
+	var tr bytes.Buffer
+	tr.WriteByte(byte(trace.Gaming))
+	one := trace.New(1)
+	one.Append(trace.Packet{Time: time.Second, Size: 100, Dir: trace.Uplink, App: trace.Gaming})
+	if err := trace.WriteBinary(&tr, one); err != nil {
+		f.Fatal(err)
+	}
+	frame := func(kind byte, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := writeFrame(&b, kind, payload); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	return [][]byte{
+		frame(2, []byte(`{"ID":7,"Cfg":{"Seed":42,"TrainDuration":60000000000,"TestDuration":1000000000,"W":5000000000},"Scheme":"OR","App":3}`)),
+		frame(3, []byte(`{"ID":9,"Families":[[[0,3,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0]]],"Cached":true}`)),
+		frame(3, []byte(`{"ID":1,"Err":"boom"}`)),
+		frame(4, tr.Bytes()),
+	}
+}
+
 // digest64 expands a two-hex-char seed into a well-formed 64-char
 // digest string for wire tests.
 func digest64(seed string) string {
@@ -106,12 +113,6 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 	switch {
 	case msg.Hello != nil:
 		return true, EncodeHello(b, *msg.Hello)
-	case msg.Request != nil:
-		return true, EncodeCellRequest(b, *msg.Request)
-	case msg.Result != nil:
-		return true, EncodeCellResult(b, *msg.Result)
-	case msg.Trace != nil:
-		return true, EncodeTrace(b, *msg.Trace)
 	case msg.Have != nil:
 		return true, EncodeTraceHave(b, *msg.Have)
 	case msg.Challenge != nil:
@@ -119,6 +120,10 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 		return true, err
 	case msg.Shutdown:
 		return true, EncodeShutdown(b)
+	case msg.Ping != nil:
+		return true, EncodePing(b, *msg.Ping)
+	case msg.Pong:
+		return true, EncodePong(b)
 	case len(msg.Batch) > 0:
 		return true, EncodeCellBatch(b, msg.Batch)
 	case len(msg.Results) > 0:
@@ -132,15 +137,11 @@ func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 // sameMessage compares the payload-bearing fields of two messages.
 func sameMessage(a, b Message) bool {
 	switch {
-	case a.Trace != nil:
+	case a.TraceZ != nil:
 		// Traces round-trip by content digest (byte-level and NaN-safe
 		// — a hostile peer can craft NaN RSSI bits, which DeepEqual
 		// would wrongly call unequal); the *Trace pointers and slice
 		// capacities differ structurally.
-		return b.Trace != nil && a.Trace.App == b.Trace.App &&
-			trace.Digest(a.Trace.Trace) == trace.Digest(b.Trace.Trace)
-	case a.TraceZ != nil:
-		// Same digest rule as the plain preload frame.
 		return b.TraceZ != nil && a.TraceZ.App == b.TraceZ.App &&
 			trace.Digest(a.TraceZ.Trace) == trace.Digest(b.TraceZ.Trace)
 	default:
@@ -149,19 +150,26 @@ func sameMessage(a, b Message) bool {
 }
 
 // FuzzReadMessage hardens the steady-state decoder: garbage must
-// error (never panic or hang), and accepted frames must survive
-// decode → encode → decode unchanged.
+// error (never panic or hang), a complete frame of a retired
+// version-2 kind must fail as ErrBadFrame, and accepted frames must
+// survive decode → encode → decode unchanged.
 func FuzzReadMessage(f *testing.F) {
 	for _, frame := range fuzzSeedFrames(f) {
 		f.Add(frame)
 	}
-	f.Add([]byte{0xEE, 0, 0, 0, 0})                        // unknown kind
-	f.Add([]byte{kindCellRequest, 0xff, 0xff, 0xff, 0xff}) // absurd length
-	f.Add([]byte{kindCellRequest, 10, 0, 0, 0, 'x'})       // truncated payload
-	f.Add(append([]byte{kindCellResult, 8, 0, 0, 0}, []byte("not json")...))
+	for _, frame := range retiredFrames(f) {
+		f.Add(frame)
+	}
+	f.Add([]byte{0xEE, 0, 0, 0, 0})                      // unknown kind
+	f.Add([]byte{kindCellBatch, 0xff, 0xff, 0xff, 0xff}) // absurd length
+	f.Add([]byte{kindCellBatch, 10, 0, 0, 0, 'x'})       // truncated payload
+	f.Add(append([]byte{kindTraceHave, 8, 0, 0, 0}, []byte("not json")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))
+		if len(data) >= 5 && (data[0] == 2 || data[0] == 3 || data[0] == 4) && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("retired kind %d decoded with err = %v, want ErrBadFrame", data[0], err)
+		}
 		if err != nil {
 			return
 		}

@@ -8,6 +8,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -37,7 +38,8 @@ func roundTrip(t *testing.T, enc func(b *bytes.Buffer) error) Message {
 }
 
 // TestCellRequestRoundTripProperty drives randomized requests —
-// including extreme windows and durations — through the frame codec.
+// including extreme windows and durations, with and without trace
+// refs — through the cell-batch codec in randomly sized batches.
 // Exactness matters most for Config: a worker rebuilds the whole
 // dataset from it, so every bit of every field must arrive.
 func TestCellRequestRoundTripProperty(t *testing.T) {
@@ -46,30 +48,57 @@ func TestCellRequestRoundTripProperty(t *testing.T) {
 		0, 1, -1, time.Nanosecond, 5 * time.Second,
 		math.MaxInt64, math.MinInt64, // max-size windows and beyond
 	}
-	for i := 0; i < 200; i++ {
-		req := CellRequest{
-			ID: rng.Uint64(),
-			Cfg: experiments.Config{
-				Seed:          rng.Uint64(),
-				TrainDuration: time.Duration(rng.Uint64()),
-				TestDuration:  time.Duration(rng.Uint64()),
-				W:             time.Duration(rng.Uint64()),
-			},
-			Scheme: randomSchemeName(rng),
-			App:    trace.Apps[int(rng.Uint64()%uint64(len(trace.Apps)))],
+	for i := 0; i < 200; {
+		batch := make([]CellRequest, 1+rng.Uint64()%8)
+		for k := range batch {
+			req := CellRequest{
+				ID: rng.Uint64(),
+				Cfg: experiments.Config{
+					Seed:          rng.Uint64(),
+					TrainDuration: time.Duration(rng.Uint64()),
+					TestDuration:  time.Duration(rng.Uint64()),
+					W:             time.Duration(rng.Uint64()),
+				},
+				Scheme: randomSchemeName(rng),
+				App:    trace.Apps[int(rng.Uint64()%uint64(len(trace.Apps)))],
+			}
+			if i < len(extremes) {
+				req.Cfg.W = extremes[i]
+				req.Cfg.TrainDuration = extremes[len(extremes)-1-i]
+			}
+			if rng.Uint64()%3 == 0 {
+				req.Traces = randomTraceRef(rng)
+			}
+			batch[k] = req
+			i++
 		}
-		if i < len(extremes) {
-			req.Cfg.W = extremes[i]
-			req.Cfg.TrainDuration = extremes[len(extremes)-1-i]
-		}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, req) })
-		if msg.Request == nil {
-			t.Fatalf("decoded message has no request: %+v", msg)
-		}
-		if !reflect.DeepEqual(*msg.Request, req) {
-			t.Fatalf("round trip changed request:\nsent %+v\ngot  %+v", req, *msg.Request)
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, batch) })
+		if !reflect.DeepEqual(msg.Batch, batch) {
+			t.Fatalf("round trip changed batch:\nsent %+v\ngot  %+v", batch, msg.Batch)
 		}
 	}
+}
+
+// randomTraceRef fills a random subset of per-role slots with
+// well-formed digests; empty slots are synthetic applications.
+func randomTraceRef(rng *stats.RNG) *experiments.TraceSetRef {
+	slots := func() []string {
+		out := make([]string, rng.Uint64()%uint64(trace.NumApps+1))
+		for i := range out {
+			if rng.Uint64()%2 == 0 {
+				var raw [32]byte
+				for b := range raw {
+					raw[b] = byte(rng.Uint64())
+				}
+				out[i] = hex.EncodeToString(raw[:])
+			}
+		}
+		if len(out) == 0 {
+			return nil // the decoder's form of an absent role
+		}
+		return out
+	}
+	return &experiments.TraceSetRef{Train: slots(), Test: slots()}
 }
 
 // randomSchemeName exercises the string path with the registry's real
@@ -91,12 +120,14 @@ func randomSchemeName(rng *stats.RNG) string {
 }
 
 // TestCellResultRoundTripProperty randomizes confusion counts across
-// the full int range; results merge into published tables, so a
-// single off-by-anything bit is a wrong paper number.
+// the full int range, in randomly sized result batches; results merge
+// into published tables, so a single off-by-anything bit is a wrong
+// paper number.
 func TestCellResultRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(0x0dd5)
+	var batch []CellResult
 	for i := 0; i < 200; i++ {
-		res := CellResult{ID: rng.Uint64()}
+		res := CellResult{ID: rng.Uint64(), Cached: rng.Uint64()%2 == 0}
 		if i%7 == 0 {
 			res.Err = "experiments: unknown scheme \"nope\""
 		} else {
@@ -113,18 +144,25 @@ func TestCellResultRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellResult(b, res) })
-		if msg.Result == nil {
-			t.Fatalf("decoded message has no result: %+v", msg)
+		batch = append(batch, res)
+		if rng.Uint64()%4 != 0 && i != 199 {
+			continue // keep filling the batch
 		}
-		got := *msg.Result
-		if got.Err != res.Err || got.ID != res.ID {
-			t.Fatalf("round trip changed result envelope: sent %+v got %+v", res, got)
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeResultBatch(b, batch) })
+		if len(msg.Results) != len(batch) {
+			t.Fatalf("result batch of %d decoded as %d results", len(batch), len(msg.Results))
 		}
-		if len(got.Families) != len(res.Families) ||
-			(len(res.Families) > 0 && !reflect.DeepEqual(got.Families, res.Families)) {
-			t.Fatalf("round trip changed families:\nsent %+v\ngot  %+v", res.Families, got.Families)
+		for k, got := range msg.Results {
+			sent := batch[k]
+			if got.Err != sent.Err || got.ID != sent.ID || got.Cached != sent.Cached {
+				t.Fatalf("round trip changed result envelope: sent %+v got %+v", sent, got)
+			}
+			if len(got.Families) != len(sent.Families) ||
+				(len(sent.Families) > 0 && !reflect.DeepEqual(got.Families, sent.Families)) {
+				t.Fatalf("round trip changed families:\nsent %+v\ngot  %+v", sent.Families, got.Families)
+			}
 		}
+		batch = batch[:0]
 	}
 }
 
@@ -144,21 +182,21 @@ func TestCellRequestCarriesTraceRef(t *testing.T) {
 		Train: make([]string, trace.NumApps),
 		Test:  make([]string, trace.NumApps),
 	}
-	ref.Train[2] = "aa11"
-	ref.Test[5] = "bb22"
+	ref.Train[2] = digest64("a1")
+	ref.Test[5] = digest64("b2")
 	req := CellRequest{ID: 3, Scheme: "OR", App: trace.Video, Traces: &ref}
-	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, req) })
-	if msg.Request == nil || msg.Request.Traces == nil {
+	// Synthetic requests must not grow a ref on the way, even batched
+	// behind a captured one.
+	plain := CellRequest{ID: 4, Scheme: "FH", App: trace.Gaming}
+	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellBatch(b, []CellRequest{req, plain}) })
+	if len(msg.Batch) != 2 || msg.Batch[0].Traces == nil {
 		t.Fatalf("trace ref lost in flight: %+v", msg)
 	}
-	if !reflect.DeepEqual(*msg.Request.Traces, ref) {
-		t.Fatalf("trace ref changed in flight: %+v vs %+v", *msg.Request.Traces, ref)
+	if !reflect.DeepEqual(*msg.Batch[0].Traces, ref) {
+		t.Fatalf("trace ref changed in flight: %+v vs %+v", *msg.Batch[0].Traces, ref)
 	}
-	// Synthetic requests must not grow a ref on the way.
-	plain := CellRequest{ID: 4, Scheme: "FH", App: trace.Gaming}
-	msg = roundTrip(t, func(b *bytes.Buffer) error { return EncodeCellRequest(b, plain) })
-	if msg.Request.Traces != nil {
-		t.Fatalf("synthetic request acquired a trace ref: %+v", msg.Request.Traces)
+	if msg.Batch[1].Traces != nil {
+		t.Fatalf("synthetic request acquired a trace ref: %+v", msg.Batch[1].Traces)
 	}
 }
 
@@ -260,9 +298,9 @@ func TestShutdownRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip ships traces through the frame codec: the empty
-// trace, a single extreme packet (maximum timestamp, size and
-// sequence), and a randomized trace.
+// TestTraceRoundTrip ships traces through the compressed preload
+// codec: the empty trace, a single extreme packet (maximum timestamp,
+// size and sequence), and a randomized trace.
 func TestTraceRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(0x7ace)
 	cases := []*trace.Trace{
@@ -272,17 +310,17 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	for i, tr := range cases {
 		p := TracePayload{App: trace.Apps[i%len(trace.Apps)], Trace: tr}
-		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeTrace(b, p) })
-		if msg.Trace == nil {
+		msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeTraceCompressed(b, p) })
+		if msg.TraceZ == nil {
 			t.Fatalf("case %d: decoded message has no trace: %+v", i, msg)
 		}
-		if msg.Trace.App != p.App {
-			t.Fatalf("case %d: app %v != %v", i, msg.Trace.App, p.App)
+		if msg.TraceZ.App != p.App {
+			t.Fatalf("case %d: app %v != %v", i, msg.TraceZ.App, p.App)
 		}
-		if len(msg.Trace.Trace.Packets) != len(tr.Packets) {
-			t.Fatalf("case %d: %d packets != %d", i, len(msg.Trace.Trace.Packets), len(tr.Packets))
+		if len(msg.TraceZ.Trace.Packets) != len(tr.Packets) {
+			t.Fatalf("case %d: %d packets != %d", i, len(msg.TraceZ.Trace.Packets), len(tr.Packets))
 		}
-		if len(tr.Packets) > 0 && !reflect.DeepEqual(msg.Trace.Trace.Packets, tr.Packets) {
+		if len(tr.Packets) > 0 && !reflect.DeepEqual(msg.TraceZ.Trace.Packets, tr.Packets) {
 			t.Fatalf("case %d: packets changed in flight", i)
 		}
 	}
@@ -355,8 +393,8 @@ func TestReadHelloGuardsTheDoor(t *testing.T) {
 	if err := EncodeHello(&pipelined, want); err != nil {
 		t.Fatal(err)
 	}
-	req := CellRequest{ID: 7, Scheme: "OR", App: trace.Apps[0]}
-	if err := EncodeCellRequest(&pipelined, req); err != nil {
+	batch := []CellRequest{{ID: 7, Scheme: "OR", App: trace.Apps[0]}}
+	if err := EncodeCellBatch(&pipelined, batch); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadHello(&pipelined)
@@ -370,8 +408,8 @@ func TestReadHelloGuardsTheDoor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipelined frame after hello was corrupted: %v", err)
 	}
-	if msg.Request == nil || !reflect.DeepEqual(*msg.Request, req) {
-		t.Errorf("pipelined request changed in flight: %+v", msg)
+	if !reflect.DeepEqual(msg.Batch, batch) {
+		t.Errorf("pipelined batch changed in flight: %+v", msg)
 	}
 }
 
@@ -386,19 +424,19 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	}
 	// Implausible length prefix.
 	b.Reset()
-	b.Write([]byte{kindCellRequest, 0xff, 0xff, 0xff, 0xff})
+	b.Write([]byte{kindCellBatch, 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("implausible length accepted")
 	}
 	// Truncated payload.
 	b.Reset()
-	b.Write([]byte{kindCellRequest, 10, 0, 0, 0, 'x'})
+	b.Write([]byte{kindCellBatch, 10, 0, 0, 0, 'x'})
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("truncated payload accepted")
 	}
 	// Payload that is not JSON.
 	b.Reset()
-	if err := writeFrame(&b, kindCellResult, []byte("not json")); err != nil {
+	if err := writeFrame(&b, kindTraceHave, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMessage(&b); err == nil {

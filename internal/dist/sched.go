@@ -1,8 +1,7 @@
 package dist
 
 // The placement policy behind popJobs: cost-aware ordering and
-// locality-aware worker preference, replacing the FIFO queue the v2
-// coordinator shipped with.
+// locality-aware worker preference.
 //
 // Cost. Grid cells differ by an order of magnitude — a morph cell
 // sorts and maps every packet of its sub-flows, a kNN-only ablation

@@ -14,6 +14,7 @@ import (
 
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/trace"
 )
 
 // shortHandshake keeps the rejection paths fast: the stray peers in
@@ -91,6 +92,58 @@ func TestAuthAdmitsOnlyKeyHolders(t *testing.T) {
 	}
 	if stats.RemoteCells == 0 {
 		t.Errorf("keyed worker carried no cells: %+v", stats)
+	}
+}
+
+// TestProtocolVersionSkewRejectedAtDoor: the coordinator admits only
+// ProtoVersion. A hello from the retired version 2 and one from a
+// future version 4 are each turned away at the door — counted, never
+// registered as workers — and no cell is dispatched to either, so the
+// grid offered afterwards completes locally, byte-identical to serial.
+func TestProtocolVersionSkewRejectedAtDoor(t *testing.T) {
+	ds := sharedDataset(t)
+	want := serialGrid(t, ds)
+
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	for i, version := range []int{2, 4} {
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := dist.ReadChallenge(conn); err != nil {
+			t.Fatal(err)
+		}
+		// "TRDW" is the wire magic: everything but the version is a
+		// well-formed hello.
+		if err := dist.EncodeHello(conn, dist.Hello{Magic: "TRDW", Version: version, Slots: 4}); err != nil {
+			t.Fatal(err)
+		}
+		// The door may already be shut; a failed write is the
+		// rejection surfacing early.
+		_ = dist.EncodeTraceHave(conn, dist.TraceHave{})
+		if msg, err := dist.ReadMessage(conn); err == nil {
+			t.Fatalf("version %d: coordinator sent %+v instead of closing the connection", version, msg)
+		}
+		if got := coord.Stats().HandshakesRejected; got != i+1 {
+			t.Fatalf("version %d: HandshakesRejected = %d, want %d", version, got, i+1)
+		}
+	}
+
+	got := experiments.NewEngine(2).WithBackend(coord).EvalSchemes(ds, experiments.StandardSchemes())
+	sameConfusions(t, "version-skewed fleet", want, got)
+	st := coord.Stats()
+	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
+	if st.WorkersJoined != 0 || len(st.Workers) != 0 {
+		t.Errorf("version-skewed peers were admitted: %+v", st)
+	}
+	if st.RemoteCells != 0 || st.BatchesSent != 0 || st.LocalCells != wantCells {
+		t.Errorf("cells reached version-skewed peers: %+v", st)
 	}
 }
 

@@ -42,16 +42,15 @@ type StatsSnapshot struct {
 	WorkersJoined int
 	WorkersLost   int
 
-	// --- scheduler observability (protocol v3) -----------------------
+	// --- scheduler observability --------------------------------------
 
 	// QueueDepth is the number of cells queued (not yet dispatched) at
 	// snapshot time; MaxQueueDepth is the high-water mark.
 	QueueDepth    int
 	MaxQueueDepth int
-	// BatchesSent counts dispatch frames to v3 workers; BatchedCells
+	// BatchesSent counts dispatch frames sent to workers; BatchedCells
 	// counts the cells they carried, so BatchedCells/BatchesSent is
-	// the realized mean batch size. v2 sessions dispatch one cell per
-	// frame and count under neither.
+	// the realized mean batch size.
 	BatchesSent  int
 	BatchedCells int
 	// LocalityPlacements counts captured cells placed on a worker
@@ -74,8 +73,8 @@ type StatsSnapshot struct {
 
 	// --- fault tolerance (heartbeat liveness + grid journal) ---------
 
-	// PingsSent and PongsReceived count heartbeat traffic on v3
-	// sessions (CoordinatorOptions.Heartbeat > 0). They need not match:
+	// PingsSent and PongsReceived count heartbeat traffic
+	// (CoordinatorOptions.Heartbeat > 0). They need not match:
 	// pings to a blackholed worker are sent into the void.
 	PingsSent     int
 	PongsReceived int
@@ -104,8 +103,8 @@ type StatsSnapshot struct {
 type WorkerSnapshot struct {
 	// Name is the worker's remote address.
 	Name string
-	// Proto is the negotiated protocol version (2 = JSON per-cell
-	// frames, 3 = batched binary).
+	// Proto is the worker's protocol version — always ProtoVersion,
+	// the only version the coordinator admits.
 	Proto int
 	// Slots is the worker's advertised concurrency; InFlight is how
 	// many of its slots hold unanswered cells right now; Wedged is how
@@ -119,9 +118,3 @@ type WorkerSnapshot struct {
 	Cells   int
 	Batches int
 }
-
-// Stats is the deprecated name of StatsSnapshot, kept so pre-v3
-// callers compile unchanged.
-//
-// Deprecated: use StatsSnapshot.
-type Stats = StatsSnapshot

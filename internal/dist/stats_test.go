@@ -29,7 +29,7 @@ func TestStatsSnapshotFieldStability(t *testing.T) {
 	}
 
 	promised(reflect.TypeOf(StatsSnapshot{}), map[string]string{
-		// v2 surface.
+		// Placement and membership.
 		"RemoteCells":        "int",
 		"LocalCells":         "int",
 		"Reassigned":         "int",
@@ -40,7 +40,7 @@ func TestStatsSnapshotFieldStability(t *testing.T) {
 		"HandshakesRejected": "int",
 		"WorkersJoined":      "int",
 		"WorkersLost":        "int",
-		// v3 scheduler observability.
+		// Scheduler observability.
 		"QueueDepth":         "int",
 		"MaxQueueDepth":      "int",
 		"BatchesSent":        "int",
@@ -61,13 +61,6 @@ func TestStatsSnapshotFieldStability(t *testing.T) {
 		"Cells":    "int",
 		"Batches":  "int",
 	})
-
-	// The deprecated alias must stay assignment-compatible: pre-v3
-	// callers declared `var s dist.Stats`.
-	var s Stats = StatsSnapshot{RemoteCells: 1}
-	if s.RemoteCells != 1 {
-		t.Error("Stats alias diverged from StatsSnapshot")
-	}
 
 	// A snapshot is a value copy: mutating it must not alias live
 	// coordinator state. Workers is the only reference-typed field, so

@@ -34,12 +34,6 @@ type WorkerOptions struct {
 	// Slots is how many cells to evaluate concurrently (advertised to
 	// the coordinator); <= 0 selects GOMAXPROCS.
 	Slots int
-	// Proto pins the protocol version announced in the hello: 0 or
-	// ProtoVersion selects the current batched-binary dialect, and
-	// MinProtoVersion (2) forces the legacy per-cell JSON dialect —
-	// the knob behind mixed-fleet rollout testing, and an escape hatch
-	// when a v3 worker must talk to a coordinator one release behind.
-	Proto int
 	// EngineWorkers sizes the worker's in-process engine for dataset
 	// builds and cell evaluation; <= 0 selects one per CPU. Ignored
 	// when State is set (the state carries its own engine).
@@ -84,25 +78,6 @@ type WorkerOptions struct {
 	Drain <-chan struct{}
 	// Logf, when set, receives lifecycle messages.
 	Logf func(format string, args ...any)
-
-	// ResultCacheSize is the deprecated flat spelling of
-	// Caches.Results.
-	//
-	// Deprecated: set Caches.Results.
-	ResultCacheSize int
-	// TLS is the deprecated flat spelling of Net.TLS.
-	//
-	// Deprecated: set Net.TLS.
-	TLS *tls.Config
-	// AuthKey is the deprecated flat spelling of Net.AuthKey.
-	//
-	// Deprecated: set Net.AuthKey.
-	AuthKey string
-	// HandshakeTimeout is the deprecated flat spelling of
-	// Net.HandshakeTimeout.
-	//
-	// Deprecated: set Net.HandshakeTimeout.
-	HandshakeTimeout time.Duration
 }
 
 // dialCoordinator opens the worker's connection per NetOptions: the
@@ -183,15 +158,7 @@ func Serve(addr string, opt WorkerOptions) error {
 	if opt.MaxCells > 0 || opt.WedgeCells > 0 {
 		slots = 1
 	}
-	proto := opt.Proto
-	if proto == 0 {
-		proto = ProtoVersion
-	}
-	if proto < MinProtoVersion || proto > ProtoVersion {
-		return fmt.Errorf("dist: WorkerOptions.Proto %d outside %d..%d", proto, MinProtoVersion, ProtoVersion)
-	}
-	netOpt := mergeNet(opt.Net, opt.TLS, opt.AuthKey, opt.HandshakeTimeout)
-	conn, err := dialCoordinator(addr, netOpt)
+	conn, err := dialCoordinator(addr, opt.Net)
 	if err != nil {
 		return fmt.Errorf("dist: dial coordinator: %w", err)
 	}
@@ -199,18 +166,14 @@ func Serve(addr string, opt WorkerOptions) error {
 
 	state := opt.State
 	if state == nil {
-		caches := opt.Caches
-		if caches.Results <= 0 {
-			caches.Results = opt.ResultCacheSize
-		}
-		state = NewWorkerStateWith(opt.EngineWorkers, caches)
+		state = NewWorkerStateWith(opt.EngineWorkers, opt.Caches)
 	}
 
 	// Handshake: read the challenge (bounded in time — a non-speaking
 	// or protocol-mismatched peer must not hang us), answer with an
 	// authenticated hello, and announce the store's digests so the
 	// coordinator can skip traces we already hold.
-	_ = conn.SetDeadline(time.Now().Add(netOpt.handshakeTimeout()))
+	_ = conn.SetDeadline(time.Now().Add(opt.Net.handshakeTimeout()))
 	nonce, err := ReadChallenge(conn)
 	if err != nil {
 		if doorClosed(err) {
@@ -218,9 +181,9 @@ func Serve(addr string, opt WorkerOptions) error {
 		}
 		return fmt.Errorf("dist: handshake: %w", err)
 	}
-	hello := Hello{Magic: protoMagic, Version: proto, Slots: slots}
-	if netOpt.AuthKey != "" {
-		hello.Auth = AuthTag(netOpt.AuthKey, nonce)
+	hello := Hello{Magic: protoMagic, Version: ProtoVersion, Slots: slots}
+	if opt.Net.AuthKey != "" {
+		hello.Auth = AuthTag(opt.Net.AuthKey, nonce)
 	}
 	if err := EncodeHello(conn, hello); err != nil {
 		if doorClosed(err) {
@@ -236,7 +199,7 @@ func Serve(addr string, opt WorkerOptions) error {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	if opt.Logf != nil {
-		opt.Logf("dist: worker connected to %s (proto v%d, %d slots)", addr, proto, slots)
+		opt.Logf("dist: worker connected to %s (%d slots)", addr, slots)
 	}
 
 	// Frame writes are serialized and deadline-bounded: the writer
@@ -244,7 +207,7 @@ func Serve(addr string, opt WorkerOptions) error {
 	// connection, and a blackholed coordinator must stall either for
 	// at most one write timeout, never wedge the worker.
 	var wmu sync.Mutex
-	writeTimeout := netOpt.writeTimeout()
+	writeTimeout := opt.Net.writeTimeout()
 	write := func(encode func(w io.Writer) error) error {
 		wmu.Lock()
 		defer wmu.Unlock()
@@ -268,11 +231,10 @@ func Serve(addr string, opt WorkerOptions) error {
 	}
 
 	// Results flow through one writer goroutine. Each completed cell
-	// lands on resCh; the writer drains whatever has accumulated and —
-	// on a v3 connection — packs the drain into a single result-batch
-	// frame. Batching is opportunistic: a lone result ships
-	// immediately, results that finish while a frame is being written
-	// share the next one. The deferred shutdown waits for in-flight
+	// lands on resCh; the writer drains whatever has accumulated and
+	// packs the drain into a single result-batch frame. Batching is
+	// opportunistic: a lone result ships immediately, results that
+	// finish while a frame is being written share the next one. The deferred shutdown waits for in-flight
 	// evaluations, closes the channel, then waits for the writer, all
 	// before the deferred conn.Close above runs.
 	var wg sync.WaitGroup
@@ -287,7 +249,7 @@ func Serve(addr string, opt WorkerOptions) error {
 			}
 			batch := []CellResult{res}
 		drain:
-			for proto >= 3 && len(batch) < maxBatchCells {
+			for len(batch) < maxBatchCells {
 				select {
 				case r, ok := <-resCh:
 					if !ok {
@@ -298,17 +260,7 @@ func Serve(addr string, opt WorkerOptions) error {
 					break drain
 				}
 			}
-			var err error
-			if proto >= 3 {
-				err = write(func(w io.Writer) error { return EncodeResultBatch(w, batch) })
-			} else {
-				for _, r := range batch {
-					if err = write(func(w io.Writer) error { return EncodeCellResult(w, r) }); err != nil {
-						break
-					}
-				}
-			}
-			if err != nil {
+			if err := write(func(w io.Writer) error { return EncodeResultBatch(w, batch) }); err != nil {
 				// Write deadline or transport death: close the conn so
 				// the read loop unblocks, keep consuming resCh so
 				// in-flight evaluators can finish and the deferred
@@ -354,19 +306,13 @@ func Serve(addr string, opt WorkerOptions) error {
 			continue
 		case msg.Shutdown:
 			return nil
-		case msg.Trace != nil:
-			// Preloaded captured trace: store under its content digest
-			// (recomputed here, so a corrupted transfer cannot be
-			// addressed by the digest the coordinator meant).
-			state.Store().Put(msg.Trace.Trace)
-			continue
 		case msg.TraceZ != nil:
-			// v3 compressed preload — already inflated by the decoder;
-			// same content addressing as the plain frame.
+			// Preloaded captured trace, already inflated by the
+			// decoder: store under its content digest (recomputed here,
+			// so a corrupted transfer cannot be addressed by the digest
+			// the coordinator meant).
 			state.Store().Put(msg.TraceZ.Trace)
 			continue
-		case msg.Request != nil:
-			reqs = []CellRequest{*msg.Request}
 		case len(msg.Batch) > 0:
 			reqs = msg.Batch
 		default:

@@ -3,12 +3,8 @@ package ml
 import (
 	"errors"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"trafficreshape/internal/features"
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -27,42 +23,14 @@ type MLPTrainer struct {
 	L2 float64
 	// NoAnneal disables learning-rate annealing (for tests).
 	NoAnneal bool
-	// NoAnnea is the original misspelling of NoAnneal, kept so
-	// existing callers compile; setting either field disables
-	// annealing.
-	//
-	// Deprecated: set NoAnneal.
-	NoAnnea bool
-	// Pool, when set, fans the per-neuron row work of every training
-	// step out over the pool's free permits. Weight rows are strided
-	// across the team and spin barriers separate the forward,
-	// backward and output-update phases, so every row's arithmetic
-	// happens in exactly the serial order and the trained model is
-	// bit-identical for every pool size (including nil = serial).
-	Pool *par.Pool
 }
 
 // Name implements Trainer.
 func (t *MLPTrainer) Name() string { return "mlp" }
 
-// WithPool returns a copy of the trainer whose per-step row loops fan
-// out over pool (nil keeps it serial).
-func (t *MLPTrainer) WithPool(pool *par.Pool) *MLPTrainer {
-	out := *t
-	out.Pool = pool
-	return &out
-}
-
-const (
-	// mlpMomentum is the classical-momentum coefficient of the
-	// velocity updates.
-	mlpMomentum = 0.9
-	// mlpMaxTeam bounds the training team: each extra worker adds
-	// barrier traffic to every example step, and beyond the row
-	// counts (hidden weight rows, NumApps output rows) extra workers
-	// only spin.
-	mlpMaxTeam = 8
-)
+// mlpMomentum is the classical-momentum coefficient of the velocity
+// updates.
+const mlpMomentum = 0.9
 
 // MLPScratch owns every buffer one MLP training run needs: the model
 // itself, the momentum velocities, the per-example activation and
@@ -124,7 +92,7 @@ func (t *MLPTrainer) Train(examples []features.Example, seed uint64) (Classifier
 // and the model live in s, so steady-state retraining allocates
 // nothing. The returned Classifier aliases s's model — it is valid
 // until the next TrainScratch call on the same scratch. Results are
-// bit-identical to Train for the same inputs, at every pool size.
+// bit-identical to Train for the same inputs.
 func (t *MLPTrainer) TrainScratch(s *MLPScratch, examples []features.Example, seed uint64) (Classifier, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("ml: mlp needs training examples")
@@ -148,40 +116,16 @@ func (t *MLPTrainer) TrainScratch(s *MLPScratch, examples []features.Example, se
 	case l2 < 0: // Off: weight decay genuinely disabled
 		l2 = 0
 	}
-	noAnneal := t.NoAnneal || t.NoAnnea
-
 	var r stats.RNG
 	r.Reseed(seed)
 	s.model.init(hidden, &r)
 	s.prepare(hidden, len(examples))
-
-	// Row fan-out pays a barrier per phase, so recruit at most one
-	// worker per useful row and never more than the pool has free.
-	// Whatever the team ends up being, the result is bit-identical:
-	// rows are written by exactly one owner and every cross-row read
-	// is separated from the writes by a barrier.
-	team := 1
-	if t.Pool != nil {
-		want := hidden
-		if want > mlpMaxTeam {
-			want = mlpMaxTeam
-		}
-		if want > 1 {
-			team += t.Pool.TryAcquire(want - 1)
-		}
-	}
-	if team == 1 {
-		s.trainSerial(examples, epochs, lr, l2, noAnneal, &r)
-	} else {
-		s.trainTeam(t.Pool, team, examples, epochs, lr, l2, noAnneal, &r)
-	}
+	s.train(examples, epochs, lr, l2, t.NoAnneal, &r)
 	return &s.model, nil
 }
 
-// trainSerial is the closure- and barrier-free single-goroutine
-// trainer (a closure handed to helpers would escape to the heap, and
-// the zero-alloc steady-state contract is pinned on this path).
-func (s *MLPScratch) trainSerial(examples []features.Example, epochs int, lr, l2 float64, noAnneal bool, r *stats.RNG) {
+// train runs per-example momentum SGD over the prepared scratch.
+func (s *MLPScratch) train(examples []features.Example, epochs int, lr, l2 float64, noAnneal bool, r *stats.RNG) {
 	m := &s.model
 	hidden := m.hidden
 	for e := 0; e < epochs; e++ {
@@ -208,100 +152,6 @@ func (s *MLPScratch) trainSerial(examples []features.Example, epochs int, lr, l2
 			for j := 0; j < hidden; j++ {
 				s.updateW1Row(j, &ex.X, eta, l2)
 			}
-		}
-	}
-}
-
-// trainTeam runs the exact arithmetic of trainSerial with each
-// phase's rows strided across team goroutines. The caller is worker
-// 0; the team-1 helpers run on pool permits already acquired by
-// TrainScratch and released here.
-func (s *MLPScratch) trainTeam(pool *par.Pool, team int, examples []features.Example, epochs int, lr, l2 float64, noAnneal bool, r *stats.RNG) {
-	defer pool.Release(team - 1)
-	bar := &mlpBarrier{n: int32(team)}
-	var wg sync.WaitGroup
-	wg.Add(team - 1)
-	for id := 1; id < team; id++ {
-		id := id
-		go func() {
-			defer wg.Done()
-			s.teamWorker(id, team, bar, examples, epochs, lr, l2, noAnneal, nil)
-		}()
-	}
-	s.teamWorker(0, team, bar, examples, epochs, lr, l2, noAnneal, r)
-	wg.Wait()
-}
-
-// teamWorker is one member of the training team. Worker id owns rows
-// j ≡ id (mod team) of every strided phase: each row's arithmetic is
-// the serial sequence, row results land in owner-written slots, and
-// the three barriers per example order every cross-row read after the
-// writes it needs — so the trained model is bit-identical to the
-// serial path no matter how the team interleaves. Scalar state (eta,
-// the output distribution, dLogits) is rederived locally by every
-// worker: identical inputs give identical floats, and replicating the
-// 7×hidden output pass costs less than a serial section plus a fourth
-// barrier. Only worker 0 holds the RNG, so the shuffle stream is
-// untouched by team size.
-func (s *MLPScratch) teamWorker(id, team int, bar *mlpBarrier, examples []features.Example, epochs int, lr, l2 float64, noAnneal bool, r *stats.RNG) {
-	m := &s.model
-	hidden := m.hidden
-	for e := 0; e < epochs; e++ {
-		eta := lr
-		if !noAnneal {
-			eta = lr / (1 + 0.05*float64(e))
-		}
-		if id == 0 {
-			r.PermInto(s.perm)
-		}
-		bar.wait() // perm visible to the whole team
-		for _, idx := range s.perm {
-			ex := &examples[idx]
-			for j := id; j < hidden; j += team {
-				s.h[j] = m.hiddenRow(j, &ex.X)
-			}
-			bar.wait() // all activations written
-			dLogits := lossGradient(m.outputProbs(s.h), ex.Y)
-			// Backward + hidden update fused: dHidden[j] reads the
-			// pre-update output weights (not written until after the
-			// next barrier), and row j's W1 update reads only
-			// dHidden[j] — which this worker just wrote.
-			for j := id; j < hidden; j += team {
-				s.dHidden[j] = m.backHidden(j, &dLogits, s.h[j])
-				s.updateW1Row(j, &ex.X, eta, l2)
-			}
-			bar.wait() // every w2 read done before w2 moves
-			for c := id; c < trace.NumApps; c += team {
-				s.updateW2Row(c, &dLogits, eta, l2)
-			}
-			bar.wait() // w2/b2 and h stable before the next forward
-		}
-	}
-}
-
-// mlpBarrier is a reusable sense-reversing spin barrier. The team
-// synchronizes three times per training example, so a barrier must
-// cost tens of nanoseconds, not a futex round trip: late arrivals
-// spin briefly on the epoch counter and fall back to Gosched so a
-// team larger than GOMAXPROCS still makes progress.
-type mlpBarrier struct {
-	n       int32
-	arrived atomic.Int32
-	epoch   atomic.Uint32
-}
-
-func (b *mlpBarrier) wait() {
-	e := b.epoch.Load()
-	if b.arrived.Add(1) == b.n {
-		// Reset before release: stragglers only leave once epoch
-		// moves, so the next round's arrivals start from zero.
-		b.arrived.Store(0)
-		b.epoch.Add(1)
-		return
-	}
-	for spins := 0; b.epoch.Load() == e; spins++ {
-		if spins > 128 {
-			runtime.Gosched()
 		}
 	}
 }
@@ -354,8 +204,8 @@ func (m *mlpModel) hiddenRow(j int, x *features.Vector) float64 {
 }
 
 // outputProbs computes the softmax class distribution over the hidden
-// activations h. Shared by the serial forward, every team worker and
-// Predict, so the output arithmetic cannot drift between paths.
+// activations h. Shared by training and Predict, so the output
+// arithmetic cannot drift between them.
 func (m *mlpModel) outputProbs(h []float64) [trace.NumApps]float64 {
 	var logits [trace.NumApps]float64
 	maxLogit := math.Inf(-1)
@@ -406,8 +256,6 @@ func (m *mlpModel) backHidden(j int, dLogits *[trace.NumApps]float64, hj float64
 }
 
 // updateW2Row applies the momentum step to output row c and its bias.
-// Rows write disjoint slots, so concurrent calls for distinct c are
-// race-free.
 func (s *MLPScratch) updateW2Row(c int, dLogits *[trace.NumApps]float64, eta, l2 float64) {
 	m := &s.model
 	hidden := m.hidden
@@ -424,8 +272,6 @@ func (s *MLPScratch) updateW2Row(c int, dLogits *[trace.NumApps]float64, eta, l2
 }
 
 // updateW1Row applies the momentum step to hidden row j and its bias.
-// Rows write disjoint slots, so concurrent calls for distinct j are
-// race-free.
 func (s *MLPScratch) updateW1Row(j int, x *features.Vector, eta, l2 float64) {
 	m := &s.model
 	w := m.w1[j*features.Dim : (j+1)*features.Dim]

@@ -1,20 +1,19 @@
 package ml
 
-// Equivalence tests pinning the scratch-reusing, optionally parallel
-// MLP trainer bit-identical to a frozen copy of the pre-refactor
-// implementation (the svm_equiv_test.go pattern): the reference below
-// is the old training loop verbatim — nested [][]float64 weights,
+// Equivalence tests pinning the scratch-reusing MLP trainer
+// bit-identical to a frozen copy of the pre-refactor implementation
+// (the svm_equiv_test.go pattern): the reference below is the old
+// training loop verbatim — nested [][]float64 weights,
 // per-example forward/dHidden allocations, inline momentum updates.
 // Any reordering of floating-point arithmetic in the rewrite — in the
-// flattened rows, the fused backward phase, or the strided team —
-// fails these tests exactly.
+// flattened rows or the per-phase row loops — fails these tests
+// exactly.
 
 import (
 	"math"
 	"testing"
 
 	"trafficreshape/internal/features"
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -173,9 +172,9 @@ type mlpCase struct {
 
 // mlpEquivCases returns the grid the equivalence tests sweep:
 // separable and noisy data, tiny through training-sized sets, hidden
-// widths below/at/above the team cap and the class count (striding
-// edge cases), several seeds. Epochs are kept small — per-step
-// arithmetic either matches exactly from step one or not at all.
+// widths below and above the class count, several seeds. Epochs are
+// kept small — per-step arithmetic either matches exactly from step
+// one or not at all.
 func mlpEquivCases() []mlpCase {
 	var cases []mlpCase
 	for _, n := range []int{1, 7, 50, 200} {
@@ -190,8 +189,7 @@ func mlpEquivCases() []mlpCase {
 			}
 		}
 	}
-	// Off-default hyperparameters, odd hidden widths for the strided
-	// team, annealing off via both field spellings.
+	// Off-default hyperparameters, odd hidden widths, annealing off.
 	for _, hidden := range []int{1, 5, 9, 33} {
 		cases = append(cases, mlpCase{
 			trainer:  MLPTrainer{Hidden: hidden, Epochs: 4, LR: 0.1, L2: 1e-3},
@@ -203,12 +201,6 @@ func mlpEquivCases() []mlpCase {
 	cases = append(cases,
 		mlpCase{
 			trainer:  MLPTrainer{Epochs: 3, NoAnneal: true},
-			examples: syntheticDataset(50, 0.5, 2),
-			seed:     5,
-			hidden:   24, epochs: 3, lr: 0.05, l2: 1e-5, noAnneal: true,
-		},
-		mlpCase{
-			trainer:  MLPTrainer{Epochs: 3, NoAnnea: true},
 			examples: syntheticDataset(50, 0.5, 2),
 			seed:     5,
 			hidden:   24, epochs: 3, lr: 0.05, l2: 1e-5, noAnneal: true,
@@ -269,42 +261,16 @@ func TestMLPTrainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMLPTrainParallelBitIdentical pins the tentpole determinism
-// claim: the per-neuron row team — strided phases, spin barriers,
-// replicated scalar state — produces bit-for-bit the serially trained
-// model, for every pool size. A pool of 1 has no spare permits and
-// exercises the serial fallback; 4 and 8 run genuine teams (larger
-// than GOMAXPROCS on a small box, so the Gosched fallback runs too).
-// CI runs this under GOMAXPROCS=4 -race to exercise real preemption.
-func TestMLPTrainParallelBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		pool := par.NewPool(workers)
-		for ci, tc := range mlpEquivCases() {
-			want := tc.reference()
-			clf, err := tc.trainer.WithPool(pool).Train(tc.examples, tc.seed)
-			if err != nil {
-				t.Fatalf("workers=%d case %d: %v", workers, ci, err)
-			}
-			mlpModelsIdentical(t, "parallel", clf.(*mlpModel), want)
-		}
-	}
-}
-
 // TestMLPTrainScratchReuse retrains across differently sized datasets,
 // hidden widths and seeds through one scratch: every run must match a
 // fresh reference — stale permutations, velocities, activations or
 // weights from the previous run must never leak.
 func TestMLPTrainScratchReuse(t *testing.T) {
 	scratch := NewMLPScratch()
-	pool := par.NewPool(4)
 	for pass := 0; pass < 2; pass++ {
 		for ci, tc := range mlpEquivCases() {
 			want := tc.reference()
-			tr := tc.trainer
-			if ci%2 == 1 { // alternate serial and team runs through one scratch
-				tr.Pool = pool
-			}
-			clf, err := tr.TrainScratch(scratch, tc.examples, tc.seed)
+			clf, err := tc.trainer.TrainScratch(scratch, tc.examples, tc.seed)
 			if err != nil {
 				t.Fatalf("pass %d case %d: %v", pass, ci, err)
 			}
@@ -442,27 +408,5 @@ func TestSVMLambdaOffDiffersFromDefault(t *testing.T) {
 	}
 	if same {
 		t.Fatal("Lambda: Off trained the same machine as Lambda default — regularization still cannot be disabled")
-	}
-}
-
-// TestMLPNoAnnealAlias pins the typo-field rename: the deprecated
-// NoAnnea spelling must keep disabling annealing exactly like the
-// fixed NoAnneal (both appear in mlpEquivCases; this pins them equal
-// to each other directly).
-func TestMLPNoAnnealAlias(t *testing.T) {
-	examples := syntheticDataset(40, 0.5, 19)
-	a, err := (&MLPTrainer{Epochs: 3, NoAnneal: true}).Train(examples, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := (&MLPTrainer{Epochs: 3, NoAnnea: true}).Train(examples, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, mb := a.(*mlpModel), b.(*mlpModel)
-	for i := range ma.w1 {
-		if ma.w1[i] != mb.w1[i] {
-			t.Fatalf("w1[%d]: NoAnneal trained %v, deprecated NoAnnea %v", i, ma.w1[i], mb.w1[i])
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"trafficreshape/internal/features"
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -23,65 +22,34 @@ type SVMTrainer struct {
 	// Epochs is the number of passes over the training set; zero
 	// selects a default.
 	Epochs int
-	// Pool, when set, trains the NumApps one-vs-rest machines
-	// concurrently. Every class's random stream is drawn up front in
-	// the serial order and each class writes only its own model slot,
-	// so the trained model is bit-identical for every pool size
-	// (including nil = serial).
-	Pool *par.Pool
 }
 
 // Name implements Trainer.
 func (t *SVMTrainer) Name() string { return "svm" }
 
-// WithPool returns a copy of the trainer whose per-class training
-// loops fan out over pool (nil keeps it serial).
-func (t *SVMTrainer) WithPool(pool *par.Pool) *SVMTrainer {
-	out := *t
-	out.Pool = pool
-	return &out
-}
-
 // SVMScratch owns every buffer one SVM training run needs: the
-// per-class child RNG states, per-epoch permutation buffers, ±1 label
-// vectors, and the model itself. Reusing a scratch across TrainScratch
+// current class's child RNG state, permutation buffer and ±1 label
+// vector, and the model itself. Reusing a scratch across TrainScratch
 // calls makes steady-state retraining allocation-free — the build-side
 // analog of the classification path's window scratch.
 type SVMScratch struct {
-	rngs  [trace.NumApps]stats.RNG
-	perm  [trace.NumApps][]int
-	ys    [trace.NumApps][]float64
+	rng   stats.RNG
+	perm  []int
+	ys    []float64
 	model svmModel
 }
 
 // NewSVMScratch returns an empty scratch; buffers grow on first use.
 func NewSVMScratch() *SVMScratch { return &SVMScratch{} }
 
-// prepare sizes the per-class buffers for n examples and fills the
-// ±1 one-vs-rest label vectors (computed once per run instead of one
-// comparison per Pegasos step).
-func (s *SVMScratch) prepare(examples []features.Example) {
-	n := len(examples)
-	for c := 0; c < trace.NumApps; c++ {
-		if cap(s.perm[c]) < n {
-			s.perm[c] = make([]int, n)
-		} else {
-			s.perm[c] = s.perm[c][:n]
-		}
-		if cap(s.ys[c]) < n {
-			s.ys[c] = make([]float64, n)
-		} else {
-			s.ys[c] = s.ys[c][:n]
-		}
-		ys := s.ys[c]
-		for i := range examples {
-			if examples[i].Y == trace.App(c) {
-				ys[i] = 1
-			} else {
-				ys[i] = -1
-			}
-		}
+// prepare sizes the buffers for n examples.
+func (s *SVMScratch) prepare(n int) {
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+		s.ys = make([]float64, n)
 	}
+	s.perm = s.perm[:n]
+	s.ys = s.ys[:n]
 }
 
 // Train implements Trainer.
@@ -109,39 +77,26 @@ func (t *SVMTrainer) TrainScratch(s *SVMScratch, examples []features.Example, se
 	if epochs <= 0 {
 		epochs = 40
 	}
-	// Draw every class's child stream up front, in class order — the
-	// exact draws the sequential per-class r.Split() consumed before
-	// the classes trained in line, so training order (and pool size)
-	// cannot perturb any stream.
 	var r stats.RNG
 	r.Reseed(seed)
+	s.prepare(len(examples))
 	for class := 0; class < trace.NumApps; class++ {
-		r.SplitInto(&s.rngs[class])
-	}
-	s.prepare(examples)
-	if t.Pool == nil {
-		// Serial fast path kept closure-free so TrainScratch stays
-		// allocation-free (a closure handed to Each escapes to the
-		// heap even when the pool runs it inline).
-		for class := 0; class < trace.NumApps; class++ {
-			s.trainClass(class, examples, lambda, epochs)
+		// Each class draws its child stream from r in class order;
+		// r feeds nothing else, so every stream is the one the
+		// original per-class r.Split() produced.
+		r.SplitInto(&s.rng)
+		// ±1 one-vs-rest labels, computed once per class instead of
+		// one comparison per Pegasos step.
+		for i := range examples {
+			if examples[i].Y == trace.App(class) {
+				s.ys[i] = 1
+			} else {
+				s.ys[i] = -1
+			}
 		}
-	} else {
-		t.Pool.Each(trace.NumApps, func(class int) {
-			s.trainClass(class, examples, lambda, epochs)
-		})
+		s.model.weights[class], s.model.bias[class] = trainBinarySVM(examples, s.ys, lambda, epochs, &s.rng, s.perm)
 	}
 	return &s.model, nil
-}
-
-// trainClass runs Pegasos for one one-vs-rest machine and stores its
-// weights in the class's model slot. Classes share only read-only
-// state (the example slice) and write disjoint slots, so concurrent
-// calls for distinct classes are race-free.
-func (s *SVMScratch) trainClass(class int, examples []features.Example, lambda float64, epochs int) {
-	w, b := trainBinarySVM(examples, s.ys[class], lambda, epochs, &s.rngs[class], s.perm[class])
-	s.model.weights[class] = w
-	s.model.bias[class] = b
 }
 
 // trainBinarySVM runs Pegasos for one one-vs-rest machine. ys holds

@@ -1,8 +1,8 @@
 package ml
 
-// Equivalence tests pinning the scratch-reusing, optionally parallel
-// SVM trainer bit-identical to a frozen copy of the pre-refactor
-// implementation (the PR 2 pattern): the reference below is the old
+// Equivalence tests pinning the scratch-reusing SVM trainer
+// bit-identical to a frozen copy of the pre-refactor implementation
+// (the PR 2 pattern): the reference below is the old
 // per-class loop verbatim — sequential r.Split(), per-epoch r.Perm
 // allocations, branch-per-step labels, always-on shrink pass. Any
 // reordering of floating-point arithmetic in the rewrite fails these
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"trafficreshape/internal/features"
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -117,24 +116,6 @@ func TestSVMTrainMatchesReference(t *testing.T) {
 			t.Fatalf("case %d: %v", ci, err)
 		}
 		modelsIdentical(t, "serial", clf.(*svmModel), want)
-	}
-}
-
-// TestSVMTrainParallelBitIdentical pins the tentpole determinism
-// claim: the per-class machines trained concurrently are bit-for-bit
-// the serially trained ones, for every pool size. CI runs this under
-// GOMAXPROCS=4 -race to exercise real preemption.
-func TestSVMTrainParallelBitIdentical(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		pool := par.NewPool(workers)
-		for ci, tc := range svmEquivCases() {
-			want := referenceSVMTrain(tc.examples, tc.seed, 0, 0)
-			clf, err := (&SVMTrainer{Pool: pool}).Train(tc.examples, tc.seed)
-			if err != nil {
-				t.Fatalf("workers=%d case %d: %v", workers, ci, err)
-			}
-			modelsIdentical(t, "parallel", clf.(*svmModel), want)
-		}
 	}
 }
 
