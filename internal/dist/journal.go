@@ -5,11 +5,12 @@ package dist
 // records, written as each wire-addressable cell completes and read
 // back by `experiments -journal DIR -resume` after a coordinator
 // crash, so a restarted grid re-dispatches only the cells that never
-// answered. The codec follows the TRCK checkpoint style
-// (internal/stream/checkpoint.go): magic + version header, little-
-// endian fixed-width scalars, every length bounds-checked before it
-// allocates — but CRC-guards each record instead of the whole file,
-// because the file is append-only and must survive losing its tail.
+// answered. The codec follows the internal/wire rules the checkpoint
+// shares — magic + version header, little-endian scalars, every length
+// bounds-checked before it allocates — but CRC-guards each record
+// instead of the whole file, because the file is append-only and must
+// survive losing its tail. The families encoding is the result
+// batch's (appendFamilies).
 //
 // Layout:
 //
@@ -32,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -40,6 +40,7 @@ import (
 
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
 const (
@@ -140,9 +141,7 @@ func OpenGridJournal(path string, resume bool) (*GridJournal, error) {
 }
 
 func journalHeader() []byte {
-	b := make([]byte, 0, journalHeaderLen)
-	b = append(b, journalMagic...)
-	b = binary.LittleEndian.AppendUint32(b, journalVersion)
+	b := wire.AppendHeader(make([]byte, 0, journalHeaderLen), journalMagic, journalVersion)
 	return append(b, byte(trace.NumApps))
 }
 
@@ -153,17 +152,13 @@ func journalHeader() []byte {
 // tear, by design — every record was CRC-stamped when written, so a
 // bad record means the file ends in a crash's debris.
 func readJournal(data []byte) (entries []journalEntry, valid int, err error) {
-	if len(data) < journalHeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrBadJournal, len(data))
+	h := wire.NewReader(data[:min(len(data), journalHeaderLen)], ErrBadJournal)
+	h.Header(journalMagic, journalVersion)
+	if dim := int(h.U8()); dim != trace.NumApps {
+		h.Failf("confusion dimension %d, want %d", dim, trace.NumApps)
 	}
-	if string(data[:len(journalMagic)]) != journalMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadJournal)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(journalMagic) : len(journalMagic)+4]); v != journalVersion {
-		return nil, 0, fmt.Errorf("%w: version %d, want %d", ErrBadJournal, v, journalVersion)
-	}
-	if dim := int(data[journalHeaderLen-1]); dim != trace.NumApps {
-		return nil, 0, fmt.Errorf("%w: confusion dimension %d, want %d", ErrBadJournal, dim, trace.NumApps)
+	if err := h.Done(); err != nil {
+		return nil, 0, err
 	}
 	off := journalHeaderLen
 	for len(data)-off >= 8 {
@@ -171,13 +166,12 @@ func readJournal(data []byte) (entries []journalEntry, valid int, err error) {
 		if n > maxJournalRecord || len(data)-off-8 < n {
 			break // torn or implausible length
 		}
-		payload := data[off+4 : off+4+n]
-		crc := binary.LittleEndian.Uint32(data[off+4+n : off+8+n])
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload, err := wire.CheckCRC(data[off+4:off+8+n], ErrBadJournal)
+		if err != nil {
 			break // torn mid-append, or bit rot: the tail ends here
 		}
-		e, perr := decodeJournalPayload(payload)
-		if perr != nil {
+		e, err := decodeJournalPayload(payload)
+		if err != nil {
 			break
 		}
 		entries = append(entries, e)
@@ -186,27 +180,12 @@ func readJournal(data []byte) (entries []journalEntry, valid int, err error) {
 	return entries, off, nil
 }
 
-// decodeJournalPayload parses one record body with the shared
-// bounds-checked cursor.
+// decodeJournalPayload parses one record body.
 func decodeJournalPayload(payload []byte) (journalEntry, error) {
-	c := &bcur{b: payload}
-	key := string(c.take(int(c.u16())))
-	n := int(c.u8())
-	if n > maxFamilies {
-		c.fail("%d families exceed limit", n)
-	}
-	var families []ml.Confusion
-	if c.err == nil && n > 0 {
-		families = make([]ml.Confusion, n)
-		for f := range families {
-			for r := 0; r < trace.NumApps; r++ {
-				for col := 0; col < trace.NumApps; col++ {
-					families[f][r][col] = int(c.varint())
-				}
-			}
-		}
-	}
-	if err := c.done(); err != nil {
+	r := wire.NewReader(payload, ErrBadJournal)
+	key := string(r.Take(int(r.U16())))
+	families := readFamilies(r)
+	if err := r.Done(); err != nil {
 		return journalEntry{}, err
 	}
 	return journalEntry{key: key, families: families}, nil
@@ -218,26 +197,20 @@ func appendJournalRecord(buf []byte, key string, fams []ml.Confusion) ([]byte, e
 	if len(key) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d-byte cell key exceeds limit", ErrBadJournal, len(key))
 	}
-	if len(fams) > maxFamilies {
-		return nil, fmt.Errorf("%w: %d families exceed limit", ErrBadJournal, len(fams))
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // length, patched below
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
+	buf = append(buf, key...)
+	buf, err := appendFamilies(buf, fams, ErrBadJournal)
+	if err != nil {
+		return nil, err
 	}
-	payload := make([]byte, 0, len(key)+16*len(fams)+8)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(key)))
-	payload = append(payload, key...)
-	payload = append(payload, byte(len(fams)))
-	for _, fam := range fams {
-		for r := range fam {
-			for col := range fam[r] {
-				payload = binary.AppendVarint(payload, int64(fam[r][col]))
-			}
-		}
+	n := len(buf) - start - 4
+	if n > maxJournalRecord {
+		return nil, fmt.Errorf("%w: %d-byte record exceeds limit", ErrBadJournal, n)
 	}
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("%w: %d-byte record exceeds limit", ErrBadJournal, len(payload))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), nil
+	binary.LittleEndian.PutUint32(buf[start:], uint32(n))
+	return wire.AppendCRC(buf, start+4), nil
 }
 
 // Lookup answers req from the journal when a completed record exists,

@@ -250,25 +250,34 @@ func EncodeChallenge(w io.Writer, nonce []byte) ([]byte, error) {
 // the payload before allocating — the peer has not authenticated
 // itself as a coordinator yet.
 func ReadChallenge(r io.Reader) ([]byte, error) {
+	return readOpeningFrame(r, kindChallenge, "challenge")
+}
+
+// readOpeningFrame reads a connection's opening frame, which must be
+// of kind want. It reads exactly the frame's bytes — no buffering
+// ahead, so the caller can hand the same stream to an ordinary reader
+// afterwards without losing pipelined frames — and refuses any other
+// kind, or any payload over maxHelloFrame, before allocating for it.
+func readOpeningFrame(r io.Reader, want byte, name string) ([]byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		// The transport error stays wrapped (unlike the format errors
-		// below): a worker must distinguish "the coordinator hung up"
-		// from "the coordinator spoke garbage".
-		return nil, fmt.Errorf("%w: short challenge header: %w", ErrBadFrame, err)
+		// below): a peer must distinguish "the other end hung up" from
+		// "the other end spoke garbage".
+		return nil, fmt.Errorf("%w: short %s header: %w", ErrBadFrame, name, err)
 	}
-	if hdr[0] != kindChallenge {
-		return nil, fmt.Errorf("%w: first frame kind %d, want challenge", ErrBadFrame, hdr[0])
+	if hdr[0] != want {
+		return nil, fmt.Errorf("%w: first frame kind %d, want %s", ErrBadFrame, hdr[0], name)
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:5])
 	if n > maxHelloFrame {
-		return nil, fmt.Errorf("%w: %d-byte challenge refused", ErrBadFrame, n)
+		return nil, fmt.Errorf("%w: %d-byte %s refused", ErrBadFrame, n, name)
 	}
-	nonce := make([]byte, n)
-	if _, err := io.ReadFull(r, nonce); err != nil {
-		return nil, fmt.Errorf("%w: truncated challenge: %v", ErrBadFrame, err)
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("%w: truncated %s: %v", ErrBadFrame, name, err)
 	}
-	return nonce, nil
+	return payload, nil
 }
 
 // Message is one decoded frame.
@@ -367,26 +376,14 @@ func EncodePong(w io.Writer) error {
 	return writeFrame(w, kindPong, nil)
 }
 
-// ReadHello decodes a connection's opening frame. It reads exactly
-// the frame's bytes — no buffering ahead, so the caller can hand the
-// same stream to an ordinary reader afterwards without losing
-// pipelined frames — and rejects any kind but hello or any payload
-// over maxHelloFrame before allocating for it.
+// ReadHello decodes a connection's opening frame on the coordinator
+// side, with readOpeningFrame's guarantees: no readahead, and no
+// allocation beyond maxHelloFrame for a peer that has not proven
+// itself a worker.
 func ReadHello(r io.Reader) (Hello, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Hello{}, fmt.Errorf("%w: short hello header: %v", ErrBadFrame, err)
-	}
-	if hdr[0] != kindHello {
-		return Hello{}, fmt.Errorf("%w: first frame kind %d, want hello", ErrBadFrame, hdr[0])
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	if n > maxHelloFrame {
-		return Hello{}, fmt.Errorf("%w: %d-byte hello refused", ErrBadFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Hello{}, fmt.Errorf("%w: truncated hello: %v", ErrBadFrame, err)
+	payload, err := readOpeningFrame(r, kindHello, "hello")
+	if err != nil {
+		return Hello{}, err
 	}
 	var h Hello
 	if err := json.Unmarshal(payload, &h); err != nil {

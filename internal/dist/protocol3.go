@@ -1,7 +1,7 @@
 package dist
 
-// Protocol v3 payload codec: batched binary cell dispatch in the
-// style of the trace codec — little-endian, versioned, every length
+// Protocol v3 payload codec: batched binary cell dispatch read through
+// internal/wire — little-endian, versioned, every length
 // bounds-checked before it allocates. The coordinator packs many cells
 // into one cell-batch frame (sized to the receiving worker's slots)
 // and a worker packs many answers into one result-batch frame, so
@@ -13,7 +13,7 @@ package dist
 //
 //	cell-batch:   ver(u8)=1 | dim(u8)=NumApps | count(u16) | count × request
 //	request:      id(u64) | seed(u64) | train(i64) | test(i64) | w(i64)
-//	              | schemeLen(u16) | scheme | app(u8) | hasRef(u8)
+//	              | schemeLen(u16) | scheme | app(u8)<NumApps | hasRef(u8)
 //	              | [ref when hasRef=1]
 //	ref:          trainCount(u8) | trainCount × slot
 //	              | testCount(u8) | testCount × slot
@@ -42,6 +42,7 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
 const (
@@ -72,83 +73,6 @@ const (
 	maxTraceZBytes = 64 << 20
 )
 
-// bcur is a bounds-checked read cursor over one payload. Every read
-// validates the remaining length first and latches the first error, so
-// decode loops stay linear instead of nesting error checks.
-type bcur struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *bcur) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...)
-	}
-}
-
-func (c *bcur) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || len(c.b)-c.off < n {
-		c.fail("truncated payload at offset %d (want %d bytes, have %d)", c.off, n, len(c.b)-c.off)
-		return nil
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out
-}
-
-func (c *bcur) u8() byte {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *bcur) u16() uint16 {
-	b := c.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (c *bcur) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (c *bcur) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		c.fail("bad varint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-// done reports decode success and requires the payload be fully
-// consumed — trailing garbage means a framing bug or a tampered peer.
-func (c *bcur) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.b) {
-		return fmt.Errorf("%w: %d trailing bytes after payload", ErrBadFrame, len(c.b)-c.off)
-	}
-	return nil
-}
-
 // --- cell batches ------------------------------------------------------------
 
 func appendRefSlots(buf []byte, slots []string) ([]byte, error) {
@@ -171,19 +95,19 @@ func appendRefSlots(buf []byte, slots []string) ([]byte, error) {
 	return buf, nil
 }
 
-func (c *bcur) refSlots() []string {
-	n := int(c.u8())
+func readRefSlots(r *wire.Reader) []string {
+	n := int(r.U8())
 	if n > maxRefSlots {
-		c.fail("%d ref slots exceed limit", n)
+		r.Failf("%d ref slots exceed limit", n)
 		return nil
 	}
-	if c.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	slots := make([]string, n)
 	for i := range slots {
-		if c.u8() == 1 {
-			if raw := c.take(digestRawLen); raw != nil {
+		if r.U8() == 1 {
+			if raw := r.Take(digestRawLen); raw != nil {
 				slots[i] = hex.EncodeToString(raw)
 			}
 		}
@@ -202,6 +126,9 @@ func appendCellRequest(buf []byte, req CellRequest) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Scheme)))
 	buf = append(buf, req.Scheme...)
+	if int(req.App) >= trace.NumApps {
+		return nil, fmt.Errorf("%w: app %d out of range", ErrBadFrame, req.App)
+	}
 	buf = append(buf, byte(req.App))
 	if req.Traces == nil {
 		return append(buf, 0), nil
@@ -214,22 +141,26 @@ func appendCellRequest(buf []byte, req CellRequest) ([]byte, error) {
 	return appendRefSlots(buf, req.Traces.Test)
 }
 
-func (c *bcur) cellRequest() CellRequest {
+func readCellRequest(r *wire.Reader) CellRequest {
 	var req CellRequest
-	req.ID = c.u64()
-	req.Cfg.Seed = c.u64()
-	req.Cfg.TrainDuration = time.Duration(c.u64())
-	req.Cfg.TestDuration = time.Duration(c.u64())
-	req.Cfg.W = time.Duration(c.u64())
-	n := int(c.u16())
+	req.ID = r.U64()
+	req.Cfg.Seed = r.U64()
+	req.Cfg.TrainDuration = time.Duration(r.U64())
+	req.Cfg.TestDuration = time.Duration(r.U64())
+	req.Cfg.W = time.Duration(r.U64())
+	n := int(r.U16())
 	if n > maxSchemeName {
-		c.fail("%d-byte scheme name exceeds limit", n)
+		r.Failf("%d-byte scheme name exceeds limit", n)
 		return req
 	}
-	req.Scheme = string(c.take(n))
-	req.App = trace.App(c.u8())
-	if c.u8() == 1 {
-		ref := experiments.TraceSetRef{Train: c.refSlots(), Test: c.refSlots()}
+	req.Scheme = string(r.Take(n))
+	// An out-of-range app has no dataset to evaluate against: it would
+	// crash the worker on a nil dereference, so refuse it here.
+	if req.App = trace.App(r.U8()); int(req.App) >= trace.NumApps {
+		r.Failf("app %d out of range", req.App)
+	}
+	if r.U8() == 1 {
+		ref := experiments.TraceSetRef{Train: readRefSlots(r), Test: readRefSlots(r)}
 		req.Traces = &ref
 	}
 	return req
@@ -253,35 +184,33 @@ func EncodeCellBatch(w io.Writer, reqs []CellRequest) error {
 	return writeFrame(w, kindCellBatch, buf)
 }
 
-// batchHeader validates the shared ver|dim|count prefix.
-func (c *bcur) batchHeader() int {
-	if v := c.u8(); c.err == nil && v != batchVersion {
-		c.fail("batch payload version %d, want %d", v, batchVersion)
+// readBatchHeader validates the shared ver|dim|count prefix and
+// returns the cell count, 0 on error.
+func readBatchHeader(r *wire.Reader) int {
+	if v := r.U8(); v != batchVersion {
+		r.Failf("batch payload version %d, want %d", v, batchVersion)
 	}
-	if d := c.u8(); c.err == nil && int(d) != trace.NumApps {
-		c.fail("confusion dimension %d, want %d", d, trace.NumApps)
+	if d := r.U8(); int(d) != trace.NumApps {
+		r.Failf("confusion dimension %d, want %d", d, trace.NumApps)
 	}
-	n := int(c.u16())
-	if c.err == nil && (n == 0 || n > maxBatchCells) {
-		c.fail("batch of %d cells", n)
+	n := int(r.U16())
+	if n == 0 || n > maxBatchCells {
+		r.Failf("batch of %d cells", n)
 	}
-	if c.err != nil {
+	if r.Err() != nil {
 		return 0
 	}
 	return n
 }
 
 func decodeCellBatch(payload []byte) ([]CellRequest, error) {
-	c := &bcur{b: payload}
-	n := c.batchHeader()
-	if c.err != nil {
-		return nil, c.err
-	}
+	r := wire.NewReader(payload, ErrBadFrame)
+	n := readBatchHeader(r)
 	reqs := make([]CellRequest, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		reqs = append(reqs, c.cellRequest())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		reqs = append(reqs, readCellRequest(r))
 	}
-	if err := c.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return reqs, nil
@@ -301,42 +230,57 @@ func appendCellResult(buf []byte, res CellResult) ([]byte, error) {
 		cached = 1
 	}
 	buf = append(buf, cached)
-	if len(res.Families) > maxFamilies {
-		return nil, fmt.Errorf("%w: %d families exceed limit", ErrBadFrame, len(res.Families))
+	return appendFamilies(buf, res.Families, ErrBadFrame)
+}
+
+func readCellResult(r *wire.Reader) CellResult {
+	var res CellResult
+	res.ID = r.U64()
+	res.Err = string(r.Take(int(r.U16())))
+	res.Cached = r.U8() == 1
+	res.Families = readFamilies(r)
+	return res
+}
+
+// appendFamilies encodes per-family confusion matrices as
+// famCount(u8) | famCount × dim² zigzag varints — the layout result
+// batches and journal records share. Too many families is an error
+// wrapping sentinel.
+func appendFamilies(buf []byte, fams []ml.Confusion, sentinel error) ([]byte, error) {
+	if len(fams) > maxFamilies {
+		return nil, fmt.Errorf("%w: %d families exceed limit", sentinel, len(fams))
 	}
-	buf = append(buf, byte(len(res.Families)))
-	for _, fam := range res.Families {
-		for r := range fam {
-			for col := range fam[r] {
-				buf = binary.AppendVarint(buf, int64(fam[r][col]))
+	buf = append(buf, byte(len(fams)))
+	for _, fam := range fams {
+		for row := range fam {
+			for col := range fam[row] {
+				buf = binary.AppendVarint(buf, int64(fam[row][col]))
 			}
 		}
 	}
 	return buf, nil
 }
 
-func (c *bcur) cellResult() CellResult {
-	var res CellResult
-	res.ID = c.u64()
-	res.Err = string(c.take(int(c.u16())))
-	res.Cached = c.u8() == 1
-	n := int(c.u8())
+// readFamilies decodes appendFamilies' layout; no families decode to
+// nil.
+func readFamilies(r *wire.Reader) []ml.Confusion {
+	n := int(r.U8())
 	if n > maxFamilies {
-		c.fail("%d families exceed limit", n)
-		return res
+		r.Failf("%d families exceed limit", n)
+		return nil
 	}
-	if c.err != nil || n == 0 {
-		return res
+	if n == 0 {
+		return nil
 	}
-	res.Families = make([]ml.Confusion, n)
-	for f := range res.Families {
-		for r := 0; r < trace.NumApps; r++ {
-			for col := 0; col < trace.NumApps; col++ {
-				res.Families[f][r][col] = int(c.varint())
+	fams := make([]ml.Confusion, n)
+	for f := range fams {
+		for row := range fams[f] {
+			for col := range fams[f][row] {
+				fams[f][row][col] = int(r.Varint())
 			}
 		}
 	}
-	return res
+	return fams
 }
 
 // EncodeResultBatch frames a batch of cell results as one binary v3
@@ -358,16 +302,13 @@ func EncodeResultBatch(w io.Writer, results []CellResult) error {
 }
 
 func decodeResultBatch(payload []byte) ([]CellResult, error) {
-	c := &bcur{b: payload}
-	n := c.batchHeader()
-	if c.err != nil {
-		return nil, c.err
-	}
+	r := wire.NewReader(payload, ErrBadFrame)
+	n := readBatchHeader(r)
 	results := make([]CellResult, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		results = append(results, c.cellResult())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		results = append(results, readCellResult(r))
 	}
-	if err := c.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -51,6 +51,7 @@ func FuzzReadBinaryMessage(f *testing.F) {
 	f.Add([]byte{batchVersion, byte(trace.NumApps), 0xff, 0xff}) // absurd count
 	f.Add([]byte{batchVersion + 9, 0, 1, 0})                     // wrong version
 	f.Add([]byte{})                                              // empty
+	f.Add(badAppBatch(f))                                        // app out of range
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if reqs, err := decodeCellBatch(payload); err == nil {

@@ -7,6 +7,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -117,11 +118,14 @@ func TestEncodeCellBatchRejects(t *testing.T) {
 	if err := EncodeCellBatch(&b, []CellRequest{{Scheme: "x", Traces: &bad}}); err == nil {
 		t.Error("malformed ref digest accepted")
 	}
+	if err := EncodeCellBatch(&b, []CellRequest{{Scheme: "x", App: trace.App(trace.NumApps)}}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("out-of-range app: err = %v, want ErrBadFrame", err)
+	}
 }
 
 // corruptBatch encodes a one-cell batch and returns its raw payload
 // (framing stripped) for byte-level tampering.
-func corruptBatch(t *testing.T) []byte {
+func corruptBatch(t testing.TB) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := EncodeCellBatch(&b, []CellRequest{{ID: 1, Scheme: "Original", App: trace.Browsing}}); err != nil {
@@ -148,6 +152,36 @@ func TestDecodeCellBatchRejectsCorruption(t *testing.T) {
 	}
 	if _, err := decodeCellBatch(good); err != nil {
 		t.Fatalf("control: intact payload rejected: %v", err)
+	}
+}
+
+// appOffset locates corruptBatch's app byte: after the 4-byte batch
+// header, five u64 fields and the u16-prefixed scheme name "Original".
+const appOffset = 4 + 5*8 + 2 + len("Original")
+
+// badAppBatch is corruptBatch with the cell's app byte set to
+// trace.NumApps.
+func badAppBatch(t testing.TB) []byte {
+	payload := corruptBatch(t)
+	payload[appOffset] = byte(trace.NumApps)
+	return payload
+}
+
+// TestReadMessageRefusesOutOfRangeApp: a worker evaluating a cell whose
+// app lies outside the application table dies on a nil dereference, so
+// the frame decoder must refuse the batch instead.
+func TestReadMessageRefusesOutOfRangeApp(t *testing.T) {
+	payload := badAppBatch(t)
+	var b bytes.Buffer
+	if err := writeFrame(&b, kindCellBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := ReadMessage(&b); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("ReadMessage = %+v, %v; want ErrBadFrame", msg, err)
+	}
+	payload[appOffset] = byte(trace.NumApps - 1)
+	if _, err := decodeCellBatch(payload); err != nil {
+		t.Fatalf("control: the last valid app is refused: %v", err)
 	}
 }
 

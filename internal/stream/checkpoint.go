@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
@@ -15,14 +14,16 @@ import (
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 	"trafficreshape/internal/vmac"
+	"trafficreshape/internal/wire"
 )
 
 // Checkpoint format: magic "TRCK" | version(u32), a configuration
 // compatibility block, the engine's cumulative counters, the per-flow
 // defense state sorted by flow address, and a CRC-32 (IEEE) footer
-// over everything before it. Little-endian throughout, in the style
-// of the trace binary codec — ring packets reuse the same fuzz-
-// hardened 40-byte record layout (trace.PutPacketRecord).
+// over everything before it. Little-endian throughout and decoded
+// through internal/wire, like the trace binary codec — ring packets
+// reuse its fuzz-hardened 40-byte record layout
+// (trace.PutPacketRecord).
 //
 // The snapshot captures everything a per-flow decision depends on:
 // the flow RNG's 256-bit state, the adaptive scheduler's edges and
@@ -333,172 +334,86 @@ func (e *Engine) Restore(r io.Reader) error {
 
 // --- binary encoding --------------------------------------------------------
 
-type ckptEncoder struct {
-	buf bytes.Buffer
-	tmp [trace.PacketRecordLen]byte
-}
-
-func (e *ckptEncoder) u8(v uint8) { e.buf.WriteByte(v) }
-func (e *ckptEncoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.tmp[:4], v)
-	e.buf.Write(e.tmp[:4])
-}
-func (e *ckptEncoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.tmp[:8], v)
-	e.buf.Write(e.tmp[:8])
-}
-func (e *ckptEncoder) i64(v int64) { e.u64(uint64(v)) }
+// minFlowRecord is the encoded width of a flow with empty scheduler
+// edges, quantile window and ring: the element width the flow count is
+// bounded by, so a forged count cannot allocate beyond the input.
+const minFlowRecord = 8 + 4*8 + 2*8 + 1 + 9*8 + 3*4 + trace.NumApps*8 + 2*4 + 2*8 + 3*4
 
 func encodeCheckpoint(w io.Writer, d *ckptData) error {
-	var enc ckptEncoder
-	enc.buf.WriteString(ckptMagic)
-	enc.u32(ckptVersion)
-	enc.i64(int64(d.w))
-	enc.u32(uint32(d.ringCap))
-	enc.u32(uint32(d.interfaces))
-	enc.u32(uint32(d.period))
-	enc.u32(uint32(d.escalateAfter))
-	enc.u64(d.seed)
-	enc.i64(d.offered)
-	enc.i64(d.shed)
-	enc.i64(d.stalled)
-	enc.i64(d.lost)
-	enc.i64(d.restarts)
-	enc.i64(d.reaps)
-	if d.degraded {
-		enc.u8(1)
-	} else {
-		enc.u8(0)
-	}
-	enc.u32(uint32(len(d.flows)))
+	// Sized up front: append's growth on a multi-megabyte image would
+	// copy it several times over. The fixed part (header, configuration,
+	// counters, CRC) is 97 bytes.
+	size := 128
 	for i := range d.flows {
 		f := &d.flows[i]
-		enc.buf.Write(f.addr[:])
-		enc.u8(0)
-		enc.u8(0)
-		for _, s := range f.rng {
-			enc.u64(s)
-		}
-		enc.u64(f.digest)
-		enc.i64(int64(f.winStart))
-		if f.started {
-			enc.u8(1)
-		} else {
-			enc.u8(0)
-		}
-		enc.i64(f.winDown)
-		enc.i64(f.packets)
-		enc.i64(f.evicted)
-		enc.i64(f.windows)
-		enc.i64(f.classified)
-		enc.i64(f.leakedWins)
-		enc.i64(f.escalations)
-		enc.i64(f.vmacErrors)
-		enc.i64(f.leakStreak)
-		enc.u32(uint32(f.ifaces))
-		enc.u32(uint32(f.granted))
-		enc.u32(uint32(len(f.predHist)))
-		for _, v := range f.predHist {
-			enc.i64(v)
-		}
-		enc.u32(uint32(f.sched.Interfaces))
-		enc.u32(uint32(f.sched.Period))
-		enc.i64(int64(f.sched.Seen))
-		enc.i64(int64(f.sched.Epochs))
-		enc.u32(uint32(len(f.sched.Edges)))
-		for _, v := range f.sched.Edges {
-			enc.u32(uint32(v))
-		}
-		enc.u32(uint32(len(f.sched.Window)))
-		for _, v := range f.sched.Window {
-			enc.u32(uint32(v))
-		}
-		enc.u32(uint32(len(f.ring)))
-		for _, p := range f.ring {
-			trace.PutPacketRecord(enc.tmp[:], p)
-			enc.buf.Write(enc.tmp[:])
-		}
-		enc.buf.Write(f.ifassign)
+		size += minFlowRecord + 4*(len(f.sched.Edges)+len(f.sched.Window)) + (trace.PacketRecordLen+1)*len(f.ring)
 	}
-	enc.u32(crc32.ChecksumIEEE(enc.buf.Bytes()))
-	_, err := w.Write(enc.buf.Bytes())
+	le := binary.LittleEndian
+	b := wire.AppendHeader(make([]byte, 0, size), ckptMagic, ckptVersion)
+	b = le.AppendUint64(b, uint64(d.w))
+	for _, v := range []int{d.ringCap, d.interfaces, d.period, d.escalateAfter} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	b = le.AppendUint64(b, d.seed)
+	for _, v := range []int64{d.offered, d.shed, d.stalled, d.lost, d.restarts, d.reaps} {
+		b = le.AppendUint64(b, uint64(v))
+	}
+	b = append(b, boolByte(d.degraded))
+	b = le.AppendUint32(b, uint32(len(d.flows)))
+	var rec [trace.PacketRecordLen]byte
+	for i := range d.flows {
+		f := &d.flows[i]
+		b = append(b, f.addr[:]...)
+		b = append(b, 0, 0) // pad
+		for _, v := range f.rng {
+			b = le.AppendUint64(b, v)
+		}
+		b = le.AppendUint64(b, f.digest)
+		b = le.AppendUint64(b, uint64(f.winStart))
+		b = append(b, boolByte(f.started))
+		for _, v := range []int64{f.winDown, f.packets, f.evicted, f.windows, f.classified,
+			f.leakedWins, f.escalations, f.vmacErrors, f.leakStreak} {
+			b = le.AppendUint64(b, uint64(v))
+		}
+		b = le.AppendUint32(b, uint32(f.ifaces))
+		b = le.AppendUint32(b, uint32(f.granted))
+		b = le.AppendUint32(b, uint32(len(f.predHist)))
+		for _, v := range f.predHist {
+			b = le.AppendUint64(b, uint64(v))
+		}
+		b = le.AppendUint32(b, uint32(f.sched.Interfaces))
+		b = le.AppendUint32(b, uint32(f.sched.Period))
+		b = le.AppendUint64(b, uint64(f.sched.Seen))
+		b = le.AppendUint64(b, uint64(f.sched.Epochs))
+		for _, vs := range [][]int{f.sched.Edges, f.sched.Window} {
+			b = le.AppendUint32(b, uint32(len(vs)))
+			for _, v := range vs {
+				b = le.AppendUint32(b, uint32(v))
+			}
+		}
+		b = le.AppendUint32(b, uint32(len(f.ring)))
+		for _, p := range f.ring {
+			trace.PutPacketRecord(rec[:], p)
+			b = append(b, rec[:]...)
+		}
+		b = append(b, f.ifassign...)
+	}
+	_, err := w.Write(wire.AppendCRC(b, 0))
 	return err
 }
 
-type ckptReader struct {
-	b   []byte
-	off int
-	err error
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
-func (r *ckptReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadCheckpoint, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b)-r.off < n {
-		r.fail("truncated at offset %d (need %d bytes)", r.off, n)
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *ckptReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *ckptReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *ckptReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *ckptReader) i64() int64 { return int64(r.u64()) }
-
-// count reads a u32 element count and bounds it: the claimed count
-// must be plausible against the bytes actually remaining (at least
-// one byte per element), so a forged header cannot trigger a huge
-// allocation before the data runs out.
-func (r *ckptReader) count(what string, max int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n > max {
-		r.fail("%s count %d exceeds limit %d", what, n, max)
-		return 0
-	}
-	if n > len(r.b)-r.off {
-		r.fail("%s count %d exceeds remaining input", what, n)
-		return 0
-	}
-	return n
-}
-
-func (r *ckptReader) nonNeg(what string, v int64) int64 {
+// nonNeg reads an i64 that must not be negative.
+func nonNeg(r *wire.Reader, what string) int64 {
+	v := int64(r.U64())
 	if v < 0 {
-		r.fail("negative %s %d", what, v)
+		r.Failf("negative %s %d", what, v)
 	}
 	return v
 }
@@ -508,137 +423,109 @@ func decodeCheckpoint(src io.Reader) (*ckptData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if len(raw) < len(ckptMagic)+4+4 {
-		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrBadCheckpoint, len(raw))
+	body, err := wire.CheckCRC(raw, ErrBadCheckpoint)
+	if err != nil {
+		return nil, err
 	}
-	if string(raw[:4]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	body, foot := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(foot); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (file %08x, computed %08x) — corrupted or truncated", ErrBadCheckpoint, want, got)
-	}
-	r := &ckptReader{b: body, off: 4}
-	if v := r.u32(); v != ckptVersion && r.err == nil {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, v)
-	}
+	r := wire.NewReader(body, ErrBadCheckpoint)
+	r.Header(ckptMagic, ckptVersion)
 	d := &ckptData{}
-	d.w = time.Duration(r.nonNeg("window", r.i64()))
-	d.ringCap = int(r.u32())
-	d.interfaces = int(r.u32())
-	d.period = int(r.u32())
-	d.escalateAfter = int(r.u32())
+	d.w = time.Duration(nonNeg(r, "window"))
+	d.ringCap = int(r.U32())
+	d.interfaces = int(r.U32())
+	d.period = int(r.U32())
+	d.escalateAfter = int(r.U32())
 	if d.ringCap <= 0 || d.ringCap > 1<<24 {
-		r.fail("implausible ring capacity %d", d.ringCap)
+		r.Failf("implausible ring capacity %d", d.ringCap)
 	}
 	if d.interfaces < 1 || d.interfaces > vmac.MaxInterfaces {
-		r.fail("interfaces %d out of [1, %d]", d.interfaces, vmac.MaxInterfaces)
+		r.Failf("interfaces %d out of [1, %d]", d.interfaces, vmac.MaxInterfaces)
 	}
 	if d.period <= 0 || d.period > 1<<24 {
-		r.fail("implausible period %d", d.period)
+		r.Failf("implausible period %d", d.period)
 	}
-	d.seed = r.u64()
-	d.offered = r.nonNeg("offered", r.i64())
-	d.shed = r.nonNeg("shed", r.i64())
-	d.stalled = r.nonNeg("stalled", r.i64())
-	d.lost = r.nonNeg("lost", r.i64())
-	d.restarts = r.nonNeg("restarts", r.i64())
-	d.reaps = r.nonNeg("reaps", r.i64())
-	d.degraded = r.u8() != 0
-	nFlows := r.count("flow", 1<<20)
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Bounded prealloc: the claimed count is validated against the
-	// bytes remaining, but each flow record is hundreds of bytes, so a
-	// forged count near the byte bound would still over-allocate by
-	// orders of magnitude. Beyond the hint the slice grows with the
-	// records actually present.
-	hint := nFlows
-	if hint > 1<<12 {
-		hint = 1 << 12
-	}
-	d.flows = make([]flowSnap, 0, hint)
+	d.seed = r.U64()
+	d.offered = nonNeg(r, "offered")
+	d.shed = nonNeg(r, "shed")
+	d.stalled = nonNeg(r, "stalled")
+	d.lost = nonNeg(r, "lost")
+	d.restarts = nonNeg(r, "restarts")
+	d.reaps = nonNeg(r, "reaps")
+	d.degraded = r.U8() != 0
+	nFlows := r.Count("flow", 1<<20, minFlowRecord)
+	d.flows = make([]flowSnap, 0, nFlows)
 	var prev mac.Address
-	for i := 0; i < nFlows; i++ {
+	for i := 0; i < nFlows && r.Err() == nil; i++ {
 		var f flowSnap
-		copy(f.addr[:], r.take(6))
-		r.take(2) // pad
-		if i > 0 && bytes.Compare(prev[:], f.addr[:]) >= 0 && r.err == nil {
-			r.fail("flow %d address %s out of order", i, f.addr)
+		copy(f.addr[:], r.Take(6))
+		r.Take(2) // pad
+		if i > 0 && bytes.Compare(prev[:], f.addr[:]) >= 0 {
+			r.Failf("flow %d address %s out of order", i, f.addr)
 		}
 		prev = f.addr
 		for j := range f.rng {
-			f.rng[j] = r.u64()
+			f.rng[j] = r.U64()
 		}
-		if f.rng[0]|f.rng[1]|f.rng[2]|f.rng[3] == 0 && r.err == nil {
-			r.fail("flow %s has all-zero RNG state", f.addr)
+		if f.rng[0]|f.rng[1]|f.rng[2]|f.rng[3] == 0 {
+			r.Failf("flow %s has all-zero RNG state", f.addr)
 		}
-		f.digest = r.u64()
-		f.winStart = time.Duration(r.i64())
-		f.started = r.u8() != 0
-		f.winDown = r.nonNeg("winDown", r.i64())
-		f.packets = r.nonNeg("packets", r.i64())
-		f.evicted = r.nonNeg("evicted", r.i64())
-		f.windows = r.nonNeg("windows", r.i64())
-		f.classified = r.nonNeg("classified", r.i64())
-		f.leakedWins = r.nonNeg("leaked", r.i64())
-		f.escalations = r.nonNeg("escalations", r.i64())
-		f.vmacErrors = r.nonNeg("vmacErrors", r.i64())
-		f.leakStreak = r.nonNeg("leakStreak", r.i64())
-		f.ifaces = int(r.u32())
-		f.granted = int(r.u32())
-		if r.err == nil && (f.ifaces < 1 || f.ifaces > vmac.MaxInterfaces) {
-			r.fail("flow %s interfaces %d out of [1, %d]", f.addr, f.ifaces, vmac.MaxInterfaces)
+		f.digest = r.U64()
+		f.winStart = time.Duration(r.U64())
+		f.started = r.U8() != 0
+		f.winDown = nonNeg(r, "winDown")
+		f.packets = nonNeg(r, "packets")
+		f.evicted = nonNeg(r, "evicted")
+		f.windows = nonNeg(r, "windows")
+		f.classified = nonNeg(r, "classified")
+		f.leakedWins = nonNeg(r, "leaked")
+		f.escalations = nonNeg(r, "escalations")
+		f.vmacErrors = nonNeg(r, "vmacErrors")
+		f.leakStreak = nonNeg(r, "leakStreak")
+		f.ifaces = int(r.U32())
+		f.granted = int(r.U32())
+		if f.ifaces < 1 || f.ifaces > vmac.MaxInterfaces {
+			r.Failf("flow %s interfaces %d out of [1, %d]", f.addr, f.ifaces, vmac.MaxInterfaces)
 		}
-		if r.err == nil && (f.granted < 0 || f.granted > vmac.MaxInterfaces) {
-			r.fail("flow %s granted %d out of [0, %d]", f.addr, f.granted, vmac.MaxInterfaces)
+		if f.granted < 0 || f.granted > vmac.MaxInterfaces {
+			r.Failf("flow %s granted %d out of [0, %d]", f.addr, f.granted, vmac.MaxInterfaces)
 		}
-		if nPred := int(r.u32()); nPred != len(f.predHist) && r.err == nil {
-			r.fail("flow %s has %d app buckets, want %d", f.addr, nPred, len(f.predHist))
-		}
-		if r.err != nil {
-			return nil, r.err
+		if nPred := int(r.U32()); nPred != len(f.predHist) {
+			r.Failf("flow %s has %d app buckets, want %d", f.addr, nPred, len(f.predHist))
 		}
 		for j := range f.predHist {
-			f.predHist[j] = r.nonNeg("pred", r.i64())
+			f.predHist[j] = nonNeg(r, "pred")
 		}
-		f.sched.Interfaces = int(r.u32())
-		f.sched.Period = int(r.u32())
-		f.sched.Seen = int(r.nonNeg("sched seen", r.i64()))
-		f.sched.Epochs = int(r.nonNeg("sched epochs", r.i64()))
-		nEdges := r.count("edge", reshape.LMax)
-		f.sched.Edges = make([]int, nEdges)
+		f.sched.Interfaces = int(r.U32())
+		f.sched.Period = int(r.U32())
+		f.sched.Seen = int(nonNeg(r, "sched seen"))
+		f.sched.Epochs = int(nonNeg(r, "sched epochs"))
+		f.sched.Edges = make([]int, r.Count("edge", reshape.LMax, 4))
 		for j := range f.sched.Edges {
-			f.sched.Edges[j] = int(r.u32())
+			f.sched.Edges[j] = int(r.U32())
 		}
-		nWin := r.count("window sample", 1<<24)
-		f.sched.Window = make([]int, nWin)
+		f.sched.Window = make([]int, r.Count("window sample", 1<<24, 4))
 		for j := range f.sched.Window {
-			f.sched.Window[j] = int(r.u32())
+			f.sched.Window[j] = int(r.U32())
 		}
-		nRing := r.count("ring packet", d.ringCap)
-		if rec := r.take(nRing * trace.PacketRecordLen); rec != nil {
+		nRing := r.Count("ring packet", d.ringCap, trace.PacketRecordLen+1)
+		if rec := r.Take(nRing * trace.PacketRecordLen); rec != nil {
 			f.ring = make([]trace.Packet, nRing)
-			for j := 0; j < nRing; j++ {
+			for j := range f.ring {
 				f.ring[j] = trace.PacketFromRecord(rec[j*trace.PacketRecordLen:])
 			}
 		}
-		if asg := r.take(nRing); asg != nil {
+		if asg := r.Take(nRing); asg != nil {
 			f.ifassign = append([]uint8(nil), asg...)
 			for j, v := range f.ifassign {
-				if int(v) >= f.ifaces && r.err == nil {
-					r.fail("flow %s slot %d assigned to interface %d of %d", f.addr, j, v, f.ifaces)
+				if int(v) >= f.ifaces {
+					r.Failf("flow %s slot %d assigned to interface %d of %d", f.addr, j, v, f.ifaces)
 				}
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
-		}
 		d.flows = append(d.flows, f)
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(r.b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/wire"
 )
 
 // TestCheckpointRestoreEquivalence is the tentpole contract: a run
@@ -118,6 +119,40 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	fresh.Drain()
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Errorf("truncated file: got %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestCheckpointFlowCountBound: the flow count is bounded by
+// minFlowRecord bytes per flow. Flows with empty scheduler state and
+// rings encode in exactly that width and must decode, one flow fewer
+// byte must not, and a count beyond the records present is refused
+// before anything is allocated for it.
+func TestCheckpointFlowCountBound(t *testing.T) {
+	d := &ckptData{ringCap: 4, interfaces: 1, period: 8}
+	for i := 0; i < 3; i++ {
+		d.flows = append(d.flows, flowSnap{addr: flowMAC(i), rng: [4]uint64{1}, ifaces: 1})
+	}
+	var empty, full bytes.Buffer
+	if err := encodeCheckpoint(&empty, &ckptData{ringCap: 4, interfaces: 1, period: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeCheckpoint(&full, d); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := full.Len()-empty.Len(), 3*minFlowRecord; got != want {
+		t.Fatalf("3 minimal flows encode in %d bytes, want 3 × minFlowRecord = %d", got, want)
+	}
+	if _, err := decodeCheckpoint(bytes.NewReader(full.Bytes())); err != nil {
+		t.Fatalf("minimal flows refused: %v", err)
+	}
+	// Claim a fourth flow: the CRC is recomputed, so only the count
+	// bound can refuse it.
+	const countOff = 8 + 8 + 4*4 + 8 + 6*8 + 1
+	forged := append([]byte(nil), full.Bytes()[:full.Len()-4]...)
+	forged[countOff] = 4
+	forged = wire.AppendCRC(forged, 0)
+	if _, err := decodeCheckpoint(bytes.NewReader(forged)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("forged flow count: err = %v, want ErrBadCheckpoint", err)
 	}
 }
 

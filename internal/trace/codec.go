@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"trafficreshape/internal/mac"
+	"trafficreshape/internal/wire"
 )
 
 // Binary codec: a compact little-endian record format so large traces
@@ -35,6 +36,8 @@ const (
 	binMagic   = "TRSH"
 	binVersion = 2
 	recordLen  = 40
+	// headerLen is magic + version(u32) + count(u64).
+	headerLen = len(binMagic) + 4 + 8
 )
 
 // PacketRecordLen is the fixed length of one binary packet record —
@@ -84,13 +87,8 @@ func PacketFromRecord(rec []byte) Packet {
 // WriteBinary encodes the trace to w.
 func WriteBinary(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], binVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(t.Packets)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr := wire.AppendHeader(make([]byte, 0, headerLen), binMagic, binVersion)
+	if _, err := bw.Write(binary.LittleEndian.AppendUint64(hdr, uint64(len(t.Packets)))); err != nil {
 		return err
 	}
 	var rec [recordLen]byte
@@ -103,23 +101,23 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a trace encoded by WriteBinary.
+// ReadBinary decodes a trace encoded by WriteBinary. It streams the
+// records from r rather than reading the input whole: replay captures
+// can be large, and network callers bound r themselves.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	head := make([]byte, 4+12)
-	if _, err := io.ReadFull(br, head); err != nil {
+	var head [headerLen]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
 	}
-	if string(head[:4]) != binMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	hr := wire.NewReader(head[:], ErrBadFormat)
+	hr.Header(binMagic, binVersion)
+	count := hr.U64()
+	if count > 1<<32 {
+		hr.Failf("implausible packet count %d", count)
 	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != binVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	count := binary.LittleEndian.Uint64(head[8:16])
-	const maxReasonable = 1 << 32
-	if count > maxReasonable {
-		return nil, fmt.Errorf("%w: implausible packet count %d", ErrBadFormat, count)
+	if err := hr.Done(); err != nil {
+		return nil, err
 	}
 	// The capacity hint is bounded: the count field is attacker-
 	// controlled on network paths (dist trace frames), and a 16-byte
