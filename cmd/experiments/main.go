@@ -4,7 +4,7 @@
 //
 //	experiments [-run name] [-quick] [-w duration] [-workers n] [-list]
 //	            [-dist-workers n] [-dist-listen addr] [-dist-cell-timeout d]
-//	            [-dist-max-batch n] [-dist-heartbeat d]
+//	            [-dist-heartbeat d]
 //	            [-dist-key k | -dist-key-file f]
 //	            [-dist-tls-cert c -dist-tls-key k | -dist-tls-auto]
 //	            [-captured dir] [-dump-traces dir]
@@ -71,7 +71,7 @@ func main() {
 	haltAfter := flag.Int("dist-halt-after", 0, "crash simulation: exit(3) without draining once this many cells have been journaled (testing hook, requires -journal)")
 	dumpTraces := flag.String("dump-traces", "", "write the run configuration's synthetic traffic to this directory in the -captured layout, then exit")
 	workerDial := flag.String("worker-dial", "", "run as a worker: dial this coordinator and evaluate cells (used by -dist-workers)")
-	workerTLS := flag.String("worker-tls-ca", "", "worker mode: dial over TLS, verifying against this PEM certificate ('insecure' skips verification)")
+	workerTLS := flag.Bool("worker-tls", false, "worker mode: dial over TLS without verifying the certificate, authenticated by the shared key (used by -dist-workers)")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
@@ -79,7 +79,7 @@ func main() {
 	flag.Parse()
 
 	if *workerDial != "" {
-		if err := serveWorker(*workerDial, *workers, *workerTLS, fleetKey(&ff)); err != nil {
+		if err := serveWorker(*workerDial, *workers, *workerTLS, &ff); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -136,7 +136,6 @@ func main() {
 			wait:          *distWait,
 			engineWorkers: *workers,
 			cellTimeout:   ff.CellTimeout,
-			maxBatch:      ff.MaxBatch,
 			heartbeat:     ff.Heartbeat,
 			journalDir:    *journalDir,
 			resume:        *resume,
@@ -144,7 +143,7 @@ func main() {
 			key:           fleetKey(&ff),
 		}
 		var err error
-		fc.tls, fc.workerCA, err = fleetTLS(ff.TLSCert, ff.TLSKey, ff.TLSAuto)
+		fc.tls, err = fleetTLS(ff.TLSCert, ff.TLSKey, ff.TLSAuto)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -192,27 +191,17 @@ func fleetKey(ff *dist.FleetFlags) string {
 	return key
 }
 
-// serveWorker is the -worker-dial mode body.
-func serveWorker(addr string, engineWorkers int, tlsCA, key string) error {
-	opt := dist.WorkerOptions{
-		EngineWorkers: engineWorkers,
-		Net:           dist.NetOptions{AuthKey: key},
+// serveWorker is the -worker-dial mode body. A spawned worker dials
+// its parent's listener the way expworker -dist-tls-insecure would:
+// encrypted but unverified under -worker-tls, with the shared key from
+// the environment proving the fleet.
+func serveWorker(addr string, engineWorkers int, tlsOn bool, ff *dist.FleetFlags) error {
+	ff.TLSInsecure = tlsOn
+	netOpt, err := ff.DialNet(distKeyEnv)
+	if err != nil {
+		return err
 	}
-	if tlsCA != "" {
-		cfg, err := dist.ClientTLS(caFileOf(tlsCA), tlsCA == "insecure")
-		if err != nil {
-			return err
-		}
-		opt.Net.TLS = cfg
-	}
-	return dist.Serve(addr, opt)
-}
-
-func caFileOf(tlsCA string) string {
-	if tlsCA == "insecure" {
-		return ""
-	}
-	return tlsCA
+	return dist.Serve(addr, dist.WorkerOptions{EngineWorkers: engineWorkers, Net: netOpt})
 }
 
 // fleetConfig bundles the coordinator-side fleet settings.
@@ -228,8 +217,6 @@ type fleetConfig struct {
 	wait          int
 	engineWorkers int
 	cellTimeout   time.Duration
-	// maxBatch caps cells per dispatch frame (0 = worker slots).
-	maxBatch int
 	// heartbeat is the liveness ping interval (0 = disabled).
 	heartbeat time.Duration
 	// journalDir, when non-empty, holds the grid journal; resume loads
@@ -239,44 +226,33 @@ type fleetConfig struct {
 	resume     bool
 	haltAfter  int
 	key        string
-	tls        *tls.Config
-	// workerCA is what spawned local workers pass to -worker-tls-ca:
-	// the cert file when one was given, "insecure" under -dist-tls-auto
-	// (they cannot verify an ephemeral in-memory certificate; the HMAC
-	// key authenticates the fleet), "" for plaintext.
-	workerCA string
+	// tls, when set, serves the listener over TLS; spawned local
+	// workers then dial with -worker-tls.
+	tls *tls.Config
 }
 
-// fleetTLS resolves the listener TLS config and the matching worker
-// verification setting.
-func fleetTLS(certFile, keyFile string, auto bool) (*tls.Config, string, error) {
+// fleetTLS resolves the listener TLS config. Spawned local workers
+// never verify it: they cannot know an ephemeral -dist-tls-auto
+// certificate, and they dial the listener's numeric address, which an
+// operator certificate rarely carries as an IP SAN — verifying would
+// fail every spawned worker on a cert that is perfectly valid for the
+// listen hostname. They are children of this process on this host,
+// so the shared key authenticates them; standalone expworkers on
+// other hosts verify properly via -dist-tls-ca.
+func fleetTLS(certFile, keyFile string, auto bool) (*tls.Config, error) {
 	switch {
 	case auto && (certFile != "" || keyFile != ""):
-		return nil, "", errors.New("-dist-tls-auto and -dist-tls-cert/-dist-tls-key are mutually exclusive")
+		return nil, errors.New("-dist-tls-auto and -dist-tls-cert/-dist-tls-key are mutually exclusive")
 	case auto:
 		server, _, err := dist.SelfSignedTLS()
-		if err != nil {
-			return nil, "", err
-		}
-		return server, "insecure", nil
+		return server, err
 	case certFile != "" || keyFile != "":
 		if certFile == "" || keyFile == "" {
-			return nil, "", errors.New("-dist-tls-cert and -dist-tls-key must be given together")
+			return nil, errors.New("-dist-tls-cert and -dist-tls-key must be given together")
 		}
-		cfg, err := dist.LoadServerTLS(certFile, keyFile)
-		if err != nil {
-			return nil, "", err
-		}
-		// Spawned local workers dial the listener's numeric address,
-		// which an operator certificate rarely carries as an IP SAN —
-		// verifying would fail every spawned worker on a cert that is
-		// perfectly valid for the listen hostname. They are children
-		// of this process on this host, so they skip verification and
-		// are authenticated by the shared key; standalone expworkers
-		// on other hosts verify properly via -dist-tls-ca.
-		return cfg, "insecure", nil
+		return dist.LoadServerTLS(certFile, keyFile)
 	default:
-		return nil, "", nil
+		return nil, nil
 	}
 }
 
@@ -315,7 +291,6 @@ func startFleet(eng *experiments.Engine, fc fleetConfig) (*dist.Coordinator, fun
 		// -workers bound true even when the fleet misbehaves.
 		Pool:        eng.Pool(),
 		CellTimeout: fc.cellTimeout,
-		MaxBatch:    fc.maxBatch,
 		Heartbeat:   fc.heartbeat,
 		Journal:     journal,
 		Net:         dist.NetOptions{TLS: fc.tls, AuthKey: fc.key},
@@ -367,8 +342,8 @@ func startFleet(eng *experiments.Engine, fc fleetConfig) (*dist.Coordinator, fun
 			"-worker-dial", coord.Addr(),
 			"-workers", strconv.Itoa(fc.engineWorkers),
 		}
-		if fc.workerCA != "" {
-			args = append(args, "-worker-tls-ca", fc.workerCA)
+		if fc.tls != nil {
+			args = append(args, "-worker-tls")
 		}
 		cmd := exec.Command(self, args...)
 		cmd.Stderr = os.Stderr

@@ -45,11 +45,8 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for dataset builds and cell evaluation")
 	slots := flag.Int("slots", 0, "cells to evaluate concurrently (default GOMAXPROCS)")
 	cache := flag.Int("dist-cache", 0, "result cache entries (default 4096)")
-	cacheDatasets := flag.Int("dist-cache-datasets", 0, "dataset cache entries (default 16)")
-	cacheTraces := flag.Int("dist-cache-traces", 0, "trace store entries (default 64)")
 	redial := flag.Duration("redial", 0, "when set, redial the coordinator after it goes away, starting at this delay with jittered exponential backoff, keeping the trace store and result cache")
 	redialMax := flag.Duration("redial-max", 2*time.Minute, "ceiling for the redial backoff")
-	maxCells := flag.Int("max-cells", 0, "abort after serving this many cells (fault-injection testing)")
 	var ff dist.FleetFlags
 	ff.RegisterShared(flag.CommandLine)
 	ff.RegisterDial(flag.CommandLine)
@@ -65,7 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "expworker:", err)
 		os.Exit(1)
 	}
-	caches := dist.CacheOptions{Results: *cache, Datasets: *cacheDatasets, Traces: *cacheTraces}
 
 	// Graceful drain: the first SIGINT/SIGTERM closes the drain channel
 	// — Serve finishes in-flight cells, flushes queued results, and
@@ -82,11 +78,10 @@ func main() {
 	}()
 
 	opt := dist.WorkerOptions{
-		Slots:    *slots,
-		State:    dist.NewWorkerStateWith(*workers, caches),
-		Net:      netOpt,
-		MaxCells: *maxCells,
-		Drain:    drain,
+		Slots: *slots,
+		State: dist.NewWorkerState(*workers, *cache),
+		Net:   netOpt,
+		Drain: drain,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -140,20 +140,16 @@ func mustTrainer(name string) ml.Trainer {
 	return t
 }
 
-// TrainAll trains one classifier per model family on the same data.
-// The evaluation harness attacks with every family and reports the
-// strongest result, which is the paper's methodology: "We present the
-// highest classification accuracy based on these features." A defense
-// must hold against the best attacker, not the average one.
-func TrainAll(traces map[trace.App]*trace.Trace, opt TrainOptions) ([]*Classifier, error) {
-	return TrainAllParallel(traces, opt, nil)
-}
-
-// TrainAllParallel is TrainAll over a worker pool (nil pool =
-// serial): the families train concurrently, each on one goroutine.
-// Every family sees the same traces and the same seed and owns its
-// result slot, so the returned slice (in ml.Trainers order) is
-// bit-identical to the serial form for every pool size.
+// TrainAllParallel trains one classifier per model family on the same
+// data. The evaluation harness attacks with every family and reports
+// the strongest result, which is the paper's methodology: "We present
+// the highest classification accuracy based on these features." A
+// defense must hold against the best attacker, not the average one.
+//
+// The families train concurrently over pool (nil pool = serial), each
+// on one goroutine. Every family sees the same traces and the same
+// seed and owns its result slot, so the returned slice (in ml.Trainers
+// order) is bit-identical for every pool size.
 func TrainAllParallel(traces map[trace.App]*trace.Trace, opt TrainOptions, pool *par.Pool) ([]*Classifier, error) {
 	trainers := ml.Trainers()
 	out := make([]*Classifier, len(trainers))

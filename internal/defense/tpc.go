@@ -82,11 +82,3 @@ func (t *InterfaceTPC) OffsetFor(iface int) float64 {
 	}
 	return b + (t.rng.Float64()-0.5)*t.JitterDB
 }
-
-// Rekey redraws every interface's base offset — done periodically so
-// long-term averaging cannot lock onto the bases either.
-func (t *InterfaceTPC) Rekey() {
-	for k := range t.base {
-		delete(t.base, k)
-	}
-}

@@ -5,11 +5,13 @@ package dist
 // scheme, app) — and a worker that rejoins after a death, or answers
 // late after a timeout reclaim, can serve repeated requests from the
 // cache instead of re-evaluating. The cache lives in a WorkerState
-// that survives individual Serve calls (connections), alongside the
-// CellEvaluator whose dataset cache and trace store it shares — the
-// three together are what make a restarted worker cheap: traces are
-// not re-shipped (trace-have), datasets are not rebuilt (evaluator
-// cache), answered cells are not re-evaluated (result cache).
+// that survives individual Serve calls (connections), alongside a
+// CellEvaluator holding the dataset cache and trace store — the three
+// together are what make a restarted worker cheap: traces are not
+// re-shipped (trace-have), datasets are not rebuilt (dataset cache),
+// answered cells are not re-evaluated (result cache). Only the result
+// cache is sized here (CacheOptions.Results); the dataset cache and
+// trace store keep fixed bounds of 16 and 64 entries.
 
 import (
 	"container/list"
@@ -122,18 +124,9 @@ type WorkerState struct {
 // (<= 0 selects one per CPU) and a result cache bounded at cacheSize
 // entries (<= 0 selects DefaultResultCacheSize).
 func NewWorkerState(engineWorkers, cacheSize int) *WorkerState {
-	return NewWorkerStateWith(engineWorkers, CacheOptions{Results: cacheSize})
-}
-
-// NewWorkerStateWith is NewWorkerState with the full CacheOptions
-// surface: explicit bounds for all three caches that make a rejoining
-// worker cheap (results, datasets, traces). Zero fields select the
-// defaults.
-func NewWorkerStateWith(engineWorkers int, caches CacheOptions) *WorkerState {
 	return &WorkerState{
-		ev: experiments.NewCellEvaluatorBounded(
-			experiments.NewEngine(engineWorkers), caches.Datasets, caches.Traces),
-		cache: newResultCache(caches.Results),
+		ev:    experiments.NewCellEvaluator(experiments.NewEngine(engineWorkers)),
+		cache: newResultCache(cacheSize),
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func TestWorkerRestartReusesResultCache(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,8 @@ func TestRandomFaultScheduleByteIdentical(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-			LocalWorkers: 2,
-			CellTimeout:  400 * time.Millisecond,
+			Pool:        par.NewPool(2),
+			CellTimeout: 400 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,6 @@ type Coordinator struct {
 	writeTimeout time.Duration
 	heartbeat    time.Duration
 	authKey      string
-	maxBatch     int
 	journal      *GridJournal
 	reapStop     chan struct{}
 	// store holds the captured traces of every grid offered to the
@@ -58,11 +57,9 @@ type CoordinatorOptions struct {
 	// in-process (non-wireable schemes, empty fleet, fallback after
 	// worker failure). Pass the driving Engine's Pool() so local
 	// fallback stays inside the engine's concurrency bound instead of
-	// doubling it.
+	// doubling it. Nil gives the coordinator a private pool of one
+	// worker per CPU.
 	Pool *par.Pool
-	// LocalWorkers sizes a private fallback pool when Pool is nil;
-	// <= 0 selects one worker per CPU.
-	LocalWorkers int
 	// CellTimeout, when positive, bounds how long one cell may sit
 	// unanswered on a worker. TCP death is detected immediately, but a
 	// wedged-but-alive worker (stuck evaluation, livelocked host)
@@ -78,12 +75,6 @@ type CoordinatorOptions struct {
 	// Net groups the transport security settings shared with the
 	// worker side: TLS config, shared auth key, handshake timeout.
 	Net NetOptions
-	// MaxBatch caps the cells packed into one dispatch frame;
-	// <= 0 lets each worker's slot count size its batches. The cap
-	// exists for operators who want finer-grained reassignment on
-	// flaky fleets: a smaller batch strands fewer cells when a worker
-	// dies mid-frame.
-	MaxBatch int
 	// Heartbeat, when positive, turns on liveness probing: every
 	// session is pinged at this interval, and a session that produces
 	// no inbound frames for three intervals is reaped — its in-flight
@@ -149,12 +140,12 @@ type jobResult struct {
 
 // session is one connected worker.
 type session struct {
-	conn  net.Conn
+	// frameWriter owns the connection; every frame the coordinator
+	// sends goes through its serialized, deadline-bounded write.
+	frameWriter
 	name  string
 	slots chan struct{} // in-flight permits, capacity = Hello.Slots
 	die   chan struct{} // closed when the session fails
-
-	wmu sync.Mutex // serializes frame writes
 
 	// sent tracks the trace digests this worker holds: seeded from
 	// its trace-have announcement, grown as dispatch preloads traces
@@ -192,19 +183,6 @@ type session struct {
 	lastRecv time.Time
 }
 
-// write serializes one frame write on the session, bounded by the
-// coordinator's write timeout so a blackholed peer can stall this
-// writer for at most one deadline — never wedge it.
-func (s *session) write(timeout time.Duration, encode func(w io.Writer) error) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if timeout > 0 {
-		_ = s.conn.SetWriteDeadline(time.Now().Add(timeout))
-		defer func() { _ = s.conn.SetWriteDeadline(time.Time{}) }()
-	}
-	return encode(s.conn)
-}
-
 // NewCoordinator listens on addr ("" means 127.0.0.1:0) and starts
 // accepting workers immediately.
 func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
@@ -223,11 +201,7 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	pool := opt.Pool
 	if pool == nil {
-		workers := opt.LocalWorkers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		pool = par.NewPool(workers)
+		pool = par.NewPool(runtime.NumCPU())
 	}
 	c := &Coordinator{
 		ln:           ln,
@@ -238,7 +212,6 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 		writeTimeout: opt.Net.writeTimeout(),
 		heartbeat:    opt.Heartbeat,
 		authKey:      opt.Net.AuthKey,
-		maxBatch:     opt.MaxBatch,
 		journal:      opt.Journal,
 		reapStop:     make(chan struct{}),
 		store:        experiments.NewTraceStore(),
@@ -329,7 +302,7 @@ func (c *Coordinator) Close() error {
 
 	err := c.ln.Close()
 	for _, s := range sessions {
-		_ = s.write(c.writeTimeout, EncodeShutdown) // best-effort goodbye
+		_ = s.write(EncodeShutdown) // best-effort goodbye
 		c.failSession(s, errors.New("dist: coordinator closing"))
 	}
 	return err
@@ -399,11 +372,11 @@ func (c *Coordinator) admit(conn net.Conn) {
 		sent[d] = true
 	}
 	s := &session{
-		conn:  conn,
-		name:  conn.RemoteAddr().String(),
-		slots: make(chan struct{}, slots),
-		die:   make(chan struct{}),
-		sent:  sent,
+		frameWriter: frameWriter{conn: conn, timeout: c.writeTimeout},
+		name:        conn.RemoteAddr().String(),
+		slots:       make(chan struct{}, slots),
+		die:         make(chan struct{}),
+		sent:        sent,
 		// A fresh session is about to ask for work; registering its
 		// full capacity up front closes the admit→popJobs window in
 		// which the locality rule would otherwise not see it.
@@ -457,7 +430,7 @@ func (c *Coordinator) ping(s *session) {
 			return
 		}
 		c.mu.Unlock()
-		if err := s.write(c.writeTimeout, func(w io.Writer) error { return EncodePing(w, c.heartbeat) }); err != nil {
+		if err := s.write(func(w io.Writer) error { return EncodePing(w, c.heartbeat) }); err != nil {
 			c.failSession(s, fmt.Errorf("dist: ping: %w", err))
 			return
 		}
@@ -487,14 +460,10 @@ func (c *Coordinator) reject(conn net.Conn, format string, args ...any) {
 // free when work is available, amortizing framing and syscalls without
 // ever delaying a lone cell.
 func (c *Coordinator) dispatch(s *session) {
-	maxBatch := cap(s.slots)
-	if c.maxBatch > 0 && c.maxBatch < maxBatch {
-		maxBatch = c.maxBatch
-	}
 	for {
 		// Claim one permit (blocking), then opportunistically every
-		// other free permit up to the batch cap — batches size
-		// themselves to the worker's idle capacity.
+		// other free permit — batches size themselves to the worker's
+		// idle capacity.
 		select {
 		case s.slots <- struct{}{}:
 		case <-s.die:
@@ -502,7 +471,7 @@ func (c *Coordinator) dispatch(s *session) {
 		}
 		permits := 1
 	acquire:
-		for permits < maxBatch {
+		for permits < cap(s.slots) {
 			select {
 			case s.slots <- struct{}{}:
 				permits++
@@ -545,7 +514,7 @@ func (c *Coordinator) dispatch(s *session) {
 		for i, j := range jobs {
 			reqs[i] = j.req
 		}
-		err := s.write(c.writeTimeout, func(w io.Writer) error { return EncodeCellBatch(w, reqs) })
+		err := s.write(func(w io.Writer) error { return EncodeCellBatch(w, reqs) })
 		if err != nil {
 			c.failSession(s, err)
 			return
@@ -582,7 +551,7 @@ func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 			app = tr.Packets[0].App
 		}
 		payload := TracePayload{App: app, Trace: tr}
-		err := s.write(c.writeTimeout, func(w io.Writer) error { return EncodeTraceCompressed(w, payload) })
+		err := s.write(func(w io.Writer) error { return EncodeTraceCompressed(w, payload) })
 		if err != nil {
 			return err
 		}

@@ -16,6 +16,7 @@ import (
 
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -26,7 +27,7 @@ const benchGridCells = 64
 // BenchmarkCoordinatorDispatchV3 keeps the name its BENCH_PR8.json
 // baseline was recorded under.
 func BenchmarkCoordinatorDispatchV3(b *testing.B) {
-	coord, err := NewCoordinator("", CoordinatorOptions{LocalWorkers: 1})
+	coord, err := NewCoordinator("", CoordinatorOptions{Pool: par.NewPool(1)})
 	if err != nil {
 		b.Fatal(err)
 	}

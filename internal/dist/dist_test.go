@@ -23,6 +23,7 @@ import (
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
@@ -36,7 +37,7 @@ import (
 // for the authenticated/encrypted fleet tests: the worker cannot know
 // the parent's ephemeral self-signed certificate, so it encrypts
 // without server verification and proves itself through the HMAC
-// challenge — the same posture cmd/expworker's -tls-insecure takes.
+// challenge — the same posture cmd/expworker's -dist-tls-insecure takes.
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("DIST_TEST_WORKER_ADDR"); addr != "" {
 		maxCells, _ := strconv.Atoi(os.Getenv("DIST_TEST_MAX_CELLS"))
@@ -205,7 +206,7 @@ func TestGridByteIdenticalInProcess(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +239,8 @@ func TestWorkerDeathReassignment(t *testing.T) {
 
 	gate := newWriteGate(1)
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{Wrap: gate.wrap},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{Wrap: gate.wrap},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +294,8 @@ func TestCellTimeoutReassignment(t *testing.T) {
 	want := serialGrid(t, ds)
 
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		CellTimeout:  500 * time.Millisecond,
+		Pool:        par.NewPool(2),
+		CellTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +343,8 @@ func TestCellTimeoutLastWorkerFallsBackLocal(t *testing.T) {
 	want := serialGrid(t, ds)
 
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		CellTimeout:  500 * time.Millisecond,
+		Pool:        par.NewPool(2),
+		CellTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +379,7 @@ func TestNoWorkersFallsBackLocal(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestUnregisteredSchemeRunsLocal(t *testing.T) {
 	})
 	want := experiments.NewEngine(1).EvalSchemes(ds, []experiments.Scheme{custom})
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +450,8 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 
 	gate := newWriteGate(3)
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{Wrap: gate.wrap},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{Wrap: gate.wrap},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +508,7 @@ func TestRunAllDistributedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +586,7 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 	wantTraces := len(set.Ref().Digests())
 
 	state := dist.NewWorkerState(2, 0)
-	coord1, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord1, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +608,7 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 	// Same worker state, fresh coordinator: the trace-have
 	// announcement makes the preload resumable, and the result cache
 	// answers every repeated cell.
-	coord2, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord2, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,8 +655,8 @@ func TestCapturedGridTLSAuthWorkerProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{TLS: serverTLS, AuthKey: "fleet-secret"},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{TLS: serverTLS, AuthKey: "fleet-secret"},
 	})
 	if err != nil {
 		t.Fatal(err)

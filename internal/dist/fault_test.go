@@ -18,6 +18,7 @@ import (
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/dist/netchaos"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -32,8 +33,8 @@ func TestHeartbeatReapsBlackholedWorker(t *testing.T) {
 	want := serialGrid(t, ds)
 
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Heartbeat:    150 * time.Millisecond,
+		Pool:      par.NewPool(2),
+		Heartbeat: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestMidSessionGarbageDropsWorker(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestJournalResumeReEvaluatesOnlyUnanswered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord1, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2, Journal: j1})
+	coord1, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2), Journal: j1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestJournalResumeReEvaluatesOnlyUnanswered(t *testing.T) {
 	if j2.Restored() != partCells {
 		t.Fatalf("resume restored %d records, want %d", j2.Restored(), partCells)
 	}
-	coord2, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2, Journal: j2})
+	coord2, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2), Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

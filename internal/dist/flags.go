@@ -30,7 +30,6 @@ type FleetFlags struct {
 	TLSKey      string        // -dist-tls-key
 	TLSAuto     bool          // -dist-tls-auto
 	CellTimeout time.Duration // -dist-cell-timeout
-	MaxBatch    int           // -dist-max-batch
 	Heartbeat   time.Duration // -dist-heartbeat
 }
 
@@ -50,13 +49,13 @@ func (ff *FleetFlags) RegisterDial(fs *flag.FlagSet) {
 }
 
 // RegisterServe registers the coordinator-side flags: the listener's
-// TLS material and the scheduler knobs.
+// TLS material and the two liveness detectors, the per-cell timeout
+// and the heartbeat.
 func (ff *FleetFlags) RegisterServe(fs *flag.FlagSet) {
 	fs.StringVar(&ff.TLSCert, "dist-tls-cert", "", "serve the coordinator port over TLS with this PEM certificate")
 	fs.StringVar(&ff.TLSKey, "dist-tls-key", "", "PEM key for -dist-tls-cert")
 	fs.BoolVar(&ff.TLSAuto, "dist-tls-auto", false, "serve the coordinator port over TLS with an ephemeral self-signed certificate (spawned local workers skip verification and rely on -dist-key for identity)")
 	fs.DurationVar(&ff.CellTimeout, "dist-cell-timeout", 0, "reclaim a grid cell from a wedged-but-alive worker after this long (0 = only detect TCP death; the deadline doubles per retry)")
-	fs.IntVar(&ff.MaxBatch, "dist-max-batch", 0, "cap the cells packed into one dispatch frame (0 = size batches to each worker's slots; smaller strands fewer cells when a worker dies mid-frame)")
 	fs.DurationVar(&ff.Heartbeat, "dist-heartbeat", 10*time.Second, "ping workers at this interval and reap any silent for three intervals — the half-open/partition detector (0 = disabled)")
 }
 

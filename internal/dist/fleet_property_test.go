@@ -13,6 +13,7 @@ import (
 
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -31,8 +32,8 @@ func TestFleetChurnPropertyByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-				LocalWorkers: 2,
-				CellTimeout:  400 * time.Millisecond,
+				Pool:        par.NewPool(2),
+				CellTimeout: 400 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)

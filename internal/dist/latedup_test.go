@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 )
 
 func TestLateDuplicateAnswerDeduplicated(t *testing.T) {
@@ -30,8 +31,8 @@ func TestLateDuplicateAnswerDeduplicated(t *testing.T) {
 	want := experiments.NewEngine(1).EvalSchemes(ds, experiments.StandardSchemes())
 
 	coord, err := NewCoordinator("", CoordinatorOptions{
-		LocalWorkers: 2,
-		CellTimeout:  300 * time.Millisecond,
+		Pool:        par.NewPool(2),
+		CellTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/dist/netchaos"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -78,11 +79,11 @@ func TestNetChaosPropertySchedules(t *testing.T) {
 					t.Fatal(err)
 				}
 				opt := dist.CoordinatorOptions{
-					LocalWorkers: 2,
-					CellTimeout:  400 * time.Millisecond,
-					Heartbeat:    150 * time.Millisecond,
-					Journal:      journal,
-					Net:          dist.NetOptions{WriteTimeout: time.Second},
+					Pool:        par.NewPool(2),
+					CellTimeout: 400 * time.Millisecond,
+					Heartbeat:   150 * time.Millisecond,
+					Journal:     journal,
+					Net:         dist.NetOptions{WriteTimeout: time.Second},
 				}
 				workerNet := dist.NetOptions{WriteTimeout: time.Second}
 				if sc.tls {

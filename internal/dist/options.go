@@ -2,12 +2,14 @@ package dist
 
 // Option sub-structs shared by both ends of a fleet connection:
 // NetOptions is the transport surface CoordinatorOptions and
-// WorkerOptions both carry, CacheOptions bounds a worker's durable
-// state.
+// WorkerOptions both carry, CacheOptions bounds a worker's result
+// cache.
 
 import (
 	"crypto/tls"
+	"io"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -39,11 +41,6 @@ type NetOptions struct {
 	// fires the session is failed and its cells requeued, exactly like
 	// any other transport death. <= 0 selects 2 minutes.
 	WriteTimeout time.Duration
-	// Dial, when set, replaces net.Dial for the worker's outbound
-	// connection — the injection seam the netchaos tests (and any
-	// custom transport) use. TLS, when configured, is layered on top
-	// of the dialed connection.
-	Dial func(network, address string) (net.Conn, error)
 	// Wrap, when set, wraps every raw connection — dialed on the
 	// worker, accepted on the coordinator — before TLS is layered on
 	// top. netchaos.Chaos.Wrap plugs in here to inject deterministic
@@ -67,6 +64,27 @@ func (n NetOptions) writeTimeout() time.Duration {
 	return n.WriteTimeout
 }
 
+// frameWriter serializes frame writes on one connection and bounds
+// each by a write deadline, so a blackholed peer — half-open TCP, a
+// partition, a receiver that stopped draining — stalls a writer for
+// at most one timeout, never wedges it. Both ends write through one:
+// the coordinator's dispatch, ping and shutdown frames share a
+// session's, the worker's result batches and pongs share its own.
+type frameWriter struct {
+	mu      sync.Mutex
+	conn    net.Conn
+	timeout time.Duration
+}
+
+// write encodes one frame onto the connection under the deadline.
+func (w *frameWriter) write(encode func(io.Writer) error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	defer func() { _ = w.conn.SetWriteDeadline(time.Time{}) }()
+	return encode(w.conn)
+}
+
 // wrapListener applies NetOptions.Wrap to every accepted connection,
 // under the TLS listener when both are configured (faults and custom
 // transports sit below the record layer, like the real network).
@@ -83,21 +101,13 @@ func (l wrapListener) Accept() (net.Conn, error) {
 	return l.wrap(conn), nil
 }
 
-// CacheOptions bounds a worker's durable state: the three caches that
-// make a rejoining worker cheap. Zero values select the defaults; the
-// bounds exist so a long-lived redial worker's footprint stays finite,
-// and eviction is always safe because every entry is a pure function
-// of its key.
+// CacheOptions bounds a worker's result cache. The other two caches
+// that make a rejoining worker cheap — datasets and traces — have
+// fixed bounds (16 and 64 entries) in the experiments package;
+// eviction is always safe because every entry is a pure function of
+// its key.
 type CacheOptions struct {
 	// Results bounds the evaluated-cell result cache (entries); <= 0
 	// selects DefaultResultCacheSize.
 	Results int
-	// Datasets bounds the per-(Config, trace ref) dataset cache;
-	// <= 0 selects the experiments package default (16).
-	Datasets int
-	// Traces bounds the content-addressed trace store; <= 0 selects
-	// the experiments package default (64). An evicted trace degrades
-	// the affected cells to coordinator-side fallback; it never
-	// changes a result.
-	Traces int
 }

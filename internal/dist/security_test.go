@@ -14,6 +14,7 @@ import (
 
 	"trafficreshape/internal/dist"
 	"trafficreshape/internal/experiments"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
 )
 
@@ -30,8 +31,8 @@ func TestWrongKeyRejectedFallsBackLocal(t *testing.T) {
 	want := serialGrid(t, ds)
 
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{AuthKey: "right-key", HandshakeTimeout: shortHandshake},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{AuthKey: "right-key", HandshakeTimeout: shortHandshake},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +68,8 @@ func TestAuthAdmitsOnlyKeyHolders(t *testing.T) {
 	want := serialGrid(t, ds)
 
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{AuthKey: "fleet-secret", HandshakeTimeout: shortHandshake},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{AuthKey: "fleet-secret", HandshakeTimeout: shortHandshake},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestProtocolVersionSkewRejectedAtDoor(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{LocalWorkers: 2})
+	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestProtocolVersionSkewRejectedAtDoor(t *testing.T) {
 // workers afterwards.
 func TestGarbageAndSilentPeersRejected(t *testing.T) {
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{HandshakeTimeout: 500 * time.Millisecond},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{HandshakeTimeout: 500 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestPlaintextClientAgainstTLSListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
+		Pool: par.NewPool(2),
 		Net: dist.NetOptions{
 			TLS:              serverTLS,
 			AuthKey:          "fleet-secret",
@@ -258,8 +259,8 @@ func TestPlaintextClientAgainstTLSListener(t *testing.T) {
 // also fail fast on the worker side.
 func TestTLSWorkerAgainstPlaintextListener(t *testing.T) {
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
-		LocalWorkers: 2,
-		Net:          dist.NetOptions{HandshakeTimeout: 500 * time.Millisecond},
+		Pool: par.NewPool(2),
+		Net:  dist.NetOptions{HandshakeTimeout: 500 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,8 @@ type WorkerOptions struct {
 	// Net groups the transport security settings shared with the
 	// coordinator side: TLS config, shared auth key, handshake timeout.
 	Net NetOptions
-	// Caches bounds the private worker state built when State is nil
-	// (result cache, dataset cache, trace store); ignored when State is
-	// set.
+	// Caches bounds the result cache of the private worker state
+	// built when State is nil; ignored when State is set.
 	Caches CacheOptions
 	// MaxCells > 0 makes the worker abort its connection — without
 	// answering — when request MaxCells+1 arrives. Cells it already
@@ -80,22 +79,12 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// dialCoordinator opens the worker's connection per NetOptions: the
-// custom Dial (net.Dial otherwise), then Wrap, then TLS on top — the
-// same layering order the coordinator's accept side uses, so injected
-// faults sit under the record layer like the real network.
+// dialCoordinator opens the worker's connection per NetOptions:
+// net.Dial, then Wrap, then TLS on top — the same layering order the
+// coordinator's accept side uses, so injected faults sit under the
+// record layer like the real network.
 func dialCoordinator(addr string, netOpt NetOptions) (net.Conn, error) {
-	if netOpt.Dial == nil && netOpt.Wrap == nil {
-		if netOpt.TLS != nil {
-			return tls.Dial("tcp", addr, netOpt.TLS)
-		}
-		return net.Dial("tcp", addr)
-	}
-	dial := netOpt.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +93,7 @@ func dialCoordinator(addr string, netOpt NetOptions) (net.Conn, error) {
 	}
 	if cfg := netOpt.TLS; cfg != nil {
 		if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
-			// tls.Dial would have derived the name; the manual layering
+			// tls.Dial would have derived the name; layering by hand
 			// must do the same for verification to work.
 			if host, _, err := net.SplitHostPort(addr); err == nil {
 				cfg = cfg.Clone()
@@ -166,7 +155,7 @@ func Serve(addr string, opt WorkerOptions) error {
 
 	state := opt.State
 	if state == nil {
-		state = NewWorkerStateWith(opt.EngineWorkers, opt.Caches)
+		state = NewWorkerState(opt.EngineWorkers, opt.Caches.Results)
 	}
 
 	// Handshake: read the challenge (bounded in time — a non-speaking
@@ -202,19 +191,10 @@ func Serve(addr string, opt WorkerOptions) error {
 		opt.Logf("dist: worker connected to %s (%d slots)", addr, slots)
 	}
 
-	// Frame writes are serialized and deadline-bounded: the writer
-	// goroutine (results) and the read loop (pongs) share the
-	// connection, and a blackholed coordinator must stall either for
-	// at most one write timeout, never wedge the worker.
-	var wmu sync.Mutex
-	writeTimeout := opt.Net.writeTimeout()
-	write := func(encode func(w io.Writer) error) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
-		return encode(conn)
-	}
+	// The writer goroutine (results) and the read loop (pongs) share
+	// the connection through one frameWriter, so a blackholed
+	// coordinator stalls either for at most one write timeout.
+	out := &frameWriter{conn: conn, timeout: opt.Net.writeTimeout()}
 
 	lr := &liveReader{conn: conn}
 	if opt.Drain != nil {
@@ -260,7 +240,7 @@ func Serve(addr string, opt WorkerOptions) error {
 					break drain
 				}
 			}
-			if err := write(func(w io.Writer) error { return EncodeResultBatch(w, batch) }); err != nil {
+			if err := out.write(func(w io.Writer) error { return EncodeResultBatch(w, batch) }); err != nil {
 				// Write deadline or transport death: close the conn so
 				// the read loop unblocks, keep consuming resCh so
 				// in-flight evaluators can finish and the deferred
@@ -297,7 +277,7 @@ func Serve(addr string, opt WorkerOptions) error {
 			return fmt.Errorf("dist: reading coordinator stream: %w", err)
 		case msg.Ping != nil:
 			lr.interval.Store(int64(*msg.Ping))
-			if err := write(EncodePong); err != nil {
+			if err := out.write(EncodePong); err != nil {
 				if doorClosed(err) {
 					return nil
 				}

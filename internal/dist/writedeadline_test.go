@@ -10,19 +10,20 @@ import (
 )
 
 // TestSessionWriteDeadline pins the wedge-proofing contract of the
-// session writer: a peer that accepts the connection but never reads
-// (a blackholed worker once the kernel buffers fill) can stall a frame
-// write for at most the configured timeout — never forever. net.Pipe
-// is the perfect stand-in: unbuffered, so an unread write blocks
-// immediately, and deadline-aware.
+// frame writer both ends of a session write through: a peer that
+// accepts the connection but never reads (a blackholed worker once
+// the kernel buffers fill) can stall a frame write for at most the
+// configured timeout — never forever. net.Pipe is the perfect
+// stand-in: unbuffered, so an unread write blocks immediately, and
+// deadline-aware.
 func TestSessionWriteDeadline(t *testing.T) {
 	local, remote := net.Pipe()
 	defer local.Close()
 	defer remote.Close()
 
-	s := &session{conn: local}
+	fw := &frameWriter{conn: local, timeout: 50 * time.Millisecond}
 	start := time.Now()
-	err := s.write(50*time.Millisecond, func(w io.Writer) error {
+	err := fw.write(func(w io.Writer) error {
 		_, err := w.Write(make([]byte, 1<<16))
 		return err
 	})
@@ -35,22 +36,12 @@ func TestSessionWriteDeadline(t *testing.T) {
 
 	// A reading peer sees the write complete, and the deadline is
 	// cleared afterwards so it cannot leak into later blocking reads.
+	fw.timeout = time.Second
 	go func() { _, _ = io.ReadFull(remote, make([]byte, 4)) }()
-	if err := s.write(time.Second, func(w io.Writer) error {
+	if err := fw.write(func(w io.Writer) error {
 		_, err := w.Write([]byte("pong"))
 		return err
 	}); err != nil {
 		t.Fatalf("write to a reading peer failed: %v", err)
-	}
-
-	// Zero timeout means no deadline is armed at all (the historical
-	// behavior some callers still select with WriteTimeout unset at the
-	// session layer) — pin that the helper does not arm a stale one.
-	go func() { _, _ = io.ReadFull(remote, make([]byte, 4)) }()
-	if err := s.write(0, func(w io.Writer) error {
-		_, err := w.Write([]byte("ping"))
-		return err
-	}); err != nil {
-		t.Fatalf("untimed write failed: %v", err)
 	}
 }

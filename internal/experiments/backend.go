@@ -9,8 +9,6 @@ package experiments
 // via internal/dist, without the runners noticing.
 
 import (
-	"sync"
-
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
@@ -74,40 +72,10 @@ func (b *localBackend) EvalGrid(ds *Dataset, schemes []Scheme) [][]*ml.Confusion
 type CellEvaluator struct {
 	eng   *Engine
 	store *TraceStore
-
-	// maxDatasets bounds the dataset cache (NewCellEvaluator selects
-	// maxCachedDatasets).
-	maxDatasets int
-
-	mu    sync.Mutex
-	cache map[evaluatorKey]*evaluatorEntry
-	// order is the cache's FIFO eviction queue. Datasets are the
-	// heavyweight entries (trained classifiers, test traces, morph
-	// tables), and a long-lived worker state sees a new (Config, ref)
-	// key for every window scaling of every grid it serves — without a
-	// bound, a redial worker's memory grows for its whole lifetime.
-	// Eviction is safe because datasets are pure: an evicted key
-	// rebuilds on next use, and goroutines holding the old entry keep
-	// a valid immutable dataset.
-	order []evaluatorKey
-}
-
-// maxCachedDatasets bounds the per-evaluator dataset cache. A full
-// registry run touches ~3 distinct configs; this keeps several grids'
-// worth while capping a long-lived worker's footprint.
-const maxCachedDatasets = 16
-
-// evaluatorKey addresses one dataset build: the Config plus the
-// canonical key of the captured-trace ref ("" = synthetic).
-type evaluatorKey struct {
-	cfg    Config
-	traces string
-}
-
-type evaluatorEntry struct {
-	once sync.Once
-	ds   *Dataset
-	err  error
+	// datasets is bounded at maxCachedDatasets: a long-lived worker
+	// state sees a new (Config, ref) key for every window scaling of
+	// every grid it serves.
+	datasets *datasetCache
 }
 
 // maxStoredTraces bounds the evaluator's trace store the way
@@ -118,32 +86,16 @@ type evaluatorEntry struct {
 const maxStoredTraces = 64
 
 // NewCellEvaluator returns an evaluator building datasets on eng
-// (nil selects the serial engine), with an empty trace store and the
-// default cache bounds.
+// (nil selects the serial engine), with an empty trace store. The
+// dataset cache holds at most 16 entries and the store 64 traces.
 func NewCellEvaluator(eng *Engine) *CellEvaluator {
-	return NewCellEvaluatorBounded(eng, 0, 0)
-}
-
-// NewCellEvaluatorBounded is NewCellEvaluator with explicit cache
-// bounds: datasets caps the dataset cache (<= 0 selects the default,
-// 16) and traces caps the trace store (<= 0 selects the default, 64).
-// Both caches hold pure values only, so any bound is correct — smaller
-// bounds trade rebuild/re-preload work for footprint.
-func NewCellEvaluatorBounded(eng *Engine, datasets, traces int) *CellEvaluator {
 	if eng == nil {
 		eng = serialEngine
 	}
-	if datasets <= 0 {
-		datasets = maxCachedDatasets
-	}
-	if traces <= 0 {
-		traces = maxStoredTraces
-	}
 	return &CellEvaluator{
-		eng:         eng,
-		maxDatasets: datasets,
-		store:       NewBoundedTraceStore(traces),
-		cache:       make(map[evaluatorKey]*evaluatorEntry),
+		eng:      eng,
+		store:    NewBoundedTraceStore(maxStoredTraces),
+		datasets: newDatasetCache(),
 	}
 }
 
@@ -163,21 +115,8 @@ func (ev *CellEvaluator) dataset(cfg Config, ref TraceSetRef) (*Dataset, error) 
 	if err != nil {
 		return nil, err
 	}
-	key := evaluatorKey{cfg: cfg, traces: ref.Key()}
-	ev.mu.Lock()
-	entry, ok := ev.cache[key]
-	if !ok {
-		entry = &evaluatorEntry{}
-		ev.cache[key] = entry
-		ev.order = append(ev.order, key)
-		for len(ev.order) > ev.maxDatasets {
-			delete(ev.cache, ev.order[0])
-			ev.order = ev.order[1:]
-		}
-	}
-	ev.mu.Unlock()
-	entry.once.Do(func() { entry.ds, entry.err = ev.eng.BuildDatasetFrom(cfg, set) })
-	return entry.ds, entry.err
+	return ev.datasets.get(datasetCacheKey{cfg: cfg, src: ref.Key()},
+		func() (*Dataset, error) { return ev.eng.BuildDatasetFrom(cfg, set) })
 }
 
 // Eval evaluates one wire-addressed cell, returning the per-family

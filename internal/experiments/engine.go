@@ -290,22 +290,37 @@ func (e *Engine) RunAll(w io.Writer, quick bool) (map[string]*Result, error) {
 // errSkipped marks runners cancelled after an earlier failure.
 var errSkipped = fmt.Errorf("experiments: skipped after earlier failure")
 
-// --- per-window dataset cache -----------------------------------------------
+// --- dataset cache ----------------------------------------------------------
 
-// datasetCache deduplicates derived datasets by their full scaled
-// Config plus the digest key of their source traces, so concurrent
-// experiments needing the same derivation (Tables III and IV both
-// scale to W = 60 s under RunAll) share one build — while callers
-// passing a *different* config at the same window, or the same config
-// over different captured traffic, still get their own dataset,
-// exactly as serial rebuilding would.
+// datasetCache builds each dataset once per key and shares the build
+// among concurrent callers. It serves two owners. A Dataset's cache
+// deduplicates derived datasets by their full scaled Config plus the
+// digest key of their source traces, so concurrent experiments needing
+// the same derivation (Tables III and IV both scale to W = 60 s under
+// RunAll) share one build — while callers passing a *different*
+// config at the same window, or the same config over different
+// captured traffic, still get their own dataset, exactly as serial
+// rebuilding would. A CellEvaluator's cache holds the datasets a
+// worker rebuilds from wire-addressed cells.
 type datasetCache struct {
 	mu      sync.Mutex
 	entries map[datasetCacheKey]*datasetEntry
+	// order is the FIFO eviction queue. Datasets are the heavyweight
+	// entries (trained classifiers, test traces, morph tables);
+	// without a bound, a redial worker's memory grows for its whole
+	// lifetime. Eviction is safe because datasets are pure: an evicted
+	// key rebuilds on next use, and goroutines holding the old entry
+	// keep a valid immutable dataset.
+	order []datasetCacheKey
 }
 
-// datasetCacheKey addresses one derived dataset: the scaled Config
-// plus TraceSetRef.Key() of the captured source ("" = synthetic).
+// maxCachedDatasets bounds every dataset cache. A full registry run
+// touches ~3 distinct configs; this keeps several grids' worth while
+// capping a long-lived worker's footprint.
+const maxCachedDatasets = 16
+
+// datasetCacheKey addresses one dataset build: the Config plus
+// TraceSetRef.Key() of the captured source ("" = synthetic).
 type datasetCacheKey struct {
 	cfg Config
 	src string
@@ -321,13 +336,19 @@ func newDatasetCache() *datasetCache {
 	return &datasetCache{entries: make(map[datasetCacheKey]*datasetEntry)}
 }
 
-// get builds (once) and returns the dataset for the key.
+// get builds (once) and returns the dataset for the key, evicting the
+// oldest key beyond maxCachedDatasets.
 func (c *datasetCache) get(key datasetCacheKey, build func() (*Dataset, error)) (*Dataset, error) {
 	c.mu.Lock()
 	entry, ok := c.entries[key]
 	if !ok {
 		entry = &datasetEntry{}
 		c.entries[key] = entry
+		c.order = append(c.order, key)
+		if len(c.order) > maxCachedDatasets {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+		}
 	}
 	c.mu.Unlock()
 	entry.once.Do(func() { entry.ds, entry.err = build() })

@@ -244,3 +244,48 @@ func TestDatasetForWEngineAffinity(t *testing.T) {
 		t.Error("rebound dataset rebuilt instead of sharing the cached contents")
 	}
 }
+
+// TestDatasetCacheBound pins the dataset cache's FIFO bound: the
+// entry past maxCachedDatasets evicts the oldest key, the survivors
+// stay cached, and an evicted key rebuilds exactly once on next use
+// however many callers ask for it at the same time.
+func TestDatasetCacheBound(t *testing.T) {
+	c := newDatasetCache()
+	var mu sync.Mutex
+	builds := make(map[uint64]int)
+	get := func(seed uint64) {
+		cfg := Config{Seed: seed}
+		ds, err := c.get(datasetCacheKey{cfg: cfg}, func() (*Dataset, error) {
+			mu.Lock()
+			builds[seed]++
+			mu.Unlock()
+			return &Dataset{Cfg: cfg}, nil
+		})
+		if err != nil || ds.Cfg.Seed != seed {
+			t.Errorf("get(%d) = %+v, %v", seed, ds, err)
+		}
+	}
+	for seed := uint64(1); seed <= maxCachedDatasets+1; seed++ {
+		get(seed)
+	}
+	if _, ok := c.entries[datasetCacheKey{cfg: Config{Seed: 1}}]; ok {
+		t.Fatalf("key %d did not evict key 1", maxCachedDatasets+1)
+	}
+	if len(c.entries) != maxCachedDatasets || len(c.order) != maxCachedDatasets {
+		t.Fatalf("cache holds %d entries (%d queued), want %d", len(c.entries), len(c.order), maxCachedDatasets)
+	}
+	get(2)
+	if builds[2] != 1 {
+		t.Fatalf("surviving key 2 built %d times, want 1", builds[2])
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); get(1) }()
+	}
+	wg.Wait()
+	if builds[1] != 2 {
+		t.Fatalf("evicted key 1 built %d times in total, want 2 (once before eviction, once after)", builds[1])
+	}
+}

@@ -204,14 +204,6 @@ func (s *TraceStore) Get(digest string) (*trace.Trace, bool) {
 	return tr, ok
 }
 
-// Has reports whether the store holds digest.
-func (s *TraceStore) Has(digest string) bool {
-	s.mu.RLock()
-	_, ok := s.m[digest]
-	s.mu.RUnlock()
-	return ok
-}
-
 // Digests lists the stored digests, sorted.
 func (s *TraceStore) Digests() []string {
 	s.mu.RLock()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -161,5 +162,24 @@ func TestCellEvaluatorResolvesCapturedCells(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("evaluator's captured cell differs from the coordinator-side evaluation")
+	}
+}
+
+// TestBoundedTraceStoreEvictsOldest: a store bounded at two traces
+// drops the first on the third Put, and the trace-have digest list
+// (what a worker announces) shows exactly the survivors.
+func TestBoundedTraceStoreEvictsOldest(t *testing.T) {
+	s := NewBoundedTraceStore(2)
+	var digests []string
+	for i, app := range []trace.App{trace.Browsing, trace.Video, trace.BitTorrent} {
+		digests = append(digests, s.Put(appgen.Generate(app, time.Second, uint64(i+1))))
+	}
+	if _, ok := s.Get(digests[0]); ok {
+		t.Fatal("third Put did not evict the first trace")
+	}
+	want := []string{digests[1], digests[2]}
+	sort.Strings(want)
+	if got := s.Digests(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Digests() = %v, want %v", got, want)
 	}
 }

@@ -96,12 +96,6 @@ const (
 // MaxPayload bounds a frame's payload for the wire codec.
 const MaxPayload = 2304 // 802.11 MSDU limit
 
-// Receiver returns the destination MAC address.
-func (f *Frame) Receiver() Address { return f.Addr1 }
-
-// Transmitter returns the source MAC address.
-func (f *Frame) Transmitter() Address { return f.Addr2 }
-
 // IsUplink reports whether the frame travels station → AP.
 func (f *Frame) IsUplink() bool { return f.Flags&FlagToDS != 0 }
 
