@@ -21,6 +21,7 @@ import (
 	"trafficreshape/internal/defense"
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/features"
+	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stats"
@@ -373,6 +374,41 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		_ = appgen.Generate(trace.BitTorrent, 10*time.Second, uint64(i))
 	}
 }
+
+// BenchmarkTraceMerge measures trace.Merge in its two shapes: the two
+// direction streams of one minute of BitTorrent, as appgen merges
+// them, and a capture of 56 one-minute flows (eight per application)
+// under their own addresses, as the daemon benchmark builds it.
+func BenchmarkTraceMerge(b *testing.B) {
+	b.Run("2way", func(b *testing.B) {
+		down, up := appgen.Generate(trace.BitTorrent, 60*time.Second, 4).ByDirection()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mergeSink = trace.Merge(down, up)
+		}
+	})
+	b.Run("56way", func(b *testing.B) {
+		flows := make([]*trace.Trace, 0, 56)
+		for i, app := range trace.Apps {
+			for f := 0; f < 8; f++ {
+				tr := appgen.Generate(app, 60*time.Second, uint64(i*8+f))
+				for j := range tr.Packets {
+					tr.Packets[j].MAC = mac.Address{0x02, 0x00, 0x5e, 0x00, byte(f), byte(i + 1)}
+				}
+				flows = append(flows, tr)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mergeSink = trace.Merge(flows...)
+		}
+	})
+}
+
+// mergeSink keeps BenchmarkTraceMerge's result live.
+var mergeSink *trace.Trace
 
 // BenchmarkPadding measures the padding baseline's transform cost.
 func BenchmarkPadding(b *testing.B) {

@@ -6,8 +6,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"trafficreshape/internal/mac"
@@ -106,8 +108,8 @@ func New(n int) *Trace {
 	return &Trace{Packets: make([]Packet, 0, n)}
 }
 
-// Append adds a packet. Callers append in time order; Sort is
-// available when merging traces breaks that.
+// Append adds a packet. Callers append in time order; a trace built
+// out of order is put right with Sort.
 func (t *Trace) Append(p Packet) { t.Packets = append(t.Packets, p) }
 
 // Len returns the number of packets.
@@ -122,12 +124,15 @@ func (t *Trace) Duration() time.Duration {
 }
 
 // Sort orders packets by time, stably, preserving insertion order for
-// equal timestamps so merged traces remain deterministic.
+// equal timestamps so merged traces remain deterministic. A trace that
+// is already sorted is left as it is.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Packets, func(i, j int) bool {
-		return t.Packets[i].Time < t.Packets[j].Time
-	})
+	if !t.Sorted() {
+		slices.SortStableFunc(t.Packets, byTime)
+	}
 }
+
+func byTime(a, b Packet) int { return cmp.Compare(a.Time, b.Time) }
 
 // Sorted reports whether packets are in non-decreasing time order.
 func (t *Trace) Sorted() bool {
@@ -185,18 +190,91 @@ func (t *Trace) ByMAC() map[mac.Address]*Trace {
 	return out
 }
 
-// Merge combines traces into one time-sorted trace.
+// Merge combines traces into one time-sorted trace: the stable sort of
+// their concatenation, so of two packets with equal times the one from
+// the earlier argument comes first. The inputs are never modified; one
+// that is not sorted is stable-sorted as a copy. The sorted runs are
+// merged pairwise, in rounds that alternate between the output and one
+// scratch buffer: O(n log k) for k traces, and a single two-pointer
+// pass for two.
 func Merge(traces ...*Trace) *Trace {
-	total := 0
-	for _, t := range traces {
-		total += t.Len()
+	k := len(traces)
+	out := &Trace{Packets: make([]Packet, packetsIn(traces))}
+	if k == 0 {
+		return out
 	}
-	out := New(total)
-	for _, t := range traces {
-		out.Packets = append(out.Packets, t.Packets...)
+	// The first round merges the inputs in pairs and each later round
+	// merges pairs of the previous round's runs. The last round must
+	// write out, so the first writes out when the count is odd.
+	rounds := max(1, bits.Len(uint(k-1)))
+	dst, src := out.Packets, []Packet(nil)
+	if rounds > 1 {
+		src = make([]Packet, len(out.Packets))
+		if rounds%2 == 0 {
+			dst, src = src, dst
+		}
 	}
-	out.Sort()
+	lo := 0
+	for i := 0; i < k; i += 2 {
+		a, b := sortedPackets(traces[i]), []Packet(nil)
+		if i+1 < k {
+			b = sortedPackets(traces[i+1])
+		}
+		hi := lo + len(a) + len(b)
+		mergeRuns(dst[lo:hi], a, b)
+		lo = hi
+	}
+	// In the round for width w, a run spans w/2 inputs and its pair the
+	// next w/2.
+	for w := 4; w/2 < k; w *= 2 {
+		dst, src = src, dst
+		lo := 0
+		for i := 0; i < k; i += w {
+			mid := lo + packetsIn(traces[i:min(i+w/2, k)])
+			hi := mid + packetsIn(traces[min(i+w/2, k):min(i+w, k)])
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+	}
 	return out
+}
+
+// sortedPackets returns t's packets in time order: t's own slice when
+// it is sorted, else a stable-sorted copy.
+func sortedPackets(t *Trace) []Packet {
+	if t.Sorted() {
+		return t.Packets
+	}
+	ps := slices.Clone(t.Packets)
+	slices.SortStableFunc(ps, byTime)
+	return ps
+}
+
+// packetsIn returns the total packet count of traces.
+func packetsIn(traces []*Trace) int {
+	n := 0
+	for _, t := range traces {
+		n += t.Len()
+	}
+	return n
+}
+
+// mergeRuns merges the sorted runs a and b into dst, which holds
+// exactly len(a)+len(b) packets. On equal times a's packet goes first.
+func mergeRuns(dst, a, b []Packet) {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Time < a[i].Time {
+			dst[n] = b[j]
+			j++
+		} else {
+			dst[n] = a[i]
+			i++
+		}
+		n++
+	}
+	n += copy(dst[n:], a[i:])
+	copy(dst[n:], b[j:])
 }
 
 // Sizes returns all packet sizes as float64s, for histogramming.
