@@ -75,7 +75,7 @@ func main() {
 
 		policy       = flag.String("policy", "backpressure", "shard admission policy: backpressure, fail-closed or fail-open")
 		queueDepth   = flag.Int("queue-depth", 2, "batches queued per shard before the admission policy triggers")
-		degradeAudit = flag.Bool("degrade-audit", true, "disable the self-audit at the first full-queue event, shedding load before packets")
+		degradeAudit = flag.Bool("degrade-audit", true, "disable the self-audit at the first full-queue event under -policy fail-open or fail-closed, shedding load before packets")
 		watchdog     = flag.Duration("watchdog", 0, "reap a shard wedged for this long (0 = off)")
 
 		ckptDir   = flag.String("checkpoint", "", "snapshot per-flow defense state into this directory")

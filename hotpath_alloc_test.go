@@ -20,6 +20,7 @@ import (
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/defense"
 	"trafficreshape/internal/features"
+	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/stream"
 	"trafficreshape/internal/trace"
@@ -141,7 +142,9 @@ func buildPathGuards(t *testing.T) []struct {
 // queue-depth accounting active stays allocation-free on the producer
 // side AND in the shard consumers (AllocsPerRun counts mallocs from
 // every goroutine), so overload protection costs nothing when the
-// system is healthy.
+// system is healthy. The synchronous path is pinned too: a warmed
+// one-shard engine answering Source.Assign round trips allocates
+// nothing on either side of the shard queue.
 func streamPathGuards(t *testing.T) []struct {
 	name string
 	f    func()
@@ -175,6 +178,22 @@ func streamPathGuards(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 
+	flow := appgen.Generate(trace.Downloading, 10*time.Second, 510)
+	addr := mac.Address{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}
+	for j := range flow.Packets {
+		flow.Packets[j].MAC = addr
+	}
+	ea := stream.New(stream.Config{
+		W: 250 * time.Millisecond, RingCap: 512, Seed: 3,
+		Shards: 1, EscalateAfter: 1 << 30,
+	})
+	t.Cleanup(func() { ea.Drain() })
+	src := ea.Source(addr)
+	cyca := newCycle(flow)
+	for i := 0; i < len(flow.Packets)+5000; i++ {
+		src.Assign(cyca.next())
+	}
+
 	return []struct {
 		name string
 		f    func()
@@ -187,6 +206,11 @@ func streamPathGuards(t *testing.T) []struct {
 		{"stream.Engine.Ingest/sharded-admission", func() {
 			for i := 0; i < 200; i++ {
 				es.Ingest(cycs.next())
+			}
+		}},
+		{"stream.Source.Assign/sharded", func() {
+			for i := 0; i < 200; i++ {
+				src.Assign(cyca.next())
 			}
 		}},
 	}

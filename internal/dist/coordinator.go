@@ -42,8 +42,7 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []*job // descending cost order (see sched.go)
-	model    *costModel
+	queue    []*job // FIFO, reclaimed cells at the front (see sched.go)
 	sessions map[*session]bool
 	nextID   uint64
 	reapTick uint64
@@ -98,18 +97,14 @@ type CoordinatorOptions struct {
 }
 
 // job is one cell in flight: the request plus the slot its result is
-// delivered to. Delivery happens exactly once — a job is owned by
+// delivered to. It waits in the coordinator's FIFO queue until a
+// session claims it. Delivery happens exactly once — a job is owned by
 // whichever path removed it from its session's inflight map (worker
 // answer, worker death, or cell timeout); late answers for reclaimed
 // cells find no inflight entry and are discarded.
 type job struct {
 	req  CellRequest
 	done chan jobResult
-	// cost is the scheme's estimated evaluation cost at submission
-	// time — the queue's (frozen) descending sort key. Estimates keep
-	// learning while the queue drains, but re-sorting a live queue
-	// buys little and would invalidate the binary insertion.
-	cost float64
 	// digests caches req.Traces.Digests() (computed once at submit;
 	// popJobs consults it on every scan).
 	digests []string
@@ -215,7 +210,6 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 		journal:      opt.Journal,
 		reapStop:     make(chan struct{}),
 		store:        experiments.NewTraceStore(),
-		model:        newCostModel(),
 		sessions:     make(map[*session]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -248,7 +242,6 @@ func (c *Coordinator) Stats() StatsSnapshot {
 	for s := range c.sessions {
 		snap.Workers = append(snap.Workers, WorkerSnapshot{
 			Name:     s.name,
-			Proto:    ProtoVersion,
 			Slots:    cap(s.slots),
 			InFlight: len(s.inflight),
 			Wedged:   s.wedged,
@@ -564,10 +557,10 @@ func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 }
 
 // popJobs claims up to max queued cells s may take, blocking until at
-// least one exists. The queue is in descending cost order, so a scan
-// from the front realizes longest-processing-time-first placement.
-// Each claim is recorded in s.inflight before any request leaves, so
-// a death at any later point finds the cells and re-queues them.
+// least one exists. A scan from the front takes the oldest claimable
+// cells first. Each claim is recorded in s.inflight before any request
+// leaves, so a death at any later point finds the cells and re-queues
+// them.
 //
 // Locality rule: a captured cell whose digests s does not hold is
 // passed over — left for a covered worker — exactly when some other
@@ -744,8 +737,8 @@ func (c *Coordinator) read(s *session) {
 	}
 }
 
-// deliver routes one cell answer to its waiting job, feeding the cost
-// model along the way, and recycles the slot the cell held.
+// deliver routes one cell answer to its waiting job and recycles the
+// slot the cell held.
 func (c *Coordinator) deliver(s *session, res CellResult) {
 	c.mu.Lock()
 	j, ok := s.inflight[res.ID]
@@ -754,12 +747,7 @@ func (c *Coordinator) deliver(s *session, res CellResult) {
 		if res.Err == "" {
 			c.stats.RemoteCells++
 			if res.Cached {
-				// A cache hit says nothing about evaluation cost, so
-				// it is excluded from the model.
 				c.stats.RemoteCacheHits++
-			} else {
-				c.model.observe(j.req.Scheme, time.Since(j.assignedAt).Seconds())
-				c.stats.CostObservations++
 			}
 		}
 	} else {
@@ -836,11 +824,10 @@ func (c *Coordinator) failSession(s *session, cause error) {
 
 // submitAll enqueues a set of cells in one critical section and
 // returns their delivery channels, or nil when no worker is connected
-// (the caller evaluates locally). Each cell's cost estimate is frozen
-// here and the queue kept in descending cost order; inserting the
-// whole grid before the single broadcast lets every dispatcher see
-// the full cost-ordered queue on its first scan, so batches fill and
-// expensive cells land first.
+// (the caller evaluates locally). Cells join the back of the queue in
+// submission order; appending the whole grid before the single
+// broadcast lets every dispatcher see the full queue on its first
+// scan, so batches fill.
 func (c *Coordinator) submitAll(reqs []CellRequest) []chan jobResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -854,13 +841,12 @@ func (c *Coordinator) submitAll(reqs []CellRequest) []chan jobResult {
 		j := &job{
 			req:      req,
 			done:     make(chan jobResult, 1),
-			cost:     c.model.estimate(req.Scheme),
 			deadline: c.cellTimeout,
 		}
 		if req.Traces != nil {
 			j.digests = req.Traces.Digests()
 		}
-		c.queue = insertByCost(c.queue, j)
+		c.queue = append(c.queue, j)
 		chans[i] = j.done
 	}
 	if len(c.queue) > c.stats.MaxQueueDepth {
@@ -925,7 +911,7 @@ func (c *Coordinator) EvalGrid(ds *experiments.Dataset, schemes []experiments.Sc
 		reqs = append(reqs, req)
 	}
 	// The whole grid enqueues in one shot so dispatchers see the full
-	// cost-ordered queue (and can fill batches) from their first scan.
+	// queue (and can fill batches) from their first scan.
 	chans := c.submitAll(reqs)
 	if chans == nil {
 		local = append(local, remoteIdx...)

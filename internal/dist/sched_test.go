@@ -1,91 +1,17 @@
 package dist
 
-// Unit coverage for the placement policy: cost-ordered queue
-// maintenance, the cost model's seed/observe lifecycle, and — the
-// load-bearing pin — the locality deferral rule of popJobs, exercised
-// deterministically against hand-built sessions so the "never send a
-// covered cell to a trace-less worker while a covered one has a free
-// slot" guarantee is a test, not a comment.
+// Unit coverage for the placement policy: FIFO claim order, the
+// timeout exclusion, and — the load-bearing pin — the locality
+// deferral rule of popJobs, exercised deterministically against
+// hand-built sessions so the "never send a covered cell to a
+// trace-less worker while a covered one has a free slot" guarantee is
+// a test, not a comment.
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestInsertByCostDescendingStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	costs := []float64{0.3, 0.5, 0.8, 1.0, 2.0}
-	var queue []*job
-	for id := uint64(1); id <= 200; id++ {
-		j := &job{cost: costs[rng.Intn(len(costs))]}
-		j.req.ID = id
-		queue = insertByCost(queue, j)
-	}
-	for i := 1; i < len(queue); i++ {
-		prev, cur := queue[i-1], queue[i]
-		if prev.cost < cur.cost {
-			t.Fatalf("queue[%d].cost %.1f < queue[%d].cost %.1f: not descending", i-1, prev.cost, i, cur.cost)
-		}
-		if prev.cost == cur.cost && prev.req.ID > cur.req.ID {
-			t.Fatalf("equal-cost jobs %d and %d out of submission order", prev.req.ID, cur.req.ID)
-		}
-	}
-}
-
-func TestCostModelSeedsAndObservations(t *testing.T) {
-	m := newCostModel()
-	// Static priors order the cold queue: morph > split > adaptive >
-	// default > Original.
-	order := []string{"OR+morph", "OR+split", "OR+Adaptive", "unknown-scheme", "Original"}
-	for i := 1; i < len(order); i++ {
-		if m.estimate(order[i-1]) <= m.estimate(order[i]) {
-			t.Errorf("seed estimate(%q)=%.2f not above estimate(%q)=%.2f",
-				order[i-1], m.estimate(order[i-1]), order[i], m.estimate(order[i]))
-		}
-	}
-	// The first observation replaces the seed outright.
-	m.observe("OR+morph", 5.0)
-	if got := m.estimate("OR+morph"); got != 5.0 {
-		t.Errorf("after first observation estimate = %.2f, want 5.0 (seed replaced)", got)
-	}
-	// Later observations fold in by EWMA.
-	m.observe("OR+morph", 1.0)
-	want := 5.0 + costAlpha*(1.0-5.0)
-	if got := m.estimate("OR+morph"); got != want {
-		t.Errorf("after second observation estimate = %.2f, want %.2f", got, want)
-	}
-	// Non-positive latencies (clock weirdness) are ignored.
-	m.observe("OR+morph", 0)
-	m.observe("OR+morph", -1)
-	if got := m.estimate("OR+morph"); got != want {
-		t.Errorf("non-positive observation moved the estimate to %.2f", got)
-	}
-	// Unobserved schemes still answer from the seed.
-	if got := m.estimate("Original"); got != seedCost("Original") {
-		t.Errorf("unobserved scheme estimate = %.2f, want seed %.2f", got, seedCost("Original"))
-	}
-}
-
-func TestContainsFold(t *testing.T) {
-	cases := []struct {
-		s, sub string
-		want   bool
-	}{
-		{"OR+Adaptive", "adaptive", true},
-		{"or+adaptive", "ADAPTIVE", true},
-		{"OR+morph", "adaptive", false},
-		{"abc", "", true},
-		{"ab", "abc", false},
-		{"xADAPTIVEx", "adaptive", true},
-	}
-	for _, c := range cases {
-		if got := containsFold(c.s, c.sub); got != c.want {
-			t.Errorf("containsFold(%q, %q) = %v, want %v", c.s, c.sub, got, c.want)
-		}
-	}
-}
 
 func TestCovers(t *testing.T) {
 	s := &session{sent: map[string]bool{"d1": true, "d2": true}}
@@ -104,7 +30,6 @@ func TestCovers(t *testing.T) {
 // sessions — with no listener, so popJobs can be driven directly.
 func newTestCoordinator() *Coordinator {
 	c := &Coordinator{
-		model:    newCostModel(),
 		sessions: make(map[*session]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -124,7 +49,7 @@ func newTestSession(digests ...string) *session {
 }
 
 func captiveJob(id uint64, digests ...string) *job {
-	j := &job{cost: 1, digests: digests, done: make(chan jobResult, 1)}
+	j := &job{digests: digests, done: make(chan jobResult, 1)}
 	j.req.ID = id
 	return j
 }
@@ -145,7 +70,7 @@ func TestLocalityPinDefersToCoveredWorker(t *testing.T) {
 	// The covered worker has a free slot registered right now — the
 	// exact condition under which deferral is promised.
 	covered.want = 1
-	c.queue = insertByCost(c.queue, captiveJob(1, "d1", "d2"))
+	c.queue = append(c.queue, captiveJob(1, "d1", "d2"))
 	c.mu.Unlock()
 
 	freshGot := make(chan []*job, 1)
@@ -206,7 +131,7 @@ func TestLocalityWorkConserving(t *testing.T) {
 	c.sessions[fresh] = true
 
 	c.mu.Lock()
-	c.queue = insertByCost(c.queue, captiveJob(1, "d1"))
+	c.queue = append(c.queue, captiveJob(1, "d1"))
 	c.mu.Unlock()
 
 	jobs := c.popJobs(fresh, 1)
@@ -223,18 +148,16 @@ func TestLocalityWorkConserving(t *testing.T) {
 	}
 }
 
-// TestPopJobsBatchFillCostOrder: one ask claims up to max cells, in
-// descending cost order, leaving the rest queued.
-func TestPopJobsBatchFillCostOrder(t *testing.T) {
+// TestPopJobsBatchFillFIFO: one ask claims up to max cells, the oldest
+// first in submission order, leaving the rest queued.
+func TestPopJobsBatchFillFIFO(t *testing.T) {
 	c := newTestCoordinator()
 	s := newTestSession()
 	c.sessions[s] = true
 
 	c.mu.Lock()
-	for id, cost := range map[uint64]float64{1: 0.5, 2: 2.0, 3: 1.0} {
-		j := captiveJob(id)
-		j.cost = cost
-		c.queue = insertByCost(c.queue, j)
+	for id := uint64(1); id <= 3; id++ {
+		c.queue = append(c.queue, captiveJob(id))
 	}
 	c.mu.Unlock()
 
@@ -242,13 +165,13 @@ func TestPopJobsBatchFillCostOrder(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("claimed %d jobs, want 2", len(jobs))
 	}
-	if jobs[0].req.ID != 2 || jobs[1].req.ID != 3 {
-		t.Errorf("claimed IDs %d,%d — want 2,3 (descending cost)", jobs[0].req.ID, jobs[1].req.ID)
+	if jobs[0].req.ID != 1 || jobs[1].req.ID != 2 {
+		t.Errorf("claimed IDs %d,%d — want 1,2 (submission order)", jobs[0].req.ID, jobs[1].req.ID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) != 1 || c.queue[0].req.ID != 1 {
-		t.Errorf("queue after claim = %d jobs, want just the cheap cell", len(c.queue))
+	if len(c.queue) != 1 || c.queue[0].req.ID != 3 {
+		t.Errorf("queue after claim = %d jobs, want just the newest cell", len(c.queue))
 	}
 	if len(s.inflight) != 2 {
 		t.Errorf("inflight = %d, want 2", len(s.inflight))
@@ -263,12 +186,10 @@ func TestPopJobsSkipsExcludedSession(t *testing.T) {
 	c.sessions[s] = true
 
 	burned := captiveJob(1)
-	burned.cost = 2
 	burned.excluded = s
 	other := captiveJob(2)
 	c.mu.Lock()
-	c.queue = insertByCost(c.queue, burned)
-	c.queue = insertByCost(c.queue, other)
+	c.queue = append(c.queue, burned, other)
 	c.mu.Unlock()
 
 	jobs := c.popJobs(s, 2)

@@ -2,12 +2,11 @@ package dist
 
 // StatsSnapshot is the coordinator's operator-facing placement record.
 //
-// Field-stability promise: StatsSnapshot is read by CI (the
-// dist-determinism job asserts placement through it) and by fleet
-// operators; its existing fields are never renamed, retyped, or
-// repurposed — only appended to. TestStatsSnapshotFieldStability pins
-// the promise: removing or retyping a promised field fails the suite.
-// The snapshot is a value copy; mutating it never touches the
+// Its readers are cmd/experiments (the stderr stats line) and the
+// bench module's fleet workload, both in this repository, so a
+// removed or renamed field breaks their build rather than a silent
+// consumer. TestStatsSnapshotFieldStability pins the fields and their
+// types. The snapshot is a value copy; mutating it never touches the
 // coordinator's live counters.
 type StatsSnapshot struct {
 	// RemoteCells were evaluated by worker processes.
@@ -66,10 +65,6 @@ type StatsSnapshot struct {
 	// tests pin: a fully covered captured cell is never dispatched to
 	// a trace-less worker while a covered worker has a free slot.
 	LocalityDeferrals int
-	// CostObservations counts per-scheme latency samples folded into
-	// the online cost model (cached answers are excluded — a cache hit
-	// says nothing about evaluation cost).
-	CostObservations int
 
 	// --- fault tolerance (heartbeat liveness + grid journal) ---------
 
@@ -103,9 +98,6 @@ type StatsSnapshot struct {
 type WorkerSnapshot struct {
 	// Name is the worker's remote address.
 	Name string
-	// Proto is the worker's protocol version — always ProtoVersion,
-	// the only version the coordinator admits.
-	Proto int
 	// Slots is the worker's advertised concurrency; InFlight is how
 	// many of its slots hold unanswered cells right now; Wedged is how
 	// many of those have been reclaimed by timeout but still occupy

@@ -208,10 +208,9 @@ func TestDrainIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardIndexNibbleCollisions: the 16-entry routing cache is keyed
-// on the address's low nibble, so flows whose addresses collide in
-// a[5]&0xf must still route stably (same shard on every call) and
-// correctly (the full-hash shard), with no cross-talk between the
+// TestShardIndexNibbleCollisions: flows whose addresses collide in
+// a[5]&0xf, interleaved, must route stably (same shard on every call)
+// and correctly (the full-hash shard), with no cross-talk between the
 // colliding flows.
 func TestShardIndexNibbleCollisions(t *testing.T) {
 	e := New(Config{Seed: 4, Shards: 4, BatchSize: 8})
@@ -225,8 +224,7 @@ func TestShardIndexNibbleCollisions(t *testing.T) {
 	for i, a := range addrs {
 		want[i] = int(flowHash(a) % uint64(e.nshards))
 	}
-	// Adversarial interleave: every lookup evicts the previous flow
-	// from the cache line before it is asked again.
+	// Adversarial interleave: no two consecutive lookups share a flow.
 	for round := 0; round < 100; round++ {
 		for i, a := range addrs {
 			if got := e.shardIndex(a); got != want[i] {

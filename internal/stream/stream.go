@@ -150,9 +150,11 @@ type Config struct {
 	// full (default PolicyBackpressure).
 	Policy ShedPolicy
 	// DegradeAudit, when set, disables the self-audit classifier at
-	// the first full-queue event — shedding load before shedding
-	// packets. The degradation is a one-way latch, reported as
-	// degraded=true.
+	// the first full-queue event under PolicyFailOpen or
+	// PolicyFailClosed — shedding load before shedding packets. Under
+	// PolicyBackpressure the producer blocks on a full queue and never
+	// reaches the latch. The degradation is a one-way latch, reported
+	// as degraded=true.
 	DegradeAudit bool
 	// Watchdog enables the shard watchdog: a shard that stays busy
 	// without finishing a message for this long is considered wedged
@@ -312,10 +314,6 @@ type shard struct {
 	idx int
 
 	flows map[mac.Address]*flowState
-	// last is a single-entry flow cache: real traffic arrives in
-	// per-flow runs, and the map lookup is otherwise the single
-	// largest line item on the per-packet path.
-	last *flowState
 
 	// classification scratch, sized to RingCap so window close never
 	// allocates.
@@ -419,18 +417,6 @@ type Engine struct {
 	reaps    int64
 
 	wd *watchdog
-
-	// Producer-side direct-mapped routing cache, the counterpart of
-	// the shard's flow cache: keyed on the address's low byte so both
-	// per-flow runs and small interleaved flow sets skip re-hashing
-	// the address on every packet.
-	routes [16]routeEntry
-}
-
-type routeEntry struct {
-	addr mac.Address
-	ok   bool
-	idx  int32
 }
 
 // New builds an engine and, in sharded mode, starts its shard
@@ -570,7 +556,6 @@ func (sh *shard) snapshot() snapReply {
 // loudly if a flow's vMAC grant cannot be re-established.
 func (sh *shard) install(snaps []flowSnap) error {
 	sh.flows = make(map[mac.Address]*flowState, len(snaps))
-	sh.last = nil
 	for i := range snaps {
 		f, err := sh.restoreFlow(&snaps[i])
 		if err != nil {
@@ -588,7 +573,6 @@ func (sh *shard) install(snaps []flowSnap) error {
 // back up even if the AP is unhappy.
 func (sh *shard) resetTo(snaps []flowSnap) {
 	sh.flows = make(map[mac.Address]*flowState, len(snaps))
-	sh.last = nil
 	for i := range snaps {
 		f, err := sh.restoreFlow(&snaps[i])
 		if err != nil {
@@ -599,14 +583,10 @@ func (sh *shard) resetTo(snaps []flowSnap) {
 	}
 }
 
+// shardIndex routes a flow's packets to one shard: a pure function of
+// the address.
 func (e *Engine) shardIndex(a mac.Address) int {
-	r := &e.routes[a[5]&0xf]
-	if r.ok && r.addr == a {
-		return int(r.idx)
-	}
-	i := int(flowHash(a) % uint64(e.nshards))
-	r.addr, r.idx, r.ok = a, int32(i), true
-	return i
+	return int(flowHash(a) % uint64(e.nshards))
 }
 
 // Ingest feeds one packet. Inline mode processes it synchronously and
@@ -747,13 +727,9 @@ func (sh *shard) ingest(p trace.Packet) int {
 			return -1
 		}
 	}
-	f := sh.last
-	if f == nil || f.addr != p.MAC {
-		f = sh.flows[p.MAC]
-		if f == nil {
-			f = sh.newFlow(p.MAC)
-		}
-		sh.last = f
+	f := sh.flows[p.MAC]
+	if f == nil {
+		f = sh.newFlow(p.MAC)
 	}
 	w := sh.e.cfg.W
 	if !f.started {
