@@ -227,7 +227,7 @@ func benchPackets(n int, seed uint64) []trace.Packet {
 	for i := range pkts {
 		pkts[i] = trace.Packet{
 			Time: time.Duration(i) * time.Microsecond,
-			Size: r.IntRange(28, 1576),
+			Size: int32(r.IntRange(28, 1576)),
 		}
 	}
 	return pkts

@@ -28,12 +28,13 @@ func main() {
 		var bytes int64
 		minSize, maxSize := 1<<31, 0
 		for _, pkt := range p.Packets {
-			bytes += int64(pkt.Size)
-			if pkt.Size < minSize {
-				minSize = pkt.Size
+			size := int(pkt.Size)
+			bytes += int64(size)
+			if size < minSize {
+				minSize = size
 			}
-			if pkt.Size > maxSize {
-				maxSize = pkt.Size
+			if size > maxSize {
+				maxSize = size
 			}
 		}
 		mean := 0.0

@@ -24,6 +24,7 @@
 package appgen
 
 import (
+	"math"
 	"time"
 
 	"trafficreshape/internal/par"
@@ -209,18 +210,31 @@ func Generate(app trace.App, duration time.Duration, seed uint64) *trace.Trace {
 // in what order the two streams are rendered.
 func GenerateProfile(p Profile, duration time.Duration, seed uint64) *trace.Trace {
 	root := stats.NewRNG(seed)
-	down := genStream(p.App, trace.Downlink, p.Down, duration, root.SplitAt(0))
-	up := genStream(p.App, trace.Uplink, p.Up, duration, root.SplitAt(1))
-	return trace.Merge(down, up)
+	// Both directions render into one buffer, downlink first, and are
+	// merged as two views of it into the exact-size output.
+	buf := make([]trace.Packet, 0, streamCap(p.Down, duration)+streamCap(p.Up, duration))
+	buf = genStream(buf, p.App, trace.Downlink, p.Down, duration, root.SplitAt(0))
+	nDown := len(buf)
+	buf = genStream(buf, p.App, trace.Uplink, p.Up, duration, root.SplitAt(1))
+	return trace.Merge(&trace.Trace{Packets: buf[:nDown]}, &trace.Trace{Packets: buf[nDown:]})
 }
 
-func genStream(app trace.App, dir trace.Direction, sp StreamProfile, duration time.Duration, r *stats.RNG) *trace.Trace {
+// streamCap is the capacity reserved for one direction: the expected
+// packet count n = duration/mean gap plus Poisson slack of four
+// standard deviations (4·√n) and a constant, so heavy-tailed gap
+// draws rarely outgrow the buffer.
+func streamCap(sp StreamProfile, duration time.Duration) int {
 	mean := sp.Gap.Mean()
-	capHint := 1024
-	if mean > 0 {
-		capHint = int(duration.Seconds()/mean) + 16
+	if mean <= 0 {
+		return 1024
 	}
-	out := trace.New(capHint)
+	n := duration.Seconds() / mean
+	return int(n+4*math.Sqrt(n)) + 16
+}
+
+// genStream appends one direction's packets to dst and returns the
+// extended slice.
+func genStream(dst []trace.Packet, app trace.App, dir trace.Direction, sp StreamProfile, duration time.Duration, r *stats.RNG) []trace.Packet {
 	// Start at a random phase within one mean gap so merged traces
 	// don't all align at t=0.
 	t := time.Duration(sp.Gap.Sample(r) * float64(time.Second))
@@ -232,9 +246,9 @@ func genStream(app trace.App, dir trace.Direction, sp StreamProfile, duration ti
 		if size > MaxPacketSize {
 			size = MaxPacketSize
 		}
-		out.Append(trace.Packet{
+		dst = append(dst, trace.Packet{
 			Time: t,
-			Size: size,
+			Size: int32(size),
 			Dir:  dir,
 			App:  app,
 		})
@@ -244,7 +258,7 @@ func genStream(app trace.App, dir trace.Direction, sp StreamProfile, duration ti
 		}
 		t += time.Duration(gap * float64(time.Second))
 	}
-	return out
+	return dst
 }
 
 // GenerateAll produces one trace per application over the same

@@ -55,8 +55,8 @@ func Pad(tr *trace.Trace, target int) *trace.Trace {
 	}
 	out := tr.Clone()
 	for i := range out.Packets {
-		if out.Packets[i].Size < target {
-			out.Packets[i].Size = target
+		if int(out.Packets[i].Size) < target {
+			out.Packets[i].Size = int32(target)
 		}
 	}
 	return out
@@ -129,7 +129,7 @@ func NewMorphModel(target *trace.Trace) (*MorphModel, error) {
 	collect := func(tr *trace.Trace) []int {
 		sizes := make([]int, tr.Len())
 		for i, p := range tr.Packets {
-			sizes[i] = p.Size
+			sizes[i] = int(p.Size)
 		}
 		sortInts(sizes)
 		return sizes
@@ -232,7 +232,7 @@ func (m *Morpher) Apply(tr *trace.Trace) *trace.Trace {
 func (m *Morpher) ApplyInPlace(tr *trace.Trace) {
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
-		p.Size = m.MorphSize(p.Size, p.Dir)
+		p.Size = int32(m.MorphSize(int(p.Size), p.Dir))
 	}
 }
 
@@ -246,7 +246,7 @@ func (m *Morpher) AppendApply(dst, src *trace.Trace) *trace.Trace {
 	tail := dst.Packets[start:]
 	for i := range tail {
 		p := &tail[i]
-		p.Size = m.MorphSize(p.Size, p.Dir)
+		p.Size = int32(m.MorphSize(int(p.Size), p.Dir))
 	}
 	return dst
 }
@@ -302,14 +302,24 @@ func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 	if maxSize <= headerBytes {
 		panic("defense: split size must exceed header size")
 	}
-	out := trace.New(tr.Len())
+	// Count the fragments first so the output is allocated once: the
+	// first fragment of a packet carries maxSize bytes of it and every
+	// later one at most maxSize-headerBytes.
+	n, per := 0, maxSize-headerBytes
+	for _, p := range tr.Packets {
+		n++
+		if rest := int(p.Size) - maxSize; rest > 0 {
+			n += (rest + per - 1) / per
+		}
+	}
+	out := trace.New(n)
 	const serializationGap = 200 * time.Microsecond
 	for _, p := range tr.Packets {
-		if p.Size <= maxSize {
+		if int(p.Size) <= maxSize {
 			out.Append(p)
 			continue
 		}
-		remaining := p.Size
+		remaining := int(p.Size)
 		frag := 0
 		for remaining > 0 {
 			chunk := maxSize
@@ -317,7 +327,7 @@ func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 				chunk = remaining + headerBytes
 			}
 			fp := p
-			fp.Size = chunk
+			fp.Size = int32(chunk)
 			fp.Time = p.Time + time.Duration(frag)*serializationGap
 			out.Append(fp)
 			payload := chunk - headerBytes

@@ -263,7 +263,7 @@ func TestPadProperty(t *testing.T) {
 		r := stats.NewRNG(seed)
 		tr := trace.New(0)
 		for i := 0; i < int(n)+1; i++ {
-			tr.Append(trace.Packet{Size: r.IntRange(28, 1576)})
+			tr.Append(trace.Packet{Size: int32(r.IntRange(28, 1576))})
 		}
 		once := Pad(tr, MTU)
 		twice := Pad(once, MTU)
@@ -288,7 +288,7 @@ func TestMorphProperty(t *testing.T) {
 		r := stats.NewRNG(seed)
 		tr := trace.New(0)
 		for i := 0; i < int(n)+1; i++ {
-			tr.Append(trace.Packet{Size: r.IntRange(28, 1576)})
+			tr.Append(trace.Packet{Size: int32(r.IntRange(28, 1576))})
 		}
 		morphed := m.Apply(tr)
 		if morphed.Len() != tr.Len() {

@@ -34,7 +34,7 @@ func newReferenceMorpher(target *trace.Trace, seed uint64) (*referenceMorpher, e
 	collect := func(tr *trace.Trace) []int {
 		sizes := make([]int, tr.Len())
 		for i, p := range tr.Packets {
-			sizes[i] = p.Size
+			sizes[i] = int(p.Size)
 		}
 		sortInts(sizes)
 		return sizes
@@ -83,7 +83,7 @@ func (m *referenceMorpher) MorphSize(size int, dir trace.Direction) int {
 func (m *referenceMorpher) Apply(tr *trace.Trace) *trace.Trace {
 	out := tr.Clone()
 	for i := range out.Packets {
-		out.Packets[i].Size = m.MorphSize(out.Packets[i].Size, out.Packets[i].Dir)
+		out.Packets[i].Size = int32(m.MorphSize(int(out.Packets[i].Size), out.Packets[i].Dir))
 	}
 	return out
 }
@@ -149,7 +149,7 @@ func TestMorphSizeJumboTargetMatchesReference(t *testing.T) {
 		if i%2 == 1 {
 			dir = trace.Uplink
 		}
-		target.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, Size: size, Dir: dir})
+		target.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, Size: int32(size), Dir: dir})
 	}
 	const seed = 31
 	ref, err := newReferenceMorpher(target, seed)

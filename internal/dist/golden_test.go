@@ -83,7 +83,7 @@ func TestGoldenFrames(t *testing.T) {
 func TestGoldenTraceZ(t *testing.T) {
 	tr := trace.New(32)
 	for i := 0; i < 32; i++ {
-		tr.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, Size: 100 + i%7, Dir: trace.Uplink, App: trace.Gaming, RSSI: -61.5})
+		tr.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, Size: int32(100 + i%7), Dir: trace.Uplink, App: trace.Gaming, RSSI: -61.5})
 	}
 	var b bytes.Buffer
 	if err := EncodeTraceCompressed(&b, TracePayload{App: trace.Gaming, Trace: tr}); err != nil {

@@ -72,7 +72,7 @@ func TestTraceCompressedRoundTrip(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tr.Append(trace.Packet{
 			Time: time.Duration(i) * time.Millisecond,
-			Size: 100 + i%7,
+			Size: int32(100 + i%7),
 			Dir:  trace.Uplink,
 			App:  trace.Gaming,
 		})

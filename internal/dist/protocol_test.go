@@ -356,10 +356,10 @@ func randomTrace(rng *stats.RNG, n int) *trace.Trace {
 		}
 		tr.Append(trace.Packet{
 			Time: time.Duration(rng.Uint64() % uint64(math.MaxInt64)),
-			Size: int(int32(rng.Uint64())),
+			Size: int32(rng.Uint64()),
 			Dir:  dir,
 			App:  trace.Apps[int(rng.Uint64()%uint64(len(trace.Apps)))],
-			Chan: int(byte(rng.Uint64())),
+			Chan: byte(rng.Uint64()),
 			MAC:  mac,
 			RSSI: -float64(rng.Uint64()%256) - 0.5, // exact in the codec's µdB fixed point
 			Seq:  uint16(rng.Uint64()) & 0x0fff,

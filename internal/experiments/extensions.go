@@ -163,7 +163,7 @@ func SchedulerThroughput(s reshape.Scheduler, n int, seed uint64) (packetsPerSec
 	for i := range pkts {
 		pkts[i] = trace.Packet{
 			Time: time.Duration(i) * time.Microsecond,
-			Size: r.IntRange(28, 1576),
+			Size: int32(r.IntRange(28, 1576)),
 		}
 	}
 	start := nowNanos()

@@ -289,7 +289,7 @@ func TestExtractEquivalentToReference(t *testing.T) {
 			} else if dirBias == 2 {
 				dir = trace.Uplink
 			}
-			pkts[i] = trace.Packet{Time: tc, Size: r.IntRange(28, 1576), Dir: dir}
+			pkts[i] = trace.Packet{Time: tc, Size: int32(r.IntRange(28, 1576)), Dir: dir}
 		}
 		w := window(pkts)
 		got, want := Extract(w), extractReference(w)

@@ -90,8 +90,8 @@ func NewAdaptive(i, period int) *Adaptive {
 // invariant on Adaptive), so BinOf's top-range clamp already bounds
 // the index to [0, i) and no further clamping is needed.
 func (a *Adaptive) Assign(p trace.Packet) int {
-	idx := a.edges.BinOf(p.Size)
-	a.window = append(a.window, p.Size)
+	idx := a.edges.BinOf(int(p.Size))
+	a.window = append(a.window, int(p.Size))
 	a.seen++
 	if len(a.window) >= a.period {
 		a.rederive()

@@ -173,7 +173,7 @@ func TestAdaptiveEdgesPropertyAdversarial(t *testing.T) {
 			for _, period := range []int{i, 50} {
 				a := NewAdaptive(i, period)
 				for k, size := range sizes {
-					idx := a.Assign(trace.Packet{Size: size})
+					idx := a.Assign(trace.Packet{Size: int32(size)})
 					if idx < 0 || idx >= i {
 						t.Fatalf("%s i=%d period=%d pkt %d: assignment %d out of range", name, i, period, k, idx)
 					}
@@ -202,7 +202,7 @@ func TestAdaptiveApplyLosslessAcrossEpochs(t *testing.T) {
 	for name, sizes := range adversarialSizeStreams() {
 		tr := trace.New(len(sizes))
 		for k, size := range sizes {
-			tr.Append(trace.Packet{Time: time.Duration(k) * time.Millisecond, Size: size})
+			tr.Append(trace.Packet{Time: time.Duration(k) * time.Millisecond, Size: int32(size)})
 		}
 		a := NewAdaptive(3, 50) // many epochs over 400 packets
 		parts := Apply(a, tr)
@@ -231,7 +231,7 @@ func TestAdaptiveDiagnostics(t *testing.T) {
 		t.Fatalf("fresh scheduler reports seen=%d epochs=%d", a.Seen(), a.Epochs())
 	}
 	for k := 0; k < 450; k++ {
-		a.Assign(trace.Packet{Size: 100 + k%1400})
+		a.Assign(trace.Packet{Size: int32(100 + k%1400)})
 	}
 	if a.Seen() != 450 {
 		t.Errorf("seen = %d, want 450", a.Seen())
@@ -260,11 +260,11 @@ func TestAdaptiveAssignSteadyStateAllocFree(t *testing.T) {
 	sizes := []int{40, 120, 520, 1040, 1576, 5000}
 	k := 0
 	for ; k < 256; k++ { // warm: fill scratch, cross epochs
-		a.Assign(trace.Packet{Size: sizes[k%len(sizes)]})
+		a.Assign(trace.Packet{Size: int32(sizes[k%len(sizes)])})
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for j := 0; j < 64; j++ { // one full epoch per run
-			a.Assign(trace.Packet{Size: sizes[k%len(sizes)]})
+			a.Assign(trace.Packet{Size: int32(sizes[k%len(sizes)])})
 			k++
 		}
 	})

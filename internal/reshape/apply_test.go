@@ -1,0 +1,119 @@
+package reshape
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"trafficreshape/internal/stats"
+	"trafficreshape/internal/trace"
+)
+
+// referenceApply is the single-pass partition Apply replaced: one
+// Append per packet into sub-traces presized at n/I.
+func referenceApply(s Scheduler, tr *trace.Trace) []*trace.Trace {
+	out := make([]*trace.Trace, s.Interfaces())
+	for i := range out {
+		out[i] = trace.New(tr.Len() / s.Interfaces())
+	}
+	for _, p := range tr.Packets {
+		out[s.Assign(p)].Append(p)
+	}
+	return out
+}
+
+// registrySchedulers builds, fresh on every call, each scheduler the
+// experiment registry evaluates: FH, RA, RR, OR, OR-I2/3/5, the equal
+// thirds, the two moduli and Adaptive. RA draws from a stream seeded
+// by seed, so two calls with one seed replay the same draws.
+func registrySchedulers(t *testing.T, seed uint64) []Scheduler {
+	t.Helper()
+	or := func(r Ranges) Scheduler {
+		o, err := NewOrthogonal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	out := []Scheduler{
+		PaperFH(),
+		NewRandomFrom(3, stats.NewRNG(seed)),
+		NewRoundRobin(3),
+		Recommended(),
+	}
+	for _, i := range []int{2, 3, 5} {
+		r, err := SelectRanges(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, or(r))
+	}
+	return append(out, or(EqualRanges(1576, 3)), NewModulo(3), NewModulo(5), NewAdaptive(3, 500))
+}
+
+// applyTrace is a random trace of n packets over several FH slots,
+// with sizes on both sides of the paper's range edges.
+func applyTrace(seed uint64, n int) *trace.Trace {
+	r := stats.NewRNG(seed)
+	tr := trace.New(n)
+	tc := time.Duration(0)
+	for i := 0; i < n; i++ {
+		tc += time.Duration(r.Intn(20)) * time.Millisecond
+		tr.Append(trace.Packet{
+			Time: tc,
+			Size: int32(r.IntRange(1, 1700)),
+			Dir:  trace.Direction(r.Intn(2)),
+			App:  trace.App(r.Intn(trace.NumApps)),
+			Seq:  uint16(i & 0x0fff),
+		})
+	}
+	return tr
+}
+
+func TestApplyMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 499, 500, 1501, 5000} {
+		seed := uint64(n) + 17
+		tr := applyTrace(seed, n)
+		before := tr.Clone()
+		got := registrySchedulers(t, seed)
+		want := registrySchedulers(t, seed)
+		for k := range got {
+			name := got[k].Name()
+			parts := Apply(got[k], tr)
+			ref := referenceApply(want[k], tr)
+			if !slices.Equal(tr.Packets, before.Packets) {
+				t.Fatalf("%s n=%d: Apply modified its input", name, n)
+			}
+			if len(parts) != len(ref) {
+				t.Fatalf("%s n=%d: %d sub-traces, want %d", name, n, len(parts), len(ref))
+			}
+			for i := range parts {
+				if !slices.Equal(parts[i].Packets, ref[i].Packets) {
+					t.Fatalf("%s n=%d: interface %d differs from the reference", name, n, i)
+				}
+				if c, l := cap(parts[i].Packets), len(parts[i].Packets); c != l {
+					t.Fatalf("%s n=%d: interface %d has cap %d, len %d", name, n, i, c, l)
+				}
+			}
+			next := parts[1].Clone()
+			parts[0].Append(trace.Packet{Time: time.Hour, Size: 1})
+			if !slices.Equal(parts[1].Packets, next.Packets) {
+				t.Fatalf("%s n=%d: appending to interface 0 changed interface 1", name, n)
+			}
+		}
+	}
+}
+
+// TestApplyAllocs pins Apply's allocations: the interface index, the
+// per-interface counts, the backing array, the trace headers and the
+// result slice — five, however long the trace.
+func TestApplyAllocs(t *testing.T) {
+	const want = 5
+	s := Recommended()
+	for _, n := range []int{1, 100, 10000} {
+		tr := applyTrace(uint64(n), n)
+		if allocs := testing.AllocsPerRun(20, func() { Apply(s, tr) }); allocs != want {
+			t.Errorf("Apply over %d packets: %v allocs, want %d", n, allocs, want)
+		}
+	}
+}

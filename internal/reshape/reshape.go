@@ -220,7 +220,7 @@ func NewOrthogonalMapped(ranges Ranges, ifaceOf []int, interfaces int) (*Orthogo
 
 // Assign implements Scheduler.
 func (o *Orthogonal) Assign(p trace.Packet) int {
-	return o.ifaceOf[o.ranges.BinOf(p.Size)]
+	return o.ifaceOf[o.ranges.BinOf(int(p.Size))]
 }
 
 // Interfaces implements Scheduler.
@@ -278,7 +278,7 @@ func NewModulo(i int) *Modulo {
 }
 
 // Assign implements Scheduler.
-func (m *Modulo) Assign(p trace.Packet) int { return p.Size % m.i }
+func (m *Modulo) Assign(p trace.Packet) int { return int(p.Size) % m.i }
 
 // Interfaces implements Scheduler.
 func (m *Modulo) Interfaces() int { return m.i }
@@ -334,14 +334,44 @@ func (f *FrequencyHopping) Name() string { return "FH" }
 // partition property ∪_i S_i = S, S_i ∩ S_j = ∅ of §III-C1. Packet
 // contents (time, size, direction) are never modified: reshaping adds
 // no noise traffic.
+//
+// Apply runs in two passes so each packet is copied once. The first
+// calls s.Assign exactly once per packet, in trace order — the call
+// sequence stateful schedulers (RA's stream, RR's counter, Adaptive's
+// epochs) depend on — recording each packet's interface and counting
+// per interface. The second carves every sub-flow from one exact-size
+// backing array and scatters the packets into it. Each sub-flow's
+// capacity is capped at its own length, so a later Append reallocates
+// instead of overwriting the next interface's packets, and in-place
+// edits (OR+morph's Morpher.ApplyInPlace) stay inside the sub-flow.
 func Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
-	out := make([]*trace.Trace, s.Interfaces())
-	for i := range out {
-		out[i] = trace.New(tr.Len() / s.Interfaces())
+	iface := make([]int32, len(tr.Packets))
+	// ends[i] counts interface i's packets, then holds its start
+	// offset in the backing array, and after the scatter its end.
+	ends := make([]int, s.Interfaces())
+	for k, p := range tr.Packets {
+		i := s.Assign(p)
+		ends[i]++
+		iface[k] = int32(i)
 	}
-	for _, p := range tr.Packets {
-		idx := s.Assign(p)
-		out[idx].Append(p)
+	off := 0
+	for i, n := range ends {
+		ends[i] = off
+		off += n
+	}
+	backing := make([]trace.Packet, len(tr.Packets))
+	for k := range tr.Packets {
+		i := iface[k]
+		backing[ends[i]] = tr.Packets[k]
+		ends[i]++
+	}
+	subs := make([]trace.Trace, len(ends))
+	out := make([]*trace.Trace, len(ends))
+	start := 0
+	for i, end := range ends {
+		subs[i].Packets = backing[start:end:end]
+		out[i] = &subs[i]
+		start = end
 	}
 	return out
 }
@@ -396,7 +426,7 @@ func AllOrthogonal(targets []Distribution) bool {
 func Measure(tr *trace.Trace, ranges Ranges) Distribution {
 	counts := make([]int, len(ranges))
 	for _, p := range tr.Packets {
-		counts[ranges.BinOf(p.Size)]++
+		counts[ranges.BinOf(int(p.Size))]++
 	}
 	d := make(Distribution, len(ranges))
 	if tr.Len() == 0 {

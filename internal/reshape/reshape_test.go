@@ -110,7 +110,7 @@ func TestOrthogonalByRange(t *testing.T) {
 		}
 		hi := ranges[i]
 		for _, pkt := range p.Packets {
-			if pkt.Size <= lo || pkt.Size > hi {
+			if int(pkt.Size) <= lo || int(pkt.Size) > hi {
 				t.Fatalf("interface %d got packet of %d bytes outside (%d, %d]", i, pkt.Size, lo, hi)
 			}
 		}
@@ -214,7 +214,7 @@ func TestModuloScheduler(t *testing.T) {
 	// Figure 5: i = mod[L(s_k), I].
 	m := NewModulo(3)
 	for _, size := range []int{100, 101, 102, 1575, 1576} {
-		if got := m.Assign(trace.Packet{Size: size}); got != size%3 {
+		if got := m.Assign(trace.Packet{Size: int32(size)}); got != size%3 {
 			t.Fatalf("modulo assignment for size %d = %d, want %d", size, got, size%3)
 		}
 	}
@@ -365,7 +365,7 @@ func TestSchedulerPartitionProperty(t *testing.T) {
 		tc := time.Duration(0)
 		for i := 0; i < int(n)+1; i++ {
 			tc += time.Duration(r.Intn(100)) * time.Millisecond
-			tr.Append(trace.Packet{Time: tc, Size: r.IntRange(28, 1576)})
+			tr.Append(trace.Packet{Time: tc, Size: int32(r.IntRange(28, 1576))})
 		}
 		schedulers := []Scheduler{
 			NewRandom(3, seed),
@@ -401,8 +401,8 @@ func TestOrthogonalPureProperty(t *testing.T) {
 	o := Recommended()
 	f := func(size uint16) bool {
 		s := int(size%1576) + 1
-		a := o.Assign(trace.Packet{Size: s})
-		b := o.Assign(trace.Packet{Size: s, Time: time.Hour, Dir: trace.Uplink})
+		a := o.Assign(trace.Packet{Size: int32(s)})
+		b := o.Assign(trace.Packet{Size: int32(s), Time: time.Hour, Dir: trace.Uplink})
 		return a == b && a >= 0 && a < o.Interfaces()
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -18,7 +18,7 @@ func singleFlow(addr mac.Address, n int) []trace.Packet {
 	for i := range ps {
 		ps[i] = trace.Packet{
 			Time: time.Duration(i) * time.Millisecond,
-			Size: 100 + i%400,
+			Size: int32(100 + i%400),
 			Dir:  trace.Downlink,
 			MAC:  addr,
 		}

@@ -25,7 +25,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		for i := 0; i < nPackets; i++ {
 			e.Ingest(trace.Packet{
 				Time: time.Duration(i) * 50 * time.Millisecond,
-				Size: 80 + (i*37)%700,
+				Size: int32(80 + (i*37)%700),
 				Dir:  trace.Downlink,
 				MAC:  flowMAC(i % 2),
 			})

@@ -243,8 +243,8 @@ func TestShardIndexCollisionRouting(t *testing.T) {
 	const perFlow = 500
 	for i := 0; i < perFlow; i++ {
 		ts := time.Duration(i) * time.Millisecond
-		e.Ingest(trace.Packet{Time: ts, Size: 100 + i%200, MAC: a})
-		e.Ingest(trace.Packet{Time: ts, Size: 300 + i%100, MAC: b})
+		e.Ingest(trace.Packet{Time: ts, Size: int32(100 + i%200), MAC: a})
+		e.Ingest(trace.Packet{Time: ts, Size: int32(300 + i%100), MAC: b})
 	}
 	rep := e.Drain()
 	if len(rep.Flows) != 2 {

@@ -29,7 +29,7 @@ func TestGoldenCheckpointEncoding(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			e.Ingest(trace.Packet{
 				Time: time.Duration(i) * 20 * time.Millisecond,
-				Size: 60 + (i*131)%1400,
+				Size: int32(60 + (i*131)%1400),
 				Dir:  trace.Direction(i % 2),
 				MAC:  flowMAC(i % 4),
 				Seq:  uint16(i),

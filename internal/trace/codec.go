@@ -17,7 +17,9 @@ import (
 
 // Binary codec: a compact little-endian record format so large traces
 // can be generated once by cmd/tracegen and replayed by the other
-// tools. Layout per packet (fixed 40 bytes):
+// tools. Layout per packet (fixed 40 bytes, wider than the 32-byte
+// in-memory Packet because of its padding and reserved bytes; its size
+// and channel fields have the Packet's widths):
 //
 //	time(int64 ns) | size(int32) | dir(u8) | app(u8) | chan(u8) | pad(u8)
 //	mac(6 bytes) | pad(2) | rssi(IEEE-754 float64 bits) | seq(u16) | pad(6)
@@ -58,7 +60,7 @@ func PutPacketRecord(rec []byte, p Packet) {
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(p.Size))
 	rec[12] = byte(p.Dir)
 	rec[13] = byte(p.App)
-	rec[14] = byte(p.Chan)
+	rec[14] = p.Chan
 	rec[15] = 0
 	copy(rec[16:22], p.MAC[:])
 	rec[22], rec[23] = 0, 0
@@ -74,10 +76,10 @@ func PacketFromRecord(rec []byte) Packet {
 	_ = rec[recordLen-1]
 	var p Packet
 	p.Time = time.Duration(binary.LittleEndian.Uint64(rec[0:8]))
-	p.Size = int(int32(binary.LittleEndian.Uint32(rec[8:12])))
+	p.Size = int32(binary.LittleEndian.Uint32(rec[8:12]))
 	p.Dir = Direction(rec[12])
 	p.App = App(rec[13])
-	p.Chan = int(rec[14])
+	p.Chan = rec[14]
 	copy(p.MAC[:], rec[16:22])
 	p.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:32]))
 	p.Seq = binary.LittleEndian.Uint16(rec[32:34]) & 0x0fff
@@ -179,10 +181,11 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: csv line %d time: %v", line, err)
 		}
 		p.Time = time.Duration(secs * float64(time.Second))
-		p.Size, err = strconv.Atoi(fields[1])
+		size, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d size: %v", line, err)
 		}
+		p.Size = int32(size)
 		switch fields[2] {
 		case "up":
 			p.Dir = Uplink
@@ -199,10 +202,11 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d: %v", line, err)
 		}
-		p.Chan, err = strconv.Atoi(fields[5])
+		ch, err := strconv.ParseUint(fields[5], 10, 8)
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d chan: %v", line, err)
 		}
+		p.Chan = uint8(ch)
 		p.RSSI, err = strconv.ParseFloat(fields[6], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: csv line %d rssi: %v", line, err)

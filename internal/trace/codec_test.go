@@ -19,11 +19,11 @@ func randomTrace(seed uint64, n int) *Trace {
 		tc += time.Duration(r.Intn(100000)) * time.Microsecond
 		tr.Append(Packet{
 			Time: tc,
-			Size: r.IntRange(28, 1576),
+			Size: int32(r.IntRange(28, 1576)),
 			Dir:  Direction(r.Intn(2)),
 			App:  App(r.Intn(NumApps)),
 			MAC:  mac.RandomAddress(r),
-			Chan: []int{1, 6, 11}[r.Intn(3)],
+			Chan: []uint8{1, 6, 11}[r.Intn(3)],
 			RSSI: -30 - 40*r.Float64(),
 			Seq:  uint16(r.Intn(4096)),
 		})
@@ -129,6 +129,10 @@ func TestCSVMalformed(t *testing.T) {
 		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,mystery,00:11:22:33:44:55,1,-50,0\n",
 		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,zz:11,1,-50,0\n",
 		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,00:11:22:33:44:55,1,-50,banana\n",
+		// Values the binary record's int32 size and u8 channel cannot
+		// hold: accepting them would truncate silently on encode.
+		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,4294967396,down,browsing,00:11:22:33:44:55,1,-50,0\n",
+		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,00:11:22:33:44:55,300,-50,0\n",
 	}
 	for i, s := range bad {
 		if _, err := ReadCSV(strings.NewReader(s)); err == nil {

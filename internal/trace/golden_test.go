@@ -15,10 +15,10 @@ func goldenTrace() *Trace {
 	for i := 0; i < 64; i++ {
 		tr.Append(Packet{
 			Time: time.Duration(i*i) * time.Millisecond,
-			Size: 40 + (i*97)%1460,
+			Size: int32(40 + (i*97)%1460),
 			Dir:  Direction(i % 2),
 			App:  Apps[i%NumApps],
-			Chan: i % 14,
+			Chan: uint8(i % 14),
 			MAC:  [6]byte{0x02, 0, 0x5e, 0, byte(i >> 3), byte(i)},
 			RSSI: -30 - float64(i)/4,
 			Seq:  uint16(i * 613),

@@ -45,7 +45,7 @@ func randomMergeInputs(r *stats.RNG) []*Trace {
 		for j := 0; j < n; j++ {
 			tr.Append(Packet{
 				Time: time.Duration(r.Intn(6)) * time.Microsecond,
-				Size: 40 + r.Intn(1460),
+				Size: int32(40 + r.Intn(1460)),
 				Dir:  Direction(r.Intn(2)),
 				MAC:  mac.Address{0x02, 0, 0, 0, 0, byte(i)},
 				Seq:  uint16(seq),

@@ -6,7 +6,7 @@ import (
 )
 
 func ringPacket(i int) Packet {
-	return Packet{Time: time.Duration(i) * time.Millisecond, Size: 100 + i}
+	return Packet{Time: time.Duration(i) * time.Millisecond, Size: int32(100 + i)}
 }
 
 func TestRingBasics(t *testing.T) {

@@ -87,15 +87,21 @@ func ParseApp(s string) (App, error) {
 // big, in which direction, and under which (possibly virtual) MAC
 // address it was observed. RSSI and channel support the §V power
 // analysis experiments.
+//
+// The in-memory widths are the binary record's: a 32-bit size and a
+// one-byte channel. The fields are ordered widest first so the struct
+// has no interior padding: 31 bytes of fields in a 32-byte Packet.
+// Every batch stage (generation, merge, partition, windowing, feature
+// extraction) scans these, so the size is the memory traffic.
 type Packet struct {
 	Time time.Duration
-	Size int // bytes on the air
+	RSSI float64 // received signal strength at the sniffer, dBm
+	Size int32   // bytes on the air
+	Seq  uint16  // 12-bit 802.11 sequence number, as sniffed
 	Dir  Direction
 	App  App         // ground-truth label (never visible to the attacker)
 	MAC  mac.Address // transmitter/receiver virtual address as observed
-	Chan int         // 802.11 channel the packet was heard on
-	RSSI float64     // received signal strength at the sniffer, dBm
-	Seq  uint16      // 12-bit 802.11 sequence number, as sniffed
+	Chan uint8       // 802.11 channel the packet was heard on
 }
 
 // Trace is a time-ordered sequence of packets.
@@ -161,9 +167,19 @@ func (t *Trace) Filter(keep func(Packet) bool) *Trace {
 }
 
 // ByDirection splits the trace into downlink and uplink sub-traces.
+// It counts the uplink first and carves both from one exact-size
+// array, each capped at its own length so an Append to one never
+// overwrites the other.
 func (t *Trace) ByDirection() (down, up *Trace) {
-	down = New(len(t.Packets))
-	up = New(len(t.Packets) / 4)
+	nDown := len(t.Packets)
+	for i := range t.Packets {
+		if t.Packets[i].Dir == Uplink {
+			nDown--
+		}
+	}
+	buf := make([]Packet, len(t.Packets))
+	down = &Trace{Packets: buf[:0:nDown]}
+	up = &Trace{Packets: buf[nDown:nDown]}
 	for _, p := range t.Packets {
 		if p.Dir == Uplink {
 			up.Append(p)

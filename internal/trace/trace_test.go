@@ -4,13 +4,23 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/stats"
 )
 
 func mkPacket(tms int, size int, dir Direction, app App) Packet {
-	return Packet{Time: time.Duration(tms) * time.Millisecond, Size: size, Dir: dir, App: app}
+	return Packet{Time: time.Duration(tms) * time.Millisecond, Size: int32(size), Dir: dir, App: app}
+}
+
+// TestPacketLayout pins the packet's in-memory size: every batch stage
+// scans packets, so a field that widens it (or reorders it into
+// padding) costs memory traffic everywhere.
+func TestPacketLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 32", got)
+	}
 }
 
 func TestAppNames(t *testing.T) {
@@ -82,7 +92,7 @@ func TestSortStability(t *testing.T) {
 	tr.Append(Packet{Time: time.Second, Size: 3})
 	tr.Sort()
 	for i, want := range []int{1, 2, 3} {
-		if tr.Packets[i].Size != want {
+		if int(tr.Packets[i].Size) != want {
 			t.Fatalf("stable sort violated: %v", tr.Packets)
 		}
 	}
@@ -320,7 +330,7 @@ func randomWindowTrace(seed uint64, n int) *Trace {
 		tc += time.Duration(r.Intn(3000)) * time.Millisecond
 		tr.Append(Packet{
 			Time: tc,
-			Size: r.IntRange(28, 1576),
+			Size: int32(r.IntRange(28, 1576)),
 			Dir:  Direction(r.Intn(2)),
 			App:  App(r.Intn(NumApps)),
 		})

@@ -31,7 +31,7 @@ func sniffDataFrames(n *Network) *trace.Trace {
 		}
 		tr.Append(trace.Packet{
 			Time: n.Kernel.Now(),
-			Size: tx.Size,
+			Size: int32(tx.Size),
 			Dir:  dir,
 			MAC:  addr,
 			Seq:  f.Seq,

@@ -22,7 +22,7 @@ func sniffUplinkSeqs(n *Network) *trace.Trace {
 		}
 		tr.Append(trace.Packet{
 			Time: n.Kernel.Now(),
-			Size: tx.Size,
+			Size: int32(tx.Size),
 			MAC:  f.Addr2,
 			Seq:  f.Seq,
 			Dir:  trace.Uplink,

@@ -213,7 +213,7 @@ func (ap *AP) SendDownlink(phys mac.Address, payloadLen int) error {
 		}
 		idx := sched.Assign(trace.Packet{
 			Time: ap.net.Kernel.Now(),
-			Size: payloadLen,
+			Size: int32(payloadLen),
 			Dir:  trace.Downlink,
 		})
 		v, ok := ap.vm.VirtualOf(phys, idx)
@@ -431,7 +431,7 @@ func (sta *Station) SendUplink(payloadLen int) error {
 	if sta.configured && sta.uplinkSched != nil {
 		iface = sta.uplinkSched.Assign(trace.Packet{
 			Time: sta.net.Kernel.Now(),
-			Size: payloadLen,
+			Size: int32(payloadLen),
 			Dir:  trace.Uplink,
 		}) % sta.vm.Interfaces()
 		if v, ok := sta.vm.VirtualAt(iface); ok {
@@ -509,7 +509,7 @@ func (n *Network) ReplayTrace(sta *Station, tr *trace.Trace) int {
 	count := 0
 	for _, p := range tr.Packets {
 		p := p
-		payload := p.Size - 28 // header accounted by AirLength
+		payload := int(p.Size) - 28 // header accounted by AirLength
 		if payload < 0 {
 			payload = 0
 		}
