@@ -276,7 +276,7 @@ func BenchmarkApplyPartition(b *testing.B) {
 
 // BenchmarkFeatureExtraction measures per-window feature cost. The
 // one-pass extractor must report 0 allocs/op (pinned by the guards in
-// hotpath_alloc_test.go and the CI bench job).
+// hotpath_alloc_test.go).
 func BenchmarkFeatureExtraction(b *testing.B) {
 	tr := appgen.Generate(trace.Video, 60*time.Second, 5)
 	ws := features.WindowsOf(tr, 5*time.Second)
@@ -465,8 +465,7 @@ func BenchmarkSVMTraining(b *testing.B) {
 // BenchmarkSVMTrain measures the scratch-reusing serial trainer — the
 // per-cell retraining shape of the grid engine. Must report 0
 // allocs/op (the model and all working buffers live in the reused
-// scratch); its "before" in BENCH_PR4.json is the pre-PR
-// BenchmarkSVMTraining implementation.
+// scratch).
 func BenchmarkSVMTrain(b *testing.B) {
 	scaled := svmBenchExamples(b)
 	scratch := ml.NewSVMScratch()
@@ -485,8 +484,7 @@ func BenchmarkSVMTrain(b *testing.B) {
 // BenchmarkMLPTrain measures the scratch-reusing serial MLP trainer —
 // the network half of per-cell adversary retraining. Must report 0
 // allocs/op (model, velocities, activations and the shuffle buffer all
-// live in the reused scratch); its "before" in BENCH_PR10.json is the
-// pre-PR per-step-allocating implementation.
+// live in the reused scratch).
 func BenchmarkMLPTrain(b *testing.B) {
 	scaled := svmBenchExamples(b)
 	scratch := ml.NewMLPScratch()
@@ -532,8 +530,7 @@ func morphBenchFixture(b *testing.B) (*trace.Trace, *defense.MorphModel) {
 
 // BenchmarkMorphApply measures whole-trace morphing through the
 // precomputed O(1) size table, clone included — the drop-in Apply
-// shape; its "before" in BENCH_PR4.json is the pre-PR binary-search
-// BenchmarkMorphing implementation.
+// shape.
 func BenchmarkMorphApply(b *testing.B) {
 	src, model := morphBenchFixture(b)
 	m := model.Morpher(9)

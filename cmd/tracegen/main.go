@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -29,11 +30,16 @@ func main() {
 	dir := flag.String("dir", ".", "output directory for -all")
 	flag.Parse()
 
+	enc, err := resolveFormat(*format)
+	if err != nil {
+		fatal(err)
+	}
+
 	if *all {
 		for _, a := range trace.Apps {
 			tr := appgen.Generate(a, *duration, *seed+uint64(a))
-			name := filepath.Join(*dir, a.String()+ext(*format))
-			if err := writeTrace(name, tr, *format); err != nil {
+			name := filepath.Join(*dir, a.String()+enc.ext)
+			if err := writeTrace(name, tr, enc.write); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("wrote %s: %d packets, %d bytes of traffic\n", name, tr.Len(), tr.Bytes())
@@ -47,42 +53,47 @@ func main() {
 	}
 	tr := appgen.Generate(a, *duration, *seed)
 	if *out == "" {
-		if err := encode(os.Stdout, tr, *format); err != nil {
+		if err := enc.write(os.Stdout, tr); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if err := writeTrace(*out, tr, *format); err != nil {
+	if err := writeTrace(*out, tr, enc.write); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s: %d packets over %v\n", *out, tr.Len(), tr.Duration())
 }
 
-func ext(format string) string {
-	if format == "csv" {
-		return ".csv"
-	}
-	return ".trace"
+// encoding is one -format value: the trace writer and the file
+// extension -all gives its output.
+type encoding struct {
+	write func(io.Writer, *trace.Trace) error
+	ext   string
 }
 
-func writeTrace(name string, tr *trace.Trace, format string) error {
+// resolveFormat maps -format to its encoding. It runs before any file
+// is created, so an unknown format leaves nothing behind.
+func resolveFormat(format string) (encoding, error) {
+	switch format {
+	case "binary":
+		return encoding{trace.WriteBinary, ".trace"}, nil
+	case "csv":
+		return encoding{trace.WriteCSV, ".csv"}, nil
+	default:
+		return encoding{}, fmt.Errorf("unknown format %q", format)
+	}
+}
+
+func writeTrace(name string, tr *trace.Trace, write func(io.Writer, *trace.Trace) error) error {
 	f, err := os.Create(name)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return encode(f, tr, format)
-}
-
-func encode(w *os.File, tr *trace.Trace, format string) error {
-	switch format {
-	case "csv":
-		return trace.WriteCSV(w, tr)
-	case "binary":
-		return trace.WriteBinary(w, tr)
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	if err := write(f, tr); err != nil {
+		f.Close()
+		return err
 	}
+	return f.Close()
 }
 
 func fatal(err error) {

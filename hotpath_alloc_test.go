@@ -9,8 +9,8 @@ package trafficreshape
 // streaming engine: ingesting a packet into a warmed engine — window
 // maintenance, adaptive scheduling, ring append, self-audit
 // classification on window close — is allocation-free in steady
-// state. These guards run in the regular test suite and in the CI
-// bench job; any regression above zero fails the build.
+// state. These guards run in the regular test suite and in CI's
+// "Allocation guards" step; any regression above zero fails the build.
 
 import (
 	"io"
@@ -142,7 +142,9 @@ func buildPathGuards(t *testing.T) []struct {
 // queue-depth accounting active stays allocation-free on the producer
 // side AND in the shard consumers (AllocsPerRun counts mallocs from
 // every goroutine), so overload protection costs nothing when the
-// system is healthy. The synchronous path is pinned too: a warmed
+// system is healthy. The default backpressure policy, whose handoff
+// blocks on the shard queue instead of selecting, is pinned the same
+// way on four shards. The synchronous path is pinned too: a warmed
 // one-shard engine answering Source.Assign round trips allocates
 // nothing on either side of the shard queue.
 func streamPathGuards(t *testing.T) []struct {
@@ -178,6 +180,19 @@ func streamPathGuards(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 
+	eb := stream.New(stream.Config{
+		W: 250 * time.Millisecond, RingCap: 512, Seed: 3,
+		Shards: 4, BatchSize: 64, EscalateAfter: 1 << 30,
+	})
+	t.Cleanup(func() { eb.Drain() })
+	cycb := newCycle(in)
+	for i := 0; i < len(in.Packets)+5000; i++ {
+		eb.Ingest(cycb.next())
+	}
+	if err := eb.Checkpoint(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
 	flow := appgen.Generate(trace.Downloading, 10*time.Second, 510)
 	addr := mac.Address{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}
 	for j := range flow.Packets {
@@ -206,6 +221,11 @@ func streamPathGuards(t *testing.T) []struct {
 		{"stream.Engine.Ingest/sharded-admission", func() {
 			for i := 0; i < 200; i++ {
 				es.Ingest(cycs.next())
+			}
+		}},
+		{"stream.Engine.Ingest/sharded-backpressure", func() {
+			for i := 0; i < 200; i++ {
+				eb.Ingest(cycb.next())
 			}
 		}},
 		{"stream.Source.Assign/sharded", func() {

@@ -24,8 +24,8 @@ import (
 // that batching has something to amortize.
 const benchGridCells = 64
 
-// BenchmarkCoordinatorDispatchV3 keeps the name its BENCH_PR8.json
-// baseline was recorded under.
+// BenchmarkCoordinatorDispatchV3 dispatches one benchGridCells-cell
+// grid per iteration over protocol v3 to the scripted peer.
 func BenchmarkCoordinatorDispatchV3(b *testing.B) {
 	coord, err := NewCoordinator("", CoordinatorOptions{Pool: par.NewPool(1)})
 	if err != nil {

@@ -352,21 +352,15 @@ func (t *Trace) Windows(w time.Duration, minPackets int) []Window {
 	return t.AppendWindows(nil, w, minPackets, true)
 }
 
-// WindowsUnlabeled is Windows without the majority-label pass: each
-// window's App is left zero. Callers that overwrite the label with
-// external ground truth (adversary training) or ignore it entirely
-// (attacking flows whose truth is keyed by address) skip the counting
-// work.
-func (t *Trace) WindowsUnlabeled(w time.Duration, minPackets int) []Window {
-	return t.AppendWindows(nil, w, minPackets, false)
-}
-
 // AppendWindows appends the windows of the trace to dst and returns
 // the extended slice, allowing callers on the classification hot path
 // to reuse one scratch buffer across traces (dst[:0]) instead of
 // allocating per call. labeled controls whether the majority-label
-// pass runs; when false every window's App is zero. Window packet
-// slices alias t.Packets (see Windows).
+// pass runs; when false every window's App is zero, which saves the
+// counting work for callers that overwrite the label with external
+// ground truth (adversary training) or ignore it (attacking flows
+// whose truth is keyed by address). Window packet slices alias
+// t.Packets (see Windows).
 func (t *Trace) AppendWindows(dst []Window, w time.Duration, minPackets int, labeled bool) []Window {
 	if w <= 0 {
 		panic("trace: window duration must be positive")

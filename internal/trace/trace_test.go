@@ -401,12 +401,13 @@ func TestWindowsZeroCopy(t *testing.T) {
 	}
 }
 
-// WindowsUnlabeled must produce the same windows with App zeroed, and
-// AppendWindows must support scratch reuse without changing results.
-func TestWindowsUnlabeledAndAppend(t *testing.T) {
+// AppendWindows without the label pass must produce the same windows
+// with App zeroed, and must support scratch reuse without changing
+// results.
+func TestAppendWindowsUnlabeledAndReuse(t *testing.T) {
 	tr := randomWindowTrace(11, 250)
 	labeled := tr.Windows(5*time.Second, 2)
-	unlabeled := tr.WindowsUnlabeled(5*time.Second, 2)
+	unlabeled := tr.AppendWindows(nil, 5*time.Second, 2, false)
 	if len(labeled) != len(unlabeled) {
 		t.Fatalf("labeled %d windows, unlabeled %d", len(labeled), len(unlabeled))
 	}

@@ -1,12 +1,11 @@
 package trafficreshape
 
-// Streaming-engine benchmarks, the PR 6 headline numbers
-// (BENCH_PR6.json). Three shapes:
+// Streaming-engine benchmarks. Three shapes:
 //
 //   - StreamIngestInline: the full per-packet path — window
 //     maintenance, adaptive scheduling, ring append, self-audit
 //     classification on window close — inline on one goroutine.
-//     Zero-alloc gated in CI.
+//     Zero-alloc, pinned by hotpath_alloc_test.go.
 //   - StreamAssignSingleFlow: the synchronous single-flow path. An
 //     inline shaper cannot transmit a packet before the engine tells
 //     it which virtual interface carries it, so one flow is a serial
@@ -15,7 +14,7 @@ package trafficreshape
 //     ceiling.
 //   - StreamIngestSharded: the asynchronous batched path across many
 //     flows — what the daemon actually sustains. The single-flow vs
-//     sharded ratio is the ≥10× headline recorded in BENCH_PR6.json.
+//     sharded ratio is the README's ≥10× headline.
 
 import (
 	"testing"
@@ -97,7 +96,8 @@ func (c *cyclePackets) next() trace.Packet {
 }
 
 // BenchmarkStreamIngestInline: full ingest path with the self-audit
-// classifier, zero allocations per packet in steady state (CI-gated).
+// classifier, zero allocations per packet in steady state (pinned by
+// hotpath_alloc_test.go).
 // Escalation is disabled so the measured window never rebuilds
 // schedulers mid-run; escalations are rare control-plane events, not
 // steady state.
