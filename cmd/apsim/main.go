@@ -13,7 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"trafficreshape/internal/appgen"
@@ -112,7 +112,7 @@ func main() {
 	for a := range observed {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].String() < addrs[j].String() })
+	slices.SortFunc(addrs, mac.Address.Compare)
 	for _, a := range addrs {
 		fs := observed[a]
 		who := "??"

@@ -22,6 +22,7 @@ import (
 	"trafficreshape/internal/features"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stream"
 	"trafficreshape/internal/trace"
 )
@@ -67,6 +68,9 @@ func TestHotPathAllocGuards(t *testing.T) {
 // the heap zero times per run. PR 10 closes the set with the MLP —
 // the last trainer with per-step allocations: scratch retraining and
 // Predict (stack-resident activation scratch) are allocation-free.
+// The grid cell's partition joins it: reshaping into a warm
+// reshape.Buffer and splitting into a reused destination allocate
+// nothing.
 func buildPathGuards(t *testing.T) []struct {
 	name string
 	f    func()
@@ -80,6 +84,12 @@ func buildPathGuards(t *testing.T) []struct {
 	}
 	morpher := model.Morpher(9)
 	dst := morpher.AppendApply(trace.New(src.Len()), src)
+
+	video := appgen.Generate(trace.Video, 30*time.Second, 12)
+	or := reshape.Recommended()
+	var parts reshape.Buffer
+	parts.Apply(or, video)
+	fragments := defense.AppendSplit(new(trace.Trace), video, 500, 28)
 
 	var examples []features.Example
 	for _, app := range trace.Apps {
@@ -128,6 +138,13 @@ func buildPathGuards(t *testing.T) []struct {
 		{"defense.Morpher.AppendApply/reused", func() {
 			dst.Packets = dst.Packets[:0]
 			_ = morpher.AppendApply(dst, src)
+		}},
+		{"reshape.Buffer.Apply/reused", func() {
+			_ = parts.Apply(or, video)
+		}},
+		{"defense.AppendSplit/reused", func() {
+			fragments.Packets = fragments.Packets[:0]
+			_ = defense.AppendSplit(fragments, video, 500, 28)
 		}},
 	}
 }

@@ -9,6 +9,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -192,6 +193,10 @@ func (c *Classifier) classifyVector(x features.Vector) trace.App {
 type FlowWindows struct {
 	X     []features.Vector
 	Truth []trace.App
+	// addrs and windows are AppendWindowFlows' scratch, kept so a
+	// reused FlowWindows cuts its next flows without allocating.
+	addrs   []mac.Address
+	windows []trace.Window
 }
 
 // WindowFlows cuts every flow with known ground truth into
@@ -200,24 +205,34 @@ type FlowWindows struct {
 // reused across flows — the windows themselves are zero-copy views,
 // so only the vectors and labels survive the call.
 func WindowFlows(flows map[mac.Address]*trace.Trace, truth map[mac.Address]trace.App, w time.Duration) *FlowWindows {
-	addrs := make([]mac.Address, 0, len(flows))
+	return AppendWindowFlows(new(FlowWindows), flows, truth, w)
+}
+
+// AppendWindowFlows appends the vectors and labels WindowFlows would
+// return to fw's and returns fw. It is the scratch-reuse form: a
+// caller that windows cell after cell truncates fw.X and fw.Truth and
+// re-fills one FlowWindows. fw keeps no reference to the flows.
+func AppendWindowFlows(fw *FlowWindows, flows map[mac.Address]*trace.Trace, truth map[mac.Address]trace.App, w time.Duration) *FlowWindows {
+	addrs := fw.addrs[:0]
 	for a := range flows {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].String() < addrs[j].String() })
-	fw := &FlowWindows{}
-	var scratch []trace.Window
+	slices.SortFunc(addrs, mac.Address.Compare)
 	for _, addr := range addrs {
 		app, ok := truth[addr]
 		if !ok {
 			continue
 		}
-		scratch = features.AppendWindowsOf(scratch[:0], flows[addr], w, false)
-		for _, win := range scratch {
+		fw.windows = features.AppendWindowsOf(fw.windows[:0], flows[addr], w, false)
+		for _, win := range fw.windows {
 			fw.X = append(fw.X, features.Extract(win))
 			fw.Truth = append(fw.Truth, app)
 		}
 	}
+	// The windows are views of the flows: drop them so fw does not
+	// keep the flows alive.
+	clear(fw.windows)
+	fw.addrs = addrs
 	return fw
 }
 
@@ -270,7 +285,7 @@ func ProfileRSSI(tr *trace.Trace) []RSSIProfile {
 	for a := range byAddr {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].String() < addrs[j].String() })
+	slices.SortFunc(addrs, mac.Address.Compare)
 	out := make([]RSSIProfile, 0, len(addrs))
 	for _, a := range addrs {
 		flow := byAddr[a]
@@ -323,7 +338,7 @@ func LinkingSuccess(groups [][]mac.Address, truth map[mac.Address]mac.Address) f
 		for i := 0; i < len(g); i++ {
 			for j := i + 1; j < len(g); j++ {
 				a, b := g[i], g[j]
-				if b.String() < a.String() {
+				if b.Compare(a) < 0 {
 					a, b = b, a
 				}
 				sameGroup[[2]mac.Address{a, b}] = true
@@ -334,7 +349,7 @@ func LinkingSuccess(groups [][]mac.Address, truth map[mac.Address]mac.Address) f
 	for a := range truth {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].String() < addrs[j].String() })
+	slices.SortFunc(addrs, mac.Address.Compare)
 	truePairs, hit := 0, 0
 	for i := 0; i < len(addrs); i++ {
 		for j := i + 1; j < len(addrs); j++ {

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"sort"
 
 	"trafficreshape/internal/mac"
@@ -75,7 +76,7 @@ func LinkBySequence(tr *trace.Trace, maxStep int, threshold float64) [][]mac.Add
 	for a := range flows {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].String() < addrs[j].String() })
+	slices.SortFunc(addrs, mac.Address.Compare)
 
 	parent := make(map[mac.Address]mac.Address, len(addrs))
 	for _, a := range addrs {
@@ -106,7 +107,7 @@ func LinkBySequence(tr *trace.Trace, maxStep int, threshold float64) [][]mac.Add
 	for r := range groups {
 		roots = append(roots, r)
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].String() < roots[j].String() })
+	slices.SortFunc(roots, mac.Address.Compare)
 	out := make([][]mac.Address, 0, len(roots))
 	for _, r := range roots {
 		out = append(out, groups[r])

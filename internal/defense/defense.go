@@ -11,6 +11,7 @@ package defense
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"trafficreshape/internal/stats"
@@ -299,10 +300,19 @@ func MorphAll(traces map[trace.App]*trace.Trace, seed uint64) (map[trace.App]*tr
 // per-packet header overhead — we account 28 bytes of MAC/transport
 // header per extra fragment).
 func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
+	return AppendSplit(new(trace.Trace), tr, maxSize, headerBytes)
+}
+
+// AppendSplit appends Split's fragments of tr to dst and returns dst.
+// It is the scratch-reuse form, like Morpher.AppendApply: a caller
+// that splits in a loop truncates and re-fills one destination trace.
+// Only the appended packets are put in time order; dst's earlier
+// packets and tr are never modified.
+func AppendSplit(dst, tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 	if maxSize <= headerBytes {
 		panic("defense: split size must exceed header size")
 	}
-	// Count the fragments first so the output is allocated once: the
+	// Count the fragments first so the output grows at most once: the
 	// first fragment of a packet carries maxSize bytes of it and every
 	// later one at most maxSize-headerBytes.
 	n, per := 0, maxSize-headerBytes
@@ -312,11 +322,12 @@ func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 			n += (rest + per - 1) / per
 		}
 	}
-	out := trace.New(n)
+	start := len(dst.Packets)
+	dst.Packets = slices.Grow(dst.Packets, n)
 	const serializationGap = 200 * time.Microsecond
 	for _, p := range tr.Packets {
 		if int(p.Size) <= maxSize {
-			out.Append(p)
+			dst.Append(p)
 			continue
 		}
 		remaining := int(p.Size)
@@ -329,7 +340,7 @@ func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 			fp := p
 			fp.Size = int32(chunk)
 			fp.Time = p.Time + time.Duration(frag)*serializationGap
-			out.Append(fp)
+			dst.Append(fp)
 			payload := chunk - headerBytes
 			if frag == 0 {
 				payload = chunk // first fragment reuses the original header accounting
@@ -338,6 +349,7 @@ func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 			frag++
 		}
 	}
-	out.Sort()
-	return out
+	tail := trace.Trace{Packets: dst.Packets[start:]}
+	tail.Sort()
+	return dst
 }

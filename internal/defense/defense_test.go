@@ -2,6 +2,7 @@ package defense
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -203,6 +204,27 @@ func TestSplit(t *testing.T) {
 	}
 	if !split.Sorted() {
 		t.Fatal("split trace must stay time-sorted")
+	}
+}
+
+// AppendSplit appends exactly Split's output and orders only what it
+// appended: an earlier, later-timed packet in dst stays first. The
+// small packet lands between the large one's fragments, so the
+// appended part needs its sort.
+func TestAppendSplitAppendsSplit(t *testing.T) {
+	tr := trace.New(2)
+	tr.Append(trace.Packet{Time: 0, Size: 1576})
+	tr.Append(trace.Packet{Time: 100 * time.Microsecond, Size: 100})
+	want := Split(tr, 800, 28)
+	dst := trace.New(0)
+	dst.Append(trace.Packet{Time: time.Hour, Size: 1})
+	AppendSplit(dst, tr, 800, 28)
+	if dst.Packets[0].Time != time.Hour || !slices.Equal(dst.Packets[1:], want.Packets) {
+		t.Fatalf("AppendSplit onto one packet = %v, want it followed by %v", dst.Packets, want.Packets)
+	}
+	dst.Packets = dst.Packets[:0]
+	if AppendSplit(dst, tr, 800, 28); !slices.Equal(dst.Packets, want.Packets) {
+		t.Fatalf("AppendSplit into a reused trace = %v, want %v", dst.Packets, want.Packets)
 	}
 }
 

@@ -126,12 +126,13 @@ func runAttackerAblation(ds *Dataset, cfg Config) (*Result, error) {
 // schemeFlows materializes the observed flows of a scheme once, so
 // several classifiers can attack the identical observation. It is the
 // union of the engine's per-app cells, so the flows match what
-// EvalScheme attacks cell by cell.
+// EvalScheme attacks cell by cell. Every cell partitions into its own
+// fresh scratch, because the flows outlive the loop.
 func schemeFlows(ds *Dataset, s Scheme) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
 	flows := make(map[mac.Address]*trace.Trace)
 	truth := make(map[mac.Address]trace.App)
 	for _, app := range trace.Apps {
-		f, tr := cellFlows(ds, s, app)
+		f, tr := cellFlows(new(cellScratch), ds, s, app)
 		for addr, p := range f {
 			flows[addr] = p
 			truth[addr] = tr[addr]

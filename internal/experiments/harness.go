@@ -188,22 +188,44 @@ func BuildDataset(cfg Config) (*Dataset, error) {
 // (each sub-flow appears under its own MAC address).
 type Scheme struct {
 	Name string
-	// Partition splits the trace; a single-element result models an
+	// partition splits the trace; a single-element result models an
 	// undefended flow. rng is the shard's private stream: the engine
-	// derives one per (scheme, app) cell, so a Partition that draws
-	// from it stays deterministic under any worker count.
-	Partition func(app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace
+	// derives one per (scheme, app) cell, so a partition that draws
+	// from it stays deterministic under any worker count. Sub-flows
+	// it builds live in sc's memory; parts that alias the input
+	// (Original's) are never sc's and are never recycled.
+	partition func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace
 	// wire marks schemes obtained from the registry (NamedScheme):
 	// only those may be evaluated on another process by name, because
 	// only the registry guarantees the name reconstructs the exact
-	// Partition. Ad-hoc closures keep wire == false and always run
+	// partition. Ad-hoc schemes keep wire == false and always run
 	// in-process.
 	wire bool
 }
 
+// Partition splits tr into the sub-flows the scheme exposes, built
+// in fresh memory the caller owns: it may keep them as long as it
+// likes.
+func (s Scheme) Partition(app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
+	return s.partition(new(cellScratch), app, tr, rng)
+}
+
+// cellScratch is the memory one grid cell works in: the reshape
+// buffer and the split destination its flows are built in, and the
+// windowed vectors they are attacked as. EvalCell takes one from
+// cellScratchPool and returns it when the cell is done, so a warm
+// worker evaluates a cell with little garbage.
+type cellScratch struct {
+	apply   reshape.Buffer
+	split   trace.Trace
+	windows attack.FlowWindows
+}
+
+var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
+
 // WireName returns the name a distributed backend may ship instead of
-// the Partition closure, and whether the scheme is wire-representable
-// at all (i.e. came from the scheme registry).
+// the partition, and whether the scheme is wire-representable at all
+// (i.e. came from the scheme registry).
 func (s Scheme) WireName() (string, bool) {
 	if !s.wire {
 		return "", false
@@ -215,7 +237,7 @@ func (s Scheme) WireName() (string, bool) {
 func OriginalScheme() Scheme {
 	return Scheme{
 		Name: "Original",
-		Partition: func(_ trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
+		partition: func(_ *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
 			return []*trace.Trace{tr}
 		},
 	}
@@ -227,8 +249,8 @@ func OriginalScheme() Scheme {
 func SchedulerScheme(name string, mk func(rng *stats.RNG) reshape.Scheduler) Scheme {
 	return Scheme{
 		Name: name,
-		Partition: func(_ trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-			return reshape.Apply(mk(rng), tr)
+		partition: func(sc *cellScratch, _ trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
+			return sc.apply.Apply(mk(rng), tr)
 		},
 	}
 }
@@ -261,12 +283,12 @@ func cellRNG(ds *Dataset, s Scheme, app trace.App) *stats.RNG {
 }
 
 // cellFlows materializes the observed sub-flows of one (scheme, app)
-// cell: the partition under fresh per-cell randomness, each sub-flow
-// minted its own MAC address.
-func cellFlows(ds *Dataset, s Scheme, app trace.App) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
+// cell: the partition under fresh per-cell randomness into sc, each
+// sub-flow minted its own MAC address. The flows alias sc.
+func cellFlows(sc *cellScratch, ds *Dataset, s Scheme, app trace.App) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
 	r := cellRNG(ds, s, app)
 	addrRNG := r.SplitAt(0)
-	parts := s.Partition(app, ds.Test[app], r.SplitAt(1))
+	parts := s.partition(sc, app, ds.Test[app], r.SplitAt(1))
 	flows := make(map[mac.Address]*trace.Trace, len(parts))
 	truth := make(map[mac.Address]trace.App, len(parts))
 	for _, p := range parts {
@@ -287,8 +309,25 @@ func cellFlows(ds *Dataset, s Scheme, app trace.App) (map[mac.Address]*trace.Tra
 // classifier-independent, so this divides the windowing cost by the
 // family count without moving any result bit.
 func EvalCell(ds *Dataset, s Scheme, app trace.App) []*ml.Confusion {
-	flows, truth := cellFlows(ds, s, app)
-	fw := attack.WindowFlows(flows, truth, ds.Cfg.W)
+	sc := cellScratchPool.Get().(*cellScratch)
+	out := evalCell(sc, ds, s, app)
+	cellScratchPool.Put(sc)
+	return out
+}
+
+// evalCell is EvalCell working in an explicit scratch.
+//
+// The lifetime rule that makes the scratch reusable: the flows, and
+// the windows cut from them, alias sc and are dead once
+// AppendWindowFlows returns; from then on only the feature vectors
+// survive, and they too live in sc until the last family has
+// attacked them. The confusion matrices returned alias nothing, so
+// when evalCell returns the caller may hand sc to the next cell.
+func evalCell(sc *cellScratch, ds *Dataset, s Scheme, app trace.App) []*ml.Confusion {
+	flows, truth := cellFlows(sc, ds, s, app)
+	fw := &sc.windows
+	fw.X, fw.Truth = fw.X[:0], fw.Truth[:0]
+	attack.AppendWindowFlows(fw, flows, truth, ds.Cfg.W)
 	out := make([]*ml.Confusion, len(ds.Classifiers))
 	for i, clf := range ds.Classifiers {
 		out[i] = clf.AttackWindowed(fw)

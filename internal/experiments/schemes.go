@@ -3,7 +3,7 @@ package experiments
 // The scheme registry: every defense configuration the experiment
 // runners evaluate, keyed by wire name. The registry is what makes a
 // grid cell wire-addressable — a distributed backend ships
-// (Config, scheme name, app) instead of a Partition closure, and the
+// (Config, scheme name, app) instead of a partition closure, and the
 // worker reconstructs the identical scheme from its own copy of the
 // dataset (itself a pure function of the Config). Constructors build
 // a fresh scheme per call; every scheduler with state (RA, Adaptive)
@@ -71,9 +71,10 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 	"OR+split": func(*Dataset) Scheme {
 		return Scheme{
 			Name: "OR+split",
-			Partition: func(app trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
-				fragmented := defense.Split(tr, splitAt, headerBytes)
-				return reshape.Apply(reshape.Recommended(), fragmented)
+			partition: func(sc *cellScratch, app trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
+				sc.split.Packets = sc.split.Packets[:0]
+				fragmented := defense.AppendSplit(&sc.split, tr, splitAt, headerBytes)
+				return sc.apply.Apply(reshape.Recommended(), fragmented)
 			},
 		}
 	},
@@ -81,8 +82,8 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 		chain := defense.PaperMorphChain()
 		return Scheme{
 			Name: "OR+morph",
-			Partition: func(app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-				parts := reshape.Apply(reshape.Recommended(), tr)
+			partition: func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
+				parts := sc.apply.Apply(reshape.Recommended(), tr)
 				target, ok := chain[app]
 				if !ok {
 					return parts // do./up. stay unmorphed, as in §V-C
@@ -95,9 +96,9 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 				if err != nil {
 					return parts
 				}
-				// The sub-flows are cell-private copies fresh out of
-				// reshape.Apply, so they are morphed in place instead
-				// of cloned a second time.
+				// The sub-flows are copies in the cell's own scratch,
+				// so they are morphed in place instead of cloned a
+				// second time.
 				m := model.Morpher(seed)
 				for _, p := range parts {
 					m.ApplyInPlace(p)

@@ -24,7 +24,7 @@ func TestSchemeRegistry(t *testing.T) {
 		if !ok || wire != name {
 			t.Errorf("registry scheme %q is not wire-representable (got %q, %v)", name, wire, ok)
 		}
-		if s.Partition == nil {
+		if s.partition == nil {
 			t.Errorf("scheme %q has no partition", name)
 		}
 	}

@@ -5,6 +5,7 @@
 package mac
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -27,6 +28,11 @@ var Zero = Address{}
 func (a Address) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
 }
+
+// Compare orders addresses byte by byte, returning -1, 0 or +1. String
+// renders every octet as two lowercase hex digits, so this is also the
+// order of the rendered strings, without formatting them.
+func (a Address) Compare(b Address) int { return bytes.Compare(a[:], b[:]) }
 
 // IsZero reports whether the address is all-zero.
 func (a Address) IsZero() bool { return a == Zero }

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +257,26 @@ func TestPoolLifecycleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Compare orders addresses exactly as their String forms
+// compare, so sorting by Compare reproduces the string sort. Random
+// pairs rarely share a prefix, so half the pairs copy a random-length
+// prefix of a into b to exercise the later octets and equality.
+func TestAddressCompareMatchesStringOrder(t *testing.T) {
+	r := stats.NewRNG(11)
+	for i := 0; i < 5000; i++ {
+		var a, b Address
+		for j := range a {
+			a[j] = byte(r.Intn(256))
+			b[j] = byte(r.Intn(256))
+		}
+		if i%2 == 1 {
+			copy(b[:], a[:r.Intn(len(a)+1)])
+		}
+		if got, want := a.Compare(b), strings.Compare(a.String(), b.String()); got != want {
+			t.Fatalf("%v.Compare(%v) = %d, string order %d", a, b, got, want)
+		}
 	}
 }

@@ -31,12 +31,25 @@ func (t *KNNTrainer) Train(examples []features.Example, _ uint64) (Classifier, e
 	if k > len(examples) {
 		k = len(examples)
 	}
-	return &knnModel{k: k, train: append([]features.Example(nil), examples...)}, nil
+	m := &knnModel{
+		k: k,
+		x: make([]float64, len(examples)*features.Dim),
+		y: make([]trace.App, len(examples)),
+	}
+	for i, e := range examples {
+		copy(m.x[i*features.Dim:], e.X[:])
+		m.y[i] = e.Y
+	}
+	return m, nil
 }
 
+// knnModel keeps the training set as flat rows: x holds example i's
+// features at x[i*Dim:(i+1)*Dim] and y its label, so Predict streams
+// over one contiguous array instead of copying a Vector per row.
 type knnModel struct {
-	k     int
-	train []features.Example
+	k int
+	x []float64
+	y []trace.App
 }
 
 // Name implements Classifier.
@@ -51,7 +64,9 @@ func (m *knnModel) Name() string { return "knn" }
 // evidence. This partial-distance rule is the standard kNN treatment
 // of missing features.
 func (m *knnModel) Predict(x features.Vector) trace.App {
-	mask := blockMask(x)
+	lo, hi := observedRange(&x)
+	q := x[lo:hi]
+	norm := float64(hi - lo)
 	// Bounded selection instead of a full sort: a max-heap of the k
 	// best (distance, index) pairs streams over the training set in
 	// O(n log k) with the heap living on the stack for practical k, so
@@ -66,8 +81,17 @@ func (m *knnModel) Predict(x features.Vector) trace.App {
 	} else {
 		sel = make([]knnHit, 0, m.k)
 	}
-	for i := range m.train {
-		h := knnHit{d: sqDistMasked(m.train[i].X, x, mask), idx: int32(i), app: m.train[i].Y}
+	for i, app := range m.y {
+		row := m.x[i*features.Dim+lo : i*features.Dim+hi]
+		row = row[:len(q)]
+		s := 0.0
+		for j, v := range row {
+			d := v - q[j]
+			s += d * d
+		}
+		// Normalize so queries with different numbers of observed
+		// dimensions are comparable.
+		h := knnHit{d: s / norm, idx: int32(i), app: app}
 		if len(sel) < m.k {
 			sel = append(sel, h)
 			knnSiftUp(sel, len(sel)-1)
@@ -144,50 +168,30 @@ func knnSiftDown(sel []knnHit, i int) {
 	}
 }
 
-// blockMask returns per-dimension inclusion flags: a six-feature
-// direction block that is entirely zero is excluded. If everything is
-// zero the full vector is used (degenerate query).
-func blockMask(x features.Vector) [features.Dim]bool {
-	var mask [features.Dim]bool
-	any := false
-	for block := 0; block < features.Dim; block += 6 {
-		present := false
-		for i := block; i < block+6 && i < features.Dim; i++ {
-			if x[i] != 0 {
-				present = true
-				break
-			}
-		}
-		for i := block; i < block+6 && i < features.Dim; i++ {
-			mask[i] = present
-		}
-		any = any || present
+// observedRange returns the features [lo, hi) a query is judged on:
+// a six-feature direction block that is entirely zero is left out.
+// The two blocks are contiguous, so the result is [0,6), [6,12) or,
+// when both or neither block is observed (a degenerate query), the
+// whole vector.
+func observedRange(x *features.Vector) (lo, hi int) {
+	down := blockObserved(x[:6])
+	up := blockObserved(x[6:])
+	switch {
+	case down && !up:
+		return 0, 6
+	case up && !down:
+		return 6, features.Dim
 	}
-	if !any {
-		for i := range mask {
-			mask[i] = true
-		}
-	}
-	return mask
+	return 0, features.Dim
 }
 
-func sqDistMasked(a, b features.Vector, mask [features.Dim]bool) float64 {
-	s := 0.0
-	n := 0
-	for i := range a {
-		if !mask[i] {
-			continue
+func blockObserved(block []float64) bool {
+	for _, v := range block {
+		if v != 0 {
+			return true
 		}
-		d := a[i] - b[i]
-		s += d * d
-		n++
 	}
-	if n == 0 {
-		return 0
-	}
-	// Normalize so queries with different numbers of observed
-	// dimensions are comparable.
-	return s / float64(n)
+	return false
 }
 
 // NBTrainer builds a Gaussian naive Bayes classifier: per class and
@@ -235,7 +239,9 @@ func (t *NBTrainer) Train(examples []features.Example, _ uint64) (Classifier, er
 		}
 		m.logPrior[c] = math.Log(counts[c] / total)
 		for i := range m.variance[c] {
-			m.variance[c][i] = m.variance[c][i]/counts[c] + 1e-4 // smoothing
+			v := m.variance[c][i]/counts[c] + 1e-4 // smoothing
+			m.variance[c][i] = v
+			m.norm[c][i] = -0.5 * math.Log(2*math.Pi*v)
 		}
 	}
 	return m, nil
@@ -245,6 +251,9 @@ type nbModel struct {
 	logPrior [trace.NumApps]float64
 	mean     [trace.NumApps]features.Vector
 	variance [trace.NumApps]features.Vector
+	// norm is each normal's log normaliser, -0.5·ln(2πσ²), fixed at
+	// training so Predict takes no logarithms.
+	norm [trace.NumApps]features.Vector
 }
 
 // Name implements Classifier.
@@ -262,7 +271,7 @@ func (m *nbModel) Predict(x features.Vector) trace.App {
 		for i := range x {
 			v := m.variance[c][i]
 			d := x[i] - m.mean[c][i]
-			ll += -0.5*math.Log(2*math.Pi*v) - d*d/(2*v)
+			ll += m.norm[c][i] - d*d/(2*v)
 		}
 		if ll > bestLL {
 			bestLL = ll

@@ -26,9 +26,11 @@ func knnPredictReference(m *knnModel, x features.Vector) trace.App {
 		idx int
 		app trace.App
 	}
-	hits := make([]hit, len(m.train))
-	for i, e := range m.train {
-		hits[i] = hit{d: sqDistMasked(e.X, x, mask), idx: i, app: e.Y}
+	hits := make([]hit, len(m.y))
+	for i, app := range m.y {
+		var row features.Vector
+		copy(row[:], m.x[i*features.Dim:(i+1)*features.Dim])
+		hits[i] = hit{d: sqDistMasked(row, x, mask), idx: i, app: app}
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		return hits[i].d < hits[j].d || (hits[i].d == hits[j].d && hits[i].idx < hits[j].idx)
@@ -46,6 +48,53 @@ func knnPredictReference(m *knnModel, x features.Vector) trace.App {
 		}
 	}
 	return best
+}
+
+// blockMask is the reference form of Predict's observed range:
+// per-dimension inclusion flags, where a six-feature direction block
+// that is entirely zero is excluded. If everything is zero the full
+// vector is used (degenerate query).
+func blockMask(x features.Vector) [features.Dim]bool {
+	var mask [features.Dim]bool
+	any := false
+	for block := 0; block < features.Dim; block += 6 {
+		present := false
+		for i := block; i < block+6 && i < features.Dim; i++ {
+			if x[i] != 0 {
+				present = true
+				break
+			}
+		}
+		for i := block; i < block+6 && i < features.Dim; i++ {
+			mask[i] = present
+		}
+		any = any || present
+	}
+	if !any {
+		for i := range mask {
+			mask[i] = true
+		}
+	}
+	return mask
+}
+
+// sqDistMasked is the reference masked distance: the mean squared
+// difference over the included dimensions.
+func sqDistMasked(a, b features.Vector, mask [features.Dim]bool) float64 {
+	s := 0.0
+	n := 0
+	for i := range a {
+		if !mask[i] {
+			continue
+		}
+		d := a[i] - b[i]
+		s += d * d
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return s / float64(n)
 }
 
 func randomKNN(t *testing.T, n, k int, seed uint64) (*knnModel, *stats.RNG) {
@@ -68,19 +117,34 @@ func randomKNN(t *testing.T, n, k int, seed uint64) (*knnModel, *stats.RNG) {
 
 // Property: heap selection and the full-sort reference agree on every
 // prediction, across training sizes, k values (including k beyond the
-// stack bound) and random queries.
+// stack bound) and random queries. The queries cover every observed
+// range: both directions, downlink only, uplink only (the other block
+// zeroed, as the scaler encodes an unobserved direction) and the
+// all-zero degenerate query.
 func TestKNNSelectionEquivalentToSort(t *testing.T) {
+	shapes := []struct {
+		name     string
+		down, up bool
+	}{
+		{"both", true, true},
+		{"downlink-only", true, false},
+		{"uplink-only", false, true},
+		{"all-zero", false, false},
+	}
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, k := range []int{1, 2, 5, 17, knnStackK, knnStackK + 9} {
 			n := 40 + int(seed)*23
 			model, r := randomKNN(t, n, k, seed)
 			for q := 0; q < 40; q++ {
+				shape := shapes[q%len(shapes)]
 				var x features.Vector
 				for j := range x {
-					x[j] = r.NormFloat64()
+					if (j < 6 && shape.down) || (j >= 6 && shape.up) {
+						x[j] = r.NormFloat64()
+					}
 				}
 				if got, want := model.Predict(x), knnPredictReference(model, x); got != want {
-					t.Fatalf("seed %d k %d query %d: Predict = %v, reference = %v", seed, k, q, got, want)
+					t.Fatalf("seed %d k %d query %d (%s): Predict = %v, reference = %v", seed, k, q, shape.name, got, want)
 				}
 			}
 		}

@@ -70,35 +70,48 @@ func applyTrace(seed uint64, n int) *trace.Trace {
 	return tr
 }
 
+// TestApplyMatchesReference checks Apply, and one Buffer reused
+// across every length and scheduler, against the reference. The
+// lengths are not in order, so the buffer both grows and is reused
+// for a shorter trace.
 func TestApplyMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 499, 500, 1501, 5000} {
+	var buf Buffer
+	for _, n := range []int{0, 1, 2, 7, 1501, 499, 5000, 500} {
 		seed := uint64(n) + 17
 		tr := applyTrace(seed, n)
 		before := tr.Clone()
-		got := registrySchedulers(t, seed)
-		want := registrySchedulers(t, seed)
-		for k := range got {
-			name := got[k].Name()
-			parts := Apply(got[k], tr)
-			ref := referenceApply(want[k], tr)
-			if !slices.Equal(tr.Packets, before.Packets) {
-				t.Fatalf("%s n=%d: Apply modified its input", name, n)
-			}
-			if len(parts) != len(ref) {
-				t.Fatalf("%s n=%d: %d sub-traces, want %d", name, n, len(parts), len(ref))
-			}
-			for i := range parts {
-				if !slices.Equal(parts[i].Packets, ref[i].Packets) {
-					t.Fatalf("%s n=%d: interface %d differs from the reference", name, n, i)
+		for _, reuse := range []bool{false, true} {
+			got := registrySchedulers(t, seed)
+			want := registrySchedulers(t, seed)
+			for k := range got {
+				name := got[k].Name()
+				var parts []*trace.Trace
+				if reuse {
+					name += " (reused buffer)"
+					parts = buf.Apply(got[k], tr)
+				} else {
+					parts = Apply(got[k], tr)
 				}
-				if c, l := cap(parts[i].Packets), len(parts[i].Packets); c != l {
-					t.Fatalf("%s n=%d: interface %d has cap %d, len %d", name, n, i, c, l)
+				ref := referenceApply(want[k], tr)
+				if !slices.Equal(tr.Packets, before.Packets) {
+					t.Fatalf("%s n=%d: Apply modified its input", name, n)
 				}
-			}
-			next := parts[1].Clone()
-			parts[0].Append(trace.Packet{Time: time.Hour, Size: 1})
-			if !slices.Equal(parts[1].Packets, next.Packets) {
-				t.Fatalf("%s n=%d: appending to interface 0 changed interface 1", name, n)
+				if len(parts) != len(ref) {
+					t.Fatalf("%s n=%d: %d sub-traces, want %d", name, n, len(parts), len(ref))
+				}
+				for i := range parts {
+					if !slices.Equal(parts[i].Packets, ref[i].Packets) {
+						t.Fatalf("%s n=%d: interface %d differs from the reference", name, n, i)
+					}
+					if c, l := cap(parts[i].Packets), len(parts[i].Packets); c != l {
+						t.Fatalf("%s n=%d: interface %d has cap %d, len %d", name, n, i, c, l)
+					}
+				}
+				next := parts[1].Clone()
+				parts[0].Append(trace.Packet{Time: time.Hour, Size: 1})
+				if !slices.Equal(parts[1].Packets, next.Packets) {
+					t.Fatalf("%s n=%d: appending to interface 0 changed interface 1", name, n)
+				}
 			}
 		}
 	}

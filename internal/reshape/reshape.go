@@ -344,36 +344,72 @@ func (f *FrequencyHopping) Name() string { return "FH" }
 // capacity is capped at its own length, so a later Append reallocates
 // instead of overwriting the next interface's packets, and in-place
 // edits (OR+morph's Morpher.ApplyInPlace) stay inside the sub-flow.
+//
+// Apply is new(Buffer).Apply: the sub-flows own fresh memory.
 func Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
-	iface := make([]int32, len(tr.Packets))
+	return new(Buffer).Apply(s, tr)
+}
+
+// Buffer is Apply's reusable scratch: the interface index, the
+// per-interface offsets, the packet backing array, the sub-flow
+// headers and the result slice. A caller that partitions in a loop
+// keeps one Buffer and, once its arrays have grown to the longest
+// trace, partitions without touching the heap. The zero value is
+// ready to use; a Buffer is not safe for concurrent use.
+type Buffer struct {
+	iface   []int32
+	ends    []int
+	packets []trace.Packet
+	subs    []trace.Trace
+	out     []*trace.Trace
+}
+
+// Apply partitions tr exactly as the package-level Apply does, into
+// the buffer's memory. The returned sub-flows and slice alias the
+// buffer: they stay valid only until the next call on b.
+func (b *Buffer) Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
+	n := len(tr.Packets)
+	iface := resize(b.iface, n)
 	// ends[i] counts interface i's packets, then holds its start
 	// offset in the backing array, and after the scatter its end.
-	ends := make([]int, s.Interfaces())
+	ends := resize(b.ends, s.Interfaces())
+	clear(ends)
 	for k, p := range tr.Packets {
 		i := s.Assign(p)
 		ends[i]++
 		iface[k] = int32(i)
 	}
 	off := 0
-	for i, n := range ends {
+	for i, c := range ends {
 		ends[i] = off
-		off += n
+		off += c
 	}
-	backing := make([]trace.Packet, len(tr.Packets))
+	backing := resize(b.packets, n)
 	for k := range tr.Packets {
 		i := iface[k]
 		backing[ends[i]] = tr.Packets[k]
 		ends[i]++
 	}
-	subs := make([]trace.Trace, len(ends))
-	out := make([]*trace.Trace, len(ends))
+	subs := resize(b.subs, len(ends))
+	out := resize(b.out, len(ends))
 	start := 0
 	for i, end := range ends {
 		subs[i].Packets = backing[start:end:end]
 		out[i] = &subs[i]
 		start = end
 	}
+	b.iface, b.ends, b.packets, b.subs, b.out = iface, ends, backing, subs, out
 	return out
+}
+
+// resize returns xs at length n, reusing its array when it is large
+// enough and allocating exactly n elements otherwise. Reused elements
+// keep their old values.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // --- Target distributions and the Eq. (1) objective -------------------------
