@@ -20,7 +20,6 @@ import (
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/defense"
 	"trafficreshape/internal/features"
-	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stream"
@@ -161,9 +160,7 @@ func buildPathGuards(t *testing.T) []struct {
 // every goroutine), so overload protection costs nothing when the
 // system is healthy. The default backpressure policy, whose handoff
 // blocks on the shard queue instead of selecting, is pinned the same
-// way on four shards. The synchronous path is pinned too: a warmed
-// one-shard engine answering Source.Assign round trips allocates
-// nothing on either side of the shard queue.
+// way on four shards.
 func streamPathGuards(t *testing.T) []struct {
 	name string
 	f    func()
@@ -210,22 +207,6 @@ func streamPathGuards(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 
-	flow := appgen.Generate(trace.Downloading, 10*time.Second, 510)
-	addr := mac.Address{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}
-	for j := range flow.Packets {
-		flow.Packets[j].MAC = addr
-	}
-	ea := stream.New(stream.Config{
-		W: 250 * time.Millisecond, RingCap: 512, Seed: 3,
-		Shards: 1, EscalateAfter: 1 << 30,
-	})
-	t.Cleanup(func() { ea.Drain() })
-	src := ea.Source(addr)
-	cyca := newCycle(flow)
-	for i := 0; i < len(flow.Packets)+5000; i++ {
-		src.Assign(cyca.next())
-	}
-
 	return []struct {
 		name string
 		f    func()
@@ -243,11 +224,6 @@ func streamPathGuards(t *testing.T) []struct {
 		{"stream.Engine.Ingest/sharded-backpressure", func() {
 			for i := 0; i < 200; i++ {
 				eb.Ingest(cycb.next())
-			}
-		}},
-		{"stream.Source.Assign/sharded", func() {
-			for i := 0; i < 200; i++ {
-				src.Assign(cyca.next())
 			}
 		}},
 	}

@@ -3,6 +3,7 @@ package defense
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,8 +115,8 @@ func TestMorpherMovesDistributionTowardTarget(t *testing.T) {
 	srcDown, _ := src.ByDirection()
 	tgtDown, _ := target.ByDirection()
 	morphDown, _ := morphed.ByDirection()
-	before := stats.KSDistance(srcDown.Sizes(), tgtDown.Sizes())
-	after := stats.KSDistance(morphDown.Sizes(), tgtDown.Sizes())
+	before := ksDistance(srcDown.Sizes(), tgtDown.Sizes())
+	after := ksDistance(morphDown.Sizes(), tgtDown.Sizes())
 	if after >= before {
 		t.Errorf("morphing did not move the size distribution toward the target: KS %.3f -> %.3f", before, after)
 	}
@@ -246,39 +247,6 @@ func TestSplitValidation(t *testing.T) {
 	Split(trace.New(0), 28, 28)
 }
 
-func TestTPCAddsRSSINoise(t *testing.T) {
-	tr := trace.New(0)
-	for i := 0; i < 2000; i++ {
-		tr.Append(trace.Packet{Time: time.Duration(i) * time.Millisecond, RSSI: -50})
-	}
-	tpc := NewTPC(16, 11)
-	noisy := tpc.Apply(tr)
-	var min, max float64 = 0, -200
-	for _, p := range noisy.Packets {
-		if p.RSSI < min {
-			min = p.RSSI
-		}
-		if p.RSSI > max {
-			max = p.RSSI
-		}
-	}
-	if max-min < 12 {
-		t.Errorf("TPC swing observed %.1f dB, want most of the 16 dB range", max-min)
-	}
-	if min < -50-8.01 || max > -50+8.01 {
-		t.Errorf("TPC offsets outside ±8 dB: [%.2f, %.2f]", min+50, max+50)
-	}
-}
-
-func TestTPCValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative swing should panic")
-		}
-	}()
-	NewTPC(-1, 1)
-}
-
 // Property: padding is idempotent and monotone in byte count.
 func TestPadProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -326,4 +294,38 @@ func TestMorphProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ksDistance returns the Kolmogorov–Smirnov statistic between two
+// empirical samples: the max absolute difference of their CDFs.
+func ksDistance(a, b []float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	sa := append([]float64(nil), a...)
+	sb := append([]float64(nil), b...)
+	sort.Float64s(sa)
+	sort.Float64s(sb)
+	var d float64
+	i, j := 0, 0
+	for i < len(sa) && j < len(sb) {
+		// Advance past all ties at the smaller value before comparing
+		// the empirical CDFs, so equal samples never create a gap.
+		v := sa[i]
+		if sb[j] < v {
+			v = sb[j]
+		}
+		for i < len(sa) && sa[i] == v {
+			i++
+		}
+		for j < len(sb) && sb[j] == v {
+			j++
+		}
+		fa := float64(i) / float64(len(sa))
+		fb := float64(j) / float64(len(sb))
+		if diff := math.Abs(fa - fb); diff > d {
+			d = diff
+		}
+	}
+	return d
 }

@@ -11,6 +11,16 @@ import (
 	"trafficreshape/internal/stats"
 )
 
+// withEngine returns a shallow copy of ds whose evaluations run on
+// e's worker pool. The classifiers, test traces and caches are shared:
+// they are read-only after construction (or locked), which the
+// race-mode tests pin down.
+func withEngine(ds *Dataset, e *Engine) *Dataset {
+	out := *ds
+	out.eng = e
+	return &out
+}
+
 // sameResult asserts two results are byte-identical: rendered text
 // and every metric, bit for bit.
 func sameResult(t *testing.T, label string, serial, parallel *Result) {
@@ -40,7 +50,7 @@ func TestEngineBitIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		par := ds.WithEngine(NewEngine(workers))
+		par := withEngine(ds, NewEngine(workers))
 		par2, err := runTable2(par, par.Cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +77,7 @@ func TestEngineBitIdenticalTable3(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		par := ds.WithEngine(NewEngine(workers))
+		par := withEngine(ds, NewEngine(workers))
 		// Fresh cache: force the parallel leg to rebuild the derived
 		// W = 60 s dataset through its own pool rather than reusing
 		// the serially built entry.
@@ -116,7 +126,7 @@ func TestEngineBuildDatasetDeterministic(t *testing.T) {
 // dataset (one set of trained classifiers, one test-trace map). Run
 // under -race this pins that classification is read-only.
 func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
-	ds := quickDataset(t).WithEngine(NewEngine(4))
+	ds := withEngine(quickDataset(t), NewEngine(4))
 	s := SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
 	want := EvalScheme(ds, s).String()
 
@@ -221,7 +231,7 @@ func TestEngineWorkersDefault(t *testing.T) {
 // TestDatasetForWEngineAffinity pins the cache-rebind rule: a derived
 // dataset cached by a serial run must adopt the requester's engine on
 // later hits (while sharing the heavy contents), so switching to
-// WithEngine never silently evaluates cached windows serially.
+// engines never silently evaluates cached windows serially.
 func TestDatasetForWEngineAffinity(t *testing.T) {
 	ds := quickDataset(t)
 	w := 2 * time.Second
@@ -233,7 +243,7 @@ func TestDatasetForWEngineAffinity(t *testing.T) {
 		t.Fatal("serially requested derived dataset must stay serial")
 	}
 	e := NewEngine(4)
-	d2, err := datasetForW(ds.WithEngine(e), ds.Cfg, w)
+	d2, err := datasetForW(withEngine(ds, e), ds.Cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

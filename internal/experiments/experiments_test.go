@@ -356,18 +356,6 @@ func TestEvalSchemeDeterministic(t *testing.T) {
 	}
 }
 
-func TestSchedulerThroughput(t *testing.T) {
-	pps := SchedulerThroughput(reshape.Recommended(), 100_000, 1)
-	if pps <= 0 {
-		t.Fatal("throughput must be positive")
-	}
-	// §V-B: O(N) per-packet cost — even a conservative bound of
-	// 1M packets/s demonstrates line-rate feasibility.
-	if pps < 1e6 {
-		t.Errorf("OR throughput = %.0f packets/s, want >= 1e6", pps)
-	}
-}
-
 func TestResultMetricPanicsOnUnknown(t *testing.T) {
 	r := &Result{Name: "x", Metrics: map[string]float64{}}
 	defer func() {

@@ -8,7 +8,6 @@ import (
 	"trafficreshape/internal/attack"
 	"trafficreshape/internal/defense"
 	"trafficreshape/internal/mac"
-	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -153,31 +152,3 @@ func runCombined(ds *Dataset, cfg Config) (*Result, error) {
 	}
 	return &Result{Name: "§V-C — reshaping combined with morphing", Text: b.String(), Metrics: metrics}, nil
 }
-
-// SchedulerThroughput measures packets/second through a scheduler —
-// the §V-B O(N) operation-cost claim. Returned for the benchmark
-// harness and the scalability section of EXPERIMENTS.md.
-func SchedulerThroughput(s reshape.Scheduler, n int, seed uint64) (packetsPerSec float64) {
-	r := stats.NewRNG(seed)
-	pkts := make([]trace.Packet, n)
-	for i := range pkts {
-		pkts[i] = trace.Packet{
-			Time: time.Duration(i) * time.Microsecond,
-			Size: int32(r.IntRange(28, 1576)),
-		}
-	}
-	start := nowNanos()
-	acc := 0
-	for _, p := range pkts {
-		acc += s.Assign(p)
-	}
-	elapsed := nowNanos() - start
-	if elapsed <= 0 {
-		elapsed = 1
-	}
-	_ = acc
-	return float64(n) / (float64(elapsed) / 1e9)
-}
-
-// nowNanos is split out for testability.
-var nowNanos = func() int64 { return time.Now().UnixNano() }

@@ -86,7 +86,8 @@ type Dataset struct {
 	// morphs caches the immutable per-target morphing tables the
 	// OR+morph scheme derives from the test traces: 35 grid cells
 	// share 5 table builds instead of sorting the target trace per
-	// cell. Shared (not copied) by WithEngine, like the test traces.
+	// cell. Shared (not copied) by the engine-rebound copies
+	// datasetForW hands out, like the test traces.
 	morphs *morphModelCache
 	// src, when non-nil, is the captured traffic this dataset was
 	// built from (BuildDatasetFrom); srcRef holds its content-digest
@@ -151,22 +152,6 @@ func (ds *Dataset) MorphModel(target trace.App) (*defense.MorphModel, error) {
 	}
 	c.models[target] = m
 	return m, nil
-}
-
-// WithEngine returns a shallow copy of the dataset whose evaluations
-// run on e's worker pool. The classifiers and test traces are shared:
-// they are read-only after construction, which the race-mode tests
-// pin down.
-func (ds *Dataset) WithEngine(e *Engine) *Dataset {
-	out := *ds
-	out.eng = e
-	if out.cache == nil {
-		out.cache = newDatasetCache()
-	}
-	if out.morphs == nil {
-		out.morphs = newMorphModelCache()
-	}
-	return &out
 }
 
 // engine returns the evaluation engine, defaulting to the serial one.
@@ -347,7 +332,7 @@ func EvalScheme(ds *Dataset, s Scheme) *ml.Confusion {
 type Result struct {
 	Name    string
 	Text    string             // human-readable rendering
-	Metrics map[string]float64 // stable keys for tests and EXPERIMENTS.md
+	Metrics map[string]float64 // stable keys for tests and cmd/experiments' `metric` lines
 }
 
 // Metric fetches a metric, panicking on unknown keys so tests fail

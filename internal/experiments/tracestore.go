@@ -223,24 +223,6 @@ func (s *TraceStore) Len() int {
 	return len(s.m)
 }
 
-// AddSet stores every trace of set, so a coordinator offering a
-// captured grid can serve preload requests from its own store.
-func (s *TraceStore) AddSet(set *TraceSet) {
-	if set == nil {
-		return
-	}
-	for _, tr := range set.Train {
-		if tr != nil {
-			s.Put(tr)
-		}
-	}
-	for _, tr := range set.Test {
-		if tr != nil {
-			s.Put(tr)
-		}
-	}
-}
-
 // AddResolved stores set's traces under the digests ref already
 // computed for them, skipping entries that are present — sparing the
 // repeated SHA-256 of large captured traces when the same grid is

@@ -64,7 +64,7 @@ func TestTraceStoreResolveRoundTrip(t *testing.T) {
 		Test:  map[trace.App]*trace.Trace{trace.Chatting: appgen.Generate(trace.Chatting, cfg.TestDuration, 4)},
 	}
 	store := NewTraceStore()
-	store.AddSet(set)
+	store.AddResolved(set.Ref(), set)
 	if store.Len() != 2 {
 		t.Fatalf("store holds %d traces, want 2", store.Len())
 	}
@@ -155,7 +155,7 @@ func TestCellEvaluatorResolvesCapturedCells(t *testing.T) {
 	if _, err := ev.Eval(cfg, ref, "OR", trace.Uploading); err == nil {
 		t.Fatal("evaluator resolved a captured cell with an empty store")
 	}
-	ev.Store().AddSet(set)
+	ev.Store().AddResolved(set.Ref(), set)
 	got, err := ev.Eval(cfg, ref, "OR", trace.Uploading)
 	if err != nil {
 		t.Fatal(err)

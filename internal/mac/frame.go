@@ -145,10 +145,15 @@ var ErrFrameTooShort = errors.New("mac: frame too short")
 // ErrBadFCS is returned by Unmarshal when the checksum does not match.
 var ErrBadFCS = errors.New("mac: bad frame check sequence")
 
-// Unmarshal decodes a frame previously encoded with Marshal.
+// Unmarshal decodes a frame previously encoded with Marshal. It
+// rejects buffers Marshal cannot produce: truncated, over-long or
+// failing the checksum.
 func Unmarshal(buf []byte) (*Frame, error) {
 	if len(buf) < headerLen+fcsLen {
 		return nil, ErrFrameTooShort
+	}
+	if len(buf) > headerLen+MaxPayload+fcsLen {
+		return nil, fmt.Errorf("mac: payload %d exceeds maximum %d", len(buf)-headerLen-fcsLen, MaxPayload)
 	}
 	body := buf[:len(buf)-fcsLen]
 	wantCRC := binary.LittleEndian.Uint32(buf[len(buf)-fcsLen:])

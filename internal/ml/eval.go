@@ -123,7 +123,7 @@ func (c *Confusion) MeanFalsePositive() float64 {
 	return sum / float64(trace.NumApps)
 }
 
-// String renders the matrix for logs and EXPERIMENTS.md.
+// String renders the matrix for logs.
 func (c *Confusion) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", "truth\\pred")
@@ -165,32 +165,4 @@ func Split(examples []features.Example, trainFrac float64, seed uint64) (train, 
 		cut = len(shuffled) - 1
 	}
 	return shuffled[:cut], shuffled[cut:]
-}
-
-// KFold runs k-fold cross validation of a trainer over examples and
-// returns the per-fold mean accuracies.
-func KFold(t Trainer, examples []features.Example, k int, seed uint64) ([]float64, error) {
-	if k < 2 || len(examples) < k {
-		return nil, fmt.Errorf("ml: cannot run %d-fold CV over %d examples", k, len(examples))
-	}
-	shuffled := append([]features.Example(nil), examples...)
-	r := stats.NewRNG(seed)
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	accs := make([]float64, 0, k)
-	foldSize := len(shuffled) / k
-	for fold := 0; fold < k; fold++ {
-		lo := fold * foldSize
-		hi := lo + foldSize
-		if fold == k-1 {
-			hi = len(shuffled)
-		}
-		test := shuffled[lo:hi]
-		train := append(append([]features.Example(nil), shuffled[:lo]...), shuffled[hi:]...)
-		model, err := t.Train(train, seed+uint64(fold))
-		if err != nil {
-			return nil, err
-		}
-		accs = append(accs, Evaluate(model, test).OverallAccuracy())
-	}
-	return accs, nil
 }

@@ -235,29 +235,6 @@ func TestSplitDegenerate(t *testing.T) {
 	}
 }
 
-func TestKFold(t *testing.T) {
-	ex := syntheticDataset(140, 0.4, 11)
-	accs, err := KFold(&KNNTrainer{K: 3}, ex, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("KFold returned %d folds, want 5", len(accs))
-	}
-	for i, a := range accs {
-		if a < 0.9 {
-			t.Errorf("fold %d accuracy = %.3f, want >= 0.9 on separable data", i, a)
-		}
-	}
-}
-
-func TestKFoldValidation(t *testing.T) {
-	ex := syntheticDataset(3, 0.1, 12)
-	if _, err := KFold(&NBTrainer{}, ex, 10, 1); err == nil {
-		t.Error("KFold with k > n should error")
-	}
-}
-
 func TestConfusionString(t *testing.T) {
 	var c Confusion
 	c.Add(trace.Browsing, trace.Video)

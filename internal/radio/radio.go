@@ -6,9 +6,7 @@
 package radio
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"trafficreshape/internal/stats"
@@ -31,20 +29,6 @@ const DefaultRate Rate = 54
 // Channels24GHz lists the non-overlapping 2.4 GHz channels the FH
 // scheme rotates through.
 var Channels24GHz = []int{1, 6, 11}
-
-// ValidChannel reports whether ch is a 2.4 GHz channel number.
-func ValidChannel(ch int) bool { return ch >= 1 && ch <= 14 }
-
-// ChannelFreqMHz returns the center frequency of a 2.4 GHz channel.
-func ChannelFreqMHz(ch int) (float64, error) {
-	if !ValidChannel(ch) {
-		return 0, fmt.Errorf("radio: invalid 2.4 GHz channel %d", ch)
-	}
-	if ch == 14 {
-		return 2484, nil
-	}
-	return 2407 + 5*float64(ch), nil
-}
 
 // Airtime returns the on-air duration of a frame of the given size at
 // the given rate, including a fixed PHY preamble+SIFS overhead. The
@@ -198,42 +182,3 @@ func (m *Medium) Transmit(now time.Duration, tx Transmission, rate Rate) (start,
 
 // BusyUntil reports when the given channel frees up.
 func (m *Medium) BusyUntil(channel int) time.Duration { return m.busy[channel] }
-
-// BestRate picks the highest rate whose expected RSSI at distance d
-// exceeds the (simplified) sensitivity threshold for that rate. This
-// gives the simulation plausible rate adaptation without modeling
-// per-frame SNR.
-func BestRate(loss PathLoss, d float64) Rate {
-	rssi := loss.RSSIAt(d, nil)
-	// Simplified sensitivity ladder (dBm) for a/g rates.
-	thresholds := []struct {
-		rate Rate
-		min  float64
-	}{
-		{54, -65}, {48, -66}, {36, -70}, {24, -74},
-		{18, -77}, {12, -79}, {9, -81}, {6, -82},
-	}
-	for _, t := range thresholds {
-		if rssi >= t.min {
-			return t.rate
-		}
-	}
-	return 1 // fall back to 802.11b basic rate
-}
-
-// SortedChannels returns the channels with registered listeners, for
-// diagnostics.
-func (m *Medium) SortedChannels() []int {
-	set := make(map[int]bool)
-	for _, l := range m.listener {
-		if l.fn != nil {
-			set[l.channel] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for ch := range set {
-		out = append(out, ch)
-	}
-	sort.Ints(out)
-	return out
-}

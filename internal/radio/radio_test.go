@@ -9,21 +9,6 @@ import (
 	"trafficreshape/internal/stats"
 )
 
-func TestChannelFreq(t *testing.T) {
-	cases := map[int]float64{1: 2412, 6: 2437, 11: 2462, 14: 2484}
-	for ch, want := range cases {
-		got, err := ChannelFreqMHz(ch)
-		if err != nil || got != want {
-			t.Errorf("ChannelFreqMHz(%d) = %v, %v; want %v", ch, got, err, want)
-		}
-	}
-	for _, ch := range []int{0, 15, -1} {
-		if _, err := ChannelFreqMHz(ch); err == nil {
-			t.Errorf("channel %d should be invalid", ch)
-		}
-	}
-}
-
 func TestAirtimeScalesWithSizeAndRate(t *testing.T) {
 	small := Airtime(100, 54)
 	big := Airtime(1576, 54)
@@ -162,31 +147,6 @@ func TestMediumTPCOffsetShiftsRSSI(t *testing.T) {
 	}
 	if d := rssis[0] - rssis[1]; math.Abs(d-7) > 1e-9 {
 		t.Errorf("TPC offset shifted RSSI by %.2f dB, want 7", d)
-	}
-}
-
-func TestBestRateDecreasesWithDistance(t *testing.T) {
-	pl := DefaultPathLoss()
-	near := BestRate(pl, 2)
-	far := BestRate(pl, 60)
-	if near < far {
-		t.Fatalf("rate at 2m (%v) should be >= rate at 60m (%v)", near, far)
-	}
-	if near != 54 {
-		t.Errorf("rate at 2m = %v, want 54", near)
-	}
-	if far >= 54 {
-		t.Errorf("rate at 60m = %v, want degraded", far)
-	}
-}
-
-func TestSortedChannels(t *testing.T) {
-	m := NewMedium(DefaultPathLoss(), 6)
-	m.Subscribe(11, Position{}, func(Transmission, float64) {})
-	m.Subscribe(1, Position{}, func(Transmission, float64) {})
-	got := m.SortedChannels()
-	if len(got) != 2 || got[0] != 1 || got[1] != 11 {
-		t.Fatalf("SortedChannels = %v", got)
 	}
 }
 

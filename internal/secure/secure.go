@@ -14,12 +14,10 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // KeySize is the AES-256 key length in bytes.
@@ -39,16 +37,6 @@ func DeriveKey(master []byte, context string) Key {
 	var k Key
 	copy(k[:], mac.Sum(nil))
 	return k
-}
-
-// RandomKey draws a key from crypto/rand, for tests and tools that
-// don't need determinism.
-func RandomKey() (Key, error) {
-	var k Key
-	if _, err := io.ReadFull(rand.Reader, k[:]); err != nil {
-		return Key{}, fmt.Errorf("secure: entropy unavailable: %w", err)
-	}
-	return k, nil
 }
 
 // Sealer encrypts and authenticates configuration payloads with

@@ -107,20 +107,6 @@ func TestDirectionPrefixSeparatesNonces(t *testing.T) {
 	}
 }
 
-func TestRandomKey(t *testing.T) {
-	a, err := RandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("two random keys collided")
-	}
-}
-
 func TestOverheadConstant(t *testing.T) {
 	k := DeriveKey([]byte("m"), "ctx")
 	s, _ := NewSealer(k, 1)

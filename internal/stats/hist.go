@@ -193,80 +193,3 @@ func (h *Histogram) String() string {
 	}
 	return strings.TrimSpace(b.String())
 }
-
-// DotProduct returns Σ_j a_j·b_j for two equal-length probability
-// vectors. The paper's orthogonality condition (Eq. 2) requires the
-// dot product of any two target distributions to be zero.
-func DotProduct(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: dot product of unequal-length vectors")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// L2Distance returns sqrt(Σ_j |a_j - b_j|^2), the per-interface term
-// of the paper's scheduling objective (Eq. 1).
-func L2Distance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: L2 distance of unequal-length vectors")
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// KSDistance returns the Kolmogorov–Smirnov statistic between two
-// empirical samples: the max absolute difference of their CDFs. Used
-// by the evaluation to quantify how far a reshaped sub-flow's size
-// distribution is from the original.
-func KSDistance(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var d float64
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		// Advance past all ties at the smaller value before comparing
-		// the empirical CDFs, so equal samples never create a gap.
-		v := sa[i]
-		if sb[j] < v {
-			v = sb[j]
-		}
-		for i < len(sa) && sa[i] == v {
-			i++
-		}
-		for j < len(sb) && sb[j] == v {
-			j++
-		}
-		fa := float64(i) / float64(len(sa))
-		fb := float64(j) / float64(len(sb))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// Entropy returns the Shannon entropy (bits) of a probability vector.
-// §III-C3 of the paper uses H = log2(N) as the privacy entropy of a
-// WLAN with N MAC addresses; this generalizes to non-uniform cases.
-func Entropy(p []float64) float64 {
-	h := 0.0
-	for _, x := range p {
-		if x > 0 {
-			h -= x * math.Log2(x)
-		}
-	}
-	return h
-}

@@ -113,68 +113,6 @@ func TestUniformEdges(t *testing.T) {
 	}
 }
 
-func TestDotProductOrthogonal(t *testing.T) {
-	// The paper's orthogonal targets: φ1=[1,0,0], φ2=[0,1,0], φ3=[0,0,1].
-	phi1 := []float64{1, 0, 0}
-	phi2 := []float64{0, 1, 0}
-	phi3 := []float64{0, 0, 1}
-	if DotProduct(phi1, phi2) != 0 || DotProduct(phi1, phi3) != 0 || DotProduct(phi2, phi3) != 0 {
-		t.Fatal("orthogonal targets must have zero dot product")
-	}
-	if DotProduct(phi1, phi1) != 1 {
-		t.Fatal("self dot product of a unit vector must be 1")
-	}
-}
-
-func TestL2Distance(t *testing.T) {
-	a := []float64{1, 0}
-	b := []float64{0, 1}
-	if got := L2Distance(a, b); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("L2Distance = %v, want sqrt(2)", got)
-	}
-	if got := L2Distance(a, a); got != 0 {
-		t.Errorf("L2Distance(a,a) = %v, want 0", got)
-	}
-}
-
-func TestKSDistanceIdentical(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KSDistance(a, a); d > 1e-12 {
-		t.Errorf("KS distance of identical samples = %v, want 0", d)
-	}
-}
-
-func TestKSDistanceDisjoint(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{10, 11, 12}
-	if d := KSDistance(a, b); math.Abs(d-1) > 1e-12 {
-		t.Errorf("KS distance of disjoint samples = %v, want 1", d)
-	}
-}
-
-func TestKSDistanceEmpty(t *testing.T) {
-	if d := KSDistance(nil, []float64{1}); d != 0 {
-		t.Errorf("KS with empty sample = %v, want 0", d)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	if h := Entropy([]float64{0.5, 0.5}); math.Abs(h-1) > 1e-12 {
-		t.Errorf("entropy of fair coin = %v, want 1", h)
-	}
-	if h := Entropy([]float64{1, 0}); h != 0 {
-		t.Errorf("entropy of deterministic = %v, want 0", h)
-	}
-	// Paper §III-C3: privacy entropy of N MAC addresses is log2 N.
-	uniform8 := make([]float64, 8)
-	for i := range uniform8 {
-		uniform8[i] = 1.0 / 8
-	}
-	if h := Entropy(uniform8); math.Abs(h-3) > 1e-12 {
-		t.Errorf("entropy of 8 uniform MACs = %v, want 3", h)
-	}
-}
-
 // Property: PMF always sums to ~1 for any non-empty fill.
 func TestHistogramPMFProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -189,27 +127,6 @@ func TestHistogramPMFProperty(t *testing.T) {
 			sum += p
 		}
 		return math.Abs(sum-1) < 1e-9 && h.Total() == count
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: KS distance is symmetric and within [0, 1].
-func TestKSDistanceProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		a := make([]float64, 20)
-		b := make([]float64, 30)
-		for i := range a {
-			a[i] = r.Float64()
-		}
-		for i := range b {
-			b[i] = r.Float64() * 2
-		}
-		d1 := KSDistance(a, b)
-		d2 := KSDistance(b, a)
-		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

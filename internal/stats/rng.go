@@ -11,9 +11,9 @@ package stats
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded through splitmix64). We implement it directly
 // rather than relying on math/rand so that the generated traces are
-// stable across Go releases: the evaluation tables in EXPERIMENTS.md
-// are only meaningful if the workload that produced them can be
-// regenerated exactly.
+// stable across Go releases: the evaluation tables (README
+// "Reproducibility") are only meaningful if the workload that
+// produced them can be regenerated exactly.
 type RNG struct {
 	s [4]uint64
 }

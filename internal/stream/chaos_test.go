@@ -241,33 +241,3 @@ func TestChaosDelayStormConservation(t *testing.T) {
 		t.Errorf("report missing admission line:\n%s", out)
 	}
 }
-
-// TestChaosSyncAssignDuringRestart: synchronous Assign callers get -1
-// (not a hang, not a bogus interface) when their packet is consumed by
-// a shard that panics on it.
-func TestChaosSyncAssignDuringRestart(t *testing.T) {
-	addr := flowMAC(0)
-	e := New(Config{
-		Seed: 5, Shards: 1, BatchSize: 4,
-		Chaos: streamchaos.PanicOn(addr, 3),
-	})
-	src := e.Source(addr)
-	got := make([]int, 0, 6)
-	for i, p := range singleFlow(addr, 6) {
-		_ = i
-		got = append(got, src.Assign(p))
-	}
-	rep := e.Drain()
-	if got[2] != -1 {
-		t.Errorf("poisoned packet assigned interface %d, want -1", got[2])
-	}
-	for i, v := range got {
-		if i != 2 && v < 0 {
-			t.Errorf("packet %d dropped (%d), only the poisoned one should be", i, v)
-		}
-	}
-	if rep.Restarts != 1 || rep.Lost == 0 {
-		t.Errorf("restarts=%d lost=%d, want a restart with losses", rep.Restarts, rep.Lost)
-	}
-	assertConservation(t, rep)
-}

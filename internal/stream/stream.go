@@ -279,11 +279,6 @@ type flowState struct {
 	predHist    [trace.NumApps]int64
 }
 
-type syncReq struct {
-	p     trace.Packet
-	reply chan int
-}
-
 // snapReply carries one shard's checkpoint snapshot back to the
 // barrier in Engine.Checkpoint.
 type snapReply struct {
@@ -299,7 +294,6 @@ type installReq struct {
 
 type shardMsg struct {
 	batch   []trace.Packet
-	sync    *syncReq
 	snap    chan snapReply
 	install *installReq
 }
@@ -380,7 +374,7 @@ func newShardWithQueue(e *Engine, idx int) *shard {
 }
 
 // Engine ingests a packet stream and applies the online defense. One
-// goroutine produces (Ingest/Source/Drain/Checkpoint are not safe for
+// goroutine produces (Ingest/Drain/Checkpoint are not safe for
 // concurrent callers); the shards consume; the watchdog supervises.
 type Engine struct {
 	cfg    Config
@@ -485,14 +479,6 @@ func (sh *shard) handle(msg shardMsg) {
 		}
 	}()
 	switch {
-	case msg.sync != nil:
-		if sh.reaped.Load() {
-			msg.sync.reply <- -1
-			return
-		}
-		iface := sh.ingest(msg.sync.p)
-		sh.processed.Add(1)
-		msg.sync.reply <- iface
 	case msg.snap != nil:
 		msg.snap <- sh.snapshot()
 	case msg.install != nil:
@@ -515,13 +501,9 @@ func (sh *shard) handle(msg shardMsg) {
 // recoverPanic settles the books after a panic in handle: every packet
 // consumed since the last checkpoint — completed batches plus the one
 // that blew up — is lost, the flows roll back to the last snapshot,
-// and the loop continues. A synchronous caller waiting on the packet
-// gets -1.
+// and the loop continues.
 func (sh *shard) recoverPanic(msg shardMsg) {
 	switch {
-	case msg.sync != nil:
-		sh.processed.Add(1)
-		msg.sync.reply <- -1
 	case msg.snap != nil:
 		msg.snap <- snapReply{err: fmt.Errorf("stream: shard %d panicked during snapshot", sh.idx)}
 		return // snapshot does not consume packets; nothing to roll back
@@ -589,11 +571,11 @@ func (e *Engine) shardIndex(a mac.Address) int {
 	return int(flowHash(a) % uint64(e.nshards))
 }
 
-// Ingest feeds one packet. Inline mode processes it synchronously and
+// Ingest feeds one packet. Inline mode processes it at once and
 // returns the interface index the scheduler chose; sharded mode
-// buffers it for asynchronous processing and returns -1 (use Source
-// for a synchronous per-packet decision). Packets of one flow must
-// arrive in time order; flows may interleave arbitrarily.
+// batches it for the flow's shard goroutine and returns -1. Packets
+// of one flow must arrive in time order; flows may interleave
+// arbitrarily.
 func (e *Engine) Ingest(p trace.Packet) int {
 	e.offered++
 	if e.inline != nil {
@@ -662,57 +644,15 @@ func (e *Engine) Offered() int64 { return e.offered }
 // them to be processed. Flush is control-plane: it always delivers
 // (blocking if needed), regardless of the admission policy.
 func (e *Engine) Flush() {
-	for i := range e.pend {
-		e.flushShard(i)
+	for i, buf := range e.pend {
+		if len(buf) == 0 {
+			continue
+		}
+		sh := e.shards[i].Load()
+		sh.in <- shardMsg{batch: buf}
+		sh.sent.Add(int64(len(buf)))
+		e.pend[i] = <-sh.free
 	}
-}
-
-func (e *Engine) flushShard(i int) {
-	if len(e.pend[i]) == 0 {
-		return
-	}
-	sh := e.shards[i].Load()
-	sh.in <- shardMsg{batch: e.pend[i]}
-	sh.sent.Add(int64(len(e.pend[i])))
-	e.pend[i] = <-sh.free
-}
-
-// Source is a synchronous per-flow handle: Assign blocks until the
-// engine has processed the packet and returns the interface decision,
-// the round-trip an inline shaper pays when it cannot transmit before
-// knowing which virtual address carries the packet. Allocation-free
-// per call.
-type Source struct {
-	e   *Engine
-	idx int
-	req syncReq
-}
-
-// Source returns a synchronous handle for the flow owning addr.
-func (e *Engine) Source(addr mac.Address) *Source {
-	s := &Source{e: e, req: syncReq{reply: make(chan int, 1)}}
-	if e.inline == nil {
-		s.idx = e.shardIndex(addr)
-	}
-	return s
-}
-
-// Assign processes one packet synchronously and returns its interface.
-// A packet dropped by a mid-flight shard restart returns -1.
-func (s *Source) Assign(p trace.Packet) int {
-	e := s.e
-	e.offered++
-	if e.inline != nil {
-		return e.inline.ingest(p)
-	}
-	// Preserve per-flow ordering with any batched packets already
-	// buffered for this shard.
-	e.flushShard(s.idx)
-	sh := e.shards[s.idx].Load()
-	s.req.p = p
-	sh.in <- shardMsg{sync: &s.req}
-	sh.sent.Add(1)
-	return <-s.req.reply
 }
 
 // ingest is the per-packet hot path: window maintenance, scheduling,

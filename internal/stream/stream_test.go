@@ -247,39 +247,6 @@ func TestRingEvictionBoundsMemory(t *testing.T) {
 	}
 }
 
-// TestSourceMatchesIngest: the synchronous per-packet path must make
-// exactly the decisions the batched path makes — same flow digests —
-// and report real interface indices.
-func TestSourceMatchesIngest(t *testing.T) {
-	in := capture(t, 10*time.Second, 48)
-	run := func(sync bool, shards int) *Report {
-		e := New(Config{Seed: 11, Shards: shards})
-		if sync {
-			sources := make(map[mac.Address]*Source)
-			for _, p := range in.Packets {
-				src := sources[p.MAC]
-				if src == nil {
-					src = e.Source(p.MAC)
-					sources[p.MAC] = src
-				}
-				if iface := src.Assign(p); iface < 0 || iface >= vmac.MaxInterfaces {
-					t.Fatalf("sync assign returned %d", iface)
-				}
-			}
-		} else {
-			e.IngestTrace(in)
-		}
-		return e.Drain()
-	}
-	ref := run(false, 0)
-	for _, shards := range []int{0, 2} {
-		got := run(true, shards)
-		if got.Digest != ref.Digest {
-			t.Errorf("sync path (shards=%d) digest %016x != batched %016x", shards, got.Digest, ref.Digest)
-		}
-	}
-}
-
 // TestIngestSteadyStateAllocFree gates the tentpole's hot-path
 // promise: after flows exist, ingesting packets — including window
 // closes and self-audit classification — performs zero heap

@@ -95,13 +95,11 @@ func (e *Engine) reap(i int, old *shard) {
 }
 
 // drainZombie consumes a reaped shard's queue until Drain closes it:
-// batches are recycled (their packets become lost via sent-accounted),
-// synchronous callers get -1, control-plane requests get errReaped.
+// batches are recycled (their packets become lost via sent-accounted)
+// and control-plane requests get errReaped.
 func drainZombie(z *shard) {
 	for msg := range z.in {
 		switch {
-		case msg.sync != nil:
-			msg.sync.reply <- -1
 		case msg.snap != nil:
 			msg.snap <- snapReply{err: errReaped}
 		case msg.install != nil:

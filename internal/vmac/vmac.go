@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"trafficreshape/internal/mac"
-	"trafficreshape/internal/secure"
 )
 
 // MaxInterfaces bounds a single client's virtual interface count; the
@@ -354,65 +353,4 @@ func (c *Client) Reset() {
 	c.virtual = nil
 	c.index = make(map[mac.Address]int)
 	c.pending = false
-}
-
-// --- Sealed transport helpers -------------------------------------------------
-
-// SealedExchange runs the whole Figure 2 protocol over an encrypted
-// transport in one call, for tests and the trace-driven pipeline:
-// the client seals a request, the AP opens/handles/seals the
-// response, the client opens and installs it. Both sides derive keys
-// from the shared association secret.
-func SealedExchange(client *Client, ap *AP, master []byte, count int, nonce uint64) error {
-	context := fmt.Sprintf("sta=%s", clientAddr(client))
-	key := secure.DeriveKey(master, context)
-	staTx, err := secure.NewSealer(key, 1)
-	if err != nil {
-		return err
-	}
-	apRx, err := secure.NewSealer(key, 1)
-	if err != nil {
-		return err
-	}
-	apTx, err := secure.NewSealer(key, 2)
-	if err != nil {
-		return err
-	}
-	staRx, err := secure.NewSealer(key, 2)
-	if err != nil {
-		return err
-	}
-
-	req := client.NewRequest(count, nonce)
-	sealedReq := staTx.Seal(MarshalRequest(req), nil)
-
-	reqBytes, err := apRx.Open(sealedReq, nil)
-	if err != nil {
-		return fmt.Errorf("vmac: AP could not open request: %w", err)
-	}
-	gotReq, err := UnmarshalRequest(reqBytes)
-	if err != nil {
-		return err
-	}
-	resp, err := ap.HandleRequest(gotReq)
-	if err != nil {
-		return err
-	}
-	sealedResp := apTx.Seal(MarshalResponse(resp), nil)
-
-	respBytes, err := staRx.Open(sealedResp, nil)
-	if err != nil {
-		return fmt.Errorf("vmac: client could not open response: %w", err)
-	}
-	gotResp, err := UnmarshalResponse(respBytes)
-	if err != nil {
-		return err
-	}
-	return client.Install(gotResp)
-}
-
-func clientAddr(c *Client) mac.Address {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phys
 }

@@ -263,45 +263,6 @@ func TestClientOwnershipAndTranslation(t *testing.T) {
 	}
 }
 
-func TestSealedExchangeEndToEnd(t *testing.T) {
-	// The full Figure 2 protocol over AES-GCM.
-	ap := NewAP(APConfig{Seed: 8})
-	phys := testClientAddr(12)
-	client := NewClient(phys)
-	if err := SealedExchange(client, ap, []byte("association-master-secret"), 3, 777); err != nil {
-		t.Fatal(err)
-	}
-	if client.Interfaces() != 3 {
-		t.Fatalf("client holds %d interfaces, want 3", client.Interfaces())
-	}
-	// AP and client agree on the address set.
-	for i := 0; i < 3; i++ {
-		fromClient, _ := client.VirtualAt(i)
-		fromAP, ok := ap.VirtualOf(phys, i)
-		if !ok || fromAP != fromClient {
-			t.Fatalf("interface %d disagreement: ap=%v client=%v", i, fromAP, fromClient)
-		}
-		phys2, ok := ap.TranslateUplink(fromClient)
-		if !ok || phys2 != phys {
-			t.Fatal("uplink translation broken after sealed exchange")
-		}
-	}
-}
-
-func TestSealedExchangeManyClients(t *testing.T) {
-	ap := NewAP(APConfig{Seed: 9})
-	const clients = 20
-	for i := 0; i < clients; i++ {
-		c := NewClient(testClientAddr(byte(100 + i)))
-		if err := SealedExchange(c, ap, []byte("secret"), 3, uint64(i)); err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if got := ap.Outstanding(); got != clients*3 {
-		t.Fatalf("outstanding = %d, want %d", got, clients*3)
-	}
-}
-
 // Property: for any client and requested count, granted addresses are
 // unique, never the physical address, and translate both ways.
 func TestGrantProperty(t *testing.T) {

@@ -478,29 +478,6 @@ func (sta *Station) transmit(f *mac.Frame) {
 	}, radio.DefaultRate)
 }
 
-// ReleaseVirtualInterfaces drops the station's virtual interfaces and
-// recycles the addresses at the AP — the §III-B1 dynamic
-// reconfiguration path ("The AP is able to recycle and dynamically
-// configure virtual MAC interfaces according to the change of
-// resource availability and client requirements"). In the simulation
-// the release is signalled out of band through the shared AP object;
-// the data-plane effect (frames revert to the physical address) is
-// what matters.
-func (sta *Station) ReleaseVirtualInterfaces() error {
-	if !sta.configured {
-		return errors.New("wlan: no virtual interfaces configured")
-	}
-	if err := sta.net.AP.vm.Release(sta.Phys); err != nil {
-		return err
-	}
-	delete(sta.net.AP.downlinkSched, sta.Phys)
-	sta.vm.Reset()
-	sta.configured = false
-	sta.uplinkSched = nil
-	sta.ifaceSeq = nil
-	return nil
-}
-
 // ReplayTrace schedules a labeled application trace through the
 // network: downlink packets leave the AP, uplink packets leave the
 // station, at their recorded times. Returns the number of packets

@@ -1,20 +1,13 @@
 package trafficreshape
 
-// Streaming-engine benchmarks. Three shapes:
+// Streaming-engine benchmarks. Two shapes:
 //
 //   - StreamIngestInline: the full per-packet path — window
 //     maintenance, adaptive scheduling, ring append, self-audit
 //     classification on window close — inline on one goroutine.
 //     Zero-alloc, pinned by hotpath_alloc_test.go.
-//   - StreamAssignSingleFlow: the synchronous single-flow path. An
-//     inline shaper cannot transmit a packet before the engine tells
-//     it which virtual interface carries it, so one flow is a serial
-//     request/response chain; the per-op time IS the per-packet
-//     decision latency, and its inverse the single-flow packets/sec
-//     ceiling.
 //   - StreamIngestSharded: the asynchronous batched path across many
-//     flows — what the daemon actually sustains. The single-flow vs
-//     sharded ratio is the README's ≥10× headline.
+//     flows — what the daemon actually sustains.
 
 import (
 	"testing"
@@ -116,30 +109,6 @@ func BenchmarkStreamIngestInline(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		e.Ingest(cyc.next())
 	}
-}
-
-// BenchmarkStreamAssignSingleFlow: synchronous per-packet decision
-// latency for one flow on a sharded engine — enqueue, wait for the
-// shard's interface assignment, return. Allocation-free per call.
-func BenchmarkStreamAssignSingleFlow(b *testing.B) {
-	tr := appgen.Generate(trace.Downloading, 20*time.Second, 510)
-	addr := mac.Address{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}
-	for j := range tr.Packets {
-		tr.Packets[j].MAC = addr
-	}
-	e := stream.New(stream.Config{W: time.Second, RingCap: 512, Seed: 11, Shards: 1, Period: benchPeriod})
-	src := e.Source(addr)
-	cyc := newCycle(tr)
-	for i := 0; i < 20000; i++ {
-		src.Assign(cyc.next())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		src.Assign(cyc.next())
-	}
-	b.StopTimer()
-	e.Drain()
 }
 
 // BenchmarkStreamIngestSharded: asynchronous batched ingest across

@@ -19,23 +19,21 @@
 //     (NewReshaper and the Strategy constants);
 //   - the traffic-analysis adversary — feature extraction and
 //     SVM/NN/kNN/NB classifiers (TrainAdversary, Adversary.Attack);
-//   - the comparison defenses — padding, morphing, splitting, TPC
-//     (PadToMTU, MorphTraffic);
-//   - the full experiment harness regenerating every table and
-//     figure in the paper (RunExperiment, Experiments).
+//   - the comparison defenses — padding and morphing (PadToMTU,
+//     MorphTraffic).
 //
+// The experiment harness regenerating every table and figure in the
+// paper is cmd/experiments, which drives internal/experiments.Engine.
 // See README.md for a tour and examples/ for runnable programs.
 package trafficreshape
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/attack"
 	"trafficreshape/internal/defense"
-	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/trace"
@@ -218,47 +216,4 @@ func MorphTraffic(src, target *Trace, seed uint64) (*Trace, float64, error) {
 	}
 	morphed := m.Apply(src)
 	return morphed, defense.DominantOverhead(src, morphed), nil
-}
-
-// Experiments lists the names of every reproducible table and figure.
-func Experiments() []string {
-	reg := experiments.Registry()
-	out := make([]string, len(reg))
-	for i, r := range reg {
-		out[i] = r.Name
-	}
-	return out
-}
-
-// RunExperiment regenerates one of the paper's tables or figures,
-// writing the rendering to w and returning its metrics. quick runs a
-// down-scaled configuration. Everything executes serially on the
-// calling goroutine; RunExperimentParallel is the sharded form.
-func RunExperiment(name string, w io.Writer, quick bool) (map[string]float64, error) {
-	return runExperimentWith(name, w, quick, 1)
-}
-
-// RunExperimentParallel is RunExperiment over the concurrent sharded
-// experiment engine: dataset construction and the experiment's
-// (application × strategy) evaluation grid run on a pool of workers
-// goroutines (workers <= 0 selects runtime.NumCPU()). Shard-local
-// random streams make the metrics bit-identical to RunExperiment for
-// the same configuration, at any worker count.
-func RunExperimentParallel(name string, w io.Writer, quick bool, workers int) (map[string]float64, error) {
-	return runExperimentWith(name, w, quick, workers)
-}
-
-func runExperimentWith(name string, w io.Writer, quick bool, workers int) (map[string]float64, error) {
-	cfg := experiments.DefaultConfig(5 * time.Second)
-	if quick {
-		cfg = experiments.QuickConfig(5 * time.Second)
-	}
-	res, err := experiments.NewEngine(workers).Run(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if w != nil {
-		fmt.Fprintf(w, "==== %s ====\n%s\n", res.Name, res.Text)
-	}
-	return res.Metrics, nil
 }

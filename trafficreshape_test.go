@@ -1,8 +1,6 @@
 package trafficreshape
 
 import (
-	"io"
-	"strings"
 	"testing"
 	"time"
 )
@@ -100,55 +98,5 @@ func TestDefenseBaselines(t *testing.T) {
 	}
 	if morphOv <= 0 || morphOv >= padOv {
 		t.Fatalf("morphing overhead %.2f must be positive and below padding's %.2f", morphOv, padOv)
-	}
-}
-
-func TestExperimentsFacade(t *testing.T) {
-	names := Experiments()
-	if len(names) < 13 {
-		t.Fatalf("only %d experiments registered", len(names))
-	}
-	var b strings.Builder
-	metrics, err := RunExperiment("fig4", &b, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metrics) == 0 || !strings.Contains(b.String(), "Figure 4") {
-		t.Fatal("fig4 produced no output")
-	}
-	if _, err := RunExperiment("nope", io.Discard, true); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
-// TestRunExperimentParallelFacade pins the facade contract: the
-// sharded engine returns the very metrics and rendering the serial
-// path produces, for any worker count.
-func TestRunExperimentParallelFacade(t *testing.T) {
-	var serialOut strings.Builder
-	serial, err := RunExperiment("table5", &serialOut, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		var parOut strings.Builder
-		par, err := RunExperimentParallel("table5", &parOut, true, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if parOut.String() != serialOut.String() {
-			t.Errorf("workers=%d: rendering differs from serial", workers)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d metrics, serial has %d", workers, len(par), len(serial))
-		}
-		for k, v := range serial {
-			if par[k] != v {
-				t.Errorf("workers=%d: metric %q = %v, serial %v", workers, k, par[k], v)
-			}
-		}
-	}
-	if _, err := RunExperimentParallel("nope", io.Discard, true, 2); err == nil {
-		t.Fatal("unknown experiment accepted")
 	}
 }
