@@ -353,7 +353,7 @@ func BenchmarkKNNPredict(b *testing.B) {
 }
 
 // BenchmarkHistogramUniformAdd measures per-observation cost on a
-// uniform-edge histogram — the O(1) direct-index fast path.
+// uniform-edge histogram (binary search over 65 edges).
 func BenchmarkHistogramUniformAdd(b *testing.B) {
 	h := stats.NewHistogram(stats.UniformEdges(0, 1576, 64))
 	r := stats.NewRNG(3)

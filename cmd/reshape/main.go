@@ -16,14 +16,14 @@ import (
 	"path/filepath"
 	"time"
 
-	"trafficreshape/internal/reshape"
+	"trafficreshape"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
 func main() {
 	in := flag.String("in", "", "input trace (binary format; default stdin)")
-	strategy := flag.String("strategy", "or", "scheduler: or, or-mod, random, round-robin, fh")
+	strategy := flag.String("strategy", "or", "scheduler: or, or-mod, random, round-robin, fh, adaptive")
 	ifaces := flag.Int("i", 3, "number of virtual interfaces I")
 	seed := flag.Uint64("seed", 1, "seed for randomized schedulers")
 	outdir := flag.String("outdir", "", "write per-interface traces into this directory")
@@ -34,11 +34,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sched, err := makeScheduler(*strategy, *ifaces, *seed)
+	// NewReshaper reads 0 interfaces as its default of 3; here the
+	// count is what the user typed, so it must be positive.
+	if *ifaces < 1 {
+		fatal(fmt.Errorf("-i must be at least 1, got %d", *ifaces))
+	}
+	r, err := trafficreshape.NewReshaper(trafficreshape.Strategy(*strategy),
+		trafficreshape.Options{Interfaces: *ifaces, Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
-	parts := reshape.Apply(sched, tr)
+	parts := r.Reshape(tr)
 
 	if *summary {
 		origDown, _ := tr.ByDirection()
@@ -87,27 +93,6 @@ func readTrace(name string) (*trace.Trace, error) {
 		r = f
 	}
 	return trace.ReadBinary(r)
-}
-
-func makeScheduler(strategy string, ifaces int, seed uint64) (reshape.Scheduler, error) {
-	switch strategy {
-	case "or":
-		ranges, err := reshape.SelectRanges(ifaces)
-		if err != nil {
-			return nil, err
-		}
-		return reshape.NewOrthogonal(ranges)
-	case "or-mod":
-		return reshape.NewModulo(ifaces), nil
-	case "random":
-		return reshape.NewRandom(ifaces, seed), nil
-	case "round-robin":
-		return reshape.NewRoundRobin(ifaces), nil
-	case "fh":
-		return reshape.PaperFH(), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", strategy)
-	}
 }
 
 func fatal(err error) {

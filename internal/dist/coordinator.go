@@ -223,13 +223,6 @@ func NewCoordinator(addr string, opt CoordinatorOptions) (*Coordinator, error) {
 // Addr returns the coordinator's listen address for workers to dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Workers reports the number of connected workers.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sessions)
-}
-
 // Stats returns a snapshot of the placement counters, queue depth,
 // and per-worker occupancy. The snapshot is a value copy; see
 // StatsSnapshot for the field-stability promise.

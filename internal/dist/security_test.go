@@ -43,7 +43,7 @@ func TestWrongKeyRejectedFallsBackLocal(t *testing.T) {
 	if err := join(); err != nil {
 		t.Errorf("rejected worker returned %v; rejection is a clean end of life", err)
 	}
-	if n := coord.Workers(); n != 0 {
+	if n := len(coord.Stats().Workers); n != 0 {
 		t.Fatalf("%d workers admitted with the wrong key", n)
 	}
 
@@ -186,7 +186,7 @@ func TestGarbageAndSilentPeersRejected(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := coord.Workers(); n != 0 {
+	if n := len(coord.Stats().Workers); n != 0 {
 		t.Fatalf("%d strays admitted", n)
 	}
 
@@ -233,7 +233,7 @@ func TestPlaintextClientAgainstTLSListener(t *testing.T) {
 		Net:           dist.NetOptions{AuthKey: "fleet-secret", HandshakeTimeout: 500 * time.Millisecond},
 	})
 	_ = plain()
-	if n := coord.Workers(); n != 0 {
+	if n := len(coord.Stats().Workers); n != 0 {
 		t.Fatalf("%d plaintext workers admitted by a TLS listener", n)
 	}
 
@@ -280,7 +280,7 @@ func TestTLSWorkerAgainstPlaintextListener(t *testing.T) {
 		Net:           dist.NetOptions{TLS: clientTLS, HandshakeTimeout: 500 * time.Millisecond},
 	})
 	_ = join()
-	if n := coord.Workers(); n != 0 {
+	if n := len(coord.Stats().Workers); n != 0 {
 		t.Fatalf("%d mismatched workers admitted", n)
 	}
 	// The worker side usually returns before the coordinator's admit

@@ -68,9 +68,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers, pool: pool, backend: NewLocalBackend(pool)}
 }
 
-// Workers reports the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // Pool exposes the engine's permit pool so an external backend's
 // in-process work (e.g. internal/dist's local fallback) can draw from
 // the same permits and keep the one-pool concurrency bound intact.

@@ -217,13 +217,13 @@ func TestEngineRunNoDatasetRunner(t *testing.T) {
 }
 
 func TestEngineWorkersDefault(t *testing.T) {
-	if w := NewEngine(0).Workers(); w < 1 {
+	if w := NewEngine(0).workers; w < 1 {
 		t.Fatalf("NewEngine(0) selected %d workers", w)
 	}
-	if w := NewEngine(-3).Workers(); w < 1 {
+	if w := NewEngine(-3).workers; w < 1 {
 		t.Fatalf("NewEngine(-3) selected %d workers", w)
 	}
-	if w := NewEngine(6).Workers(); w != 6 {
+	if w := NewEngine(6).workers; w != 6 {
 		t.Fatalf("NewEngine(6) selected %d workers", w)
 	}
 }

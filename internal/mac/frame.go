@@ -107,15 +107,6 @@ func (f *Frame) IsDownlink() bool { return f.Flags&FlagFromDS != 0 }
 // analysis feature in the paper is computed from.
 func (f *Frame) AirLength() int { return headerLen + len(f.Payload) + fcsLen }
 
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	c := *f
-	if f.Payload != nil {
-		c.Payload = append([]byte(nil), f.Payload...)
-	}
-	return &c
-}
-
 // Marshal encodes the frame into the simulation's wire format, an
 // 802.11-shaped fixed header followed by the payload and a dummy FCS.
 func (f *Frame) Marshal() ([]byte, error) {

@@ -109,16 +109,6 @@ func TestAirLength(t *testing.T) {
 	}
 }
 
-func TestFrameClone(t *testing.T) {
-	f := NewData(Zero, Zero, Zero, 8, true)
-	f.Payload[0] = 7
-	c := f.Clone()
-	c.Payload[0] = 9
-	if f.Payload[0] != 7 {
-		t.Fatal("clone shares payload storage")
-	}
-}
-
 func TestSequenceCounterWraps(t *testing.T) {
 	var s SequenceCounter
 	for i := 0; i < 4096; i++ {

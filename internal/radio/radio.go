@@ -1,7 +1,7 @@
 // Package radio models the wireless medium at the level the paper's
-// evaluation needs: 802.11a/b/g data rates and per-frame airtime, the
-// three non-overlapping 2.4 GHz channels (1, 6, 11) the FH baseline
-// hops across, and a log-distance path-loss model that yields the
+// evaluation needs: per-frame airtime at an 802.11 PHY rate, a medium
+// that serialises frames per channel (the FH baseline hops across
+// channels 1, 6 and 11), and a log-distance path-loss model that yields the
 // RSSI a sniffer observes — the physical-layer side channel of §V-A.
 package radio
 
@@ -15,20 +15,8 @@ import (
 // Rate is an 802.11 PHY data rate in Mbps.
 type Rate float64
 
-// The 802.11b and 802.11a/g rate sets; the paper's home WLANs ran
-// 802.11a/b/g with rates fluctuating between 1 and 54 Mbps (§IV-A).
-var (
-	RatesB = []Rate{1, 2, 5.5, 11}
-	RatesG = []Rate{6, 9, 12, 18, 24, 36, 48, 54}
-	RatesA = RatesG
-)
-
 // DefaultRate is the simulation's default PHY rate.
 const DefaultRate Rate = 54
-
-// Channels24GHz lists the non-overlapping 2.4 GHz channels the FH
-// scheme rotates through.
-var Channels24GHz = []int{1, 6, 11}
 
 // Airtime returns the on-air duration of a frame of the given size at
 // the given rate, including a fixed PHY preamble+SIFS overhead. The
@@ -179,6 +167,3 @@ func (m *Medium) Transmit(now time.Duration, tx Transmission, rate Rate) (start,
 	}
 	return start, free
 }
-
-// BusyUntil reports when the given channel frees up.
-func (m *Medium) BusyUntil(channel int) time.Duration { return m.busy[channel] }

@@ -117,8 +117,8 @@ func TestMediumSerializesChannel(t *testing.T) {
 	if start3 != 0 {
 		t.Fatal("different channel should be idle")
 	}
-	if m.BusyUntil(1) != free2 {
-		t.Fatal("BusyUntil wrong")
+	if m.busy[1] != free2 {
+		t.Fatal("channel 1 frees up at the wrong time")
 	}
 }
 
@@ -153,7 +153,8 @@ func TestMediumTPCOffsetShiftsRSSI(t *testing.T) {
 // Property: airtime is monotone in size for any rate.
 func TestAirtimeMonotoneProperty(t *testing.T) {
 	f := func(a, b uint16, rateIdx uint8) bool {
-		rates := append(append([]Rate(nil), RatesB...), RatesG...)
+		// The 802.11b and 802.11a/g rate sets (1 to 54 Mbps, §IV-A).
+		rates := []Rate{1, 2, 5.5, 11, 6, 9, 12, 18, 24, 36, 48, 54}
 		rate := rates[int(rateIdx)%len(rates)]
 		sa, sb := int(a), int(b)
 		if sa > sb {

@@ -180,13 +180,6 @@ func (a *Adaptive) Interfaces() int { return a.i }
 // Name implements Scheduler.
 func (a *Adaptive) Name() string { return "OR-adaptive" }
 
-// Edges exposes the current epoch's ranges for diagnostics.
-func (a *Adaptive) Edges() Ranges { return append(Ranges(nil), a.edges...) }
-
-// Seen returns the total number of packets observed since
-// construction — the streaming daemon's per-flow packet odometer.
-func (a *Adaptive) Seen() int { return a.seen }
-
 // Epochs returns how many times the ranges have been re-derived,
 // surfaced in the daemon's per-flow metrics so operators can see
 // adaptation actually happening on live flows.

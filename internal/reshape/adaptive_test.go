@@ -100,7 +100,7 @@ func TestAdaptiveEdgesStayValid(t *testing.T) {
 		if idx < 0 || idx >= 3 {
 			t.Fatalf("assignment %d out of range", idx)
 		}
-		if err := a.Edges().Validate(); err != nil {
+		if err := a.edges.Validate(); err != nil {
 			t.Fatalf("edges became invalid after adaptation: %v", err)
 		}
 	}
@@ -116,8 +116,8 @@ func TestAdaptiveDegenerateTraffic(t *testing.T) {
 			t.Fatalf("assignment %d out of range", idx)
 		}
 	}
-	if err := a.Edges().Validate(); err != nil {
-		t.Fatalf("degenerate traffic broke edges: %v (%v)", err, a.Edges())
+	if err := a.edges.Validate(); err != nil {
+		t.Fatalf("degenerate traffic broke edges: %v (%v)", err, a.edges)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestAdaptiveEdgesPropertyAdversarial(t *testing.T) {
 					if idx < 0 || idx >= i {
 						t.Fatalf("%s i=%d period=%d pkt %d: assignment %d out of range", name, i, period, k, idx)
 					}
-					edges := a.Edges()
+					edges := a.edges
 					if err := edges.Validate(); err != nil {
 						t.Fatalf("%s i=%d period=%d pkt %d: invalid edges %v: %v", name, i, period, k, edges, err)
 					}
@@ -222,19 +222,19 @@ func TestAdaptiveApplyLosslessAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDiagnostics: Seen counts every assigned packet and
+// TestAdaptiveDiagnostics: seen counts every assigned packet and
 // Epochs every re-derivation — the counters the streaming daemon's
 // per-flow metrics surface.
 func TestAdaptiveDiagnostics(t *testing.T) {
 	a := NewAdaptive(3, 100)
-	if a.Seen() != 0 || a.Epochs() != 0 {
-		t.Fatalf("fresh scheduler reports seen=%d epochs=%d", a.Seen(), a.Epochs())
+	if a.seen != 0 || a.Epochs() != 0 {
+		t.Fatalf("fresh scheduler reports seen=%d epochs=%d", a.seen, a.Epochs())
 	}
 	for k := 0; k < 450; k++ {
 		a.Assign(trace.Packet{Size: int32(100 + k%1400)})
 	}
-	if a.Seen() != 450 {
-		t.Errorf("seen = %d, want 450", a.Seen())
+	if a.seen != 450 {
+		t.Errorf("seen = %d, want 450", a.seen)
 	}
 	if a.Epochs() != 4 {
 		t.Errorf("epochs = %d, want 4", a.Epochs())

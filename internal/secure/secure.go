@@ -40,14 +40,22 @@ func DeriveKey(master []byte, context string) Key {
 }
 
 // Sealer encrypts and authenticates configuration payloads with
-// monotonically increasing nonces. Not safe for concurrent use; each
-// protocol endpoint owns one Sealer per direction.
+// monotonically increasing nonces, and on the receiving side opens
+// each box at most once: Open rejects a box sealed for the other
+// direction or whose counter is not above the last one it opened, so
+// an eavesdropper cannot replay a captured box. Not safe for
+// concurrent use; each protocol endpoint owns one Sealer per
+// direction.
 type Sealer struct {
 	aead    cipher.AEAD
 	counter uint64
 	// prefix distinguishes the two directions of one association so
 	// both sides can seal with the same key without nonce collision.
 	prefix uint32
+	// last is the counter of the last box Open accepted, valid once
+	// opened is set.
+	last   uint64
+	opened bool
 }
 
 // NewSealer builds a Sealer for one direction of an association.
@@ -66,6 +74,10 @@ func NewSealer(k Key, directionPrefix uint32) (*Sealer, error) {
 // ErrAuthFailed reports a ciphertext that failed authentication.
 var ErrAuthFailed = errors.New("secure: message authentication failed")
 
+// ErrReplay reports a box sealed for the other direction, or one whose
+// nonce counter is not above the last counter this Sealer opened.
+var ErrReplay = errors.New("secure: replayed or misdirected message")
+
 // Seal encrypts plaintext with the next nonce, binding ad as
 // associated data. The nonce is prepended to the ciphertext.
 func (s *Sealer) Seal(plaintext, ad []byte) []byte {
@@ -78,17 +90,23 @@ func (s *Sealer) Seal(plaintext, ad []byte) []byte {
 	return s.aead.Seal(out, nonce, plaintext, ad)
 }
 
-// Open decrypts a message produced by Seal with the same key and
-// associated data.
+// Open decrypts a message produced by Seal with the same key,
+// direction prefix and associated data. The counter only moves once
+// the box authenticates, so a forged box cannot block later ones.
 func (s *Sealer) Open(sealed, ad []byte) ([]byte, error) {
 	ns := s.aead.NonceSize()
 	if len(sealed) < ns+s.aead.Overhead() {
 		return nil, ErrAuthFailed
 	}
+	counter := binary.BigEndian.Uint64(sealed[4:12])
+	if binary.BigEndian.Uint32(sealed[0:4]) != s.prefix || (s.opened && counter <= s.last) {
+		return nil, ErrReplay
+	}
 	plaintext, err := s.aead.Open(nil, sealed[:ns], sealed[ns:], ad)
 	if err != nil {
 		return nil, ErrAuthFailed
 	}
+	s.last, s.opened = counter, true
 	return plaintext, nil
 }
 

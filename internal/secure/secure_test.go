@@ -82,6 +82,39 @@ func TestOpenRejectsTruncated(t *testing.T) {
 	}
 }
 
+// A receiving Sealer opens each box once: a replayed box, or an older
+// one delivered after a newer, is rejected.
+func TestOpenRejectsReplay(t *testing.T) {
+	k := DeriveKey([]byte("m"), "ctx")
+	tx, _ := NewSealer(k, 1)
+	rx, _ := NewSealer(k, 1)
+	first := tx.Seal([]byte("request"), nil)
+	if _, err := rx.Open(first, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rx.Open(first, nil); err != ErrReplay {
+		t.Fatalf("replayed box: err = %v, want ErrReplay", err)
+	}
+	second, third := tx.Seal([]byte("retry"), nil), tx.Seal([]byte("retry 2"), nil)
+	if _, err := rx.Open(third, nil); err != nil {
+		t.Fatalf("fresh box after a replay: %v", err)
+	}
+	if _, err := rx.Open(second, nil); err != ErrReplay {
+		t.Fatalf("older box after a newer one: err = %v, want ErrReplay", err)
+	}
+}
+
+// A box sealed for the other direction of the association, under the
+// same key, is rejected even though it authenticates.
+func TestOpenRejectsOtherDirection(t *testing.T) {
+	k := DeriveKey([]byte("m"), "ctx")
+	tx, _ := NewSealer(k, 2)
+	rx, _ := NewSealer(k, 1)
+	if _, err := rx.Open(tx.Seal([]byte("response"), nil), nil); err != ErrReplay {
+		t.Fatalf("other direction's box: err = %v, want ErrReplay", err)
+	}
+}
+
 func TestNoncesNeverRepeat(t *testing.T) {
 	k := DeriveKey([]byte("m"), "ctx")
 	tx, _ := NewSealer(k, 1)

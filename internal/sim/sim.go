@@ -1,7 +1,7 @@
 // Package sim is a small deterministic discrete-event simulation
 // kernel. The WLAN model (AP, stations, radio channel, sniffer) runs
-// on top of it: every frame transmission, beacon, configuration
-// exchange and channel hop is an event on one virtual clock.
+// on top of it: every frame transmission, configuration retry and
+// replayed packet is an event on one virtual clock.
 //
 // Determinism contract: given the same initial events and the same
 // seeds, a simulation run produces the identical event order. Ties in
@@ -13,7 +13,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -25,12 +24,7 @@ type Event struct {
 
 	seq   uint64 // insertion order, final tie breaker
 	index int    // heap bookkeeping
-	dead  bool   // cancelled
 }
-
-// Cancel prevents a scheduled event from firing. Safe to call more
-// than once and after the event has fired (then it is a no-op).
-func (e *Event) Cancel() { e.dead = true }
 
 type eventHeap []*Event
 
@@ -71,7 +65,6 @@ type Kernel struct {
 	queue   eventHeap
 	nextSeq uint64
 	running bool
-	stopped bool
 	fired   uint64
 }
 
@@ -82,12 +75,6 @@ func New() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
-
-// Fired returns the number of events executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of events still queued.
-func (k *Kernel) Pending() int { return len(k.queue) }
 
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
@@ -118,34 +105,6 @@ func (k *Kernel) After(d time.Duration, fn func()) *Event {
 	return e
 }
 
-// Every schedules fn to run every period, starting after the first
-// period elapses, until the returned stop function is called or the
-// simulation ends. The paper's frequency-hopping baseline (channel
-// dwell of 500 ms) and AP beaconing are built on this.
-func (k *Kernel) Every(period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		panic("sim: Every needs a positive period")
-	}
-	stopped := false
-	var schedule func()
-	schedule = func() {
-		k.After(period, func() {
-			if stopped || k.stopped {
-				return
-			}
-			fn()
-			// fn may have called stop; don't queue a ghost event
-			// that would silently advance the clock one period.
-			if stopped || k.stopped {
-				return
-			}
-			schedule()
-		})
-	}
-	schedule()
-	return func() { stopped = true }
-}
-
 // Run executes events until the queue drains or until limit fires, a
 // safety valve against runaway self-rescheduling models (0 = no limit).
 func (k *Kernel) Run(limit uint64) error {
@@ -155,16 +114,10 @@ func (k *Kernel) Run(limit uint64) error {
 	k.running = true
 	defer func() { k.running = false }()
 	for len(k.queue) > 0 {
-		if k.stopped {
-			return nil
-		}
 		if limit > 0 && k.fired >= limit {
 			return fmt.Errorf("sim: event limit %d reached at t=%v", limit, k.now)
 		}
 		e := heap.Pop(&k.queue).(*Event)
-		if e.dead {
-			continue
-		}
 		if e.At < k.now {
 			return fmt.Errorf("sim: time went backwards: %v < %v", e.At, k.now)
 		}
@@ -174,43 +127,3 @@ func (k *Kernel) Run(limit uint64) error {
 	}
 	return nil
 }
-
-// RunUntil executes events with At <= deadline, leaving later events
-// queued and the clock at the deadline.
-func (k *Kernel) RunUntil(deadline time.Duration) error {
-	if k.running {
-		return errors.New("sim: RunUntil called reentrantly")
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	for len(k.queue) > 0 {
-		if k.stopped {
-			return nil
-		}
-		next := k.queue[0]
-		if next.dead {
-			heap.Pop(&k.queue)
-			continue
-		}
-		if next.At > deadline {
-			break
-		}
-		heap.Pop(&k.queue)
-		k.now = next.At
-		k.fired++
-		next.Fn()
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-	return nil
-}
-
-// Stop halts the run loop after the current event returns.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
-// MaxTime is the largest representable virtual time.
-const MaxTime = time.Duration(math.MaxInt64)

@@ -63,19 +63,6 @@ func TestPriorityBeatsInsertion(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	k := New()
-	fired := false
-	e := k.After(time.Second, func() { fired = true })
-	e.Cancel()
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestScheduleInPastFails(t *testing.T) {
 	k := New()
 	k.After(time.Second, func() {
@@ -105,27 +92,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	k := New()
-	count := 0
-	var stop func()
-	stop = k.Every(500*time.Millisecond, func() {
-		count++
-		if count == 4 {
-			stop()
-		}
-	})
-	if err := k.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 {
-		t.Fatalf("periodic fired %d times, want 4", count)
-	}
-	if k.Now() != 2*time.Second {
-		t.Errorf("clock = %v, want 2s", k.Now())
-	}
-}
-
 func TestRunLimit(t *testing.T) {
 	k := New()
 	var tick func()
@@ -133,64 +99,6 @@ func TestRunLimit(t *testing.T) {
 	k.After(time.Millisecond, tick)
 	if err := k.Run(100); err == nil {
 		t.Fatal("runaway simulation should hit the event limit")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	k := New()
-	var fired []time.Duration
-	for _, d := range []time.Duration{1, 2, 3, 4, 5} {
-		d := d * time.Second
-		k.After(d, func() { fired = append(fired, d) })
-	}
-	if err := k.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 3 {
-		t.Fatalf("RunUntil fired %d events, want 3", len(fired))
-	}
-	if k.Now() != 3*time.Second {
-		t.Errorf("clock = %v, want 3s", k.Now())
-	}
-	if k.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", k.Pending())
-	}
-	// Continue to the end.
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 5 {
-		t.Fatalf("total fired %d, want 5", len(fired))
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	k := New()
-	if err := k.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 10*time.Second {
-		t.Errorf("idle clock = %v, want 10s", k.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := New()
-	count := 0
-	k.Every(time.Second, func() {
-		count++
-		if count == 3 {
-			k.Stop()
-		}
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("fired %d, want 3 (Stop should halt the loop)", count)
-	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() should report true")
 	}
 }
 
@@ -202,8 +110,8 @@ func TestFiredCount(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if k.Fired() != 7 {
-		t.Errorf("Fired = %d, want 7", k.Fired())
+	if k.fired != 7 {
+		t.Errorf("fired = %d, want 7", k.fired)
 	}
 }
 
@@ -232,13 +140,4 @@ func TestMonotoneClockProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEveryValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) should panic")
-		}
-	}()
-	New().Every(0, func() {})
 }

@@ -78,20 +78,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) float64 {

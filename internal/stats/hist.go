@@ -2,15 +2,12 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
 
 // Histogram counts observations into fixed-width or explicit bins.
-// The reshaping algorithm's target distributions φ and measured
-// distributions p (§III-C of the paper) are Histograms over packet
-// size ranges, and Figures 1, 4 and 5 are rendered from them.
+// Figures 1, 4 and 5 bin packet sizes with it.
 type Histogram struct {
 	// Edges has len(Counts)+1 entries; bin j covers (Edges[j], Edges[j+1]].
 	// The paper uses half-open ranges (ℓ_{j-1}, ℓ_j], which we follow:
@@ -18,11 +15,6 @@ type Histogram struct {
 	Edges  []float64
 	Counts []int
 	total  int
-	// uniform marks edges reproducible by the UniformEdges formula,
-	// unlocking O(1) direct-index binning in Bin (Add/AddN sit on the
-	// reshaping schedulers' per-packet path).
-	uniform bool
-	binW    float64
 }
 
 // NewHistogram creates a histogram with the given bin edges
@@ -38,28 +30,10 @@ func NewHistogram(edges []float64) *Histogram {
 			panic("stats: histogram edges must be strictly ascending")
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		Edges:  append([]float64(nil), edges...),
 		Counts: make([]int, len(edges)-1),
 	}
-	h.uniform, h.binW = detectUniform(h.Edges)
-	return h
-}
-
-// detectUniform reports whether edges match, bit for bit, what
-// UniformEdges(edges[0], edges[last], n) would produce. Exact float
-// equality is required: the fast path's arithmetic guess is corrected
-// against the stored edges, and the correction is O(1) only when the
-// edges truly follow the uniform formula.
-func detectUniform(edges []float64) (bool, float64) {
-	n := len(edges) - 1
-	lo, hi := edges[0], edges[n]
-	for i := 1; i < n; i++ {
-		if edges[i] != lo+(hi-lo)*float64(i)/float64(n) {
-			return false, 0
-		}
-	}
-	return true, (hi - lo) / float64(n)
 }
 
 // UniformEdges returns n+1 edges splitting (lo, hi] into n equal bins.
@@ -75,38 +49,10 @@ func UniformEdges(lo, hi float64, n int) []float64 {
 	return edges
 }
 
-// Bin returns the bin index for x, clamping out-of-range values.
-// Uniform-edge histograms (anything built from UniformEdges) take an
-// O(1) arithmetic path; arbitrary edges fall back to binary search.
-// Both paths implement the same upper-inclusive rule: x lands in bin
-// b when Edges[b] < x <= Edges[b+1], clamped at the ends.
+// Bin returns the bin index for x, clamping out-of-range values: x
+// lands in bin b when Edges[b] < x <= Edges[b+1].
 func (h *Histogram) Bin(x float64) int {
 	last := len(h.Counts) - 1
-	if h.uniform {
-		lo := h.Edges[0]
-		if x <= lo {
-			return 0
-		}
-		if x >= h.Edges[len(h.Edges)-1] {
-			return last
-		}
-		b := int(math.Ceil((x-lo)/h.binW)) - 1
-		if b < 0 {
-			b = 0
-		} else if b > last {
-			b = last
-		}
-		// The division can land one bin off at values within a rounding
-		// error of an edge; correct against the exact stored edges so
-		// the result is identical to the binary-search path.
-		for b < last && x > h.Edges[b+1] {
-			b++
-		}
-		for b > 0 && x <= h.Edges[b] {
-			b--
-		}
-		return b
-	}
 	// Upper-inclusive binning: find the first edge >= x, bin is idx-1.
 	idx := sort.SearchFloat64s(h.Edges, x)
 	// SearchFloat64s returns the first i with Edges[i] >= x.
@@ -126,15 +72,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[h.Bin(x)]++
 	h.total++
 }
-
-// AddN records n observations of the same value.
-func (h *Histogram) AddN(x float64, n int) {
-	h.Counts[h.Bin(x)] += n
-	h.total += n
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
 
 // PMF returns the per-bin probability mass (sums to 1 when non-empty).
 // This is the paper's P_j / p^i_j vector.
@@ -163,25 +100,6 @@ func (h *Histogram) CDF() []float64 {
 		cdf[len(cdf)-1] = 1
 	}
 	return cdf
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		Edges:   append([]float64(nil), h.Edges...),
-		Counts:  append([]int(nil), h.Counts...),
-		total:   h.total,
-		uniform: h.uniform,
-		binW:    h.binW,
-	}
-}
-
-// Reset zeroes all counts.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.total = 0
 }
 
 // String renders a compact textual summary, useful in logs and tests.

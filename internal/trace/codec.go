@@ -7,11 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 	"time"
 
-	"trafficreshape/internal/mac"
 	"trafficreshape/internal/wire"
 )
 
@@ -141,9 +138,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// WriteCSV writes a human-readable CSV with a header row. Used by the
-// experiment harness to emit figure series that external plotting
-// tools can consume.
+// WriteCSV writes a human-readable CSV with a header row, for
+// `tracegen -format csv` and external plotting tools.
 func WriteCSV(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("time_s,size,dir,app,mac,chan,rssi,seq\n"); err != nil {
@@ -157,69 +153,4 @@ func WriteCSV(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses the format produced by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	t := New(1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if line == 1 || text == "" {
-			continue // header
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 8 {
-			return nil, fmt.Errorf("trace: csv line %d has %d fields, want 8", line, len(fields))
-		}
-		var p Packet
-		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d time: %v", line, err)
-		}
-		p.Time = time.Duration(secs * float64(time.Second))
-		size, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d size: %v", line, err)
-		}
-		p.Size = int32(size)
-		switch fields[2] {
-		case "up":
-			p.Dir = Uplink
-		case "down":
-			p.Dir = Downlink
-		default:
-			return nil, fmt.Errorf("trace: csv line %d direction %q", line, fields[2])
-		}
-		p.App, err = ParseApp(fields[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d: %v", line, err)
-		}
-		p.MAC, err = mac.ParseAddress(fields[4])
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d: %v", line, err)
-		}
-		ch, err := strconv.ParseUint(fields[5], 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d chan: %v", line, err)
-		}
-		p.Chan = uint8(ch)
-		p.RSSI, err = strconv.ParseFloat(fields[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d rssi: %v", line, err)
-		}
-		seq, err := strconv.ParseUint(fields[7], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d seq: %v", line, err)
-		}
-		p.Seq = uint16(seq) & 0x0fff
-		t.Append(p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

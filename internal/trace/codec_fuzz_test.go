@@ -9,13 +9,9 @@ package trace
 // depends on).
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -85,76 +81,4 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("round trip changed the content digest")
 		}
 	})
-}
-
-// FuzzReadCSV checks that every trace ReadCSV accepts fits the binary
-// record: it survives WriteBinary → ReadBinary unchanged, and each
-// packet's size and channel are the values its row spells rather than
-// a truncation of them. Packet has the record's widths, so a parser
-// that truncated into the struct would pass the round trip alone; the
-// row comparison is what catches it. RSSI is compared at the two
-// decimals WriteCSV prints it with (which also equates NaNs).
-func FuzzReadCSV(f *testing.F) {
-	for _, tr := range fuzzSeedTraces() {
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, tr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.String())
-	}
-	const header = "time_s,size,dir,app,mac,chan,rssi,seq\n"
-	f.Add(header + "1.0,4294967396,down,browsing,00:11:22:33:44:55,1,-50,0\n")
-	f.Add(header + "1.0,100,down,browsing,00:11:22:33:44:55,300,-50,0\n")
-	f.Add(header + "1.0,-7,up,chatting,00:11:22:33:44:55,255,NaN,4095\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadCSV(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatalf("encode of accepted csv failed: %v", err)
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("decode of own encoding failed: %v", err)
-		}
-		if len(back.Packets) != len(tr.Packets) {
-			t.Fatalf("round trip changed packet count: %d -> %d", len(tr.Packets), len(back.Packets))
-		}
-		rows := csvRows(data)
-		if len(rows) != len(tr.Packets) {
-			t.Fatalf("%d data rows parsed into %d packets", len(rows), len(tr.Packets))
-		}
-		for i, p := range back.Packets {
-			want := tr.Packets[i]
-			if got, w := fmt.Sprintf("%.2f", p.RSSI), fmt.Sprintf("%.2f", want.RSSI); got != w {
-				t.Fatalf("packet %d: rssi %s after round trip, want %s", i, got, w)
-			}
-			p.RSSI, want.RSSI = 0, 0
-			if p != want {
-				t.Fatalf("packet %d: round trip changed %+v into %+v", i, want, p)
-			}
-			size, _ := strconv.ParseInt(rows[i][1], 10, 64)
-			ch, _ := strconv.ParseInt(rows[i][5], 10, 64)
-			if int64(p.Size) != size || int64(p.Chan) != ch {
-				t.Fatalf("packet %d: size %d chan %d, row spells %s and %s", i, p.Size, p.Chan, rows[i][1], rows[i][5])
-			}
-		}
-	})
-}
-
-// csvRows splits an input ReadCSV accepted into the fields of its data
-// rows, skipping the header and blank lines the way ReadCSV does.
-func csvRows(data string) [][]string {
-	var rows [][]string
-	sc := bufio.NewScanner(strings.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		if text := strings.TrimSpace(sc.Text()); line > 1 && text != "" {
-			rows = append(rows, strings.Split(text, ","))
-		}
-	}
-	return rows
 }

@@ -96,51 +96,6 @@ func TestBinaryTruncated(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := randomTrace(3, 200)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("csv round trip count %d, want %d", got.Len(), tr.Len())
-	}
-	for i := range got.Packets {
-		a, b := tr.Packets[i], got.Packets[i]
-		if a.Size != b.Size || a.Dir != b.Dir || a.App != b.App || a.MAC != b.MAC {
-			t.Fatalf("csv record %d mismatch: %+v vs %+v", i, a, b)
-		}
-		dt := a.Time - b.Time
-		if dt < -time.Microsecond || dt > time.Microsecond {
-			t.Fatalf("csv record %d time drift %v", i, dt)
-		}
-	}
-}
-
-func TestCSVMalformed(t *testing.T) {
-	bad := []string{
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\nxx,100,down,browsing,00:11:22:33:44:55,1,-50,0\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,sideways,browsing,00:11:22:33:44:55,1,-50,0\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,mystery,00:11:22:33:44:55,1,-50,0\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,zz:11,1,-50,0\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,00:11:22:33:44:55,1,-50,banana\n",
-		// Values the binary record's int32 size and u8 channel cannot
-		// hold: accepting them would truncate silently on encode.
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,4294967396,down,browsing,00:11:22:33:44:55,1,-50,0\n",
-		"time_s,size,dir,app,mac,chan,rssi,seq\n1.0,100,down,browsing,00:11:22:33:44:55,300,-50,0\n",
-	}
-	for i, s := range bad {
-		if _, err := ReadCSV(strings.NewReader(s)); err == nil {
-			t.Errorf("malformed csv %d accepted", i)
-		}
-	}
-}
-
 // Property: binary round trip is lossless for arbitrary traces.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {

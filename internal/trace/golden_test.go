@@ -48,3 +48,27 @@ func TestGoldenBinaryEncoding(t *testing.T) {
 		t.Errorf("Digest = %s, want %s", got, want)
 	}
 }
+
+// TestGoldenCSV pins the exact bytes WriteCSV produces for a small
+// trace: the column order, the nanosecond time and two-decimal RSSI
+// precision, and the direction, application and address spellings.
+func TestGoldenCSV(t *testing.T) {
+	tr := New(3)
+	tr.Append(Packet{Time: time.Millisecond, Size: 100, Dir: Uplink, App: Browsing, Seq: 1})
+	tr.Append(Packet{
+		Time: 1500 * time.Microsecond, Size: 1576, Dir: Downlink, App: Video,
+		MAC: [6]byte{0x02, 0x1b, 0x2c, 0x3d, 0x4e, 0x5f}, Chan: 6, RSSI: -55.256, Seq: 4095,
+	})
+	tr.Append(Packet{Time: 2*time.Second + 7, Size: 64, Dir: Uplink, App: BitTorrent, Chan: 11, RSSI: -70})
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	const want = "time_s,size,dir,app,mac,chan,rssi,seq\n" +
+		"0.001000000,100,up,browsing,00:00:00:00:00:00,0,0.00,1\n" +
+		"0.001500000,1576,down,video,02:1b:2c:3d:4e:5f,6,-55.26,4095\n" +
+		"2.000000007,64,up,bittorrent,00:00:00:00:00:00,11,-70.00,0\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
+	}
+}

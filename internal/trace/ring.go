@@ -4,17 +4,16 @@ package trace
 // store of the streaming engine. Pushing beyond capacity overwrites
 // the oldest packet, so a flow's memory footprint is bounded no matter
 // how fast it transmits, and the buffer never allocates after
-// construction. Packets are stored by value; At and AppendTo read them
-// back in arrival order.
+// construction. Packets are stored by value; AppendTo reads them back
+// in arrival order.
 //
 // The implementation is deliberately division-free (a wrapping head
 // index instead of modulo arithmetic): Push sits on the streaming
 // engine's per-packet hot path, where an integer divide is a
 // measurable fraction of the whole budget.
 type Ring struct {
-	buf   []Packet
-	head  int // index of the oldest packet once full; 0 before that
-	total int
+	buf  []Packet
+	head int // index of the oldest packet once full; 0 before that
 }
 
 // NewRing returns a ring holding at most capacity packets.
@@ -30,7 +29,6 @@ func NewRing(capacity int) *Ring {
 func (r *Ring) Push(p Packet) bool {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, p)
-		r.total++
 		return false
 	}
 	r.buf[r.head] = p
@@ -38,31 +36,11 @@ func (r *Ring) Push(p Packet) bool {
 	if r.head == cap(r.buf) {
 		r.head = 0
 	}
-	r.total++
 	return true
 }
 
 // Len returns the number of packets currently held.
 func (r *Ring) Len() int { return len(r.buf) }
-
-// Cap returns the fixed capacity.
-func (r *Ring) Cap() int { return cap(r.buf) }
-
-// Total returns the number of packets pushed since the last Reset,
-// including evicted ones.
-func (r *Ring) Total() int { return r.total }
-
-// At returns the i-th oldest packet currently held, 0 <= i < Len().
-func (r *Ring) At(i int) Packet {
-	if i < 0 || i >= len(r.buf) {
-		panic("trace: ring index out of range")
-	}
-	idx := r.head + i
-	if idx >= cap(r.buf) {
-		idx -= cap(r.buf)
-	}
-	return r.buf[idx]
-}
 
 // AppendTo appends the held packets, oldest first, to dst and returns
 // the extended slice. With a dst of sufficient capacity this performs
@@ -75,4 +53,4 @@ func (r *Ring) AppendTo(dst []Packet) []Packet {
 
 // Reset empties the ring without releasing its storage, ready for the
 // next window.
-func (r *Ring) Reset() { r.buf = r.buf[:0]; r.head = 0; r.total = 0 }
+func (r *Ring) Reset() { r.buf = r.buf[:0]; r.head = 0 }

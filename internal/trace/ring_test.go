@@ -11,20 +11,20 @@ func ringPacket(i int) Packet {
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4)
-	if r.Cap() != 4 || r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d total=%d", r.Cap(), r.Len(), r.Total())
+	if cap(r.buf) != 4 || r.Len() != 0 {
+		t.Fatalf("fresh ring: cap=%d len=%d", cap(r.buf), r.Len())
 	}
 	for i := 0; i < 3; i++ {
 		if r.Push(ringPacket(i)) {
 			t.Fatalf("push %d evicted below capacity", i)
 		}
 	}
-	if r.Len() != 3 || r.Total() != 3 {
-		t.Fatalf("len=%d total=%d after 3 pushes", r.Len(), r.Total())
+	if r.Len() != 3 {
+		t.Fatalf("len=%d after 3 pushes", r.Len())
 	}
-	for i := 0; i < 3; i++ {
-		if got := r.At(i); got != ringPacket(i) {
-			t.Fatalf("At(%d) = %v, want %v", i, got, ringPacket(i))
+	for i, got := range r.AppendTo(nil) {
+		if got != ringPacket(i) {
+			t.Fatalf("packet %d = %v, want %v", i, got, ringPacket(i))
 		}
 	}
 }
@@ -37,13 +37,13 @@ func TestRingOverwritesOldest(t *testing.T) {
 			t.Fatalf("push %d: evicted=%v, want %v", i, evicted, want)
 		}
 	}
-	if r.Len() != 4 || r.Total() != 10 {
-		t.Fatalf("len=%d total=%d after 10 pushes into cap 4", r.Len(), r.Total())
+	if r.Len() != 4 {
+		t.Fatalf("len=%d after 10 pushes into cap 4", r.Len())
 	}
 	// Oldest surviving packet is #6.
-	for i := 0; i < 4; i++ {
-		if got := r.At(i); got != ringPacket(6+i) {
-			t.Fatalf("At(%d) = %v, want packet %d", i, got, 6+i)
+	for i, got := range r.AppendTo(nil) {
+		if got != ringPacket(6+i) {
+			t.Fatalf("packet %d = %v, want packet %d", i, got, 6+i)
 		}
 	}
 }
@@ -74,29 +74,22 @@ func TestRingReset(t *testing.T) {
 		r.Push(ringPacket(i))
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("after reset: len=%d total=%d", r.Len(), r.Total())
+	if r.Len() != 0 {
+		t.Fatalf("after reset: len=%d", r.Len())
 	}
 	r.Push(ringPacket(42))
-	if r.Len() != 1 || r.At(0) != ringPacket(42) {
+	if got := r.AppendTo(nil); len(got) != 1 || got[0] != ringPacket(42) {
 		t.Fatal("ring unusable after reset")
 	}
 }
 
 func TestRingPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero-capacity": func() { NewRing(0) },
-		"bad-index":     func() { NewRing(2).At(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("zero-capacity: no panic")
+		}
+	}()
+	NewRing(0)
 }
 
 func TestRingSteadyStateAllocFree(t *testing.T) {

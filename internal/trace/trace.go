@@ -155,17 +155,6 @@ func (t *Trace) Clone() *Trace {
 	return &Trace{Packets: append([]Packet(nil), t.Packets...)}
 }
 
-// Filter returns a new trace with the packets for which keep is true.
-func (t *Trace) Filter(keep func(Packet) bool) *Trace {
-	out := New(len(t.Packets) / 2)
-	for _, p := range t.Packets {
-		if keep(p) {
-			out.Append(p)
-		}
-	}
-	return out
-}
-
 // ByDirection splits the trace into downlink and uplink sub-traces.
 // It counts the uplink first and carves both from one exact-size
 // array, each capped at its own length so an Append to one never

@@ -253,16 +253,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	tr := New(3)
-	tr.Append(mkPacket(0, 100, Downlink, Browsing))
-	tr.Append(mkPacket(1, 2000, Downlink, Browsing))
-	big := tr.Filter(func(p Packet) bool { return p.Size > 1000 })
-	if big.Len() != 1 || big.Packets[0].Size != 2000 {
-		t.Fatalf("filter wrong: %v", big.Packets)
-	}
-}
-
 // Property: windows partition the packets they keep — every packet
 // lands in exactly one window and total kept <= total packets.
 func TestWindowsPartitionProperty(t *testing.T) {

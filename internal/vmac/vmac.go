@@ -301,13 +301,6 @@ func (c *Client) Install(resp Response) error {
 	return nil
 }
 
-// Configured reports whether virtual interfaces are installed.
-func (c *Client) Configured() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.virtual) > 0
-}
-
 // Interfaces returns the number of installed virtual interfaces.
 func (c *Client) Interfaces() int {
 	c.mu.Lock()
