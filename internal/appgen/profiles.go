@@ -25,6 +25,8 @@ package appgen
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"trafficreshape/internal/par"
@@ -210,14 +212,23 @@ func Generate(app trace.App, duration time.Duration, seed uint64) *trace.Trace {
 // in what order the two streams are rendered.
 func GenerateProfile(p Profile, duration time.Duration, seed uint64) *trace.Trace {
 	root := stats.NewRNG(seed)
-	// Both directions render into one buffer, downlink first, and are
-	// merged as two views of it into the exact-size output.
-	buf := make([]trace.Packet, 0, streamCap(p.Down, duration)+streamCap(p.Up, duration))
+	// Both directions render into one pooled buffer, downlink first,
+	// and are merged as two views of it into the exact-size output.
+	// Merge always copies into fresh memory, so the buffer goes back
+	// to the pool as soon as it returns.
+	bp := dirBufPool.Get().(*[]trace.Packet)
+	buf := slices.Grow((*bp)[:0], streamCap(p.Down, duration)+streamCap(p.Up, duration))
 	buf = genStream(buf, p.App, trace.Downlink, p.Down, duration, root.SplitAt(0))
 	nDown := len(buf)
 	buf = genStream(buf, p.App, trace.Uplink, p.Up, duration, root.SplitAt(1))
-	return trace.Merge(&trace.Trace{Packets: buf[:nDown]}, &trace.Trace{Packets: buf[nDown:]})
+	out := trace.Merge(&trace.Trace{Packets: buf[:nDown]}, &trace.Trace{Packets: buf[nDown:]})
+	*bp = buf[:0]
+	dirBufPool.Put(bp)
+	return out
 }
+
+// dirBufPool holds GenerateProfile's two-direction buffers.
+var dirBufPool = sync.Pool{New: func() any { return new([]trace.Packet) }}
 
 // streamCap is the capacity reserved for one direction: the expected
 // packet count n = duration/mean gap plus Poisson slack of four

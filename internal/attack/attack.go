@@ -65,17 +65,36 @@ type TrainOptions struct {
 // Train builds the adversary's classifier from labeled original
 // traces — the training phase the paper assumes (the attacker can
 // always generate labeled traffic of the seven activities on its own
-// machines).
+// machines). It is PrepareTraining followed by Fit.
 func Train(traces map[trace.App]*trace.Trace, opt TrainOptions) (*Classifier, error) {
-	if opt.W <= 0 {
-		opt.W = 5 * time.Second
+	ts, err := PrepareTraining(traces, opt.W)
+	if err != nil {
+		return nil, err
 	}
-	if opt.HoldoutFrac <= 0 || opt.HoldoutFrac >= 1 {
-		opt.HoldoutFrac = 0.25
+	return ts.Fit(opt)
+}
+
+// TrainingSet is labeled training traffic in feature space: one raw
+// (unscaled, unmasked) feature vector per qualifying window, in
+// application order. It is the classifier-independent half of
+// training, so one set serves every family, the timing-only variant
+// and any later refit. A TrainingSet is read-only once prepared and
+// safe to share between goroutines.
+type TrainingSet struct {
+	Examples []features.Example
+}
+
+// PrepareTraining windows every training trace at w (w <= 0 selects
+// 5 s) and extracts each window's features, labeled with the map key
+// (the ground truth, not the majority packet label). Every
+// application needs a trace, and the set needs at least two windows
+// per application.
+func PrepareTraining(traces map[trace.App]*trace.Trace, w time.Duration) (*TrainingSet, error) {
+	if w <= 0 {
+		w = 5 * time.Second
 	}
-	// Window every training trace once (unlabeled: the ground truth is
-	// the map key, not the majority packet label), count the total, and
-	// extract into a single exactly-sized example slice.
+	// Window every trace once, count the total, and extract into a
+	// single exactly-sized example slice.
 	perApp := make([][]trace.Window, trace.NumApps)
 	total := 0
 	for _, app := range trace.Apps {
@@ -83,24 +102,45 @@ func Train(traces map[trace.App]*trace.Trace, opt TrainOptions) (*Classifier, er
 		if !ok {
 			return nil, fmt.Errorf("attack: no training trace for %v", app)
 		}
-		perApp[app] = features.AppendWindowsOf(nil, tr, opt.W, false)
+		perApp[app] = features.AppendWindowsOf(nil, tr, w, false)
 		total += len(perApp[app])
+	}
+	if total < 2*trace.NumApps {
+		return nil, fmt.Errorf("attack: only %d training windows; traces too short", total)
 	}
 	examples := make([]features.Example, 0, total)
 	for _, app := range trace.Apps {
-		for _, w := range perApp[app] {
-			x := features.Extract(w)
-			if opt.TimingOnly {
-				x = maskSizes(x)
-			}
-			examples = append(examples, features.Example{X: x, Y: app})
+		for _, win := range perApp[app] {
+			examples = append(examples, features.Example{X: features.Extract(win), Y: app})
 		}
 	}
-	if len(examples) < 2*trace.NumApps {
-		return nil, fmt.Errorf("attack: only %d training windows; traces too short", len(examples))
+	return &TrainingSet{Examples: examples}, nil
+}
+
+// scaled masks the set's size features when timingOnly is set, fits
+// the scaler on the result and returns it with the scaled examples,
+// a fresh slice the set does not share.
+func (ts *TrainingSet) scaled(timingOnly bool) (*features.Scaler, []features.Example) {
+	examples := ts.Examples
+	if timingOnly {
+		examples = slices.Clone(examples)
+		for i := range examples {
+			examples[i].X = maskSizes(examples[i].X)
+		}
 	}
 	scaler := features.FitScaler(examples)
-	scaled := scaler.ApplyAll(examples)
+	return scaler, scaler.ApplyAll(examples)
+}
+
+// Fit trains a classifier on the prepared set: it masks the size
+// features when opt.TimingOnly is set, fits the scaler and trains
+// opt.Trainer, or selects the best family when it is nil. opt.W is
+// ignored: the set was windowed when it was prepared.
+func (ts *TrainingSet) Fit(opt TrainOptions) (*Classifier, error) {
+	if opt.HoldoutFrac <= 0 || opt.HoldoutFrac >= 1 {
+		opt.HoldoutFrac = 0.25
+	}
+	scaler, scaled := ts.scaled(opt.TimingOnly)
 
 	if opt.Trainer != nil {
 		model, err := opt.Trainer.Train(scaled, opt.Seed)
@@ -142,27 +182,35 @@ func mustTrainer(name string) ml.Trainer {
 }
 
 // TrainAllParallel trains one classifier per model family on the same
-// data. The evaluation harness attacks with every family and reports
-// the strongest result, which is the paper's methodology: "We present
-// the highest classification accuracy based on these features." A
-// defense must hold against the best attacker, not the average one.
+// prepared set. The evaluation harness attacks with every family and
+// reports the strongest result, which is the paper's methodology: "We
+// present the highest classification accuracy based on these
+// features." A defense must hold against the best attacker, not the
+// average one.
 //
-// The families train concurrently over pool (nil pool = serial), each
-// on one goroutine. Every family sees the same traces and the same
-// seed and owns its result slot, so the returned slice (in ml.Trainers
-// order) is bit-identical for every pool size.
-func TrainAllParallel(traces map[trace.App]*trace.Trace, opt TrainOptions, pool *par.Pool) ([]*Classifier, error) {
+// The scaler is fitted and the set scaled once; the families then
+// train concurrently over pool (nil pool = serial), one goroutine
+// each, on the shared read-only scaled slice, and share the scaler.
+// Every family sees the same examples and seed and owns its result
+// slot, so the returned slice (in ml.Trainers order) is bit-identical
+// for every pool size, and each classifier equals what Fit with that
+// family as opt.Trainer returns. opt.Trainer is ignored.
+func TrainAllParallel(ts *TrainingSet, opt TrainOptions, pool *par.Pool) ([]*Classifier, error) {
+	scaler, scaled := ts.scaled(opt.TimingOnly)
 	trainers := ml.Trainers()
 	out := make([]*Classifier, len(trainers))
 	errs := make([]error, len(trainers))
 	pool.Each(len(trainers), func(i int) {
-		o := opt
-		o.Trainer = trainers[i]
-		out[i], errs[i] = Train(traces, o)
-	})
-	for i, err := range errs {
+		model, err := trainers[i].Train(scaled, opt.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("attack: training %s: %w", trainers[i].Name(), err)
+			errs[i] = fmt.Errorf("attack: training %s: %w", trainers[i].Name(), err)
+			return
+		}
+		out[i] = &Classifier{Scaler: scaler, Model: model, TimingOnly: opt.TimingOnly}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

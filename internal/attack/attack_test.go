@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"trafficreshape/internal/features"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -262,6 +264,64 @@ func TestAttackWindowedMatchesClassifyLoop(t *testing.T) {
 		}
 		if *got != want {
 			t.Fatalf("timingOnly=%v: AttackWindowed diverges from Classify loop\n got:\n%v\nwant:\n%v", timingOnly, got, &want)
+		}
+	}
+}
+
+// TestTrainAllParallelMatchesTrain pins the split of training into
+// PrepareTraining and Fit: at every pool size, each family that
+// TrainAllParallel fits on one prepared set predicts, window for
+// window, exactly what Train with that family alone predicts.
+func TestTrainAllParallelMatchesTrain(t *testing.T) {
+	w := 5 * time.Second
+	traces := appgen.GenerateAll(120*time.Second, 4004)
+	probeTraces := appgen.GenerateAll(60*time.Second, 4005)
+	var probe []features.Vector
+	for _, app := range trace.Apps {
+		for _, win := range features.WindowsOf(probeTraces[app], w) {
+			probe = append(probe, features.Extract(win))
+		}
+	}
+	predict := func(c *Classifier) []trace.App {
+		out := make([]trace.App, len(probe))
+		for i, x := range probe {
+			out[i] = c.classifyVector(x)
+		}
+		return out
+	}
+	ts, err := PrepareTraining(traces, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, timingOnly := range []bool{false, true} {
+		opt := TrainOptions{W: w, Seed: 13, TimingOnly: timingOnly}
+		trainers := ml.Trainers()
+		want := make([][]trace.App, len(trainers))
+		for i, f := range trainers {
+			o := opt
+			o.Trainer = f
+			c, err := Train(traces, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = predict(c)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			clfs, err := TrainAllParallel(ts, opt, par.NewPool(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(clfs) != len(trainers) {
+				t.Fatalf("workers=%d: %d classifiers, want %d", workers, len(clfs), len(trainers))
+			}
+			for i, c := range clfs {
+				if c.Model.Name() != trainers[i].Name() || c.TimingOnly != timingOnly {
+					t.Fatalf("workers=%d: slot %d holds %s (timingOnly=%v)", workers, i, c.Model.Name(), c.TimingOnly)
+				}
+				if got := predict(c); !slices.Equal(got, want[i]) {
+					t.Errorf("timingOnly=%v workers=%d: %s predicts differently from Train", timingOnly, workers, trainers[i].Name())
+				}
+			}
 		}
 	}
 }

@@ -14,9 +14,32 @@ import (
 	"trafficreshape/internal/trace"
 )
 
-// appgenAll regenerates the dataset's training traffic (same seed).
+// appgenAll regenerates cfg's synthetic training traffic (the seed a
+// dataset build uses). Runners call it only when the dataset they were
+// handed holds other traffic (see ownTraffic).
 func appgenAll(cfg Config) map[trace.App]*trace.Trace {
 	return appgen.GenerateAll(cfg.TrainDuration, cfg.Seed)
+}
+
+// ownTraffic reports whether ds was built from exactly the synthetic
+// traffic cfg generates, windowed at w: then its training set and test
+// traces are what a runner regenerating cfg's traffic would make, and
+// it may use them instead. A dataset built from captured traffic never
+// qualifies, so its Table VI is still trained on synthetic traffic.
+func ownTraffic(ds *Dataset, cfg Config, w time.Duration) bool {
+	want := cfg
+	want.W = w
+	return ds != nil && ds.src == nil && ds.train != nil && ds.Cfg == want
+}
+
+// trainingSet returns cfg's synthetic training traffic prepared at
+// window w: the dataset's own set when ownTraffic allows, else
+// regenerated.
+func trainingSet(ds *Dataset, cfg Config, w time.Duration) (*attack.TrainingSet, error) {
+	if ownTraffic(ds, cfg, w) {
+		return ds.train, nil
+	}
+	return attack.PrepareTraining(appgenAll(cfg), w)
 }
 
 // runSplitting reproduces the closing sentence of §V-C: "if we allow
@@ -85,11 +108,13 @@ func runAttackerAblation(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Train the extra family on the same data the dataset used.
-	train := appgenAll(cfg)
-	treeClf, err := attack.Train(train, attack.TrainOptions{
-		W: ds.Cfg.W, Seed: cfg.Seed ^ 0xbeef, Trainer: &ml.TreeTrainer{},
-	})
+	// Train the extra family on cfg's synthetic training traffic: the
+	// data a synthetic dataset's families were trained on.
+	train, err := trainingSet(ds, cfg, ds.Cfg.W)
+	if err != nil {
+		return nil, err
+	}
+	treeClf, err := train.Fit(attack.TrainOptions{Seed: cfg.Seed ^ 0xbeef, Trainer: &ml.TreeTrainer{}})
 	if err != nil {
 		return nil, err
 	}

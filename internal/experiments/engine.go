@@ -23,6 +23,12 @@ package experiments
 // cache: experiments needing W = 60 s (Tables III/IV) trigger one
 // shared build instead of two, and run concurrently with the W = 5 s
 // experiments.
+//
+// A RunAll does each piece of work once: one training set per
+// dataset, windowed and extracted once and shared by every family,
+// Table VI and the attacker ablation; and one evaluation per cell per
+// run, because the run's cell memo hands a (dataset, scheme) grid one
+// runner evaluated to every other runner asking for it.
 
 import (
 	"fmt"
@@ -85,14 +91,16 @@ func (e *Engine) WithBackend(b Backend) *Engine {
 	return &out
 }
 
-// BuildDataset generates training traffic, trains one adversary per
-// classifier family, and generates unseen test traffic. Applications
-// are generated, and families trained, concurrently on the pool, one
-// goroutine each; no trainer fans out internally, so a pool larger
-// than the shard count leaves permits idle during a build. Every
-// composition is bit-identical to the serial build. The dataset
-// carries the engine, so every later evaluation against it is sharded
-// too.
+// BuildDataset generates training traffic, windows and extracts it
+// once into the dataset's training set, trains one adversary per
+// classifier family on that set, and generates unseen test traffic.
+// Applications are generated, and families trained, concurrently on
+// the pool, one goroutine each; no trainer fans out internally, so a
+// pool larger than the shard count leaves permits idle during a
+// build. Every composition is bit-identical to the serial build. The
+// dataset carries the engine, so every later evaluation against it is
+// sharded too. It carries no cell memo: every EvalSchemes call on it
+// evaluates its whole grid.
 func (e *Engine) BuildDataset(cfg Config) (*Dataset, error) {
 	return e.BuildDatasetFrom(cfg, nil)
 }
@@ -110,13 +118,16 @@ func (e *Engine) BuildDatasetFrom(cfg Config, set *TraceSet) (*Dataset, error) {
 	if set != nil {
 		capturedTrain, capturedTest = set.Train, set.Test
 	}
-	train := e.resolveTraffic(capturedTrain, cfg.TrainDuration, cfg.Seed)
-	clfs, err := attack.TrainAllParallel(train, attack.TrainOptions{W: cfg.W, Seed: cfg.Seed ^ 0xbeef}, e.pool)
+	train, err := attack.PrepareTraining(e.resolveTraffic(capturedTrain, cfg.TrainDuration, cfg.Seed), cfg.W)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: training adversaries: %w", err)
+	}
+	clfs, err := attack.TrainAllParallel(train, attack.TrainOptions{Seed: cfg.Seed ^ 0xbeef}, e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training adversaries: %w", err)
 	}
 	test := e.resolveTraffic(capturedTest, cfg.TestDuration, cfg.Seed^0x5eed)
-	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, cache: newDatasetCache(), morphs: newMorphModelCache()}
+	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, train: train, cache: newDatasetCache(), morphs: newMorphModelCache()}
 	if !set.Empty() {
 		ds.src = set
 		ds.srcRef = set.Ref()
@@ -189,9 +200,13 @@ func (e *Engine) EvalScheme(ds *Dataset, s Scheme) *ml.Confusion {
 // order, then the strongest family (highest mean accuracy, first wins
 // ties) is reported — exactly the serial reduction, whichever process
 // evaluated each cell.
+//
+// Under RunAll the dataset carries the run's cell memo, and a registry
+// scheme another runner has already claimed on the same dataset is
+// not evaluated again: this call waits for that runner's cells instead.
 func (e *Engine) EvalSchemes(ds *Dataset, schemes []Scheme) []*ml.Confusion {
 	apps := trace.Apps
-	cells := e.backend.EvalGrid(ds, schemes)
+	cells := ds.cells.evalGrid(e.backend, ds, schemes)
 	out := make([]*ml.Confusion, len(schemes))
 	for si := range schemes {
 		var best *ml.Confusion
@@ -217,10 +232,11 @@ func (e *Engine) Run(name string, cfg Config) (*Result, error) {
 
 // RunAll executes every experiment: runners are sharded across the
 // pool (each runner additionally shards its own grid), derived
-// datasets are deduplicated per window, and the streaming collector
-// writes each rendering to w in registry order the moment it and all
-// its predecessors are done. The output bytes are identical to the
-// serial engine's.
+// datasets are deduplicated per window, grid cells are evaluated once
+// per run (see cellMemo), and the streaming collector writes each
+// rendering to w in registry order the moment it and all its
+// predecessors are done. The output bytes are identical to the serial
+// engine's.
 func (e *Engine) RunAll(w io.Writer, quick bool) (map[string]*Result, error) {
 	mkCfg := DefaultConfig
 	if quick {
@@ -231,6 +247,9 @@ func (e *Engine) RunAll(w io.Writer, quick bool) (map[string]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The memo lives as long as this run: the dataset and the
+	// datasets datasetForW derives from it are this run's alone.
+	ds.cells = newCellMemo()
 	reg := Registry()
 	results := make([]*Result, len(reg))
 	errs := make([]error, len(reg))
@@ -349,4 +368,91 @@ func (c *datasetCache) get(key datasetCacheKey, build func() (*Dataset, error)) 
 	c.mu.Unlock()
 	entry.once.Do(func() { entry.ds, entry.err = build() })
 	return entry.ds, entry.err
+}
+
+// --- cell memo --------------------------------------------------------------
+
+// cellMemo shares the grid results of one dataset between the runners
+// of one RunAll: Tables II–IV and the §V-C runners attack Original or
+// OR on the same datasets, so of the run's 182 grid cells only 140
+// are distinct. Entries are keyed by wire name, because only
+// a registry scheme's name determines its partition; ad-hoc schemes
+// are never memoised. Each entry holds one scheme's cells for every
+// application.
+//
+// The memo sits above the Backend, so a distributed backend is never
+// handed a repeated cell. It is scoped to one run on purpose: a
+// dataset from BuildDataset carries none, so a caller that evaluates
+// the same grid again (a benchmark, say) measures evaluation every
+// time.
+type cellMemo struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry
+}
+
+// memoEntry is one scheme's cells: claimed by the first caller, which
+// fills cells and closes done; later callers wait on done.
+type memoEntry struct {
+	done  chan struct{}
+	cells [][]*ml.Confusion
+}
+
+func newCellMemo() *cellMemo {
+	return &cellMemo{entries: make(map[string]*memoEntry)}
+}
+
+// evalGrid is Backend.EvalGrid through the memo (a nil memo calls b
+// directly). It claims every scheme nobody has claimed yet, evaluates
+// its claims in one EvalGrid call, and only then waits on the entries
+// other callers claimed. A caller never waits while holding an
+// unfinished claim, so two runners waiting on each other's schemes
+// cannot deadlock: each finishes its own claims first, which no
+// backend makes wait on another caller (par.Pool.Each always runs
+// shards on the calling goroutine, and the fleet falls back to local
+// evaluation).
+func (m *cellMemo) evalGrid(b Backend, ds *Dataset, schemes []Scheme) [][]*ml.Confusion {
+	if m == nil {
+		return b.EvalGrid(ds, schemes)
+	}
+	n := len(trace.Apps)
+	entries := make([]*memoEntry, len(schemes))
+	var mine []Scheme
+	var mineIdx []int
+	var claimed []*memoEntry // parallel to mine; nil for unmemoised schemes
+	m.mu.Lock()
+	for i, s := range schemes {
+		name, ok := s.WireName()
+		if !ok {
+			mine, mineIdx, claimed = append(mine, s), append(mineIdx, i), append(claimed, nil)
+			continue
+		}
+		if e, seen := m.entries[name]; seen {
+			entries[i] = e
+			continue
+		}
+		e := &memoEntry{done: make(chan struct{})}
+		m.entries[name] = e
+		mine, mineIdx, claimed = append(mine, s), append(mineIdx, i), append(claimed, e)
+	}
+	m.mu.Unlock()
+
+	cells := make([][]*ml.Confusion, len(schemes)*n)
+	if len(mine) > 0 {
+		got := b.EvalGrid(ds, mine)
+		for k, i := range mineIdx {
+			row := got[k*n : (k+1)*n]
+			copy(cells[i*n:], row)
+			if e := claimed[k]; e != nil {
+				e.cells = row
+				close(e.done)
+			}
+		}
+	}
+	for i, e := range entries {
+		if e != nil {
+			<-e.done
+			copy(cells[i*n:], e.cells)
+		}
+	}
+	return cells
 }

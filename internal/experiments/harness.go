@@ -74,6 +74,15 @@ type Dataset struct {
 	Classifiers []*attack.Classifier
 	Test        map[trace.App]*trace.Trace
 
+	// train is the training traffic the Classifiers were fitted on,
+	// windowed at Cfg.W and extracted: Table VI and the attacker
+	// ablation fit their extra classifiers on it instead of
+	// regenerating the traffic (see ownTraffic).
+	train *attack.TrainingSet
+	// cells, when set, shares grid results between the runners of
+	// one RunAll (see cellMemo); nil evaluates every cell on every
+	// call.
+	cells *cellMemo
 	// eng, when set, shards grid evaluations over a worker pool; nil
 	// keeps every path serial. Either way each (scheme, app) cell
 	// draws from its own SplitAt stream, so the results are
@@ -163,7 +172,8 @@ func (ds *Dataset) engine() *Engine {
 }
 
 // BuildDataset generates training traffic, trains one adversary per
-// classifier family, and generates unseen test traffic.
+// classifier family on its one training set, and generates unseen
+// test traffic (see Engine.BuildDataset).
 func BuildDataset(cfg Config) (*Dataset, error) {
 	return serialEngine.BuildDataset(cfg)
 }

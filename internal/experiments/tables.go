@@ -143,7 +143,15 @@ func datasetForW(ds *Dataset, cfg Config, w time.Duration) (*Dataset, error) {
 		src = ds.src
 		srcKey = ds.srcRef.Key()
 	}
-	build := func() (*Dataset, error) { return ds.engine().BuildDatasetFrom(scaled, src) }
+	build := func() (*Dataset, error) {
+		derived, err := ds.engine().BuildDatasetFrom(scaled, src)
+		// A run's derived datasets share its cell memo scope: each
+		// gets a memo of its own when its parent has one.
+		if err == nil && ds != nil && ds.cells != nil {
+			derived.cells = newCellMemo()
+		}
+		return derived, err
+	}
 	if ds != nil && ds.cache != nil {
 		derived, err := ds.cache.get(datasetCacheKey{cfg: scaled, src: srcKey}, build)
 		if err != nil {
@@ -259,13 +267,22 @@ func runTable5(ds *Dataset, cfg Config) (*Result, error) {
 // measured on the dominant direction.
 func runTable6(ds *Dataset, cfg Config) (*Result, error) {
 	w := 5 * time.Second
-	// Timing-only adversary, trained on original traffic.
-	train := appgen.GenerateAll(cfg.TrainDuration, cfg.Seed)
-	clf, err := attack.Train(train, attack.TrainOptions{W: w, Seed: cfg.Seed ^ 0x7a11, TimingOnly: true})
+	// Timing-only adversary, trained on original synthetic traffic:
+	// the dataset's own when it is exactly that traffic.
+	train, err := trainingSet(ds, cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	test := appgen.GenerateAll(cfg.TestDuration, cfg.Seed^0x5eed)
+	clf, err := train.Fit(attack.TrainOptions{Seed: cfg.Seed ^ 0x7a11, TimingOnly: true})
+	if err != nil {
+		return nil, err
+	}
+	var test map[trace.App]*trace.Trace
+	if ownTraffic(ds, cfg, w) {
+		test = ds.Test
+	} else {
+		test = appgen.GenerateAll(cfg.TestDuration, cfg.Seed^0x5eed)
+	}
 
 	padded := make(map[trace.App]*trace.Trace, len(test))
 	for app, tr := range test {

@@ -101,15 +101,6 @@ func Extract(w trace.Window) Vector {
 	return v
 }
 
-// ExtractAll maps Extract over windows, attaching ground truth.
-func ExtractAll(ws []trace.Window) []Example {
-	out := make([]Example, len(ws))
-	for i, w := range ws {
-		out[i] = Example{X: Extract(w), Y: w.App}
-	}
-	return out
-}
-
 // Scaler standardizes features to zero mean and unit variance, fit on
 // the training set only (the attacker must not peek at test windows
 // when fitting preprocessing).

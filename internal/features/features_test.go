@@ -70,17 +70,6 @@ func TestExtractEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestExtractAll(t *testing.T) {
-	ws := []trace.Window{
-		{Packets: []trace.Packet{{Size: 10, Dir: trace.Downlink, App: trace.Gaming}}, App: trace.Gaming},
-		{Packets: []trace.Packet{{Size: 20, Dir: trace.Downlink, App: trace.Video}}, App: trace.Video},
-	}
-	ex := ExtractAll(ws)
-	if len(ex) != 2 || ex[0].Y != trace.Gaming || ex[1].Y != trace.Video {
-		t.Fatalf("ExtractAll labels wrong: %+v", ex)
-	}
-}
-
 func TestScalerStandardizes(t *testing.T) {
 	var examples []Example
 	r := stats.NewRNG(1)

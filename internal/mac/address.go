@@ -33,14 +33,6 @@ func (a Address) String() string {
 // order of the rendered strings, without formatting them.
 func (a Address) Compare(b Address) int { return bytes.Compare(a[:], b[:]) }
 
-// IsBroadcast reports whether the address is the broadcast address.
-func (a Address) IsBroadcast() bool { return a == Broadcast }
-
-// IsLocallyAdministered reports whether the locally-administered bit is
-// set. Virtual MAC addresses minted by the AP always set it so they can
-// never collide with burned-in vendor addresses.
-func (a Address) IsLocallyAdministered() bool { return a[0]&0x02 != 0 }
-
 // IsMulticast reports whether the group bit is set.
 func (a Address) IsMulticast() bool { return a[0]&0x01 != 0 }
 
@@ -63,6 +55,9 @@ func ParseAddress(s string) (Address, error) {
 }
 
 // RandomAddress mints a random unicast, locally-administered address.
+// Virtual MAC addresses minted by the AP always set the
+// locally-administered bit so they can never collide with burned-in
+// vendor addresses.
 func RandomAddress(r *stats.RNG) Address {
 	var a Address
 	v := r.Uint64()

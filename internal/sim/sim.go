@@ -18,9 +18,8 @@ import (
 
 // Event is a callback scheduled at a virtual time.
 type Event struct {
-	At       time.Duration
-	Priority int // lower runs first among events at the same time
-	Fn       func()
+	At time.Duration
+	Fn func()
 
 	seq   uint64 // insertion order, final tie breaker
 	index int    // heap bookkeeping
@@ -32,9 +31,6 @@ func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
-	}
-	if h[i].Priority != h[j].Priority {
-		return h[i].Priority < h[j].Priority
 	}
 	return h[i].seq < h[j].seq
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -40,26 +41,28 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 			t.Fatalf("tie broken out of insertion order: %v", order)
 		}
 	}
-}
 
-func TestPriorityBeatsInsertion(t *testing.T) {
-	k := New()
-	var order []string
-	e1, err := k.At(time.Second, func() { order = append(order, "late") })
-	if err != nil {
-		t.Fatal(err)
+	// Three events at one time, queued by At among events at other
+	// times, still fire in the order they were queued.
+	k = New()
+	var got []string
+	for _, ev := range []struct {
+		at   time.Duration
+		name string
+	}{
+		{2 * time.Second, "a"}, {3 * time.Second, "late"}, {2 * time.Second, "b"},
+		{time.Second, "early"}, {2 * time.Second, "c"},
+	} {
+		name := ev.name
+		if _, err := k.At(ev.at, func() { got = append(got, name) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e1.Priority = 5
-	e2, err := k.At(time.Second, func() { order = append(order, "early") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.Priority = 1
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if order[0] != "early" || order[1] != "late" {
-		t.Fatalf("priority not honored: %v", order)
+	if want := "early a b c late"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %v, want %s", got, want)
 	}
 }
 

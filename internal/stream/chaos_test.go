@@ -230,7 +230,7 @@ func TestChaosDelayStormConservation(t *testing.T) {
 		Policy: PolicyFailClosed, DegradeAudit: true,
 		Chaos: streamchaos.DelayEvery(63, 200*time.Microsecond),
 	})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	rep := e.Drain()
 	assertConservation(t, rep)
 	if rep.Offered != int64(len(in.Packets)) {

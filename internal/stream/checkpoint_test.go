@@ -27,7 +27,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 
 	full := New(cfg(4))
-	full.IngestTrace(in)
+	ingestTrace(full, in)
 	want := renderReport(t, full.Drain())
 
 	for _, shards := range []int{0, 1, 4, 8} {
@@ -64,7 +64,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	in := capture(t, 10*time.Second, 7)
 	e := New(Config{Seed: 9, Shards: 2, BatchSize: 32})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	var a, b bytes.Buffer
 	if err := e.Checkpoint(&a); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -97,7 +97,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointDetectsCorruption(t *testing.T) {
 	in := capture(t, 5*time.Second, 3)
 	e := New(Config{Seed: 1})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	var ck bytes.Buffer
 	if err := e.Checkpoint(&ck); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -161,7 +161,7 @@ func TestCheckpointFlowCountBound(t *testing.T) {
 func TestCheckpointConfigMismatch(t *testing.T) {
 	in := capture(t, 5*time.Second, 3)
 	e := New(Config{Seed: 1})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	var ck bytes.Buffer
 	if err := e.Checkpoint(&ck); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -196,7 +196,7 @@ func TestDrainIdempotent(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		in := capture(t, 5*time.Second, 8)
 		e := New(Config{Seed: 2, Shards: shards})
-		e.IngestTrace(in)
+		ingestTrace(e, in)
 		r1 := e.Drain()
 		r2 := e.Drain()
 		if r1 != r2 {

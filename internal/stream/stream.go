@@ -628,13 +628,6 @@ func (e *Engine) handoff(i int, buf []trace.Packet) []trace.Packet {
 	return buf[:len(buf)-1]
 }
 
-// IngestTrace feeds every packet of a trace in order.
-func (e *Engine) IngestTrace(tr *trace.Trace) {
-	for _, p := range tr.Packets {
-		e.Ingest(p)
-	}
-}
-
 // Offered returns the number of packets offered to the engine so far,
 // including any inherited from a restored checkpoint — the stream
 // position a resumed daemon skips to.

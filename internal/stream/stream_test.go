@@ -23,6 +23,13 @@ func flowMAC(i int) mac.Address {
 
 // capture builds a multi-flow input: one flow per application, each
 // under its own address, merged into arrival order.
+// ingestTrace feeds every packet of a trace to e in order.
+func ingestTrace(e *Engine, tr *trace.Trace) {
+	for _, p := range tr.Packets {
+		e.Ingest(p)
+	}
+}
+
 func capture(t testing.TB, dur time.Duration, seed uint64) *trace.Trace {
 	t.Helper()
 	flows := make([]*trace.Trace, 0, trace.NumApps)
@@ -68,7 +75,7 @@ func TestReplayEquivalenceAcrossShards(t *testing.T) {
 	in := capture(t, 30*time.Second, 42)
 	run := func(shards int) []byte {
 		e := New(Config{Seed: 11, Shards: shards, Classifier: cls, BatchSize: 64})
-		e.IngestTrace(in)
+		ingestTrace(e, in)
 		return renderReport(t, e.Drain())
 	}
 	ref := run(0)
@@ -88,7 +95,7 @@ func TestReplayRepeatable(t *testing.T) {
 	in := capture(t, 20*time.Second, 43)
 	run := func() []byte {
 		e := New(Config{Seed: 3, Shards: 4, Classifier: cls})
-		e.IngestTrace(in)
+		ingestTrace(e, in)
 		return renderReport(t, e.Drain())
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
@@ -111,7 +118,7 @@ func TestStreamMatchesBatchWindowing(t *testing.T) {
 		// audit still classifies every qualifying window, but cannot
 		// change per-flow behavior mid-run.
 		Interfaces: 1, EscalateAfter: 1 << 30})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	rep := e.Drain()
 
 	perFlow := in.ByMAC()
@@ -147,7 +154,7 @@ func TestStreamPredictionsMatchBatch(t *testing.T) {
 	in := capture(t, 30*time.Second, 45)
 
 	e := New(Config{W: w, Seed: 11, Classifier: cls, RingCap: 1 << 14, Interfaces: 1, EscalateAfter: 1 << 30})
-	e.IngestTrace(in)
+	ingestTrace(e, in)
 	rep := e.Drain()
 
 	perFlow := in.ByMAC()
@@ -175,7 +182,7 @@ func TestEscalationOnPersistentLeak(t *testing.T) {
 		tr.Packets[j].MAC = flowMAC(0)
 	}
 	e := New(Config{W: w, Seed: 5, Classifier: cls, Interfaces: 2, EscalateAfter: 2})
-	e.IngestTrace(tr)
+	ingestTrace(e, tr)
 	rep := e.Drain()
 	if len(rep.Flows) != 1 {
 		t.Fatalf("expected 1 flow, got %d", len(rep.Flows))
@@ -211,7 +218,7 @@ func TestStingyAPCapsInterfaces(t *testing.T) {
 		tr.Packets[j].MAC = flowMAC(0)
 	}
 	e := New(Config{Seed: 5, Interfaces: 5, AP: ap})
-	e.IngestTrace(tr)
+	ingestTrace(e, tr)
 	rep := e.Drain()
 	if f := rep.Flows[0]; f.Interfaces != 2 || f.Granted != 2 {
 		t.Errorf("ifaces=%d granted=%d under MaxPerClient=2, want 2/2", f.Interfaces, f.Granted)
