@@ -419,17 +419,16 @@ func BenchmarkPadding(b *testing.B) {
 	}
 }
 
-// BenchmarkMorphing measures the morphing baseline's transform cost.
+// BenchmarkMorphing measures the morphing baseline end to end through
+// the facade: table build, morphed copy and its overhead.
 func BenchmarkMorphing(b *testing.B) {
 	src := appgen.Generate(trace.Chatting, 300*time.Second, 7)
 	target := appgen.Generate(trace.Gaming, 300*time.Second, 8)
-	m, err := defense.NewMorpher(target, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Apply(src)
+		if _, _, err := MorphTraffic(src, target, 9); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -529,30 +528,29 @@ func morphBenchFixture(b *testing.B) (*trace.Trace, *defense.MorphModel) {
 }
 
 // BenchmarkMorphApply measures whole-trace morphing through the
-// precomputed O(1) size table, clone included — the drop-in Apply
-// shape.
+// precomputed O(1) size table, clone included.
 func BenchmarkMorphApply(b *testing.B) {
 	src, model := morphBenchFixture(b)
 	m := model.Morpher(9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Apply(src)
+		m.ApplyInPlace(src.Clone())
 	}
 }
 
-// BenchmarkMorphApplyReuse is the steady-state scheme shape: morphed
-// packets appended into a reused destination trace. Must report 0
-// allocs/op.
+// BenchmarkMorphApplyReuse is Table VI's steady-state shape: the
+// source refilled into a reused scratch trace and morphed in place.
+// Must report 0 allocs/op.
 func BenchmarkMorphApplyReuse(b *testing.B) {
 	src, model := morphBenchFixture(b)
 	m := model.Morpher(9)
-	dst := m.AppendApply(trace.New(src.Len()), src)
+	scratch := src.Clone()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.Packets = dst.Packets[:0]
-		_ = m.AppendApply(dst, src)
+		scratch.Packets = append(scratch.Packets[:0], src.Packets...)
+		m.ApplyInPlace(scratch)
 	}
 }
 

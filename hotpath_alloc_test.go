@@ -63,8 +63,9 @@ func TestHotPathAllocGuards(t *testing.T) {
 
 // buildPathGuards pins PR 4's build-side contract: steady-state SVM
 // retraining (serial TrainScratch into a reused scratch) and
-// whole-trace morphing (AppendApply into a reused destination) touch
-// the heap zero times per run. PR 10 closes the set with the MLP —
+// whole-trace morphing (ApplyInPlace on a reused scratch copy) touch
+// the heap zero times per run, and so does pricing a morph by its
+// dominant-direction bytes. PR 10 closes the set with the MLP —
 // the last trainer with per-step allocations: scratch retraining and
 // Predict (stack-resident activation scratch) are allocation-free.
 // The grid cell's partition joins it: reshaping into a warm
@@ -82,7 +83,7 @@ func buildPathGuards(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 	morpher := model.Morpher(9)
-	dst := morpher.AppendApply(trace.New(src.Len()), src)
+	morphed := src.Clone()
 
 	video := appgen.Generate(trace.Video, 30*time.Second, 12)
 	or := reshape.Recommended()
@@ -134,9 +135,12 @@ func buildPathGuards(t *testing.T) []struct {
 		{"ml.mlp.Predict", func() {
 			_ = mlpModel.Predict(scaled[0].X)
 		}},
-		{"defense.Morpher.AppendApply/reused", func() {
-			dst.Packets = dst.Packets[:0]
-			_ = morpher.AppendApply(dst, src)
+		{"defense.Morpher.ApplyInPlace", func() {
+			morphed.Packets = append(morphed.Packets[:0], src.Packets...)
+			morpher.ApplyInPlace(morphed)
+		}},
+		{"defense.DominantOverhead", func() {
+			_ = defense.DominantOverhead(src, morphed)
 		}},
 		{"reshape.Buffer.Apply/reused", func() {
 			_ = parts.Apply(or, video)

@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"trafficreshape/internal/par"
 	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
@@ -273,9 +272,13 @@ func genStream(dst []trace.Packet, app trace.App, dir trace.Direction, sp Stream
 }
 
 // GenerateAll produces one trace per application over the same
-// duration, with per-application derived seeds.
+// duration, with per-application derived seeds (AppSeed).
 func GenerateAll(duration time.Duration, seed uint64) map[trace.App]*trace.Trace {
-	return GenerateAllParallel(duration, seed, nil)
+	out := make(map[trace.App]*trace.Trace, trace.NumApps)
+	for _, app := range trace.Apps {
+		out[app] = Generate(app, duration, AppSeed(seed, app))
+	}
+	return out
 }
 
 // AppSeed derives the per-application generator seed GenerateAll
@@ -284,21 +287,4 @@ func GenerateAll(duration time.Duration, seed uint64) map[trace.App]*trace.Trace
 // bit-identically to a full GenerateAll.
 func AppSeed(seed uint64, app trace.App) uint64 {
 	return seed + uint64(app)*0x9e3779b9
-}
-
-// GenerateAllParallel is GenerateAll over a worker pool (nil pool =
-// serial): applications are rendered concurrently. Each application's
-// seed is derived from the master seed alone, so the result is
-// bit-identical to the serial form for every pool size.
-func GenerateAllParallel(duration time.Duration, seed uint64, pool *par.Pool) map[trace.App]*trace.Trace {
-	traces := make([]*trace.Trace, trace.NumApps)
-	pool.Each(trace.NumApps, func(i int) {
-		app := trace.Apps[i]
-		traces[i] = Generate(app, duration, AppSeed(seed, app))
-	})
-	out := make(map[trace.App]*trace.Trace, trace.NumApps)
-	for i, app := range trace.Apps {
-		out[app] = traces[i]
-	}
-	return out
 }

@@ -7,6 +7,10 @@
 // Unlike reshaping, padding and morphing *modify* packets; their
 // communication overhead — the paper's Table VI efficiency metric — is
 // the relative growth in total bytes.
+//
+// Each operation has one form: Pad returns a padded copy,
+// Morpher.ApplyInPlace morphs the trace it is given, and AppendSplit
+// appends the fragments to a destination the caller may reuse.
 package defense
 
 import (
@@ -26,24 +30,41 @@ const MTU = 1576
 // against the original: (after − before) / before (as a fraction;
 // multiply by 100 for a percentage).
 func Overhead(before, after *trace.Trace) float64 {
-	b := before.Bytes()
-	if b == 0 {
-		return 0
-	}
-	return float64(after.Bytes()-b) / float64(b)
+	return growth(before.Bytes(), after.Bytes())
 }
 
 // DominantOverhead reports the overhead over the application's
 // byte-dominant direction, which is how Table VI's numbers come out:
 // uploading shows 0% padding overhead because its uplink is already
-// MTU-sized, even though its downlink ACKs inflate enormously.
+// MTU-sized, even though its downlink ACKs inflate enormously. An
+// equal-bytes tie counts as downlink.
 func DominantOverhead(before, after *trace.Trace) float64 {
-	bd, bu := before.ByDirection()
-	ad, au := after.ByDirection()
-	if bu.Bytes() > bd.Bytes() {
-		return Overhead(bu, au)
+	bd, bu := directionBytes(before)
+	ad, au := directionBytes(after)
+	if bu > bd {
+		return growth(bu, au)
 	}
-	return Overhead(bd, ad)
+	return growth(bd, ad)
+}
+
+// directionBytes sums a trace's downlink and uplink bytes in one pass.
+func directionBytes(tr *trace.Trace) (down, up int64) {
+	for _, p := range tr.Packets {
+		if p.Dir == trace.Uplink {
+			up += int64(p.Size)
+		} else {
+			down += int64(p.Size)
+		}
+	}
+	return down, up
+}
+
+// growth is (after − before) / before, and 0 when before is 0.
+func growth(before, after int64) float64 {
+	if before == 0 {
+		return 0
+	}
+	return float64(after-before) / float64(before)
 }
 
 // Pad returns a copy of tr with every packet padded up to target
@@ -121,31 +142,36 @@ func (t *sizeTable) morph(size int, rng *stats.RNG) int {
 }
 
 // NewMorphModel precomputes the morphing tables toward the size
-// distribution of the target trace.
+// distribution of the target trace. A direction absent from the
+// target takes the other direction's sample — which is then the
+// combined sample — so every packet still has a morph table.
 func NewMorphModel(target *trace.Trace) (*MorphModel, error) {
 	if target.Len() == 0 {
 		return nil, fmt.Errorf("defense: empty morphing target")
 	}
-	down, up := target.ByDirection()
-	collect := func(tr *trace.Trace) []int {
-		sizes := make([]int, tr.Len())
-		for i, p := range tr.Packets {
-			sizes[i] = int(p.Size)
+	// One pass: downlink sizes fill the array from the front, uplink
+	// sizes from the back.
+	sizes := make([]int, target.Len())
+	nDown, nUp := 0, 0
+	for _, p := range target.Packets {
+		if p.Dir == trace.Uplink {
+			nUp++
+			sizes[len(sizes)-nUp] = int(p.Size)
+		} else {
+			sizes[nDown] = int(p.Size)
+			nDown++
 		}
-		sortInts(sizes)
-		return sizes
 	}
-	downSizes := collect(down)
-	upSizes := collect(up)
-	// A direction absent from the target falls back to the combined
-	// sample so every packet still has a morph table.
-	if len(downSizes) == 0 {
-		downSizes = collect(target)
+	down, up := sizes[:nDown:nDown], sizes[nDown:]
+	sortInts(down)
+	sortInts(up)
+	if len(down) == 0 {
+		down = up
 	}
-	if len(upSizes) == 0 {
-		upSizes = collect(target)
+	if len(up) == 0 {
+		up = down
 	}
-	return &MorphModel{down: newSizeTable(downSizes), up: newSizeTable(upSizes)}, nil
+	return &MorphModel{down: newSizeTable(down), up: newSizeTable(up)}, nil
 }
 
 // Morpher binds the model to a private random stream. Many morphers
@@ -171,21 +197,9 @@ type Morpher struct {
 	rng   *stats.RNG
 }
 
-// NewMorpher builds a morpher toward the size distribution of the
-// target trace. It is NewMorphModel + Morpher in one call; callers
-// morphing many flows toward the same target should build the model
-// once and bind cheap per-flow morphers instead.
-func NewMorpher(target *trace.Trace, seed uint64) (*Morpher, error) {
-	model, err := NewMorphModel(target)
-	if err != nil {
-		return nil, err
-	}
-	return model.Morpher(seed), nil
-}
-
 func sortInts(xs []int) {
-	// Counting sort over the bounded size domain: traces are large
-	// and this path is hot in the Table VI sweep.
+	// Counting sort over the bounded size domain: target traces are
+	// large.
 	var counts [MTU + 2]int
 	maxSeen := 0
 	for _, x := range xs {
@@ -218,38 +232,14 @@ func (m *Morpher) MorphSize(size int, dir trace.Direction) int {
 	return m.model.down.morph(size, m.rng)
 }
 
-// Apply morphs every packet of tr, returning a new trace.
-func (m *Morpher) Apply(tr *trace.Trace) *trace.Trace {
-	out := tr.Clone()
-	m.ApplyInPlace(out)
-	return out
-}
-
-// ApplyInPlace morphs every packet of tr, mutating tr. It draws
-// exactly the random values Apply would, so the two forms produce
-// identical sizes from identical morpher state; use it when the trace
-// is private to the caller (a freshly partitioned sub-flow) and the
-// clone would be pure overhead.
+// ApplyInPlace morphs every packet of tr, mutating tr. A caller that
+// must keep the original morphs a copy: Clone, or a reused scratch
+// trace refilled per call.
 func (m *Morpher) ApplyInPlace(tr *trace.Trace) {
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
 		p.Size = int32(m.MorphSize(int(p.Size), p.Dir))
 	}
-}
-
-// AppendApply appends morphed copies of src's packets to dst and
-// returns dst. It is the scratch-reuse form: a caller that morphs in a
-// loop can truncate and re-fill one destination trace instead of
-// cloning per call. src is never modified.
-func (m *Morpher) AppendApply(dst, src *trace.Trace) *trace.Trace {
-	start := len(dst.Packets)
-	dst.Packets = append(dst.Packets, src.Packets...)
-	tail := dst.Packets[start:]
-	for i := range tail {
-		p := &tail[i]
-		p.Size = int32(m.MorphSize(int(p.Size), p.Dir))
-	}
-	return dst
 }
 
 // PaperMorphChain returns the paper's §IV-D morph assignment: chatting
@@ -267,47 +257,15 @@ func PaperMorphChain() map[trace.App]trace.App {
 	}
 }
 
-// MorphAll applies the paper's morph chain: each application's trace
-// is morphed toward its §IV-D target, using targets' own traces as
-// the empirical target distributions. Unmapped applications are
-// returned unchanged (cloned).
-func MorphAll(traces map[trace.App]*trace.Trace, seed uint64) (map[trace.App]*trace.Trace, error) {
-	chain := PaperMorphChain()
-	out := make(map[trace.App]*trace.Trace, len(traces))
-	for app, tr := range traces {
-		target, ok := chain[app]
-		if !ok {
-			out[app] = tr.Clone()
-			continue
-		}
-		targetTrace, ok := traces[target]
-		if !ok {
-			return nil, fmt.Errorf("defense: morph target %v has no trace", target)
-		}
-		m, err := NewMorpher(targetTrace, seed+uint64(app))
-		if err != nil {
-			return nil, err
-		}
-		out[app] = m.AppendApply(trace.New(tr.Len()), tr)
-	}
-	return out, nil
-}
-
-// Split divides every packet larger than maxSize into ceil(size/max)
-// packets of at most maxSize bytes, spaced by a small serialization
-// gap. §V-C mentions splitting as a way to push downloading/uploading
-// accuracy down at the cost of network performance (more packets, more
-// per-packet header overhead — we account 28 bytes of MAC/transport
-// header per extra fragment).
-func Split(tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
-	return AppendSplit(new(trace.Trace), tr, maxSize, headerBytes)
-}
-
-// AppendSplit appends Split's fragments of tr to dst and returns dst.
-// It is the scratch-reuse form, like Morpher.AppendApply: a caller
-// that splits in a loop truncates and re-fills one destination trace.
-// Only the appended packets are put in time order; dst's earlier
-// packets and tr are never modified.
+// AppendSplit appends tr's packets to dst with every packet larger
+// than maxSize divided into ceil(size/max) packets of at most maxSize
+// bytes, spaced by a small serialization gap, and returns dst. §V-C
+// mentions splitting as a way to push downloading/uploading accuracy
+// down at the cost of network performance (more packets, more
+// per-packet header overhead — we account headerBytes of MAC/transport
+// header per extra fragment). A caller that splits in a loop truncates
+// and re-fills one destination trace. Only the appended packets are
+// put in time order; dst's earlier packets and tr are never modified.
 func AppendSplit(dst, tr *trace.Trace, maxSize int, headerBytes int) *trace.Trace {
 	if maxSize <= headerBytes {
 		panic("defense: split size must exceed header size")

@@ -83,14 +83,23 @@ func TestPaddingOverheadMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestMorpherNeverShrinks(t *testing.T) {
-	target := appgen.Generate(trace.Gaming, 60*time.Second, 2)
-	m, err := NewMorpher(target, 3)
+// morphCopy returns a copy of src morphed toward target with the
+// given morpher seed.
+func morphCopy(t testing.TB, target, src *trace.Trace, seed uint64) *trace.Trace {
+	t.Helper()
+	model, err := NewMorphModel(target)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := src.Clone()
+	model.Morpher(seed).ApplyInPlace(out)
+	return out
+}
+
+func TestMorpherNeverShrinks(t *testing.T) {
+	target := appgen.Generate(trace.Gaming, 60*time.Second, 2)
 	src := appgen.Generate(trace.Chatting, 60*time.Second, 4)
-	morphed := m.Apply(src)
+	morphed := morphCopy(t, target, src, 3)
 	if morphed.Len() != src.Len() {
 		t.Fatal("morphing must not change packet count")
 	}
@@ -105,11 +114,7 @@ func TestMorpherNeverShrinks(t *testing.T) {
 func TestMorpherMovesDistributionTowardTarget(t *testing.T) {
 	target := appgen.Generate(trace.Gaming, 120*time.Second, 5)
 	src := appgen.Generate(trace.Chatting, 120*time.Second, 6)
-	m, err := NewMorpher(target, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	morphed := m.Apply(src)
+	morphed := morphCopy(t, target, src, 7)
 	// Compare downlink against downlink: morphing (like the
 	// classifier) works per direction.
 	srcDown, _ := src.ByDirection()
@@ -123,7 +128,7 @@ func TestMorpherMovesDistributionTowardTarget(t *testing.T) {
 }
 
 func TestMorpherEmptyTarget(t *testing.T) {
-	if _, err := NewMorpher(trace.New(0), 1); err == nil {
+	if _, err := NewMorphModel(trace.New(0)); err == nil {
 		t.Fatal("empty morph target should fail")
 	}
 }
@@ -154,42 +159,11 @@ func TestPaperMorphChain(t *testing.T) {
 	}
 }
 
-func TestMorphAll(t *testing.T) {
-	traces := appgen.GenerateAll(60*time.Second, 9)
-	morphed, err := MorphAll(traces, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(morphed) != trace.NumApps {
-		t.Fatalf("morphed %d apps, want %d", len(morphed), trace.NumApps)
-	}
-	// do/up unchanged byte-for-byte.
-	for _, app := range []trace.App{trace.Downloading, trace.Uploading} {
-		if morphed[app].Bytes() != traces[app].Bytes() {
-			t.Errorf("%v must be unmorphed", app)
-		}
-	}
-	// Morphed apps gained bytes (cannot shrink) and overhead is less
-	// than padding's for the chatty apps (the paper's efficiency
-	// argument for morphing).
-	for src := range PaperMorphChain() {
-		if morphed[src].Bytes() < traces[src].Bytes() {
-			t.Errorf("%v lost bytes under morphing", src)
-		}
-	}
-	chOverheadMorph := Overhead(traces[trace.Chatting], morphed[trace.Chatting])
-	chOverheadPad := Overhead(traces[trace.Chatting], Pad(traces[trace.Chatting], MTU))
-	if chOverheadMorph >= chOverheadPad {
-		t.Errorf("chatting morph overhead %.2f should be below padding's %.2f",
-			chOverheadMorph, chOverheadPad)
-	}
-}
-
 func TestSplit(t *testing.T) {
 	tr := trace.New(2)
 	tr.Append(trace.Packet{Time: 0, Size: 1576})
 	tr.Append(trace.Packet{Time: time.Second, Size: 100})
-	split := Split(tr, 800, 28)
+	split := AppendSplit(new(trace.Trace), tr, 800, 28)
 	if split.Len() <= tr.Len() {
 		t.Fatal("splitting a 1576-byte packet at 800 must create fragments")
 	}
@@ -208,15 +182,16 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// AppendSplit appends exactly Split's output and orders only what it
-// appended: an earlier, later-timed packet in dst stays first. The
-// small packet lands between the large one's fragments, so the
-// appended part needs its sort.
+// AppendSplit onto a non-empty or reused destination appends exactly
+// what it writes into a fresh one, and orders only what it appended:
+// an earlier, later-timed packet in dst stays first. The small packet
+// lands between the large one's fragments, so the appended part needs
+// its sort.
 func TestAppendSplitAppendsSplit(t *testing.T) {
 	tr := trace.New(2)
 	tr.Append(trace.Packet{Time: 0, Size: 1576})
 	tr.Append(trace.Packet{Time: 100 * time.Microsecond, Size: 100})
-	want := Split(tr, 800, 28)
+	want := AppendSplit(new(trace.Trace), tr, 800, 28)
 	dst := trace.New(0)
 	dst.Append(trace.Packet{Time: time.Hour, Size: 1})
 	AppendSplit(dst, tr, 800, 28)
@@ -232,7 +207,7 @@ func TestAppendSplitAppendsSplit(t *testing.T) {
 func TestSplitSmallPacketsUntouched(t *testing.T) {
 	tr := trace.New(1)
 	tr.Append(trace.Packet{Size: 100})
-	split := Split(tr, 800, 28)
+	split := AppendSplit(new(trace.Trace), tr, 800, 28)
 	if split.Len() != 1 || split.Packets[0].Size != 100 {
 		t.Fatal("packets below the split size must pass through")
 	}
@@ -241,10 +216,71 @@ func TestSplitSmallPacketsUntouched(t *testing.T) {
 func TestSplitValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Split with maxSize <= header should panic")
+			t.Fatal("AppendSplit with maxSize <= header should panic")
 		}
 	}()
-	Split(trace.New(0), 28, 28)
+	AppendSplit(new(trace.Trace), trace.New(0), 28, 28)
+}
+
+// dominantOverheadReference is DominantOverhead as it was written over
+// ByDirection copies of both traces.
+func dominantOverheadReference(before, after *trace.Trace) float64 {
+	bd, bu := before.ByDirection()
+	ad, au := after.ByDirection()
+	if bu.Bytes() > bd.Bytes() {
+		return Overhead(bu, au)
+	}
+	return Overhead(bd, ad)
+}
+
+// TestDominantOverheadMatchesReference pins the one-pass byte sums to
+// the ByDirection reference over random, single-direction, empty and
+// tied traces.
+func TestDominantOverheadMatchesReference(t *testing.T) {
+	build := func(dirs []trace.Direction, sizes []int32) *trace.Trace {
+		tr := trace.New(len(sizes))
+		for i, size := range sizes {
+			tr.Append(trace.Packet{Time: time.Duration(i), Size: size, Dir: dirs[i]})
+		}
+		return tr
+	}
+	check := func(label string, before, after *trace.Trace) float64 {
+		t.Helper()
+		got, want := DominantOverhead(before, after), dominantOverheadReference(before, after)
+		if got != want {
+			t.Fatalf("%s: DominantOverhead = %v, reference %v", label, got, want)
+		}
+		return got
+	}
+
+	r := stats.NewRNG(17)
+	for round := 0; round < 200; round++ {
+		n := r.Intn(40)
+		dirs := make([]trace.Direction, n)
+		sizes, grown := make([]int32, n), make([]int32, n)
+		for i := range dirs {
+			switch round % 3 {
+			case 0:
+				dirs[i] = trace.Direction(r.Intn(2))
+			case 1:
+				dirs[i] = trace.Uplink
+			default:
+				dirs[i] = trace.Downlink
+			}
+			sizes[i] = int32(r.Intn(MTU + 1))
+			grown[i] = sizes[i] + int32(r.Intn(MTU))
+		}
+		before := build(dirs, sizes)
+		check("random", before, build(dirs, grown))
+		check("padded", before, Pad(before, MTU))
+	}
+	check("empty", trace.New(0), trace.New(0))
+
+	// Equal bytes per direction: the tie goes to downlink.
+	dirs := []trace.Direction{trace.Downlink, trace.Uplink}
+	if got := check("tie", build(dirs, []int32{100, 100}), build(dirs, []int32{200, 300})); got != 1 {
+		t.Fatalf("tied directions priced at %v, want the downlink's 1", got)
+	}
 }
 
 // Property: padding is idempotent and monotone in byte count.
@@ -271,16 +307,12 @@ func TestPadProperty(t *testing.T) {
 func TestMorphProperty(t *testing.T) {
 	target := appgen.Generate(trace.Video, 30*time.Second, 12)
 	f := func(seed uint64, n uint8) bool {
-		m, err := NewMorpher(target, seed)
-		if err != nil {
-			return false
-		}
 		r := stats.NewRNG(seed)
 		tr := trace.New(0)
 		for i := 0; i < int(n)+1; i++ {
 			tr.Append(trace.Packet{Size: int32(r.IntRange(28, 1576))})
 		}
-		morphed := m.Apply(tr)
+		morphed := morphCopy(t, target, tr, seed)
 		if morphed.Len() != tr.Len() {
 			return false
 		}

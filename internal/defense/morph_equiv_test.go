@@ -1,12 +1,11 @@
 package defense
 
 // Equivalence tests pinning the table-driven morpher bit-identical to
-// a frozen copy of the pre-refactor implementation (the PR 2
-// pattern): the reference below is the old per-packet binary search
-// over the sorted target sample, verbatim. The new O(1) firstGE
-// lookup, the in-place/append variants, and the shared-MorphModel
-// construction must all reproduce its sizes and its RNG consumption
-// exactly.
+// a frozen reference implementation: a per-packet binary search over
+// the sorted target sample, with the target split by ByDirection. The
+// O(1) firstGE lookup, the one-pass per-direction sample collection,
+// ApplyInPlace and the shared-MorphModel construction must all
+// reproduce its sizes and its RNG consumption exactly.
 
 import (
 	"testing"
@@ -18,8 +17,8 @@ import (
 	"trafficreshape/internal/trace"
 )
 
-// referenceMorpher is the pre-refactor Morpher, frozen: sorted
-// per-direction samples plus a per-packet binary search.
+// referenceMorpher is the reference Morpher: sorted per-direction
+// samples plus a per-packet binary search.
 type referenceMorpher struct {
 	targetDown []int
 	targetUp   []int
@@ -92,18 +91,30 @@ func (m *referenceMorpher) Apply(tr *trace.Trace) *trace.Trace {
 // the same (size, direction) stream — including the boundary sizes 0,
 // MTU, MTU+1 and above-clamp values — and demands identical sizes,
 // which also proves identical RNG consumption (one divergent draw
-// desynchronizes every later size).
+// desynchronizes every later size). Targets are generated traces,
+// single-direction traces (the missing direction takes the other's
+// sample) and one-packet traces.
 func TestMorphSizeMatchesReference(t *testing.T) {
-	f := func(seed uint64, targetSeed uint8) bool {
+	f := func(seed uint64, targetSeed, shape uint8) bool {
 		target := appgen.Generate(trace.App(targetSeed%7), 30*time.Second, uint64(targetSeed))
+		switch shape % 4 {
+		case 1, 2:
+			for i := range target.Packets {
+				target.Packets[i].Dir = trace.Direction(shape%4 - 1)
+			}
+		case 3:
+			i := int(seed % uint64(target.Len()))
+			target.Packets = target.Packets[i : i+1]
+		}
 		ref, err1 := newReferenceMorpher(target, seed)
-		m, err2 := NewMorpher(target, seed)
+		model, err2 := NewMorphModel(target)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
 		if err1 != nil {
 			return true
 		}
+		m := model.Morpher(seed)
 		probe := stats.NewRNG(seed ^ 0x5eed)
 		for i := 0; i < 400; i++ {
 			var size int
@@ -129,7 +140,7 @@ func TestMorphSizeMatchesReference(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,10 +167,11 @@ func TestMorphSizeJumboTargetMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMorpher(target, seed)
+	model, err := NewMorphModel(target)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := model.Morpher(seed)
 	probe := stats.NewRNG(seed)
 	morphedToClamp := false
 	for i := 0; i < 600; i++ {
@@ -195,9 +207,9 @@ func TestMorphSizeJumboTargetMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMorphApplyVariantsMatchReference pins Apply, ApplyInPlace and
-// AppendApply (fresh and reused destination) against the reference's
-// cloned Apply, packet for packet.
+// TestMorphApplyVariantsMatchReference pins ApplyInPlace, on a clone
+// and on a reused scratch trace refilled per pass (Table VI's shape),
+// against the reference's cloned Apply, packet for packet.
 func TestMorphApplyVariantsMatchReference(t *testing.T) {
 	target := appgen.Generate(trace.Gaming, 120*time.Second, 5)
 	src := appgen.Generate(trace.Chatting, 120*time.Second, 6)
@@ -225,71 +237,21 @@ func TestMorphApplyVariantsMatchReference(t *testing.T) {
 		}
 	}
 
-	sameAs("Apply", model.Morpher(seed).Apply(src))
-
 	inPlace := src.Clone()
 	model.Morpher(seed).ApplyInPlace(inPlace)
-	sameAs("ApplyInPlace", inPlace)
+	sameAs("ApplyInPlace/clone", inPlace)
 
-	sameAs("AppendApply/fresh", model.Morpher(seed).AppendApply(trace.New(0), src))
-
-	// Reused destination: truncate and re-fill, PR 2 scratch style.
-	dst := trace.New(src.Len())
+	var scratch trace.Trace
 	for pass := 0; pass < 3; pass++ {
-		dst.Packets = dst.Packets[:0]
-		model.Morpher(seed).AppendApply(dst, src)
-		sameAs("AppendApply/reused", dst)
-	}
-
-	// AppendApply must leave src untouched and genuinely append.
-	orig := appgen.Generate(trace.Chatting, 120*time.Second, 6)
-	for i := range src.Packets {
-		if src.Packets[i] != orig.Packets[i] {
-			t.Fatalf("AppendApply mutated src at packet %d", i)
-		}
-	}
-	pre := trace.New(1)
-	pre.Append(trace.Packet{Size: 1})
-	appended := model.Morpher(seed).AppendApply(pre, src)
-	if appended.Len() != src.Len()+1 || appended.Packets[0].Size != 1 {
-		t.Fatal("AppendApply must append after dst's existing packets")
-	}
-}
-
-// TestMorphAllMatchesReference pins the chain application (used by
-// Table VI) against per-app reference morphers.
-func TestMorphAllMatchesReference(t *testing.T) {
-	traces := appgen.GenerateAll(60*time.Second, 9)
-	const seed = 10
-	morphed, err := MorphAll(traces, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := PaperMorphChain()
-	for _, app := range trace.Apps {
-		want := traces[app]
-		if target, ok := chain[app]; ok {
-			ref, err := newReferenceMorpher(traces[target], seed+uint64(app))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = ref.Apply(traces[app])
-		}
-		got := morphed[app]
-		if got.Len() != want.Len() {
-			t.Fatalf("%v: %d packets, reference %d", app, got.Len(), want.Len())
-		}
-		for i := range got.Packets {
-			if got.Packets[i] != want.Packets[i] {
-				t.Fatalf("%v: packet %d = %+v, reference %+v", app, i, got.Packets[i], want.Packets[i])
-			}
-		}
+		scratch.Packets = append(scratch.Packets[:0], src.Packets...)
+		model.Morpher(seed).ApplyInPlace(&scratch)
+		sameAs("ApplyInPlace/scratch", &scratch)
 	}
 }
 
 // TestMorphModelSharedAcrossMorphers proves the per-cell pattern the
-// experiment grid uses — one immutable model, many seeds — matches
-// per-cell construction from scratch.
+// experiment grid uses — one immutable model, many seeds — matches a
+// reference morpher built from scratch per seed.
 func TestMorphModelSharedAcrossMorphers(t *testing.T) {
 	target := appgen.Generate(trace.Video, 60*time.Second, 13)
 	src := appgen.Generate(trace.Browsing, 60*time.Second, 14)
@@ -298,12 +260,13 @@ func TestMorphModelSharedAcrossMorphers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 16; seed++ {
-		fresh, err := NewMorpher(target, seed)
+		fresh, err := newReferenceMorpher(target, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fresh.Apply(src)
-		got := model.Morpher(seed).Apply(src)
+		got := src.Clone()
+		model.Morpher(seed).ApplyInPlace(got)
 		for i := range got.Packets {
 			if got.Packets[i] != want.Packets[i] {
 				t.Fatalf("seed %d: shared-model morph diverges at packet %d", seed, i)
@@ -312,21 +275,21 @@ func TestMorphModelSharedAcrossMorphers(t *testing.T) {
 	}
 }
 
-// TestMorphAppendApplyAllocFree pins the steady-state zero-allocation
-// contract of the reuse path.
-func TestMorphAppendApplyAllocFree(t *testing.T) {
+// TestMorphApplyInPlaceAllocFree pins the steady-state zero-allocation
+// contract of morphing a reused scratch copy in place.
+func TestMorphApplyInPlaceAllocFree(t *testing.T) {
 	target := appgen.Generate(trace.Gaming, 60*time.Second, 2)
 	src := appgen.Generate(trace.Chatting, 60*time.Second, 4)
-	m, err := NewMorpher(target, 3)
+	model, err := NewMorphModel(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := trace.New(src.Len())
-	m.AppendApply(dst, src)
+	m := model.Morpher(3)
+	scratch := src.Clone()
 	if allocs := testing.AllocsPerRun(50, func() {
-		dst.Packets = dst.Packets[:0]
-		m.AppendApply(dst, src)
+		scratch.Packets = append(scratch.Packets[:0], src.Packets...)
+		m.ApplyInPlace(scratch)
 	}); allocs != 0 {
-		t.Fatalf("AppendApply allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("ApplyInPlace allocates %.1f times per run, want 0", allocs)
 	}
 }

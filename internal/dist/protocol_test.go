@@ -9,8 +9,10 @@ package dist
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -326,6 +328,21 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceRejectsNegativeSize: a trace-z frame carrying a packet with
+// a negative size is refused by the trace codec under it.
+func TestTraceRejectsNegativeSize(t *testing.T) {
+	tr := randomTrace(stats.NewRNG(0x7ace), 20)
+	tr.Packets[7].Size = -5
+	var b bytes.Buffer
+	if err := EncodeTraceCompressed(&b, TracePayload{App: trace.Video, Trace: tr}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	_, err := ReadMessage(&b)
+	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "negative packet size -5 at record 7") {
+		t.Fatalf("negative-size trace-z frame decoded with err = %v, want a bad frame naming the record", err)
+	}
+}
+
 // extremeTrace holds one packet at the representation limits of the
 // binary trace codec.
 func extremeTrace() *trace.Trace {
@@ -356,7 +373,7 @@ func randomTrace(rng *stats.RNG, n int) *trace.Trace {
 		}
 		tr.Append(trace.Packet{
 			Time: time.Duration(rng.Uint64() % uint64(math.MaxInt64)),
-			Size: int32(rng.Uint64()),
+			Size: int32(rng.Uint64() % (math.MaxInt32 + 1)),
 			Dir:  dir,
 			App:  trace.Apps[int(rng.Uint64()%uint64(len(trace.Apps)))],
 			Chan: byte(rng.Uint64()),

@@ -40,6 +40,7 @@ import (
 
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/attack"
+	"trafficreshape/internal/defense"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/par"
 	"trafficreshape/internal/trace"
@@ -127,7 +128,12 @@ func (e *Engine) BuildDatasetFrom(cfg Config, set *TraceSet) (*Dataset, error) {
 		return nil, fmt.Errorf("experiments: training adversaries: %w", err)
 	}
 	test := e.resolveTraffic(capturedTest, cfg.TestDuration, cfg.Seed^0x5eed)
-	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, train: train, cache: newDatasetCache(), morphs: newMorphModelCache()}
+	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, train: train, cache: newDatasetCache()}
+	for _, app := range trace.Apps {
+		ds.morphs[app] = sync.OnceValues(func() (*defense.MorphModel, error) {
+			return defense.NewMorphModel(test[app])
+		})
+	}
 	if !set.Empty() {
 		ds.src = set
 		ds.srcRef = set.Ref()

@@ -64,7 +64,9 @@ func QuickConfig(w time.Duration) Config {
 	return cfg
 }
 
-// Dataset bundles the trained adversaries and held-out test traffic.
+// Dataset bundles the trained adversaries and held-out test traffic,
+// plus the morphing tables toward each application's test trace
+// (MorphModel), which the OR+morph cells and Table VI share.
 type Dataset struct {
 	Cfg Config
 	// Classifiers holds one trained model per family (SVM, MLP, kNN,
@@ -92,12 +94,12 @@ type Dataset struct {
 	// windows (Tables III/IV both need W = 60 s) across concurrently
 	// running experiments.
 	cache *datasetCache
-	// morphs caches the immutable per-target morphing tables the
-	// OR+morph scheme derives from the test traces: 35 grid cells
-	// share 5 table builds instead of sorting the target trace per
-	// cell. Shared (not copied) by the engine-rebound copies
-	// datasetForW hands out, like the test traces.
-	morphs *morphModelCache
+	// morphs builds, once per morph target, the immutable morphing
+	// tables toward that application's test trace: the OR+morph grid
+	// cells and Table VI share each build. The engine-rebound copies
+	// datasetForW hands out share the entries, like the test traces.
+	// Zero-value datasets leave them nil (see MorphModel).
+	morphs [trace.NumApps]func() (*defense.MorphModel, error)
 	// src, when non-nil, is the captured traffic this dataset was
 	// built from (BuildDatasetFrom); srcRef holds its content-digest
 	// address. A dataset with a source is no longer a pure function of
@@ -122,45 +124,14 @@ func (ds *Dataset) TraceRef() (TraceSetRef, bool) {
 	return ds.srcRef, true
 }
 
-// morphModelCache lazily builds one defense.MorphModel per morph
-// target. Models are immutable and the build is a pure function of
-// the test trace, so concurrent cells can share entries freely.
-type morphModelCache struct {
-	mu     sync.Mutex
-	models map[trace.App]*defense.MorphModel
-	errs   map[trace.App]error
-}
-
-func newMorphModelCache() *morphModelCache {
-	return &morphModelCache{
-		models: make(map[trace.App]*defense.MorphModel),
-		errs:   make(map[trace.App]error),
-	}
-}
-
-// MorphModel returns the cached morphing tables toward target's test
-// trace, building them on first use. Datasets constructed without the
-// cache (zero-value literals in tests) fall back to an uncached build.
+// MorphModel returns the morphing tables toward target's test trace,
+// built on first use and shared from then on. Datasets constructed
+// without the tables (zero-value literals) build them afresh per call.
 func (ds *Dataset) MorphModel(target trace.App) (*defense.MorphModel, error) {
-	c := ds.morphs
-	if c == nil {
-		return defense.NewMorphModel(ds.Test[target])
+	if build := ds.morphs[target]; build != nil {
+		return build()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m, ok := c.models[target]; ok {
-		return m, nil
-	}
-	if err, ok := c.errs[target]; ok {
-		return nil, err
-	}
-	m, err := defense.NewMorphModel(ds.Test[target])
-	if err != nil {
-		c.errs[target] = err
-		return nil, err
-	}
-	c.models[target] = m
-	return m, nil
+	return defense.NewMorphModel(ds.Test[target])
 }
 
 // engine returns the evaluation engine, defaulting to the serial one.

@@ -10,6 +10,7 @@ import (
 
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/attack"
+	"trafficreshape/internal/defense"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/trace"
 )
@@ -139,6 +140,93 @@ func TestTable6IgnoresCapturedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "table6", want, got)
+}
+
+// TestTable6MorphOverheadMatchesReference: Table VI's morph overheads
+// are cfg's synthetic test traffic morphed along the paper's chain,
+// each application by a fresh model toward its target and its own
+// seed, priced on a clone, on the dataset's own traffic and on other
+// captured traffic alike.
+func TestTable6MorphOverheadMatchesReference(t *testing.T) {
+	syn := quickDataset(t)
+	cfg := syn.Cfg
+	test := appgen.GenerateAll(cfg.TestDuration, cfg.Seed^0x5eed)
+	chain := defense.PaperMorphChain()
+	want := make(map[trace.App]float64)
+	for _, app := range trace.Apps {
+		target, ok := chain[app]
+		if !ok {
+			want[app] = 0
+			continue
+		}
+		model, err := defense.NewMorphModel(test[target])
+		if err != nil {
+			t.Fatal(err)
+		}
+		morphed := test[app].Clone()
+		model.Morpher((cfg.Seed ^ 0x304ffed) + uint64(app)).ApplyInPlace(morphed)
+		want[app] = defense.DominantOverhead(test[app], morphed)
+	}
+	for label, ds := range map[string]*Dataset{"own": syn, "captured": capturedOtherTraffic(t, cfg)} {
+		res, err := runTable6(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range trace.Apps {
+			if got := res.Metric("morph_overhead/" + app.Short()); got != want[app] {
+				t.Errorf("%s: morph_overhead/%s = %v, want %v", label, app.Short(), got, want[app])
+			}
+		}
+	}
+}
+
+// TestDatasetMorphModelShared: concurrent callers get one set of
+// morph tables per target, on a derived dataset and on the
+// engine-rebound copy datasetForW hands out for it alike.
+func TestDatasetMorphModelShared(t *testing.T) {
+	ds := quickDataset(t)
+	w := time.Second
+	d1, err := datasetForW(ds, ds.Cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := datasetForW(withEngine(ds, NewEngine(2)), ds.Cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 == d2 {
+		t.Fatal("datasetForW returned the same dataset; the test needs a rebound copy")
+	}
+	const callers = 4
+	var got [2][trace.NumApps][callers]*defense.MorphModel
+	var wg sync.WaitGroup
+	for c, d := range []*Dataset{d1, d2} {
+		for _, app := range trace.Apps {
+			for k := 0; k < callers; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					m, err := d.MorphModel(app)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[c][app][k] = m
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	for _, app := range trace.Apps {
+		first := got[0][app][0]
+		for c := range got {
+			for k, m := range got[c][app] {
+				if m != first {
+					t.Errorf("%v: dataset %d caller %d got tables %p, want %p", app, c, k, m, first)
+				}
+			}
+		}
+	}
 }
 
 // TestAttackerAblationTreeTrainsOnSyntheticTraffic: on a dataset built

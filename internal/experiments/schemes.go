@@ -88,9 +88,9 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 				if !ok {
 					return parts // do./up. stay unmorphed, as in §V-C
 				}
-				// The seed is drawn before the model lookup so the
-				// cell's stream matches the per-cell NewMorpher form
-				// even on the (empty-target) error path.
+				// The seed is drawn before the model lookup, so the
+				// cell's stream is the same on the (empty-target)
+				// error path.
 				seed := rng.Uint64()
 				model, err := ds.MorphModel(target)
 				if err != nil {

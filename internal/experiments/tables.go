@@ -277,20 +277,36 @@ func runTable6(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var test map[trace.App]*trace.Trace
-	if ownTraffic(ds, cfg, w) {
-		test = ds.Test
-	} else {
-		test = appgen.GenerateAll(cfg.TestDuration, cfg.Seed^0x5eed)
+	// The test traffic and the morph tables toward it come from one
+	// dataset: on its own traffic, the tables the OR+morph cells use.
+	src := ds
+	if !ownTraffic(ds, cfg, w) {
+		src = &Dataset{Test: appgen.GenerateAll(cfg.TestDuration, cfg.Seed^0x5eed)}
 	}
+	test := src.Test
 
 	padded := make(map[trace.App]*trace.Trace, len(test))
 	for app, tr := range test {
 		padded[app] = defense.Pad(tr, defense.MTU)
 	}
-	morphed, err := defense.MorphAll(test, cfg.Seed^0x304ffed)
-	if err != nil {
-		return nil, err
+	// Each chain application is morphed in one reused scratch copy,
+	// kept only long enough to price its dominant-direction bytes;
+	// do. and up. stay unmorphed at 0% overhead.
+	chain := defense.PaperMorphChain()
+	var morphOverhead [trace.NumApps]float64
+	var scratch trace.Trace
+	for _, app := range trace.Apps {
+		target, ok := chain[app]
+		if !ok {
+			continue
+		}
+		model, err := src.MorphModel(target)
+		if err != nil {
+			return nil, err
+		}
+		scratch.Packets = append(scratch.Packets[:0], test[app].Packets...)
+		model.Morpher((cfg.Seed ^ 0x304ffed) + uint64(app)).ApplyInPlace(&scratch)
+		morphOverhead[app] = defense.DominantOverhead(test[app], &scratch)
 	}
 
 	var conf ml.Confusion
@@ -308,7 +324,7 @@ func runTable6(ds *Dataset, cfg Config) (*Result, error) {
 	for _, app := range trace.Apps {
 		acc, _ := conf.Accuracy(app)
 		padOv := defense.DominantOverhead(test[app], padded[app])
-		morOv := defense.DominantOverhead(test[app], morphed[app])
+		morOv := morphOverhead[app]
 		rows = append(rows, []string{app.Short(), pct(acc), pct(padOv), pct(morOv)})
 		metrics["acc/"+app.Short()] = acc
 		metrics["pad_overhead/"+app.Short()] = padOv

@@ -169,12 +169,6 @@ type Config struct {
 	// EscalateAfter is how many consecutive leaky windows trigger a
 	// +1 interface escalation (default 2).
 	EscalateAfter int
-	// AP overrides the engine-owned virtual-MAC allocator, letting a
-	// daemon share one AP across engines. Checkpoint/Restore assumes
-	// the engine owns its AP: restoring re-requests every flow's
-	// grant, which is idempotent on an AP that already holds them but
-	// allocates afresh on a new one.
-	AP *vmac.AP
 	// Chaos injects faults at the engine's scheduling points. Tests
 	// only; nil in production.
 	Chaos *streamchaos.Hooks
@@ -418,16 +412,17 @@ type Engine struct {
 // collects the report; it is idempotent.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, ap: cfg.AP, master: stats.NewRNG(cfg.Seed)}
+	e := &Engine{
+		cfg: cfg,
+		ap: vmac.NewAP(vmac.APConfig{
+			MaxPerClient: vmac.MaxInterfaces,
+			Seed:         cfg.Seed ^ 0x9e3779b97f4a7c15,
+		}),
+		master: stats.NewRNG(cfg.Seed),
+	}
 	if cfg.Chaos != nil {
 		e.chaosReceive = cfg.Chaos.BeforeReceive
 		e.chaosIngest = cfg.Chaos.BeforeIngest
-	}
-	if e.ap == nil {
-		e.ap = vmac.NewAP(vmac.APConfig{
-			MaxPerClient: vmac.MaxInterfaces,
-			Seed:         cfg.Seed ^ 0x9e3779b97f4a7c15,
-		})
 	}
 	if cfg.Shards == 0 {
 		e.inline = newShard(e, 0)
@@ -669,10 +664,12 @@ func (sh *shard) ingest(p trace.Packet) int {
 		f.started = true
 		f.winStart = p.Time
 	}
-	for p.Time >= f.winStart+w {
+	// Distances from the window start, not start+w: a timestamp near
+	// the top of the range must not overflow the boundary.
+	for p.Time-f.winStart >= w {
 		sh.closeWindow(f)
 		f.winStart += w
-		if p.Time >= f.winStart+w {
+		if p.Time-f.winStart >= w {
 			// Idle gap: the skipped windows are empty (the ring was
 			// just cut), so jump straight to the window containing p
 			// instead of stepping one boundary at a time. The landing

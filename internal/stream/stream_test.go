@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -217,11 +218,26 @@ func TestStingyAPCapsInterfaces(t *testing.T) {
 	for j := range tr.Packets {
 		tr.Packets[j].MAC = flowMAC(0)
 	}
-	e := New(Config{Seed: 5, Interfaces: 5, AP: ap})
+	e := New(Config{Seed: 5, Interfaces: 5})
+	e.ap = ap // inline engine: nothing has asked the AP for a grant yet
 	ingestTrace(e, tr)
 	rep := e.Drain()
 	if f := rep.Flows[0]; f.Interfaces != 2 || f.Granted != 2 {
 		t.Errorf("ifaces=%d granted=%d under MaxPerClient=2, want 2/2", f.Interfaces, f.Granted)
+	}
+}
+
+// TestFarFutureTimestamp: a packet at the largest timestamp closes
+// the flow's open window and opens one of its own, without the window
+// boundary overflowing.
+func TestFarFutureTimestamp(t *testing.T) {
+	e := New(Config{W: 5 * time.Second, Seed: 1})
+	addr := flowMAC(0)
+	e.Ingest(trace.Packet{Time: 0, Size: 100, MAC: addr})
+	e.Ingest(trace.Packet{Time: math.MaxInt64, Size: 100, MAC: addr})
+	rep := e.Drain()
+	if f := rep.Flows[0]; f.Windows != 2 || f.Packets != 2 {
+		t.Errorf("windows=%d packets=%d around a far-future packet, want 2/2", f.Windows, f.Packets)
 	}
 }
 

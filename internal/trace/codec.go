@@ -102,7 +102,9 @@ func WriteBinary(w io.Writer, t *Trace) error {
 
 // ReadBinary decodes a trace encoded by WriteBinary. It streams the
 // records from r rather than reading the input whole: replay captures
-// can be large, and network callers bound r themselves.
+// can be large, and network callers bound r themselves. A record with
+// a negative packet size is rejected: no packet has one, and the
+// defenses' size tables (the morpher's) assume none.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var head [headerLen]byte
@@ -133,7 +135,11 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated at record %d: %v", ErrBadFormat, i, err)
 		}
-		t.Append(PacketFromRecord(rec[:]))
+		p := PacketFromRecord(rec[:])
+		if p.Size < 0 {
+			return nil, fmt.Errorf("%w: negative packet size %d at record %d", ErrBadFormat, p.Size, i)
+		}
+		t.Append(p)
 	}
 	return t, nil
 }

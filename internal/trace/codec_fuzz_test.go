@@ -47,18 +47,31 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	// Adversarial seeds: bad magic, bad version, a count far beyond
-	// the data, and a truncated record.
+	// the data, a truncated record, and a negative packet size.
 	f.Add([]byte("XXSH\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("TRSH\xff\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	huge := []byte("TRSH\x02\x00\x00\x00")
 	huge = binary.LittleEndian.AppendUint64(huge, 1<<31)
 	f.Add(huge)
 	f.Add(append([]byte("TRSH\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"), make([]byte, recordLen+3)...))
+	// A well-formed record with a negative packet size.
+	negative := New(1)
+	negative.Append(Packet{Time: time.Second, Size: -5})
+	var negBuf bytes.Buffer
+	if err := WriteBinary(&negBuf, negative); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(negBuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: the only requirement is not panicking
+		}
+		for i, p := range tr.Packets {
+			if p.Size < 0 {
+				t.Fatalf("accepted packet %d with negative size %d", i, p.Size)
+			}
 		}
 		// Accepted input: encoding must be an exact involution over
 		// what the decoder produced — decode(encode(tr)) encodes to

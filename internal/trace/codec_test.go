@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,21 @@ func TestBinaryTruncated(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-17]
 	if _, err := ReadBinary(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated stream should fail")
+	}
+}
+
+// TestBinaryRejectsNegativeSize: a record with a negative packet size
+// is refused with ErrBadFormat naming the record.
+func TestBinaryRejectsNegativeSize(t *testing.T) {
+	tr := randomTrace(3, 5)
+	tr.Packets[2].Size = -5
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadBinary(&buf)
+	if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("negative size decoded with err = %v, want ErrBadFormat at record 2", err)
 	}
 }
 

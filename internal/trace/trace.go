@@ -370,10 +370,17 @@ func (t *Trace) AppendWindows(dst []Window, w time.Duration, minPackets int, lab
 		}
 		lo = hi
 	}
+	// Times are compared by their distance from the window start, so
+	// a timestamp near the top of the range cannot overflow start+w.
 	for i := range t.Packets {
-		for t.Packets[i].Time >= start+w {
+		for t.Packets[i].Time-start >= w {
 			flush(i, start)
 			start += w
+			if minPackets >= 1 {
+				// The windows up to packet i's are empty and would be
+				// dropped: step over them at once, not one per loop.
+				start += (t.Packets[i].Time - start) / w * w
+			}
 		}
 	}
 	flush(len(t.Packets), start)

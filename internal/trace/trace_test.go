@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -361,6 +362,46 @@ func TestWindowsEquivalentToReference(t *testing.T) {
 		want := windowsReference(tr, w, minPackets)
 		if !windowsEqual(got, want) {
 			t.Fatalf("seed %d: zero-copy windows diverge from reference (w=%v min=%d)", seed, w, minPackets)
+		}
+	}
+}
+
+// TestWindowsFarFutureTimestamp: a packet at the largest timestamp
+// neither overflows the window arithmetic nor walks the empty windows
+// before it one by one.
+func TestWindowsFarFutureTimestamp(t *testing.T) {
+	tr := New(2)
+	tr.Append(Packet{Time: 0})
+	tr.Append(Packet{Time: math.MaxInt64})
+	w := 5 * time.Second
+	done := make(chan []Window, 1)
+	go func() { done <- tr.Windows(w, 1) }()
+	select {
+	case ws := <-done:
+		if len(ws) != 2 || len(ws[1].Packets) != 1 || math.MaxInt64-ws[1].Start >= w {
+			t.Fatalf("windows = %+v, want the two packets in two windows", ws)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Windows did not return within 10s")
+	}
+}
+
+// TestWindowsLongGapMatchesReference: across a 20-day silence the
+// step over empty windows yields exactly the reference's windows, with
+// and without a packet floor.
+func TestWindowsLongGapMatchesReference(t *testing.T) {
+	tr := randomWindowTrace(3, 40)
+	gap := 20 * 24 * time.Hour
+	last := tr.Packets[tr.Len()-1].Time
+	for _, p := range randomWindowTrace(4, 40).Packets {
+		p.Time += last + gap
+		tr.Append(p)
+	}
+	for minPackets := 0; minPackets <= 2; minPackets++ {
+		got := tr.Windows(time.Minute, minPackets)
+		want := windowsReference(tr, time.Minute, minPackets)
+		if !windowsEqual(got, want) {
+			t.Fatalf("minPackets %d: %d windows, reference %d", minPackets, len(got), len(want))
 		}
 	}
 }

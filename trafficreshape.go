@@ -210,10 +210,11 @@ func PadToMTU(tr *Trace) (*Trace, float64) {
 // direction, never shrinking). Returns the morphed trace and its
 // dominant-direction overhead.
 func MorphTraffic(src, target *Trace, seed uint64) (*Trace, float64, error) {
-	m, err := defense.NewMorpher(target, seed)
+	model, err := defense.NewMorphModel(target)
 	if err != nil {
 		return nil, 0, err
 	}
-	morphed := m.Apply(src)
+	morphed := src.Clone()
+	model.Morpher(seed).ApplyInPlace(morphed)
 	return morphed, defense.DominantOverhead(src, morphed), nil
 }
