@@ -448,9 +448,11 @@ func svmBenchExamples(b *testing.B) []features.Example {
 	return scaler.ApplyAll(examples)
 }
 
-// BenchmarkSVMTraining measures adversary training cost.
-func BenchmarkSVMTraining(b *testing.B) {
+// BenchmarkSVMTrain measures one SVM training run on the dataset's
+// test windows.
+func BenchmarkSVMTrain(b *testing.B) {
 	scaled := svmBenchExamples(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&ml.SVMTrainer{}).Train(scaled, uint64(i)); err != nil {
@@ -459,39 +461,14 @@ func BenchmarkSVMTraining(b *testing.B) {
 	}
 }
 
-// --- PR 4: build-side fast path (SVM training + morphing) --------------------
-
-// BenchmarkSVMTrain measures the scratch-reusing serial trainer — the
-// per-cell retraining shape of the grid engine. Must report 0
-// allocs/op (the model and all working buffers live in the reused
-// scratch).
-func BenchmarkSVMTrain(b *testing.B) {
-	scaled := svmBenchExamples(b)
-	scratch := ml.NewSVMScratch()
-	trainer := &ml.SVMTrainer{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- PR 10: MLP training + inference fast path --------------------------------
-
-// BenchmarkMLPTrain measures the scratch-reusing serial MLP trainer —
-// the network half of per-cell adversary retraining. Must report 0
-// allocs/op (model, velocities, activations and the shuffle buffer all
-// live in the reused scratch).
+// BenchmarkMLPTrain measures one MLP training run on the same
+// windows.
 func BenchmarkMLPTrain(b *testing.B) {
 	scaled := svmBenchExamples(b)
-	scratch := ml.NewMLPScratch()
-	trainer := &ml.MLPTrainer{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trainer.TrainScratch(scratch, scaled, uint64(i)); err != nil {
+		if _, err := (&ml.MLPTrainer{}).Train(scaled, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -502,7 +479,7 @@ func BenchmarkMLPTrain(b *testing.B) {
 // the MLP joins kNN under the hot-path guards.
 func BenchmarkMLPPredict(b *testing.B) {
 	scaled := svmBenchExamples(b)
-	model, err := (&ml.MLPTrainer{Epochs: 2}).Train(scaled, 17)
+	model, err := (&ml.MLPTrainer{}).Train(scaled, 17)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,16 +1,16 @@
 package trafficreshape
 
-// Allocation guards for the classification and build hot paths. PR
-// 2's contract: window cutting (with scratch reuse), feature
-// extraction and kNN prediction perform zero steady-state heap
-// allocations. PR 4 extends the contract to the build side: SVM
-// training into a reused scratch and whole-trace morphing into a
-// reused destination are allocation-free too. PR 6 extends it to the
-// streaming engine: ingesting a packet into a warmed engine — window
-// maintenance, adaptive scheduling, ring append, self-audit
-// classification on window close — is allocation-free in steady
-// state. These guards run in the regular test suite and in CI's
-// "Allocation guards" step; any regression above zero fails the build.
+// Allocation guards for the classification and build hot paths.
+// Window cutting (with scratch reuse), feature extraction and kNN
+// prediction perform zero steady-state heap allocations. The build
+// side follows: whole-trace morphing into a reused destination, MLP
+// prediction and the grid cell's partition are allocation-free too,
+// and so is the streaming engine: ingesting a packet into a warmed
+// engine — window maintenance, adaptive scheduling, ring append,
+// self-audit classification on window close — is allocation-free in
+// steady state. These guards run in the regular test suite and in
+// CI's "Allocation guards" step; any regression above zero fails the
+// build.
 
 import (
 	"io"
@@ -61,16 +61,12 @@ func TestHotPathAllocGuards(t *testing.T) {
 	}
 }
 
-// buildPathGuards pins PR 4's build-side contract: steady-state SVM
-// retraining (serial TrainScratch into a reused scratch) and
-// whole-trace morphing (ApplyInPlace on a reused scratch copy) touch
-// the heap zero times per run, and so does pricing a morph by its
-// dominant-direction bytes. PR 10 closes the set with the MLP —
-// the last trainer with per-step allocations: scratch retraining and
-// Predict (stack-resident activation scratch) are allocation-free.
-// The grid cell's partition joins it: reshaping into a warm
-// reshape.Buffer and splitting into a reused destination allocate
-// nothing.
+// buildPathGuards pins the build-side contract: whole-trace morphing
+// (ApplyInPlace on a reused scratch copy) touches the heap zero times
+// per run, and so do pricing a morph by its dominant-direction bytes
+// and MLP Predict (stack-resident activation scratch). The grid
+// cell's partition joins it: reshaping into a warm reshape.Buffer and
+// splitting into a reused destination allocate nothing.
 func buildPathGuards(t *testing.T) []struct {
 	name string
 	f    func()
@@ -101,37 +97,15 @@ func buildPathGuards(t *testing.T) []struct {
 	}
 	scaler := features.FitScaler(examples)
 	scaled := scaler.ApplyAll(examples)
-	trainer := &ml.SVMTrainer{Epochs: 2}
-	scratch := ml.NewSVMScratch()
-	if _, err := trainer.TrainScratch(scratch, scaled, 1); err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(1)
-
-	mlpTrainer := &ml.MLPTrainer{Epochs: 2}
-	mlpScratch := ml.NewMLPScratch()
-	mlpModel, err := mlpTrainer.TrainScratch(mlpScratch, scaled, 1)
+	mlpModel, err := (&ml.MLPTrainer{}).Train(scaled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mlpSeed := uint64(1)
 
 	return []struct {
 		name string
 		f    func()
 	}{
-		{"ml.svm.TrainScratch/reused", func() {
-			seed++
-			if _, err := trainer.TrainScratch(scratch, scaled, seed); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"ml.mlp.TrainScratch/reused", func() {
-			mlpSeed++
-			if _, err := mlpTrainer.TrainScratch(mlpScratch, scaled, mlpSeed); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"ml.mlp.Predict", func() {
 			_ = mlpModel.Predict(scaled[0].X)
 		}},

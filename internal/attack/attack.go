@@ -54,9 +54,6 @@ type TrainOptions struct {
 	Trainer ml.Trainer
 	// Seed drives all randomness (shuffles, model init).
 	Seed uint64
-	// HoldoutFrac is the fraction held out for model selection
-	// (default 0.25).
-	HoldoutFrac float64
 	// TimingOnly trains the §IV-D timing attack: size features are
 	// masked out in training and classification.
 	TimingOnly bool
@@ -137,9 +134,6 @@ func (ts *TrainingSet) scaled(timingOnly bool) (*features.Scaler, []features.Exa
 // opt.Trainer, or selects the best family when it is nil. opt.W is
 // ignored: the set was windowed when it was prepared.
 func (ts *TrainingSet) Fit(opt TrainOptions) (*Classifier, error) {
-	if opt.HoldoutFrac <= 0 || opt.HoldoutFrac >= 1 {
-		opt.HoldoutFrac = 0.25
-	}
 	scaler, scaled := ts.scaled(opt.TimingOnly)
 
 	if opt.Trainer != nil {
@@ -150,8 +144,8 @@ func (ts *TrainingSet) Fit(opt TrainOptions) (*Classifier, error) {
 		return &Classifier{Scaler: scaler, Model: model, TimingOnly: opt.TimingOnly}, nil
 	}
 
-	// Model selection over all families on a held-out split.
-	trainSet, holdout := ml.Split(scaled, 1-opt.HoldoutFrac, opt.Seed)
+	// Model selection over all families on a 25% held-out split.
+	trainSet, holdout := ml.Split(scaled, 0.75, opt.Seed)
 	var best ml.Classifier
 	bestAcc := -1.0
 	for _, tr := range ml.Trainers() {

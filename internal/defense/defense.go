@@ -223,9 +223,9 @@ func sortInts(xs []int) {
 	}
 }
 
-// MorphSize maps one source packet size to its morphed size using the
+// morphSize maps one source packet size to its morphed size using the
 // target sample for the given direction.
-func (m *Morpher) MorphSize(size int, dir trace.Direction) int {
+func (m *Morpher) morphSize(size int, dir trace.Direction) int {
 	if dir == trace.Uplink {
 		return m.model.up.morph(size, m.rng)
 	}
@@ -238,7 +238,7 @@ func (m *Morpher) MorphSize(size int, dir trace.Direction) int {
 func (m *Morpher) ApplyInPlace(tr *trace.Trace) {
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
-		p.Size = int32(m.MorphSize(int(p.Size), p.Dir))
+		p.Size = int32(m.morphSize(int(p.Size), p.Dir))
 	}
 }
 

@@ -58,7 +58,7 @@ type emptyTargetError struct{}
 
 func (*emptyTargetError) Error() string { return "defense: empty morphing target" }
 
-func (m *referenceMorpher) MorphSize(size int, dir trace.Direction) int {
+func (m *referenceMorpher) morphSize(size int, dir trace.Direction) int {
 	targets := m.targetDown
 	if dir == trace.Uplink {
 		targets = m.targetUp
@@ -82,7 +82,7 @@ func (m *referenceMorpher) MorphSize(size int, dir trace.Direction) int {
 func (m *referenceMorpher) Apply(tr *trace.Trace) *trace.Trace {
 	out := tr.Clone()
 	for i := range out.Packets {
-		out.Packets[i].Size = int32(m.MorphSize(int(out.Packets[i].Size), out.Packets[i].Dir))
+		out.Packets[i].Size = int32(m.morphSize(int(out.Packets[i].Size), out.Packets[i].Dir))
 	}
 	return out
 }
@@ -134,7 +134,7 @@ func TestMorphSizeMatchesReference(t *testing.T) {
 			if probe.Intn(2) == 1 {
 				dir = trace.Uplink
 			}
-			if ref.MorphSize(size, dir) != m.MorphSize(size, dir) {
+			if ref.morphSize(size, dir) != m.morphSize(size, dir) {
 				return false
 			}
 		}
@@ -190,8 +190,8 @@ func TestMorphSizeJumboTargetMatchesReference(t *testing.T) {
 		if probe.Intn(2) == 1 {
 			dir = trace.Uplink
 		}
-		want := ref.MorphSize(size, dir)
-		got := m.MorphSize(size, dir)
+		want := ref.morphSize(size, dir)
+		got := m.morphSize(size, dir)
 		if got != want {
 			t.Fatalf("size %d dir %v: got %d, reference %d", size, dir, got, want)
 		}

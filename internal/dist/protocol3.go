@@ -349,7 +349,7 @@ func decodeTraceZ(payload []byte) (TracePayload, error) {
 	defer zr.Close()
 	tr, err := trace.ReadBinary(io.LimitReader(zr, maxTraceZBytes))
 	if err != nil {
-		return TracePayload{}, fmt.Errorf("%w: trace-z: %v", ErrBadFrame, err)
+		return TracePayload{}, fmt.Errorf("%w: trace-z: %w", ErrBadFrame, err)
 	}
 	return TracePayload{App: trace.App(payload[0]), Trace: tr}, nil
 }

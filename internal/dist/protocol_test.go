@@ -329,7 +329,8 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceRejectsNegativeSize: a trace-z frame carrying a packet with
-// a negative size is refused by the trace codec under it.
+// a negative size is refused by the trace codec under it, and the
+// codec's error stays visible to errors.Is.
 func TestTraceRejectsNegativeSize(t *testing.T) {
 	tr := randomTrace(stats.NewRNG(0x7ace), 20)
 	tr.Packets[7].Size = -5
@@ -340,6 +341,9 @@ func TestTraceRejectsNegativeSize(t *testing.T) {
 	_, err := ReadMessage(&b)
 	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "negative packet size -5 at record 7") {
 		t.Fatalf("negative-size trace-z frame decoded with err = %v, want a bad frame naming the record", err)
+	}
+	if !errors.Is(err, trace.ErrBadFormat) {
+		t.Fatalf("negative-size trace-z frame err = %v, want it to wrap trace.ErrBadFormat", err)
 	}
 }
 

@@ -53,8 +53,8 @@ func runSplitting(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	confOR := EvalScheme(ds, mustNamed(ds, "OR"))
-	confSplit := EvalScheme(ds, mustNamed(ds, "OR+split"))
+	confs := ds.engine().EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+split")})
+	confOR, confSplit := confs[0], confs[1]
 
 	// Performance cost: packet-count inflation and byte overhead on
 	// the bulk applications.
@@ -151,7 +151,7 @@ func runAttackerAblation(ds *Dataset, cfg Config) (*Result, error) {
 // schemeFlows materializes the observed flows of a scheme once, so
 // several classifiers can attack the identical observation. It is the
 // union of the engine's per-app cells, so the flows match what
-// EvalScheme attacks cell by cell. Every cell partitions into its own
+// EvalSchemes attacks cell by cell. Every cell partitions into its own
 // fresh scratch, because the flows outlive the loop.
 func schemeFlows(ds *Dataset, s Scheme) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
 	flows := make(map[mac.Address]*trace.Trace)
@@ -179,8 +179,12 @@ func runPolicyAblation(ds *Dataset, cfg Config) (*Result, error) {
 	header := []string{"Policy", "Mean acc (%)", "br (%)", "do (%)", "vo (%)"}
 	var rows [][]string
 	metrics := make(map[string]float64)
+	schemes := make([]Scheme, len(policyPoints))
 	for i, name := range policyPoints {
-		conf := EvalScheme(ds, mustNamed(ds, name))
+		schemes[i] = mustNamed(ds, name)
+	}
+	for i, conf := range ds.engine().EvalSchemes(ds, schemes) {
+		name := policyPoints[i]
 		br := accOrZero(conf, trace.Browsing)
 		do := accOrZero(conf, trace.Downloading)
 		vo := accOrZero(conf, trace.Video)

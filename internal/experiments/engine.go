@@ -62,7 +62,7 @@ type Engine struct {
 }
 
 // serialEngine backs the package-level serial entry points
-// (BuildDataset, EvalScheme, RunAll).
+// (BuildDataset, RunAll) and datasets that carry no engine.
 var serialEngine = NewEngine(1)
 
 // NewEngine returns an engine running at most workers shards
@@ -191,12 +191,6 @@ func (e *Engine) resolveTraffic(captured map[trace.App]*trace.Trace, duration ti
 		out[app] = traces[i]
 	}
 	return out
-}
-
-// EvalScheme attacks every application under one scheme, sharding the
-// per-application cells.
-func (e *Engine) EvalScheme(ds *Dataset, s Scheme) *ml.Confusion {
-	return e.EvalSchemes(ds, []Scheme{s})[0]
 }
 
 // EvalSchemes hands the full (scheme × application) grid to the

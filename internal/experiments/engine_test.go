@@ -128,7 +128,7 @@ func TestEngineBuildDatasetDeterministic(t *testing.T) {
 func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 	ds := withEngine(quickDataset(t), NewEngine(4))
 	s := SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
-	want := EvalScheme(ds, s).String()
+	want := ds.engine().EvalSchemes(ds, []Scheme{s})[0].String()
 
 	var wg sync.WaitGroup
 	outs := make([]string, 8)
@@ -140,7 +140,7 @@ func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 			// odd goroutines run a whole table against the same
 			// shared dataset.
 			if i%2 == 0 {
-				outs[i] = EvalScheme(ds, s).String()
+				outs[i] = ds.engine().EvalSchemes(ds, []Scheme{s})[0].String()
 				return
 			}
 			res, err := runTable5(ds, ds.Cfg)
@@ -154,7 +154,7 @@ func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 	for i, got := range outs {
 		if i%2 == 0 {
 			if got != want {
-				t.Errorf("concurrent EvalScheme %d diverged", i)
+				t.Errorf("concurrent EvalSchemes %d diverged", i)
 			}
 			continue
 		}

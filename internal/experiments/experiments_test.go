@@ -349,10 +349,10 @@ func TestRegistryAndRunnerByName(t *testing.T) {
 func TestEvalSchemeDeterministic(t *testing.T) {
 	ds := quickDataset(t)
 	s := SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
-	a := EvalScheme(ds, s)
-	b := EvalScheme(ds, s)
+	a := ds.engine().EvalSchemes(ds, []Scheme{s})[0]
+	b := ds.engine().EvalSchemes(ds, []Scheme{s})[0]
 	if a.String() != b.String() {
-		t.Fatal("EvalScheme is not deterministic")
+		t.Fatal("EvalSchemes is not deterministic")
 	}
 }
 

@@ -131,8 +131,8 @@ func runCombined(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	confOR := EvalScheme(ds, mustNamed(ds, "OR"))
-	confCombined := EvalScheme(ds, mustNamed(ds, "OR+morph"))
+	confs := ds.engine().EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+morph")})
+	confOR, confCombined := confs[0], confs[1]
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "OR alone: mean accuracy %.2f%%\n", confOR.MeanAccuracy()*100)

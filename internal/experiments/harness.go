@@ -301,14 +301,6 @@ func evalCell(sc *cellScratch, ds *Dataset, s Scheme, app trace.App) []*ml.Confu
 	return out
 }
 
-// EvalScheme attacks every application under one scheme with every
-// classifier family and returns the strongest attacker's confusion
-// matrix (highest mean accuracy) — the paper's reporting rule. When
-// the dataset carries an engine, the (app) cells run sharded.
-func EvalScheme(ds *Dataset, s Scheme) *ml.Confusion {
-	return ds.engine().EvalScheme(ds, s)
-}
-
 // Result is a rendered experiment with machine-checkable metrics.
 type Result struct {
 	Name    string

@@ -73,7 +73,7 @@ func TestCellMemoCrossedClaims(t *testing.T) {
 	names := []string{"Original", "FH", "OR", "OR-I2"}
 	want := make(map[string]*ml.Confusion)
 	for _, name := range names {
-		want[name] = eng.EvalScheme(ds, mustNamed(ds, name))
+		want[name] = eng.EvalSchemes(ds, []Scheme{mustNamed(ds, name)})[0]
 	}
 	b.cells.Store(0)
 

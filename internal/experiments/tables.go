@@ -182,10 +182,9 @@ func runTable4(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	conf5o := EvalScheme(ds5, mustNamed(ds5, "Original"))
-	conf5r := EvalScheme(ds5, mustNamed(ds5, "OR"))
-	conf60o := EvalScheme(ds60, mustNamed(ds60, "Original"))
-	conf60r := EvalScheme(ds60, mustNamed(ds60, "OR"))
+	c5 := ds5.engine().EvalSchemes(ds5, []Scheme{mustNamed(ds5, "Original"), mustNamed(ds5, "OR")})
+	c60 := ds60.engine().EvalSchemes(ds60, []Scheme{mustNamed(ds60, "Original"), mustNamed(ds60, "OR")})
+	conf5o, conf5r, conf60o, conf60r := c5[0], c5[1], c60[0], c60[1]
 
 	header := []string{"App", "W=5s Orig (%)", "W=5s OR (%)", "W=60s Orig (%)", "W=60s OR (%)"}
 	var rows [][]string
@@ -225,10 +224,11 @@ func runTable5(ds *Dataset, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	is := []int{2, 3, 5}
-	confs := make([]*ml.Confusion, len(is))
+	schemes := make([]Scheme, len(is))
 	for idx, i := range is {
-		confs[idx] = EvalScheme(ds, mustNamed(ds, fmt.Sprintf("OR-I%d", i)))
+		schemes[idx] = mustNamed(ds, fmt.Sprintf("OR-I%d", i))
 	}
+	confs := ds.engine().EvalSchemes(ds, schemes)
 	header := []string{"App", "I=2 (%)", "I=3 (%)", "I=5 (%)"}
 	var rows [][]string
 	metrics := make(map[string]float64)

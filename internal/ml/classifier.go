@@ -16,18 +16,6 @@ import (
 	"trafficreshape/internal/trace"
 )
 
-// Off explicitly disables an optional regularization hyperparameter.
-// Trainer knobs like MLPTrainer.L2 and SVMTrainer.Lambda select a
-// tuned default when left at their zero value, which makes zero
-// unusable as the spelling of "no regularization" — historically the
-// weight decay could not be turned off at all. Setting such a field
-// to Off (any negative value works; this constant is the documented
-// spelling) trains with the term genuinely disabled. Knobs whose zero
-// value is meaningless (counts like Hidden, Epochs, KNNTrainer.K,
-// TreeTrainer.MaxDepth) keep plain zero-means-default and need no
-// sentinel.
-const Off = -1
-
 // Classifier is a trained multi-class model over feature vectors.
 type Classifier interface {
 	// Predict returns the most likely application for x.

@@ -1,13 +1,14 @@
 package ml
 
-// Equivalence tests pinning the scratch-reusing MLP trainer
-// bit-identical to a frozen copy of the pre-refactor implementation
-// (the svm_equiv_test.go pattern): the reference below is the old
-// training loop verbatim — nested [][]float64 weights,
-// per-example forward/dHidden allocations, inline momentum updates.
+// Equivalence tests pinning the MLP trainer bit-identical to a frozen
+// copy of the pre-refactor implementation (the svm_equiv_test.go
+// pattern): the reference below is the old training loop verbatim —
+// nested [][]float64 weights, per-example forward/dHidden
+// allocations, inline momentum updates.
 // Any reordering of floating-point arithmetic in the rewrite — in the
 // flattened rows or the per-phase row loops — fails these tests
-// exactly.
+// exactly. The reference is driven at the trainer's one configuration
+// (the mlp* constants).
 
 import (
 	"math"
@@ -87,12 +88,10 @@ func (m *refMLPModel) forward(x features.Vector) ([]float64, [trace.NumApps]floa
 	return h, probs
 }
 
-// referenceMLPTrain is the pre-refactor MLPTrainer.Train loop, frozen.
-// Hyperparameters arrive resolved: callers apply the pre-PR defaults
-// (hidden 24, epochs 60, lr 0.05, l2 1e-5) themselves, which is also
-// what lets the reference express l2 = 0 — the setting the old
-// `L2 <= 0 selects default` spelling could not reach.
-func referenceMLPTrain(examples []features.Example, seed uint64, hidden, epochs int, lr, l2 float64, noAnneal bool) *refMLPModel {
+// referenceMLPTrain is the pre-refactor MLPTrainer.Train loop, frozen,
+// with annealing always on. Hyperparameters arrive resolved: callers
+// pass the trainer's constants.
+func referenceMLPTrain(examples []features.Example, seed uint64, hidden, epochs int, lr, l2 float64) *refMLPModel {
 	r := stats.NewRNG(seed)
 	m := referenceNewMLP(hidden, r)
 
@@ -111,10 +110,7 @@ func referenceMLPTrain(examples []features.Example, seed uint64, hidden, epochs 
 
 	perm := make([]int, n)
 	for e := 0; e < epochs; e++ {
-		eta := lr
-		if !noAnneal {
-			eta = lr / (1 + 0.05*float64(e))
-		}
+		eta := lr / (1 + 0.05*float64(e))
 		r.PermInto(perm)
 		for _, idx := range perm {
 			ex := examples[idx]
@@ -158,75 +154,42 @@ func referenceMLPTrain(examples []features.Example, seed uint64, hidden, epochs 
 	return m
 }
 
-// mlpCase is one (trainer, dataset, seed) equivalence point plus the
-// resolved hyperparameters its reference run must use.
+// mlpCase is one (dataset, seed) equivalence point.
 type mlpCase struct {
-	trainer  MLPTrainer
 	examples []features.Example
 	seed     uint64
-	hidden   int
-	epochs   int
-	lr, l2   float64
-	noAnneal bool
 }
 
 // mlpEquivCases returns the grid the equivalence tests sweep:
-// separable and noisy data, tiny through training-sized sets, hidden
-// widths below and above the class count, several seeds. Epochs are
-// kept small — per-step arithmetic either matches exactly from step
-// one or not at all.
+// separable and noisy data, tiny through training-sized sets, several
+// seeds.
 func mlpEquivCases() []mlpCase {
 	var cases []mlpCase
 	for _, n := range []int{1, 7, 50, 200} {
 		for _, noise := range []float64{0.3, 2.0} {
 			for _, seed := range []uint64{0, 1, 20110620} {
 				cases = append(cases, mlpCase{
-					trainer:  MLPTrainer{Epochs: 3},
 					examples: syntheticDataset(n, noise, seed^0xa7),
 					seed:     seed,
-					hidden:   24, epochs: 3, lr: 0.05, l2: 1e-5,
 				})
 			}
 		}
 	}
-	// Off-default hyperparameters, odd hidden widths, annealing off.
-	for _, hidden := range []int{1, 5, 9, 33} {
-		cases = append(cases, mlpCase{
-			trainer:  MLPTrainer{Hidden: hidden, Epochs: 4, LR: 0.1, L2: 1e-3},
-			examples: syntheticDataset(60, 0.7, uint64(hidden)),
-			seed:     11,
-			hidden:   hidden, epochs: 4, lr: 0.1, l2: 1e-3,
-		})
-	}
-	cases = append(cases,
-		mlpCase{
-			trainer:  MLPTrainer{Epochs: 3, NoAnneal: true},
-			examples: syntheticDataset(50, 0.5, 2),
-			seed:     5,
-			hidden:   24, epochs: 3, lr: 0.05, l2: 1e-5, noAnneal: true,
-		},
-		mlpCase{
-			trainer:  MLPTrainer{Epochs: 3, L2: Off},
-			examples: syntheticDataset(50, 0.5, 4),
-			seed:     7,
-			hidden:   24, epochs: 3, lr: 0.05, l2: 0,
-		},
-	)
 	return cases
 }
 
 func (tc *mlpCase) reference() *refMLPModel {
-	return referenceMLPTrain(tc.examples, tc.seed, tc.hidden, tc.epochs, tc.lr, tc.l2, tc.noAnneal)
+	return referenceMLPTrain(tc.examples, tc.seed, mlpHidden, mlpEpochs, mlpLR, mlpL2)
 }
 
 // mlpModelsIdentical compares the flattened model bit-for-bit against
 // the frozen nested-slice reference.
 func mlpModelsIdentical(t *testing.T, label string, got *mlpModel, want *refMLPModel) {
 	t.Helper()
-	if got.hidden != want.hidden {
-		t.Fatalf("%s: hidden = %d, reference %d", label, got.hidden, want.hidden)
+	if want.hidden != mlpHidden {
+		t.Fatalf("%s: reference hidden = %d, trainer %d", label, want.hidden, mlpHidden)
 	}
-	for j := 0; j < want.hidden; j++ {
+	for j := 0; j < mlpHidden; j++ {
 		if got.b1[j] != want.b1[j] {
 			t.Fatalf("%s: b1[%d] = %v, reference %v", label, j, got.b1[j], want.b1[j])
 		}
@@ -241,10 +204,10 @@ func mlpModelsIdentical(t *testing.T, label string, got *mlpModel, want *refMLPM
 		if got.b2[c] != want.b2[c] {
 			t.Fatalf("%s: b2[%d] = %v, reference %v", label, c, got.b2[c], want.b2[c])
 		}
-		for j := 0; j < want.hidden; j++ {
-			if got.w2[c*want.hidden+j] != want.w2[c][j] {
+		for j := 0; j < mlpHidden; j++ {
+			if got.w2[c*mlpHidden+j] != want.w2[c][j] {
 				t.Fatalf("%s: w2[%d][%d] = %v, reference %v",
-					label, c, j, got.w2[c*want.hidden+j], want.w2[c][j])
+					label, c, j, got.w2[c*mlpHidden+j], want.w2[c][j])
 			}
 		}
 	}
@@ -253,7 +216,7 @@ func mlpModelsIdentical(t *testing.T, label string, got *mlpModel, want *refMLPM
 func TestMLPTrainMatchesReference(t *testing.T) {
 	for ci, tc := range mlpEquivCases() {
 		want := tc.reference()
-		clf, err := tc.trainer.Train(tc.examples, tc.seed)
+		clf, err := (&MLPTrainer{}).Train(tc.examples, tc.seed)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
@@ -261,48 +224,9 @@ func TestMLPTrainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMLPTrainScratchReuse retrains across differently sized datasets,
-// hidden widths and seeds through one scratch: every run must match a
-// fresh reference — stale permutations, velocities, activations or
-// weights from the previous run must never leak.
-func TestMLPTrainScratchReuse(t *testing.T) {
-	scratch := NewMLPScratch()
-	for pass := 0; pass < 2; pass++ {
-		for ci, tc := range mlpEquivCases() {
-			want := tc.reference()
-			clf, err := tc.trainer.TrainScratch(scratch, tc.examples, tc.seed)
-			if err != nil {
-				t.Fatalf("pass %d case %d: %v", pass, ci, err)
-			}
-			mlpModelsIdentical(t, "scratch", clf.(*mlpModel), want)
-		}
-	}
-}
-
-func TestMLPTrainScratchRejectsEmpty(t *testing.T) {
-	if _, err := (&MLPTrainer{}).TrainScratch(NewMLPScratch(), nil, 1); err == nil {
-		t.Fatal("TrainScratch should reject an empty training set")
-	}
-}
-
-// TestMLPTrainScratchAllocFree pins the steady-state zero-allocation
-// contract of the serial scratch trainer — the last build-side hot
-// path to join the PR 2/PR 4 guards.
-func TestMLPTrainScratchAllocFree(t *testing.T) {
-	examples := syntheticDataset(200, 0.5, 3)
-	scratch := NewMLPScratch()
-	tr := &MLPTrainer{Epochs: 2}
-	if _, err := tr.TrainScratch(scratch, examples, 0); err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(0)
-	if allocs := testing.AllocsPerRun(5, func() {
-		seed++
-		if _, err := tr.TrainScratch(scratch, examples, seed); err != nil {
-			panic(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("TrainScratch allocates %.1f times per run, want 0", allocs)
+func TestMLPTrainRejectsEmpty(t *testing.T) {
+	if _, err := (&MLPTrainer{}).Train(nil, 1); err == nil {
+		t.Fatal("Train should reject an empty training set")
 	}
 }
 
@@ -312,7 +236,7 @@ func TestMLPTrainScratchAllocFree(t *testing.T) {
 // times per window.
 func TestMLPPredictAllocFree(t *testing.T) {
 	examples := syntheticDataset(100, 0.5, 6)
-	clf, err := (&MLPTrainer{Epochs: 2}).Train(examples, 1)
+	clf, err := (&MLPTrainer{}).Train(examples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,88 +249,26 @@ func TestMLPPredictAllocFree(t *testing.T) {
 	}
 }
 
-// TestMLPPredictMatchesReference walks Predict across the stack/heap
-// scratch boundary (hidden 24 and mlpStackHidden+2) and pins its
-// labels to the frozen forward's argmax.
+// TestMLPPredictMatchesReference pins Predict's labels to the frozen
+// forward's argmax.
 func TestMLPPredictMatchesReference(t *testing.T) {
-	for _, hidden := range []int{24, mlpStackHidden + 2} {
-		examples := syntheticDataset(70, 0.6, uint64(hidden))
-		tr := &MLPTrainer{Hidden: hidden, Epochs: 1}
-		clf, err := tr.Train(examples, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceMLPTrain(examples, 9, hidden, 1, 0.05, 1e-5, false)
-		queries := syntheticDataset(70, 1.5, uint64(hidden)^0xfe)
-		for qi, q := range queries {
-			_, probs := want.forward(q.X)
-			best := 0
-			for c := 1; c < trace.NumApps; c++ {
-				if probs[c] > probs[best] {
-					best = c
-				}
-			}
-			if got := clf.Predict(q.X); got != trace.App(best) {
-				t.Fatalf("hidden=%d query %d: Predict = %v, reference %v", hidden, qi, got, best)
+	examples := syntheticDataset(70, 0.6, 24)
+	clf, err := (&MLPTrainer{}).Train(examples, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceMLPTrain(examples, 9, mlpHidden, mlpEpochs, mlpLR, mlpL2)
+	queries := syntheticDataset(70, 1.5, 24^0xfe)
+	for qi, q := range queries {
+		_, probs := want.forward(q.X)
+		best := 0
+		for c := 1; c < trace.NumApps; c++ {
+			if probs[c] > probs[best] {
+				best = c
 			}
 		}
-	}
-}
-
-// TestMLPL2OffDiffersFromDefault pins the sentinel bugfix: before it,
-// L2 <= 0 silently re-enabled the default weight decay, so "off" was
-// unreachable. Off must train a genuinely different model than the
-// default, and exactly the model the reference trains at l2 = 0.
-func TestMLPL2OffDiffersFromDefault(t *testing.T) {
-	examples := syntheticDataset(80, 0.5, 13)
-	off, err := (&MLPTrainer{Epochs: 5, L2: Off}).Train(examples, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := (&MLPTrainer{Epochs: 5}).Train(examples, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mlpModelsIdentical(t, "l2-off", off.(*mlpModel), referenceMLPTrain(examples, 3, 24, 5, 0.05, 0, false))
-	mo, md := off.(*mlpModel), def.(*mlpModel)
-	same := true
-	for i := range mo.w1 {
-		if mo.w1[i] != md.w1[i] {
-			same = false
-			break
+		if got := clf.Predict(q.X); got != trace.App(best) {
+			t.Fatalf("query %d: Predict = %v, reference %v", qi, got, best)
 		}
-	}
-	if same {
-		t.Fatal("L2: Off trained the same weights as L2 default — decay still cannot be disabled")
-	}
-}
-
-// TestSVMLambdaOffDiffersFromDefault is the sweep's SVM pin: the
-// Lambda knob had the same zero-means-default trap.
-func TestSVMLambdaOffDiffersFromDefault(t *testing.T) {
-	examples := syntheticDataset(120, 0.7, 17)
-	off, err := (&SVMTrainer{Lambda: Off, Epochs: 5}).Train(examples, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := (&SVMTrainer{Epochs: 5}).Train(examples, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo, md := off.(*svmModel), def.(*svmModel)
-	same := true
-	for c := 0; c < trace.NumApps && same; c++ {
-		if mo.bias[c] != md.bias[c] {
-			same = false
-		}
-		for i := range mo.weights[c] {
-			if mo.weights[c][i] != md.weights[c][i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("Lambda: Off trained the same machine as Lambda default — regularization still cannot be disabled")
 	}
 }

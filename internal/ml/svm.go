@@ -13,90 +13,46 @@ import (
 // primal sub-gradient method (Shalev-Shwartz et al.), which converges
 // quickly on standardized low-dimensional features and needs no
 // kernel cache — appropriate for the 12-dimensional window features.
-type SVMTrainer struct {
-	// Lambda is the regularization strength: zero selects a default
-	// tuned on held-out original traffic, Off disables regularization
-	// (the Pegasos step size degenerates to a constant 1 and the
-	// shrink pass to a no-op).
-	Lambda float64
-	// Epochs is the number of passes over the training set; zero
-	// selects a default.
-	Epochs int
-}
+// It trains at one fixed configuration (svmLambda, svmEpochs).
+type SVMTrainer struct{}
 
 // Name implements Trainer.
 func (t *SVMTrainer) Name() string { return "svm" }
 
-// SVMScratch owns every buffer one SVM training run needs: the
-// current class's child RNG state, permutation buffer and ±1 label
-// vector, and the model itself. Reusing a scratch across TrainScratch
-// calls makes steady-state retraining allocation-free — the build-side
-// analog of the classification path's window scratch.
-type SVMScratch struct {
-	rng   stats.RNG
-	perm  []int
-	ys    []float64
-	model svmModel
-}
-
-// NewSVMScratch returns an empty scratch; buffers grow on first use.
-func NewSVMScratch() *SVMScratch { return &SVMScratch{} }
-
-// prepare sizes the buffers for n examples.
-func (s *SVMScratch) prepare(n int) {
-	if cap(s.perm) < n {
-		s.perm = make([]int, n)
-		s.ys = make([]float64, n)
-	}
-	s.perm = s.perm[:n]
-	s.ys = s.ys[:n]
-}
+const (
+	// svmLambda is the regularization strength, tuned on held-out
+	// original traffic.
+	svmLambda = 1e-4
+	svmEpochs = 40 // passes over the training set
+)
 
 // Train implements Trainer.
 func (t *SVMTrainer) Train(examples []features.Example, seed uint64) (Classifier, error) {
-	return t.TrainScratch(NewSVMScratch(), examples, seed)
-}
-
-// TrainScratch is Train with caller-owned scratch: all working memory
-// and the model live in s, so steady-state retraining allocates
-// nothing. The returned Classifier aliases s's model — it is valid
-// until the next TrainScratch call on the same scratch. Results are
-// bit-identical to Train for the same inputs.
-func (t *SVMTrainer) TrainScratch(s *SVMScratch, examples []features.Example, seed uint64) (Classifier, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("ml: svm needs training examples")
 	}
-	lambda := t.Lambda
-	switch {
-	case lambda == 0:
-		lambda = 1e-4
-	case lambda < 0: // Off: regularization genuinely disabled
-		lambda = 0
-	}
-	epochs := t.Epochs
-	if epochs <= 0 {
-		epochs = 40
-	}
-	var r stats.RNG
+	var r, child stats.RNG
 	r.Reseed(seed)
-	s.prepare(len(examples))
+	perm := make([]int, len(examples))
+	ys := make([]float64, len(examples))
+	m := &svmModel{}
 	for class := 0; class < trace.NumApps; class++ {
 		// Each class draws its child stream from r in class order;
 		// r feeds nothing else, so every stream is the one the
 		// original per-class r.Split() produced.
-		r.SplitInto(&s.rng)
+		r.SplitInto(&child)
 		// ±1 one-vs-rest labels, computed once per class instead of
 		// one comparison per Pegasos step.
 		for i := range examples {
 			if examples[i].Y == trace.App(class) {
-				s.ys[i] = 1
+				ys[i] = 1
 			} else {
-				s.ys[i] = -1
+				ys[i] = -1
 			}
 		}
-		s.model.weights[class], s.model.bias[class] = trainBinarySVM(examples, s.ys, lambda, epochs, &s.rng, s.perm)
+		m.weights[class], m.bias[class] = trainBinarySVM(examples, ys, svmLambda, svmEpochs, &child, perm)
 	}
-	return &s.model, nil
+	return m, nil
 }
 
 // trainBinarySVM runs Pegasos for one one-vs-rest machine. ys holds
@@ -104,7 +60,7 @@ func (t *SVMTrainer) TrainScratch(s *SVMScratch, examples []features.Example, se
 // buffer. Every floating-point operation happens in the exact order of
 // the original per-class loop (two elementwise statements per weight,
 // explicit intermediates forbidding fused multiply-adds), so the
-// result is bit-identical to the pre-scratch implementation.
+// result is bit-identical to the original implementation.
 func trainBinarySVM(examples []features.Example, ys []float64, lambda float64, epochs int, r *stats.RNG, perm []int) (features.Vector, float64) {
 	var w features.Vector
 	var b float64

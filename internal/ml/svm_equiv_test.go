@@ -1,9 +1,8 @@
 package ml
 
-// Equivalence tests pinning the scratch-reusing SVM trainer
-// bit-identical to a frozen copy of the pre-refactor implementation
-// (the PR 2 pattern): the reference below is the old
-// per-class loop verbatim — sequential r.Split(), per-epoch r.Perm
+// Equivalence tests pinning the SVM trainer bit-identical to a frozen
+// copy of the pre-refactor implementation: the reference below is the
+// old per-class loop verbatim — sequential r.Split(), per-epoch r.Perm
 // allocations, branch-per-step labels, always-on shrink pass. Any
 // reordering of floating-point arithmetic in the rewrite fails these
 // tests exactly.
@@ -17,13 +16,9 @@ import (
 )
 
 // referenceSVMTrain is the pre-refactor SVMTrainer.Train, frozen.
+// Hyperparameters arrive resolved: callers pass the trainer's
+// constants.
 func referenceSVMTrain(examples []features.Example, seed uint64, lambda float64, epochs int) *svmModel {
-	if lambda <= 0 {
-		lambda = 1e-4
-	}
-	if epochs <= 0 {
-		epochs = 40
-	}
 	m := &svmModel{}
 	r := stats.NewRNG(seed)
 	for class := 0; class < trace.NumApps; class++ {
@@ -110,7 +105,7 @@ func modelsIdentical(t *testing.T, label string, got, want *svmModel) {
 
 func TestSVMTrainMatchesReference(t *testing.T) {
 	for ci, tc := range svmEquivCases() {
-		want := referenceSVMTrain(tc.examples, tc.seed, 0, 0)
+		want := referenceSVMTrain(tc.examples, tc.seed, svmLambda, svmEpochs)
 		clf, err := (&SVMTrainer{}).Train(tc.examples, tc.seed)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
@@ -119,60 +114,30 @@ func TestSVMTrainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSVMTrainScratchReuse retrains across differently sized datasets
-// and seeds through one scratch: every run must match a fresh
-// reference — stale permutations, labels or weights from the previous
-// run must never leak.
-func TestSVMTrainScratchReuse(t *testing.T) {
-	scratch := NewSVMScratch()
-	tr := &SVMTrainer{}
-	for pass := 0; pass < 2; pass++ {
-		for ci, tc := range svmEquivCases() {
-			want := referenceSVMTrain(tc.examples, tc.seed, 0, 0)
-			clf, err := tr.TrainScratch(scratch, tc.examples, tc.seed)
-			if err != nil {
-				t.Fatalf("pass %d case %d: %v", pass, ci, err)
-			}
-			modelsIdentical(t, "scratch", clf.(*svmModel), want)
-		}
+func TestSVMTrainRejectsEmpty(t *testing.T) {
+	if _, err := (&SVMTrainer{}).Train(nil, 1); err == nil {
+		t.Fatal("Train should reject an empty training set")
 	}
 }
 
-func TestSVMTrainScratchRejectsEmpty(t *testing.T) {
-	if _, err := (&SVMTrainer{}).TrainScratch(NewSVMScratch(), nil, 1); err == nil {
-		t.Fatal("TrainScratch should reject an empty training set")
-	}
-}
-
-// TestSVMTrainScratchAllocFree pins the steady-state zero-allocation
-// contract of the fused trainer (the build-side analog of PR 2's
-// classification guards).
-func TestSVMTrainScratchAllocFree(t *testing.T) {
-	examples := syntheticDataset(350, 0.5, 3)
-	scratch := NewSVMScratch()
-	tr := &SVMTrainer{}
-	if _, err := tr.TrainScratch(scratch, examples, 0); err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(0)
-	if allocs := testing.AllocsPerRun(5, func() {
-		seed++
-		if _, err := tr.TrainScratch(scratch, examples, seed); err != nil {
-			panic(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("TrainScratch allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestSVMTrainCustomHyperparameters checks equivalence off the default
-// hyperparameter path too.
+// TestSVMTrainCustomHyperparameters checks one binary machine against
+// the frozen reference off the trainer's constants too: trainBinarySVM
+// takes lambda and epochs as arguments, so its arithmetic must match
+// at any setting, not only at svmLambda and svmEpochs.
 func TestSVMTrainCustomHyperparameters(t *testing.T) {
 	examples := syntheticDataset(120, 0.7, 11)
-	want := referenceSVMTrain(examples, 5, 1e-3, 7)
-	clf, err := (&SVMTrainer{Lambda: 1e-3, Epochs: 7}).Train(examples, 5)
-	if err != nil {
-		t.Fatal(err)
+	for class := 0; class < trace.NumApps; class++ {
+		want, wantB := referenceTrainBinarySVM(examples, trace.App(class), 1e-3, 7, stats.NewRNG(uint64(class)))
+		ys := make([]float64, len(examples))
+		for i := range examples {
+			ys[i] = -1
+			if examples[i].Y == trace.App(class) {
+				ys[i] = 1
+			}
+		}
+		got, gotB := trainBinarySVM(examples, ys, 1e-3, 7, stats.NewRNG(uint64(class)), make([]int, len(examples)))
+		if got != want || gotB != wantB {
+			t.Fatalf("class %d: machine (%v, %v), reference (%v, %v)", class, got, gotB, want, wantB)
+		}
 	}
-	modelsIdentical(t, "custom", clf.(*svmModel), want)
 }

@@ -12,13 +12,14 @@ import (
 // axis-aligned thresholds and depth/size stopping rules. Trees are a
 // common traffic-classification family (the Nguyen–Armitage survey
 // the paper cites covers them) and add a non-linear, non-distance
-// cross-check to the attack suite.
-type TreeTrainer struct {
-	// MaxDepth bounds the tree (0 selects 8).
-	MaxDepth int
-	// MinLeaf is the minimum samples per leaf (0 selects 3).
-	MinLeaf int
-}
+// cross-check to the attack suite. It grows at one fixed
+// configuration (treeMaxDepth, treeMinLeaf).
+type TreeTrainer struct{}
+
+const (
+	treeMaxDepth = 8 // depth bound
+	treeMinLeaf  = 3 // minimum samples per leaf
+)
 
 // Name implements Trainer.
 func (t *TreeTrainer) Name() string { return "tree" }
@@ -28,19 +29,11 @@ func (t *TreeTrainer) Train(examples []features.Example, _ uint64) (Classifier, 
 	if len(examples) == 0 {
 		return nil, errors.New("ml: tree needs training examples")
 	}
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
-	minLeaf := t.MinLeaf
-	if minLeaf <= 0 {
-		minLeaf = 3
-	}
 	idx := make([]int, len(examples))
 	for i := range idx {
 		idx[i] = i
 	}
-	root := growTree(examples, idx, maxDepth, minLeaf)
+	root := growTree(examples, idx, treeMaxDepth, treeMinLeaf)
 	return &treeModel{root: root}, nil
 }
 

@@ -38,10 +38,11 @@ func TestTreePureLeaf(t *testing.T) {
 
 func TestTreeRespectsDepthLimit(t *testing.T) {
 	train := syntheticDataset(300, 1.0, 23)
-	shallow, err := (&TreeTrainer{MaxDepth: 1}).Train(train, 1)
-	if err != nil {
-		t.Fatal(err)
+	idx := make([]int, len(train))
+	for i := range idx {
+		idx[i] = i
 	}
+	shallow := &treeModel{root: growTree(train, idx, 1, treeMinLeaf)}
 	// Depth-1 tree can emit at most two distinct labels.
 	seen := map[trace.App]bool{}
 	for _, e := range syntheticDataset(200, 1.0, 24) {

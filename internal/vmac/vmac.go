@@ -96,8 +96,6 @@ type APConfig struct {
 	// ("determined by the privacy requirement and the resource
 	// availability", §III-B1). Zero means the paper default of 3…5.
 	MaxPerClient int
-	// PoolCapacity bounds total outstanding virtual addresses.
-	PoolCapacity int
 	// Seed drives the address pool's deterministic draws.
 	Seed uint64
 }
@@ -126,7 +124,7 @@ func NewAP(cfg APConfig) *AP {
 		cfg.MaxPerClient = MaxInterfaces
 	}
 	return &AP{
-		pool:          mac.NewPool(cfg.Seed, cfg.PoolCapacity),
+		pool:          mac.NewPool(cfg.Seed, 0),
 		cfg:           cfg,
 		virtualToPhys: make(map[mac.Address]mac.Address),
 		physToVirtual: make(map[mac.Address][]mac.Address),

@@ -32,23 +32,19 @@ type Network struct {
 
 // Config tunes the network.
 type Config struct {
-	Seed    uint64
-	Channel int // data channel; 0 means channel 6
-	APPos   radio.Position
-	// MaxVirtualPerClient caps per-client interface grants (0 → 5).
-	MaxVirtualPerClient int
+	Seed uint64
 }
 
-// NewNetwork builds a network with one AP.
+// apChannel is the data channel the AP and its stations use.
+const apChannel = 6
+
+// NewNetwork builds a network with one AP at the origin.
 func NewNetwork(cfg Config) *Network {
-	if cfg.Channel == 0 {
-		cfg.Channel = 6
-	}
 	root := stats.NewRNG(cfg.Seed)
 	k := sim.New()
 	medium := radio.NewMedium(radio.DefaultPathLoss(), root.Split().Uint64())
 	n := &Network{Kernel: k, Medium: medium, rng: root}
-	n.AP = newAP(n, cfg)
+	n.AP = newAP(n)
 	return n
 }
 
@@ -62,7 +58,6 @@ const masterSecret = "wlan-association-psk"
 type AP struct {
 	net     *Network
 	Addr    mac.Address
-	Pos     radio.Position
 	Channel int
 	vm      *vmac.AP
 	seq     mac.SequenceCounter
@@ -77,15 +72,13 @@ type AP struct {
 	Delivered map[mac.Address]int
 }
 
-func newAP(n *Network, cfg Config) *AP {
+func newAP(n *Network) *AP {
 	ap := &AP{
 		net:     n,
 		Addr:    mac.RandomAddress(n.rng),
-		Pos:     cfg.APPos,
-		Channel: cfg.Channel,
+		Channel: apChannel,
 		vm: vmac.NewAP(vmac.APConfig{
-			MaxPerClient: cfg.MaxVirtualPerClient,
-			Seed:         n.rng.Split().Uint64(),
+			Seed: n.rng.Split().Uint64(),
 		}),
 		downlinkSched: make(map[mac.Address]reshape.Scheduler),
 		associated:    make(map[mac.Address]*Station),
@@ -93,7 +86,7 @@ func newAP(n *Network, cfg Config) *AP {
 		txSealers:     make(map[mac.Address]*secure.Sealer),
 		Delivered:     make(map[mac.Address]int),
 	}
-	n.Medium.Subscribe(ap.Channel, ap.Pos, ap.onAir)
+	n.Medium.Subscribe(ap.Channel, radio.Position{}, ap.onAir)
 	return ap
 }
 
@@ -236,7 +229,6 @@ func (ap *AP) transmit(f *mac.Frame) {
 	ap.net.Medium.Transmit(ap.net.Kernel.Now(), radio.Transmission{
 		Channel: ap.Channel,
 		Size:    f.AirLength(),
-		TxPos:   ap.Pos,
 		Payload: buf,
 	}, radio.DefaultRate)
 }
