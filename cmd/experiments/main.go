@@ -117,6 +117,10 @@ func main() {
 		}
 	}
 
+	if *distWorkers < 0 || *distWait < 0 {
+		fmt.Fprintln(os.Stderr, "experiments: -dist-workers and -dist-wait count workers and cannot be negative")
+		os.Exit(2)
+	}
 	if *distWait > 0 && *distWorkers == 0 && *distListen == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -dist-wait needs a fleet to wait for; give -dist-listen and/or -dist-workers")
 		os.Exit(2)
@@ -201,7 +205,8 @@ func serveWorker(addr string, engineWorkers int, tlsOn bool, ff *dist.FleetFlags
 	if err != nil {
 		return err
 	}
-	return dist.Serve(addr, dist.WorkerOptions{EngineWorkers: engineWorkers, Net: netOpt})
+	ev := experiments.NewCellEvaluator(experiments.NewEngine(engineWorkers), 0)
+	return dist.Serve(addr, dist.WorkerOptions{State: ev, Net: netOpt})
 }
 
 // fleetConfig bundles the coordinator-side fleet settings.

@@ -9,9 +9,10 @@
 // Fleet security: -dist-tls (with -dist-tls-ca or -dist-tls-insecure)
 // encrypts the coordinator connection, and -dist-key/-dist-key-file
 // answers the coordinator's HMAC challenge. With -redial the worker
-// outlives the coordinator: its trace store, dataset cache and result
-// cache survive reconnects, so a resumed grid neither re-ships traces
-// nor re-evaluates answered cells.
+// outlives the coordinator: its one experiments.CellEvaluator — trace
+// store, dataset cache and result cache, each a bounded FIFO —
+// survives reconnects, so a resumed grid neither re-ships traces nor
+// re-evaluates answered cells.
 //
 // Flag names follow cmd/experiments' -dist-* vocabulary.
 //
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"trafficreshape/internal/dist"
+	"trafficreshape/internal/experiments"
 )
 
 func main() {
@@ -79,7 +81,7 @@ func main() {
 
 	opt := dist.WorkerOptions{
 		Slots: *slots,
-		State: dist.NewWorkerState(*workers, *cache),
+		State: experiments.NewCellEvaluator(experiments.NewEngine(*workers), *cache),
 		Net:   netOpt,
 		Drain: drain,
 		Logf: func(format string, args ...any) {

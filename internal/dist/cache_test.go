@@ -2,9 +2,9 @@ package dist_test
 
 // End-to-end contracts of the worker result cache and the fault
 // machinery around it: whatever join/leave/wedge/timeout schedule the
-// fleet suffers, the grid's bytes equal serial, and the cache
-// counters obey their invariants — a hit can only follow an earlier
-// evaluation, and deduplicated late answers never exceed timeouts.
+// fleet suffers, the grid's bytes equal serial, and the coordinator's
+// counters obey their invariants — cache hits never exceed delivered
+// remote cells, and deduplicated late answers never exceed timeouts.
 
 import (
 	"errors"
@@ -19,7 +19,7 @@ import (
 )
 
 // TestWorkerRestartReusesResultCache is the directed acceptance pin:
-// a worker that dies mid-grid and rejoins with its WorkerState serves
+// a worker that dies mid-grid and rejoins with its evaluator serves
 // the cells it already answered from the result cache — exactly
 // those, no more — and the re-run grid is byte-identical.
 func TestWorkerRestartReusesResultCache(t *testing.T) {
@@ -32,28 +32,29 @@ func TestWorkerRestartReusesResultCache(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// One worker, durable state, abort after 3 answers: the grid
-	// loses its fleet mid-run and completes locally.
-	state := dist.NewWorkerState(2, 0)
-	dying := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, State: state, MaxCells: 3})
+	// One single-slot worker, durable state, dies reading its fourth
+	// cell: the grid loses its fleet mid-run and completes locally.
+	state := experiments.NewCellEvaluator(experiments.NewEngine(2), 0)
+	dying := startWorker(t, coord.Addr(), dist.WorkerOptions{
+		Slots: 1, State: state, Net: dist.NetOptions{Wrap: dist.DieAtBatch(4)},
+	})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	eng := experiments.NewEngine(4).WithBackend(coord)
 	got := eng.EvalSchemes(ds, experiments.StandardSchemes())
 	sameConfusions(t, "grid with dying cached worker", want, got)
-	if err := dying(); !errors.Is(err, dist.ErrMaxCells) {
-		t.Fatalf("dying worker exited with %v, want ErrMaxCells", err)
+	if err := dying(); !errors.Is(err, dist.ErrInjectedDeath) {
+		t.Fatalf("dying worker exited with %v, want ErrInjectedDeath", err)
 	}
-	cs := state.CacheStats()
-	if cs.Hits != 0 || cs.Misses != 3 {
-		t.Fatalf("first life cache stats %+v, want 0 hits / 3 misses", cs)
+	if st := coord.Stats(); st.RemoteCells != 3 || st.RemoteCacheHits != 0 {
+		t.Fatalf("first life delivered %d remote cells (%d cached), want 3 evaluated", st.RemoteCells, st.RemoteCacheHits)
 	}
 
 	// Restart: same state, no fault injection. The second grid runs
 	// fully remote; the three cells answered in the first life are
 	// cache hits, everything else is evaluated once.
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, State: state})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{State: state})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +62,12 @@ func TestWorkerRestartReusesResultCache(t *testing.T) {
 	sameConfusions(t, "grid after restart", want, got)
 
 	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
-	cs = state.CacheStats()
-	if cs.Hits != 3 {
-		t.Errorf("restarted worker served %d cells from cache, want exactly the 3 it answered before", cs.Hits)
-	}
-	if cs.Misses != wantCells {
-		t.Errorf("restarted worker evaluated %d cells total, want %d", cs.Misses, wantCells)
-	}
 	stats := coord.Stats()
 	if stats.RemoteCacheHits != 3 {
-		t.Errorf("coordinator counted %d remote cache hits, want 3", stats.RemoteCacheHits)
+		t.Errorf("restarted worker served %d cells from cache, want exactly the 3 it answered before", stats.RemoteCacheHits)
 	}
-	if stats.RemoteCacheHits > stats.RemoteCells {
-		t.Errorf("cache hits (%d) exceed remote cells (%d)", stats.RemoteCacheHits, stats.RemoteCells)
+	if stats.RemoteCells != 3+wantCells {
+		t.Errorf("%d remote cells over both lives, want 3 + %d: the second grid did not run fully remote", stats.RemoteCells, wantCells)
 	}
 }
 
@@ -102,19 +96,21 @@ func TestRandomFaultScheduleByteIdentical(t *testing.T) {
 		}
 
 		// Random fleet: every worker keeps a durable state; some die
-		// after a random cell budget, some wedge (a random number of
-		// swallowed requests, sometimes recovering, sometimes not).
+		// at a random cell, some wedge (a random number of dropped
+		// requests, sometimes recovering, sometimes not). A faulty
+		// worker runs one slot, so its nth batch is its nth cell.
 		n := 2 + rng.Intn(2)
-		states := make([]*dist.WorkerState, n)
+		states := make([]*experiments.CellEvaluator, n)
 		for i := 0; i < n; i++ {
-			states[i] = dist.NewWorkerState(2, 0)
-			opt := dist.WorkerOptions{EngineWorkers: 2, State: states[i]}
+			states[i] = experiments.NewCellEvaluator(experiments.NewEngine(2), 0)
+			opt := dist.WorkerOptions{State: states[i]}
 			switch rng.Intn(4) {
 			case 0:
-				opt.MaxCells = 1 + rng.Intn(5)
+				opt.Slots = 1
+				opt.Net.Wrap = dist.DieAtBatch(2 + rng.Intn(5))
 			case 1:
-				opt.WedgeCells = 1 + rng.Intn(4)
-				opt.WedgeFor = rng.Intn(3) // 0 wedges forever
+				opt.Slots = 1
+				opt.Net.Wrap = dist.WedgeAtBatch(2+rng.Intn(4), rng.Intn(3)) // 0 wedges forever
 			}
 			startWorker(t, coord.Addr(), opt)
 		}
@@ -128,7 +124,7 @@ func TestRandomFaultScheduleByteIdentical(t *testing.T) {
 
 		// Rejoin one random state (its first life may or may not have
 		// died — both are legal) and run the grid again.
-		startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, State: states[rng.Intn(n)]})
+		startWorker(t, coord.Addr(), dist.WorkerOptions{State: states[rng.Intn(n)]})
 		got = eng.EvalSchemes(ds, experiments.StandardSchemes())
 		sameConfusions(t, "random schedule pass 2", want, got)
 
@@ -142,26 +138,6 @@ func TestRandomFaultScheduleByteIdentical(t *testing.T) {
 		}
 		if stats.RemoteCacheHits > stats.RemoteCells {
 			t.Errorf("round %d: %d cache hits exceed %d delivered remote cells", round, stats.RemoteCacheHits, stats.RemoteCells)
-		}
-		totalHits := 0
-		for i, st := range states {
-			cs := st.CacheStats()
-			totalHits += cs.Hits
-			if cs.Hits > 0 && cs.Misses == 0 {
-				t.Errorf("round %d: worker %d hit its cache without ever evaluating a cell", round, i)
-			}
-			if cs.Misses > 2*wantCells {
-				t.Errorf("round %d: worker %d evaluated %d cells, more than the whole run", round, i, cs.Misses)
-			}
-		}
-		// Cache hits can never exceed cells evaluated: every hit
-		// replays an evaluation some worker performed and stored.
-		totalMisses := 0
-		for _, st := range states {
-			totalMisses += st.CacheStats().Misses
-		}
-		if totalHits > totalMisses {
-			t.Errorf("round %d: %d cache hits exceed %d evaluations", round, totalHits, totalMisses)
 		}
 		coord.Close()
 	}

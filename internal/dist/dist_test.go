@@ -33,18 +33,18 @@ import (
 // binary with DIST_TEST_WORKER_ADDR set turns it into a real worker
 // process, which is how the *WorkerProcesses tests get genuine
 // multi-process coverage without shelling out to the go tool.
-// DIST_TEST_KEY and DIST_TEST_TLS=insecure configure the subprocess
-// for the authenticated/encrypted fleet tests: the worker cannot know
-// the parent's ephemeral self-signed certificate, so it encrypts
-// without server verification and proves itself through the HMAC
-// challenge — the same posture cmd/expworker's -dist-tls-insecure takes.
+// DIST_TEST_SLOTS sets the worker's slots (0 = default). DIST_TEST_KEY
+// and DIST_TEST_TLS=insecure configure the subprocess for the
+// authenticated/encrypted fleet tests: the worker cannot know the
+// parent's ephemeral self-signed certificate, so it encrypts without
+// server verification and proves itself through the HMAC challenge —
+// the same posture cmd/expworker's -dist-tls-insecure takes.
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("DIST_TEST_WORKER_ADDR"); addr != "" {
-		maxCells, _ := strconv.Atoi(os.Getenv("DIST_TEST_MAX_CELLS"))
+		slots, _ := strconv.Atoi(os.Getenv("DIST_TEST_SLOTS"))
 		opt := dist.WorkerOptions{
-			EngineWorkers: 2,
-			MaxCells:      maxCells,
-			Net:           dist.NetOptions{AuthKey: os.Getenv("DIST_TEST_KEY")},
+			Slots: slots,
+			Net:   dist.NetOptions{AuthKey: os.Getenv("DIST_TEST_KEY")},
 		}
 		if os.Getenv("DIST_TEST_TLS") == "insecure" {
 			tlsCfg, err := dist.ClientTLS("", true)
@@ -54,8 +54,7 @@ func TestMain(m *testing.M) {
 			}
 			opt.Net.TLS = tlsCfg
 		}
-		err := dist.Serve(addr, opt)
-		if err != nil && !errors.Is(err, dist.ErrMaxCells) {
+		if err := dist.Serve(addr, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -149,8 +148,8 @@ func soleWorkerCells(n int) func(dist.StatsSnapshot) bool {
 // write number from (1-based) on, until open is called. On a
 // plaintext connection every frame is a header write plus a payload
 // write, so writes 1–2 are the challenge and the k-th single-cell
-// batch is writes 2k+1 and 2k+2: from = 2(MaxCells+1)+1 holds back
-// exactly the request the worker dies on.
+// batch is writes 2k+1 and 2k+2: from = 2n+1 holds back exactly the
+// nth batch, the one the worker dies on.
 type writeGate struct {
 	from    int
 	release chan struct{}
@@ -158,8 +157,8 @@ type writeGate struct {
 	wrapped atomic.Bool
 }
 
-func newWriteGate(maxCells int) *writeGate {
-	return &writeGate{from: 2*(maxCells+1) + 1, release: make(chan struct{})}
+func newWriteGate(n int) *writeGate {
+	return &writeGate{from: 2*n + 1, release: make(chan struct{})}
 }
 
 // open lets every held and later write through; safe to call twice,
@@ -212,7 +211,7 @@ func TestGridByteIdenticalInProcess(t *testing.T) {
 	}
 	defer coord.Close()
 	for i := 0; i < 2; i++ {
-		startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+		startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	}
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	gate := newWriteGate(1)
+	gate := newWriteGate(2)
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
 		Pool: par.NewPool(2),
 		Net:  dist.NetOptions{Wrap: gate.wrap},
@@ -249,8 +248,10 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	defer gate.open()
 	// Short-lived worker: alone in the fleet, it answers one cell and
 	// is dispatched a second, which the gate holds back until the
-	// healthy worker has joined; reading it, the worker aborts.
-	shortLived := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, MaxCells: 1})
+	// healthy worker has joined; reading it, the worker dies.
+	shortLived := startWorker(t, coord.Addr(), dist.WorkerOptions{
+		Slots: 1, Net: dist.NetOptions{Wrap: dist.DieAtBatch(2)},
+	})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	if st := awaitStats(coord, soleWorkerCells(2)); !soleWorkerCells(2)(st) {
 		t.Fatalf("short-lived worker never got its second cell: %+v", st)
 	}
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +268,8 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	got := <-done
 	sameConfusions(t, "grid with dying worker", want, got)
 
-	if err := shortLived(); !errors.Is(err, dist.ErrMaxCells) {
-		t.Errorf("short-lived worker exited with %v, want ErrMaxCells", err)
+	if err := shortLived(); !errors.Is(err, dist.ErrInjectedDeath) {
+		t.Errorf("short-lived worker exited with %v, want ErrInjectedDeath", err)
 	}
 	stats := coord.Stats()
 	if stats.WorkersLost == 0 {
@@ -307,7 +308,9 @@ func TestCellTimeoutReassignment(t *testing.T) {
 	// timeout happens whatever the scheduler does. (On a slow host the
 	// first cell's dataset build can outlast the deadline; that cell
 	// then times out itself, which is the same fault.)
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, WedgeCells: 1})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{
+		Slots: 1, Net: dist.NetOptions{Wrap: dist.WedgeAtBatch(2, 0)},
+	})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestCellTimeoutReassignment(t *testing.T) {
 	if st := awaitStats(coord, wedged); !wedged(st) {
 		t.Fatalf("wedged worker never held a cell: %+v", st)
 	}
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	got := <-done
 	sameConfusions(t, "grid with wedged worker", want, got)
 
@@ -350,7 +353,9 @@ func TestCellTimeoutLastWorkerFallsBackLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, WedgeCells: 1})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{
+		Slots: 1, Net: dist.NetOptions{Wrap: dist.WedgeAtBatch(2, 0)},
+	})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +413,7 @@ func TestUnregisteredSchemeRunsLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +425,14 @@ func TestUnregisteredSchemeRunsLocal(t *testing.T) {
 }
 
 // spawnWorkerProcess re-executes the test binary as a real worker
-// process (see TestMain). extraEnv appends DIST_TEST_* settings for
-// the TLS/auth variants.
-func spawnWorkerProcess(t *testing.T, addr string, maxCells int, extraEnv ...string) *exec.Cmd {
+// process with the given slots (see TestMain). extraEnv appends
+// DIST_TEST_* settings for the TLS/auth variants.
+func spawnWorkerProcess(t *testing.T, addr string, slots int, extraEnv ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
 		"DIST_TEST_WORKER_ADDR="+addr,
-		"DIST_TEST_MAX_CELLS="+strconv.Itoa(maxCells))
+		"DIST_TEST_SLOTS="+strconv.Itoa(slots))
 	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -439,8 +444,8 @@ func spawnWorkerProcess(t *testing.T, addr string, maxCells int, extraEnv ...str
 
 // TestGridByteIdenticalWorkerProcesses is the acceptance pin: the
 // grid through coordinator + two real worker processes — one of which
-// is killed by its cell budget mid-run and must be reassigned —
-// equals the serial grid exactly.
+// is killed mid-run holding a cell that must be reassigned — equals
+// the serial grid exactly.
 func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
@@ -448,7 +453,7 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	ds := sharedDataset(t)
 	want := serialGrid(t, ds)
 
-	gate := newWriteGate(3)
+	gate := newWriteGate(4)
 	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{
 		Pool: par.NewPool(2),
 		Net:  dist.NetOptions{Wrap: gate.wrap},
@@ -458,12 +463,12 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	}
 	defer coord.Close()
 	defer gate.open()
-	// One worker dies after three cells: alone in the fleet, it is
-	// dispatched a fourth, which the gate holds back until the healthy
-	// worker has joined — so the fourth assignment is stranded
-	// mid-flight with a peer to take it. The healthy worker carries
-	// the rest.
-	spawnWorkerProcess(t, coord.Addr(), 3)
+	// One single-slot worker answers three cells alone in the fleet
+	// and is dispatched a fourth, which the gate holds back until the
+	// healthy worker has joined and the first process is killed — so
+	// the fourth assignment is stranded mid-flight with a peer to take
+	// it. The healthy worker carries the rest.
+	doomed := spawnWorkerProcess(t, coord.Addr(), 1)
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +479,9 @@ func TestGridByteIdenticalWorkerProcesses(t *testing.T) {
 	}
 	spawnWorkerProcess(t, coord.Addr(), 0)
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := doomed.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	gate.open()
@@ -514,7 +522,7 @@ func TestRunAllDistributedByteIdentical(t *testing.T) {
 	}
 	defer coord.Close()
 	for i := 0; i < 2; i++ {
-		startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+		startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	}
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -585,12 +593,12 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 	wantCells := len(experiments.StandardSchemes()) * len(trace.Apps)
 	wantTraces := len(set.Ref().Digests())
 
-	state := dist.NewWorkerState(2, 0)
+	state := experiments.NewCellEvaluator(experiments.NewEngine(2), 0)
 	coord1, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	startWorker(t, coord1.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, State: state})
+	startWorker(t, coord1.Addr(), dist.WorkerOptions{Slots: 2, State: state})
 	if err := coord1.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -603,6 +611,9 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 	if stats.TracesSent != wantTraces {
 		t.Errorf("coordinator pushed %d traces, want each of the %d digests exactly once", stats.TracesSent, wantTraces)
 	}
+	if stats.RemoteCacheHits != 0 {
+		t.Errorf("cold worker answered %d cells from its result cache, want 0", stats.RemoteCacheHits)
+	}
 	coord1.Close()
 
 	// Same worker state, fresh coordinator: the trace-have
@@ -613,7 +624,7 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord2.Close()
-	startWorker(t, coord2.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, State: state})
+	startWorker(t, coord2.Addr(), dist.WorkerOptions{Slots: 2, State: state})
 	if err := coord2.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -625,10 +636,6 @@ func TestCapturedGridPreloadAndResume(t *testing.T) {
 	}
 	if stats.RemoteCacheHits != wantCells {
 		t.Errorf("second grid hit the result cache %d times, want all %d cells", stats.RemoteCacheHits, wantCells)
-	}
-	cs := state.CacheStats()
-	if cs.Hits != wantCells || cs.Misses != wantCells {
-		t.Errorf("worker cache stats %+v, want %d hits over %d evaluations", cs, wantCells, wantCells)
 	}
 }
 

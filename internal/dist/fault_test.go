@@ -41,7 +41,7 @@ func TestHeartbeatReapsBlackholedWorker(t *testing.T) {
 	}
 	defer coord.Close()
 
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	// Writes 1-4 are the hello and trace-have (each frame is a header
 	// write plus a payload write) — the handshake lands, the worker
 	// joins — and write 5, the first post-handshake frame (pong or
@@ -53,8 +53,8 @@ func TestHeartbeatReapsBlackholedWorker(t *testing.T) {
 		BlackholeTimeout:     2 * time.Second,
 	})
 	startWorker(t, coord.Addr(), dist.WorkerOptions{
-		Slots: 2, EngineWorkers: 2,
-		Net: dist.NetOptions{Wrap: chaos.Wrap},
+		Slots: 2,
+		Net:   dist.NetOptions{Wrap: chaos.Wrap},
 	})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestWorkerAbandonsSilentCoordinator(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		errc <- dist.Serve(ln.Addr().String(), dist.WorkerOptions{Slots: 1, EngineWorkers: 1})
+		errc <- dist.Serve(ln.Addr().String(), dist.WorkerOptions{Slots: 1})
 	}()
 	select {
 	case err := <-errc:
@@ -181,7 +181,7 @@ func TestMidSessionGarbageDropsWorker(t *testing.T) {
 	if msg, err := dist.ReadMessage(conn); err != nil || len(msg.Batch) == 0 {
 		t.Fatalf("evil worker got no assignment: %+v, %v", msg, err)
 	}
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +226,9 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 
 	drain := make(chan struct{})
 	draining := startWorker(t, coord.Addr(), dist.WorkerOptions{
-		Slots: 1, EngineWorkers: 2, Drain: drain,
+		Slots: 1, Drain: drain,
 	})
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 	if err := coord.WaitWorkers(2, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestJournalResumeReEvaluatesOnlyUnanswered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startWorker(t, coord1.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+	startWorker(t, coord1.Addr(), dist.WorkerOptions{Slots: 2})
 	if err := coord1.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -43,18 +43,18 @@ func TestFleetChurnPropertyByteIdentical(t *testing.T) {
 			// One healthy worker guarantees forward progress without
 			// local fallback doing all the work; the rest misbehave per
 			// the seed.
-			startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+			startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2})
 			n := 1 + rng.Intn(2) // 1-2 chaotic workers alongside
 			for i := 0; i < n; i++ {
-				opt := dist.WorkerOptions{EngineWorkers: 2}
+				// One slot, so a fault at the nth batch strikes the nth cell.
+				opt := dist.WorkerOptions{Slots: 1}
 				switch rng.Intn(3) {
 				case 0: // dies mid-assignment after a few cells
-					opt.MaxCells = 1 + rng.Intn(3)
+					opt.Net.Wrap = dist.DieAtBatch(2 + rng.Intn(3))
 				case 1: // wedges forever: cell timeout must reclaim
-					opt.WedgeCells = 1 + rng.Intn(3)
+					opt.Net.Wrap = dist.WedgeAtBatch(2+rng.Intn(3), 0)
 				case 2: // wedges then recovers
-					opt.WedgeCells = 1 + rng.Intn(3)
-					opt.WedgeFor = 1 + rng.Intn(2)
+					opt.Net.Wrap = dist.WedgeAtBatch(2+rng.Intn(3), 1+rng.Intn(2))
 				}
 				startWorker(t, coord.Addr(), opt)
 			}
@@ -66,7 +66,7 @@ func TestFleetChurnPropertyByteIdentical(t *testing.T) {
 			joinDelay := time.Duration(100+rng.Intn(400)) * time.Millisecond
 			addr := coord.Addr()
 			time.AfterFunc(joinDelay, func() {
-				_ = dist.Serve(addr, dist.WorkerOptions{Slots: 2, EngineWorkers: 2})
+				_ = dist.Serve(addr, dist.WorkerOptions{Slots: 2})
 			})
 
 			eng := experiments.NewEngine(4).WithBackend(coord)

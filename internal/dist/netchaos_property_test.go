@@ -106,13 +106,13 @@ func TestNetChaosPropertySchedules(t *testing.T) {
 				// invariants. Chaos wraps below TLS, like a faulty wire.
 				chaos := netchaos.New(sc.seed, sc.plan)
 				startWorker(t, coord.Addr(), dist.WorkerOptions{
-					Slots: 2, EngineWorkers: 2, Net: workerNet,
+					Slots: 2, Net: workerNet,
 				})
 				for i := 0; i < 2; i++ {
 					chaoticNet := workerNet
 					chaoticNet.Wrap = chaos.Wrap
 					startWorker(t, coord.Addr(), dist.WorkerOptions{
-						Slots: 2, EngineWorkers: 2, Net: chaoticNet,
+						Slots: 2, Net: chaoticNet,
 					})
 				}
 				if err := coord.WaitWorkers(1, 60*time.Second); err != nil {

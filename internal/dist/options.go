@@ -101,13 +101,12 @@ func (l wrapListener) Accept() (net.Conn, error) {
 	return l.wrap(conn), nil
 }
 
-// CacheOptions bounds a worker's result cache. The other two caches
-// that make a rejoining worker cheap — datasets and traces — have
-// fixed bounds (16 and 64 entries) in the experiments package;
-// eviction is always safe because every entry is a pure function of
-// its key.
+// CacheOptions bounds the result cache of a worker's private
+// evaluator. Its dataset cache and trace store keep fixed bounds (16
+// datasets, 64 traces); eviction is always safe because every entry
+// is a pure function of its key.
 type CacheOptions struct {
 	// Results bounds the evaluated-cell result cache (entries); <= 0
-	// selects DefaultResultCacheSize.
+	// selects 4096.
 	Results int
 }

@@ -39,7 +39,7 @@ func TestWrongKeyRejectedFallsBackLocal(t *testing.T) {
 	}
 	defer coord.Close()
 
-	join := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2, Net: dist.NetOptions{AuthKey: "wrong-key"}})
+	join := startWorker(t, coord.Addr(), dist.WorkerOptions{Net: dist.NetOptions{AuthKey: "wrong-key"}})
 	if err := join(); err != nil {
 		t.Errorf("rejected worker returned %v; rejection is a clean end of life", err)
 	}
@@ -76,11 +76,11 @@ func TestAuthAdmitsOnlyKeyHolders(t *testing.T) {
 	}
 	defer coord.Close()
 
-	keyless := startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2})
+	keyless := startWorker(t, coord.Addr(), dist.WorkerOptions{})
 	if err := keyless(); err != nil {
 		t.Errorf("keyless worker returned %v", err)
 	}
-	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, EngineWorkers: 2, Net: dist.NetOptions{AuthKey: "fleet-secret"}})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{Slots: 2, Net: dist.NetOptions{AuthKey: "fleet-secret"}})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestGarbageAndSilentPeersRejected(t *testing.T) {
 	}
 
 	// The door still works for real workers.
-	startWorker(t, coord.Addr(), dist.WorkerOptions{EngineWorkers: 2})
+	startWorker(t, coord.Addr(), dist.WorkerOptions{})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatalf("real worker not admitted after strays: %v", err)
 	}
@@ -229,8 +229,7 @@ func TestPlaintextClientAgainstTLSListener(t *testing.T) {
 	// never be admitted. The blocking join() call is itself the
 	// no-hang assertion.
 	plain := startWorker(t, coord.Addr(), dist.WorkerOptions{
-		EngineWorkers: 2,
-		Net:           dist.NetOptions{AuthKey: "fleet-secret", HandshakeTimeout: 500 * time.Millisecond},
+		Net: dist.NetOptions{AuthKey: "fleet-secret", HandshakeTimeout: 500 * time.Millisecond},
 	})
 	_ = plain()
 	if n := len(coord.Stats().Workers); n != 0 {
@@ -238,8 +237,8 @@ func TestPlaintextClientAgainstTLSListener(t *testing.T) {
 	}
 
 	startWorker(t, coord.Addr(), dist.WorkerOptions{
-		Slots: 2, EngineWorkers: 2,
-		Net: dist.NetOptions{TLS: clientTLS, AuthKey: "fleet-secret"},
+		Slots: 2,
+		Net:   dist.NetOptions{TLS: clientTLS, AuthKey: "fleet-secret"},
 	})
 	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
 		t.Fatal(err)
@@ -276,8 +275,7 @@ func TestTLSWorkerAgainstPlaintextListener(t *testing.T) {
 	// a clean door-closed nil depends on whose deadline fires first.
 	// The requirements are returning promptly and never joining.
 	join := startWorker(t, coord.Addr(), dist.WorkerOptions{
-		EngineWorkers: 2,
-		Net:           dist.NetOptions{TLS: clientTLS, HandshakeTimeout: 500 * time.Millisecond},
+		Net: dist.NetOptions{TLS: clientTLS, HandshakeTimeout: 500 * time.Millisecond},
 	})
 	_ = join()
 	if n := len(coord.Stats().Workers); n != 0 {

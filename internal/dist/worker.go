@@ -13,11 +13,9 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-)
 
-// ErrMaxCells reports that a worker hit its configured cell budget
-// and aborted — the chaos hook behind the kill/reassign tests.
-var ErrMaxCells = errors.New("dist: worker reached its MaxCells budget")
+	"trafficreshape/internal/experiments"
+)
 
 // doorClosed reports whether err is the coordinator ending the
 // connection — EOF, a reset, or a broken pipe, any of which a
@@ -34,41 +32,19 @@ type WorkerOptions struct {
 	// Slots is how many cells to evaluate concurrently (advertised to
 	// the coordinator); <= 0 selects GOMAXPROCS.
 	Slots int
-	// EngineWorkers sizes the worker's in-process engine for dataset
-	// builds and cell evaluation; <= 0 selects one per CPU. Ignored
-	// when State is set (the state carries its own engine).
-	EngineWorkers int
-	// State, when set, is the durable worker state — trace store,
-	// dataset cache, result cache — shared across Serve calls, so a
-	// worker that redials after a disconnect neither re-receives
-	// preloaded traces nor re-evaluates cells it already answered.
-	// Nil gives the connection a private state.
-	State *WorkerState
+	// State, when set, is the worker's durable state — the evaluator
+	// with its trace store, dataset cache and result cache — shared
+	// across Serve calls, so a worker that redials after a disconnect
+	// neither re-receives preloaded traces nor re-evaluates cells it
+	// already answered. Nil gives the connection a private evaluator on
+	// an engine with one goroutine per CPU.
+	State *experiments.CellEvaluator
 	// Net groups the transport security settings shared with the
 	// coordinator side: TLS config, shared auth key, handshake timeout.
 	Net NetOptions
-	// Caches bounds the result cache of the private worker state
-	// built when State is nil; ignored when State is set.
+	// Caches bounds the result cache of the private evaluator built
+	// when State is nil; ignored when State is set.
 	Caches CacheOptions
-	// MaxCells > 0 makes the worker abort its connection — without
-	// answering — when request MaxCells+1 arrives. Cells it already
-	// answered stand (they are pure and identical everywhere); the
-	// aborted one must be reassigned by the coordinator. Serving is
-	// forced to one slot so the abort point is deterministic. This
-	// exists for worker-death testing.
-	MaxCells int
-	// WedgeCells > 0 makes the worker go silent from request
-	// WedgeCells+1 on: later requests are read and dropped while the
-	// connection stays open — the wedged-but-alive failure mode that
-	// only CoordinatorOptions.CellTimeout can detect (TCP never
-	// breaks). Serving is forced to one slot so the wedge point is
-	// deterministic. This exists for cell-timeout testing.
-	WedgeCells int
-	// WedgeFor bounds the wedge: after silently swallowing this many
-	// requests the worker recovers and serves normally again — the
-	// timed-out-then-recovered failure mode, where the result cache
-	// keeps the recovery cheap. 0 wedges forever.
-	WedgeFor int
 	// Drain, when non-nil, requests a graceful drain when closed: the
 	// worker stops taking new work, finishes the cells already in
 	// flight, flushes their results, and Serve returns nil. expworker
@@ -144,9 +120,6 @@ func Serve(addr string, opt WorkerOptions) error {
 	if slots <= 0 {
 		slots = runtime.GOMAXPROCS(0)
 	}
-	if opt.MaxCells > 0 || opt.WedgeCells > 0 {
-		slots = 1
-	}
 	conn, err := dialCoordinator(addr, opt.Net)
 	if err != nil {
 		return fmt.Errorf("dist: dial coordinator: %w", err)
@@ -155,7 +128,7 @@ func Serve(addr string, opt WorkerOptions) error {
 
 	state := opt.State
 	if state == nil {
-		state = NewWorkerState(opt.EngineWorkers, opt.Caches.Results)
+		state = experiments.NewCellEvaluator(experiments.NewEngine(0), opt.Caches.Results)
 	}
 
 	// Handshake: read the challenge (bounded in time — a non-speaking
@@ -253,12 +226,10 @@ func Serve(addr string, opt WorkerOptions) error {
 	defer func() { wg.Wait(); close(resCh); <-writerDone }()
 
 	sem := make(chan struct{}, slots)
-	served, swallowed := 0, 0
 
 	br := bufio.NewReader(lr)
 	for {
 		msg, err := ReadMessage(br)
-		var reqs []CellRequest
 		switch {
 		case err != nil && lr.draining.Load():
 			// Graceful drain: stop taking work and return through the
@@ -283,7 +254,6 @@ func Serve(addr string, opt WorkerOptions) error {
 				}
 				return fmt.Errorf("dist: pong: %w", err)
 			}
-			continue
 		case msg.Shutdown:
 			return nil
 		case msg.TraceZ != nil:
@@ -292,37 +262,31 @@ func Serve(addr string, opt WorkerOptions) error {
 			// so a corrupted transfer cannot be addressed by the digest
 			// the coordinator meant).
 			state.Store().Put(msg.TraceZ.Trace)
-			continue
-		case len(msg.Batch) > 0:
-			reqs = msg.Batch
 		default:
-			continue // tolerate unknown frames from newer coordinators
-		}
-		for _, req := range reqs {
-			if opt.MaxCells > 0 && served >= opt.MaxCells {
-				// Abort mid-assignment: the coordinator must notice the
-				// death and reassign this cell.
-				conn.Close()
-				return ErrMaxCells
+			// A cell batch. Any other frame carries none and is
+			// ignored, tolerating unknown kinds from newer coordinators.
+			for _, req := range msg.Batch {
+				sem <- struct{}{}
+				wg.Add(1)
+				go func() {
+					defer func() { <-sem; wg.Done() }()
+					resCh <- evalRequest(state, req)
+				}()
 			}
-			if opt.WedgeCells > 0 && served >= opt.WedgeCells &&
-				(opt.WedgeFor <= 0 || swallowed < opt.WedgeFor) {
-				// Wedge: swallow the request, answer nothing, stay
-				// connected. Only the coordinator's cell timeout can
-				// reclaim the cell. With WedgeFor set the wedge clears
-				// after that many swallowed requests — the worker
-				// recovers and serves again.
-				swallowed++
-				continue
-			}
-			served++
-			req := req
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-sem; wg.Done() }()
-				resCh <- state.evalCached(req)
-			}()
 		}
 	}
+}
+
+// evalRequest answers one cell request from the evaluator, marking
+// results its result cache served.
+func evalRequest(ev *experiments.CellEvaluator, req CellRequest) CellResult {
+	var ref experiments.TraceSetRef
+	if req.Traces != nil {
+		ref = *req.Traces
+	}
+	families, cached, err := ev.Eval(req.Cfg, ref, req.Scheme, req.App)
+	if err != nil {
+		return CellResult{ID: req.ID, Err: err.Error()}
+	}
+	return CellResult{ID: req.ID, Families: families, Cached: cached}
 }

@@ -60,42 +60,60 @@ func (b *localBackend) EvalGrid(ds *Dataset, schemes []Scheme) [][]*ml.Confusion
 // --- worker-side cell evaluation --------------------------------------------
 
 // CellEvaluator evaluates wire-addressed cells on behalf of a remote
-// coordinator: it rebuilds (and caches) the dataset for each distinct
-// (Config, trace ref) — bit-identical to the coordinator's, because
-// datasets are pure functions of the Config plus the content-addressed
-// traces the ref names — then reconstructs the named scheme and runs
-// the ordinary cell evaluation. Captured traces are resolved against
-// the evaluator's TraceStore, which the worker loop fills from the
-// coordinator's preload frames; the store and dataset cache survive
-// reconnects when the evaluator is reused across Serve calls, so a
-// rejoining worker neither re-receives traces nor rebuilds datasets.
+// coordinator, and is the whole durable state of a worker. It rebuilds
+// (and caches) the dataset for each distinct (Config, trace ref) —
+// bit-identical to the coordinator's, because datasets are pure
+// functions of the Config plus the content-addressed traces the ref
+// names — then reconstructs the named scheme and runs the ordinary
+// cell evaluation, caching the result under the full cell address.
+// Captured traces are resolved against the evaluator's TraceStore,
+// which the worker loop fills from the coordinator's preload frames.
+// Reused across connections, the evaluator makes a rejoining worker
+// cheap: traces are not re-shipped (its store backs the trace-have
+// announcement), datasets are not rebuilt, and answered cells are not
+// re-evaluated.
 type CellEvaluator struct {
-	eng   *Engine
-	store *TraceStore
-	// datasets is bounded at maxCachedDatasets: a long-lived worker
-	// state sees a new (Config, ref) key for every window scaling of
-	// every grid it serves.
+	eng *Engine
+	// store, datasets and results are bounded FIFOs (64 traces, 16
+	// datasets, 4096 results by default): a long-lived worker sees a
+	// new key for every window scaling of every grid it serves. An
+	// evicted trace degrades the affected cells to coordinator-side
+	// local fallback; no eviction ever changes a result.
+	store    *TraceStore
 	datasets *datasetCache
+	results  *fifoMap[cellKey, []ml.Confusion]
 }
 
-// maxStoredTraces bounds the evaluator's trace store the way
-// maxCachedDatasets bounds its datasets: generous for any one run
-// (a full captured set is 2 × NumApps traces), finite over a redial
-// worker's lifetime. An evicted trace degrades the affected cells to
-// coordinator-side local fallback; it never changes a result.
-const maxStoredTraces = 64
+// cellKey is the full pure-function address of one cell result.
+type cellKey struct {
+	cfg    Config
+	traces string // TraceSetRef.Key(), "" = synthetic
+	scheme string
+	app    trace.App
+}
 
-// NewCellEvaluator returns an evaluator building datasets on eng
-// (nil selects the serial engine), with an empty trace store. The
-// dataset cache holds at most 16 entries and the store 64 traces.
-func NewCellEvaluator(eng *Engine) *CellEvaluator {
+const (
+	maxStoredTraces = 64
+	// defaultCachedResults holds several full registry runs' worth of
+	// cells (one is 140) at a few KB per entry.
+	defaultCachedResults = 4096
+)
+
+// NewCellEvaluator returns an evaluator building datasets on eng (nil
+// selects the serial engine), with an empty trace store and a result
+// cache of at most results entries (<= 0 selects 4096).
+func NewCellEvaluator(eng *Engine, results int) *CellEvaluator {
 	if eng == nil {
 		eng = serialEngine
 	}
+	if results <= 0 {
+		results = defaultCachedResults
+	}
 	return &CellEvaluator{
 		eng:      eng,
-		store:    NewBoundedTraceStore(maxStoredTraces),
+		store:    newTraceStore(maxStoredTraces),
 		datasets: newDatasetCache(),
+		results:  newFIFOMap[cellKey, []ml.Confusion](results),
 	}
 }
 
@@ -103,34 +121,46 @@ func NewCellEvaluator(eng *Engine) *CellEvaluator {
 // preload captured traces into it.
 func (ev *CellEvaluator) Store() *TraceStore { return ev.store }
 
-// dataset builds the dataset for (cfg, ref) once and caches it;
-// concurrent requests for the same key share one build. The ref is
-// resolved against the store before touching the cache: a miss (the
-// preload has not delivered a digest yet) is a retryable error that
-// must not poison the once-entry — content addressing guarantees any
-// later successful resolution of the same ref yields identical
-// traces, so resolving per-call cannot change the build.
-func (ev *CellEvaluator) dataset(cfg Config, ref TraceSetRef) (*Dataset, error) {
+// dataset builds the dataset for (cfg, ref) once and caches it under
+// (cfg, refKey); concurrent requests for the same key share one build.
+// The ref is resolved against the store before touching the cache: a
+// miss (the preload has not delivered a digest yet) is a retryable
+// error that must not poison the once-entry — content addressing
+// guarantees any later successful resolution of the same ref yields
+// identical traces, so resolving per-call cannot change the build.
+func (ev *CellEvaluator) dataset(cfg Config, ref TraceSetRef, refKey string) (*Dataset, error) {
 	set, err := ev.store.Resolve(ref)
 	if err != nil {
 		return nil, err
 	}
-	return ev.datasets.get(datasetCacheKey{cfg: cfg, src: ref.Key()},
+	return ev.datasets.get(datasetCacheKey{cfg: cfg, src: refKey},
 		func() (*Dataset, error) { return ev.eng.BuildDatasetFrom(cfg, set) })
 }
 
 // Eval evaluates one wire-addressed cell, returning the per-family
-// confusion matrices in classifier order. A non-empty ref names the
-// captured traces the dataset is built from; every digest must
-// already be in the evaluator's store.
-func (ev *CellEvaluator) Eval(cfg Config, ref TraceSetRef, scheme string, app trace.App) ([]*ml.Confusion, error) {
-	ds, err := ev.dataset(cfg, ref)
+// confusion matrices in classifier order; cached reports that they
+// came from the result cache instead of an evaluation. A non-empty
+// ref names the captured traces the dataset is built from; every
+// digest must already be in the evaluator's store.
+func (ev *CellEvaluator) Eval(cfg Config, ref TraceSetRef, scheme string, app trace.App) (families []ml.Confusion, cached bool, err error) {
+	key := cellKey{cfg: cfg, traces: ref.Key(), scheme: scheme, app: app}
+	if families, ok := ev.results.get(key); ok {
+		return families, true, nil
+	}
+	ds, err := ev.dataset(cfg, ref, key.traces)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s, err := NamedScheme(ds, scheme)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return EvalCell(ds, s, app), nil
+	confs := EvalCell(ds, s, app)
+	families = make([]ml.Confusion, len(confs))
+	for i, c := range confs {
+		families[i] = *c
+	}
+	// A duplicate evaluation of a pure cell has the same bytes; the
+	// first stored copy is returned either way.
+	return ev.results.put(key, families), false, nil
 }

@@ -318,15 +318,12 @@ var errSkipped = fmt.Errorf("experiments: skipped after earlier failure")
 // rebuilding would. A CellEvaluator's cache holds the datasets a
 // worker rebuilds from wire-addressed cells.
 type datasetCache struct {
-	mu      sync.Mutex
-	entries map[datasetCacheKey]*datasetEntry
-	// order is the FIFO eviction queue. Datasets are the heavyweight
-	// entries (trained classifiers, test traces, morph tables);
-	// without a bound, a redial worker's memory grows for its whole
-	// lifetime. Eviction is safe because datasets are pure: an evicted
-	// key rebuilds on next use, and goroutines holding the old entry
-	// keep a valid immutable dataset.
-	order []datasetCacheKey
+	// entries is bounded at maxCachedDatasets. Datasets are the
+	// heavyweight entries (trained classifiers, test traces, morph
+	// tables); without a bound, a redial worker's memory grows for its
+	// whole lifetime. Goroutines holding an evicted entry keep a valid
+	// immutable dataset.
+	entries *fifoMap[datasetCacheKey, *datasetEntry]
 }
 
 // maxCachedDatasets bounds every dataset cache. A full registry run
@@ -348,24 +345,15 @@ type datasetEntry struct {
 }
 
 func newDatasetCache() *datasetCache {
-	return &datasetCache{entries: make(map[datasetCacheKey]*datasetEntry)}
+	return &datasetCache{entries: newFIFOMap[datasetCacheKey, *datasetEntry](maxCachedDatasets)}
 }
 
-// get builds (once) and returns the dataset for the key, evicting the
-// oldest key beyond maxCachedDatasets.
+// get builds (once) and returns the dataset for the key.
 func (c *datasetCache) get(key datasetCacheKey, build func() (*Dataset, error)) (*Dataset, error) {
-	c.mu.Lock()
-	entry, ok := c.entries[key]
+	entry, ok := c.entries.get(key)
 	if !ok {
-		entry = &datasetEntry{}
-		c.entries[key] = entry
-		c.order = append(c.order, key)
-		if len(c.order) > maxCachedDatasets {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
+		entry = c.entries.put(key, &datasetEntry{})
 	}
-	c.mu.Unlock()
 	entry.once.Do(func() { entry.ds, entry.err = build() })
 	return entry.ds, entry.err
 }

@@ -278,11 +278,11 @@ func TestDatasetCacheBound(t *testing.T) {
 	for seed := uint64(1); seed <= maxCachedDatasets+1; seed++ {
 		get(seed)
 	}
-	if _, ok := c.entries[datasetCacheKey{cfg: Config{Seed: 1}}]; ok {
+	if _, ok := c.entries.get(datasetCacheKey{cfg: Config{Seed: 1}}); ok {
 		t.Fatalf("key %d did not evict key 1", maxCachedDatasets+1)
 	}
-	if len(c.entries) != maxCachedDatasets || len(c.order) != maxCachedDatasets {
-		t.Fatalf("cache holds %d entries (%d queued), want %d", len(c.entries), len(c.order), maxCachedDatasets)
+	if n := len(c.entries.keys()); n != maxCachedDatasets {
+		t.Fatalf("cache holds %d entries, want %d", n, maxCachedDatasets)
 	}
 	get(2)
 	if builds[2] != 1 {

@@ -142,85 +142,43 @@ func (r TraceSetRef) Key() string {
 //
 // A coordinator's store is unbounded: it must hold every trace of the
 // grids it serves, and it lives only as long as the run. A worker's
-// store is bounded (NewBoundedTraceStore): a long-lived redial worker
+// store (in its CellEvaluator) is bounded: a long-lived redial worker
 // sees arbitrarily many captured sets over its lifetime, and traces
 // are the heaviest objects it retains. Eviction is safe — a cell
 // whose trace was evicted fails its store resolution, which the
 // coordinator turns into local fallback, and the next connection's
 // trace-have announcement reflects the store's true contents.
 type TraceStore struct {
-	mu    sync.RWMutex
-	m     map[string]*trace.Trace
-	limit int      // 0 = unbounded
-	order []string // FIFO insertion order, kept when limit > 0
+	traces *fifoMap[string, *trace.Trace]
 }
 
 // NewTraceStore returns an empty, unbounded store.
-func NewTraceStore() *TraceStore {
-	return &TraceStore{m: make(map[string]*trace.Trace)}
-}
+func NewTraceStore() *TraceStore { return newTraceStore(0) }
 
-// NewBoundedTraceStore returns an empty store that retains at most
-// limit traces, evicting the oldest beyond it (<= 0 is unbounded).
-func NewBoundedTraceStore(limit int) *TraceStore {
-	s := NewTraceStore()
-	if limit > 0 {
-		s.limit = limit
-	}
-	return s
+// newTraceStore returns an empty store that retains at most limit
+// traces, evicting the oldest beyond it (<= 0 is unbounded).
+func newTraceStore(limit int) *TraceStore {
+	return &TraceStore{traces: newFIFOMap[string, *trace.Trace](limit)}
 }
 
 // Put stores tr under its content digest and returns the digest.
 // Traces are treated as immutable once stored.
 func (s *TraceStore) Put(tr *trace.Trace) string {
 	d := trace.Digest(tr)
-	s.mu.Lock()
-	s.add(d, tr)
-	s.mu.Unlock()
+	s.traces.put(d, tr)
 	return d
-}
-
-// add inserts under an already-computed digest; callers hold mu.
-func (s *TraceStore) add(d string, tr *trace.Trace) {
-	if _, ok := s.m[d]; ok {
-		return
-	}
-	s.m[d] = tr
-	if s.limit <= 0 {
-		return
-	}
-	s.order = append(s.order, d)
-	for len(s.order) > s.limit {
-		delete(s.m, s.order[0])
-		s.order = s.order[1:]
-	}
 }
 
 // Get returns the trace stored under digest, if any.
 func (s *TraceStore) Get(digest string) (*trace.Trace, bool) {
-	s.mu.RLock()
-	tr, ok := s.m[digest]
-	s.mu.RUnlock()
-	return tr, ok
+	return s.traces.get(digest)
 }
 
 // Digests lists the stored digests, sorted.
 func (s *TraceStore) Digests() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.m))
-	for d := range s.m {
-		out = append(out, d)
-	}
-	s.mu.RUnlock()
+	out := s.traces.keys()
 	sort.Strings(out)
 	return out
-}
-
-// Len reports the number of stored traces.
-func (s *TraceStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }
 
 // AddResolved stores set's traces under the digests ref already
@@ -245,9 +203,7 @@ func (s *TraceStore) addResolvedSlots(slots []string, m map[trace.App]*trace.Tra
 		if tr == nil {
 			continue
 		}
-		s.mu.Lock()
-		s.add(d, tr)
-		s.mu.Unlock()
+		s.traces.put(d, tr)
 	}
 }
 

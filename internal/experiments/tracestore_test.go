@@ -65,8 +65,8 @@ func TestTraceStoreResolveRoundTrip(t *testing.T) {
 	}
 	store := NewTraceStore()
 	store.AddResolved(set.Ref(), set)
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d traces, want 2", store.Len())
+	if n := len(store.Digests()); n != 2 {
+		t.Fatalf("store holds %d traces, want 2", n)
 	}
 	got, err := store.Resolve(set.Ref())
 	if err != nil {
@@ -139,7 +139,8 @@ func TestBuildDatasetFromMixesCapturedAndSynthetic(t *testing.T) {
 
 // TestCellEvaluatorResolvesCapturedCells: the worker-side evaluator
 // reproduces a captured cell bit-identically once (and only once) its
-// store holds the named traces.
+// store holds the named traces, and answers the repeated cell from its
+// result cache.
 func TestCellEvaluatorResolvesCapturedCells(t *testing.T) {
 	cfg := captureCfg()
 	capturedUp := appgen.Generate(trace.Uploading, cfg.TestDuration, 0xfeed)
@@ -151,17 +152,26 @@ func TestCellEvaluatorResolvesCapturedCells(t *testing.T) {
 	ref, _ := ds.TraceRef()
 	want := EvalCell(ds, mustNamed(ds, "OR"), trace.Uploading)
 
-	ev := NewCellEvaluator(nil)
-	if _, err := ev.Eval(cfg, ref, "OR", trace.Uploading); err == nil {
+	ev := NewCellEvaluator(nil, 0)
+	if _, _, err := ev.Eval(cfg, ref, "OR", trace.Uploading); err == nil {
 		t.Fatal("evaluator resolved a captured cell with an empty store")
 	}
 	ev.Store().AddResolved(set.Ref(), set)
-	got, err := ev.Eval(cfg, ref, "OR", trace.Uploading)
-	if err != nil {
-		t.Fatal(err)
+	got, cached, err := ev.Eval(cfg, ref, "OR", trace.Uploading)
+	if err != nil || cached {
+		t.Fatalf("first evaluation: cached %v, err %v", cached, err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("evaluator's captured cell differs from the coordinator-side evaluation")
+	if len(got) != len(want) {
+		t.Fatalf("evaluator returned %d families, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != *want[i] {
+			t.Errorf("family %d: evaluator's captured cell differs from the coordinator-side evaluation", i)
+		}
+	}
+	again, cached, err := ev.Eval(cfg, ref, "OR", trace.Uploading)
+	if err != nil || !cached || !reflect.DeepEqual(again, got) {
+		t.Errorf("repeated cell: cached %v, err %v, same result %v; want a result-cache hit", cached, err, reflect.DeepEqual(again, got))
 	}
 }
 
@@ -169,7 +179,7 @@ func TestCellEvaluatorResolvesCapturedCells(t *testing.T) {
 // drops the first on the third Put, and the trace-have digest list
 // (what a worker announces) shows exactly the survivors.
 func TestBoundedTraceStoreEvictsOldest(t *testing.T) {
-	s := NewBoundedTraceStore(2)
+	s := newTraceStore(2)
 	var digests []string
 	for i, app := range []trace.App{trace.Browsing, trace.Video, trace.BitTorrent} {
 		digests = append(digests, s.Put(appgen.Generate(app, time.Second, uint64(i+1))))

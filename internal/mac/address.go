@@ -88,28 +88,26 @@ func CollisionProbability(n int) float64 {
 	return -math.Expm1(logNoColl)
 }
 
-// ErrPoolExhausted is returned when the pool has no free addresses.
-var ErrPoolExhausted = errors.New("mac: address pool exhausted")
+// errPoolExhausted is returned when 1024 draws in a row hit addresses
+// already in use.
+var errPoolExhausted = errors.New("mac: address pool exhausted")
 
 // Pool is the AP-side MAC address pool of §III-B1. The AP draws unused
 // addresses for new virtual interfaces and recycles them when a client
 // releases its interfaces or disassociates. Pool is safe for
 // concurrent use: a production AP services many clients at once.
 type Pool struct {
-	mu       sync.Mutex
-	rng      *stats.RNG
-	inUse    map[Address]bool
-	capacity int // 0 means unbounded (full 2^48 space)
+	mu    sync.Mutex
+	rng   *stats.RNG
+	inUse map[Address]bool
 }
 
-// NewPool creates a pool seeded for deterministic draws. capacity
-// bounds how many addresses may be outstanding at once; 0 means
-// unlimited.
-func NewPool(seed uint64, capacity int) *Pool {
+// NewPool creates a pool over the full 2^48 space, seeded for
+// deterministic draws.
+func NewPool(seed uint64) *Pool {
 	return &Pool{
-		rng:      stats.NewRNG(seed),
-		inUse:    make(map[Address]bool),
-		capacity: capacity,
+		rng:   stats.NewRNG(seed),
+		inUse: make(map[Address]bool),
 	}
 }
 
@@ -123,9 +121,6 @@ func (p *Pool) Reserve(a Address) {
 }
 
 func (p *Pool) allocateLocked() (Address, error) {
-	if p.capacity > 0 && len(p.inUse) >= p.capacity {
-		return Zero, ErrPoolExhausted
-	}
 	// 2^48 is astronomically larger than any WLAN; a handful of
 	// retries suffices even in adversarially full test pools.
 	for i := 0; i < 1024; i++ {
@@ -135,7 +130,7 @@ func (p *Pool) allocateLocked() (Address, error) {
 			return a, nil
 		}
 	}
-	return Zero, ErrPoolExhausted
+	return Zero, errPoolExhausted
 }
 
 // AllocateN draws n unused addresses atomically; on failure nothing is

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestCollisionProbability(t *testing.T) {
 }
 
 func TestPoolAllocateUnique(t *testing.T) {
-	p := NewPool(3, 0)
+	p := NewPool(3)
 	addrs, err := p.AllocateN(500)
 	if err != nil {
 		t.Fatalf("AllocateN: %v", err)
@@ -110,7 +111,7 @@ func TestPoolAllocateUnique(t *testing.T) {
 }
 
 func TestPoolReleaseRecycles(t *testing.T) {
-	p := NewPool(4, 0)
+	p := NewPool(4)
 	addrs, err := p.AllocateN(1)
 	if err != nil {
 		t.Fatal(err)
@@ -129,35 +130,29 @@ func TestPoolReleaseRecycles(t *testing.T) {
 	p.ReleaseAll(addrs)
 }
 
-func TestPoolCapacity(t *testing.T) {
-	p := NewPool(5, 3)
-	for i := 0; i < 3; i++ {
-		if _, err := p.AllocateN(1); err != nil {
-			t.Fatalf("AllocateN %d: %v", i, err)
-		}
-	}
-	if _, err := p.AllocateN(1); err != ErrPoolExhausted {
-		t.Fatalf("AllocateN beyond capacity: err = %v, want ErrPoolExhausted", err)
-	}
-}
-
+// TestPoolAllocateNAtomic: when a draw fails mid-batch, the addresses
+// the batch already drew go back to the pool. The failure is forced
+// through the retry bound: reserving the 1024 draws that follow the
+// first two makes the third allocation exhaust its retries.
 func TestPoolAllocateNAtomic(t *testing.T) {
-	p := NewPool(6, 4)
-	got, err := p.AllocateN(3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("AllocateN(3) = %v, %v", got, err)
+	p := NewPool(6)
+	ahead := stats.NewRNG(6) // replays p's draws
+	RandomAddress(ahead)
+	RandomAddress(ahead)
+	for i := 0; i < 1024; i++ {
+		p.Reserve(RandomAddress(ahead))
 	}
-	// Requesting 2 more exceeds capacity; nothing should leak.
-	if _, err := p.AllocateN(2); err == nil {
-		t.Fatal("AllocateN beyond capacity should fail")
+	reserved := len(p.inUse)
+	if _, err := p.AllocateN(3); !errors.Is(err, errPoolExhausted) {
+		t.Fatalf("AllocateN(3) over exhausted retries: err = %v, want errPoolExhausted", err)
 	}
-	if len(p.inUse) != 3 {
-		t.Fatalf("failed AllocateN leaked: outstanding = %d, want 3", len(p.inUse))
+	if len(p.inUse) != reserved {
+		t.Fatalf("failed AllocateN leaked: outstanding = %d, want the %d reserved", len(p.inUse), reserved)
 	}
 }
 
 func TestPoolReserve(t *testing.T) {
-	p := NewPool(7, 0)
+	p := NewPool(7)
 	phys := Address{0x00, 0x11, 0x22, 0x33, 0x44, 0x55}
 	p.Reserve(phys)
 	if !p.inUse[phys] {
@@ -175,7 +170,7 @@ func TestPoolReserve(t *testing.T) {
 }
 
 func TestPoolReleaseAll(t *testing.T) {
-	p := NewPool(8, 0)
+	p := NewPool(8)
 	addrs, err := p.AllocateN(5)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +182,7 @@ func TestPoolReleaseAll(t *testing.T) {
 }
 
 func TestPoolConcurrentAllocation(t *testing.T) {
-	p := NewPool(10, 0)
+	p := NewPool(10)
 	const workers = 8
 	const perWorker = 100
 	results := make(chan Address, workers*perWorker)
@@ -225,7 +220,7 @@ func TestPoolConcurrentAllocation(t *testing.T) {
 // and reported in use until released.
 func TestPoolLifecycleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		p := NewPool(seed, 0)
+		p := NewPool(seed)
 		addrs, err := p.AllocateN(1)
 		if err != nil {
 			return false

@@ -11,6 +11,7 @@ import (
 	"trafficreshape/internal/features"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
+	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/trace"
 	"trafficreshape/internal/vmac"
 )
@@ -22,8 +23,6 @@ func flowMAC(i int) mac.Address {
 	return mac.Address{0x02, 0x00, 0x5e, 0x00, 0x00, byte(i + 1)}
 }
 
-// capture builds a multi-flow input: one flow per application, each
-// under its own address, merged into arrival order.
 // ingestTrace feeds every packet of a trace to e in order.
 func ingestTrace(e *Engine, tr *trace.Trace) {
 	for _, p := range tr.Packets {
@@ -31,6 +30,8 @@ func ingestTrace(e *Engine, tr *trace.Trace) {
 	}
 }
 
+// capture builds a multi-flow input: one flow per application, each
+// under its own address, merged into arrival order.
 func capture(t testing.TB, dur time.Duration, seed uint64) *trace.Trace {
 	t.Helper()
 	flows := make([]*trace.Trace, 0, trace.NumApps)
@@ -167,6 +168,36 @@ func TestStreamPredictionsMatchBatch(t *testing.T) {
 		}
 		if fr.Pred != batchHist {
 			t.Errorf("flow %s: stream predictions %v != batch %v", fr.MAC, fr.Pred, batchHist)
+		}
+	}
+}
+
+// TestStreamSchedulesLikeBatchAdaptive: the daemon reshapes like the
+// batch engine. At reshaped's defaults (-synth capture, seed 11, three
+// interfaces, period 500, the self-audit on) with escalation off, each
+// flow's sequence of inline Ingest return values equals
+// reshape.NewAdaptive(3, 500).Assign run over that flow's packets.
+func TestStreamSchedulesLikeBatchAdaptive(t *testing.T) {
+	const w = 5 * time.Second
+	in := capture(t, 30*time.Second, 42)
+	e := New(Config{W: w, Seed: 11, Interfaces: 3, Period: 500,
+		Classifier: auditClassifier(t, w), EscalateAfter: 1 << 30})
+	got := make(map[mac.Address][]int)
+	for _, p := range in.Packets {
+		got[p.MAC] = append(got[p.MAC], e.Ingest(p))
+	}
+	for addr, tr := range in.ByMAC() {
+		sched := reshape.NewAdaptive(3, 500)
+		stream := got[addr]
+		if len(stream) != len(tr.Packets) {
+			t.Fatalf("flow %s: %d stream decisions for %d packets", addr, len(stream), len(tr.Packets))
+		}
+		for i, p := range tr.Packets {
+			if want := sched.Assign(p); stream[i] != want {
+				t.Errorf("flow %s: packet %d of %d went to interface %d, batch adaptive says %d",
+					addr, i, len(tr.Packets), stream[i], want)
+				break
+			}
 		}
 	}
 }

@@ -124,7 +124,7 @@ func NewAP(cfg APConfig) *AP {
 		cfg.MaxPerClient = MaxInterfaces
 	}
 	return &AP{
-		pool:          mac.NewPool(cfg.Seed, 0),
+		pool:          mac.NewPool(cfg.Seed),
 		cfg:           cfg,
 		virtualToPhys: make(map[mac.Address]mac.Address),
 		physToVirtual: make(map[mac.Address][]mac.Address),
