@@ -279,7 +279,7 @@ func BenchmarkApplyPartition(b *testing.B) {
 // hotpath_alloc_test.go).
 func BenchmarkFeatureExtraction(b *testing.B) {
 	tr := appgen.Generate(trace.Video, 60*time.Second, 5)
-	ws := features.WindowsOf(tr, 5*time.Second)
+	ws := features.AppendWindowsOf(nil, tr, 5*time.Second, false)
 	if len(ws) == 0 {
 		b.Fatal("no windows")
 	}
@@ -439,7 +439,7 @@ func svmBenchExamples(b *testing.B) []features.Example {
 	ds := dataset(b)
 	var examples []features.Example
 	for _, app := range trace.Apps {
-		for _, w := range features.WindowsOf(ds.Test[app], 5*time.Second) {
+		for _, w := range features.AppendWindowsOf(nil, ds.Test[app], 5*time.Second, false) {
 			w.App = app
 			examples = append(examples, features.Example{X: features.Extract(w), Y: app})
 		}

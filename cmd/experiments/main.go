@@ -93,6 +93,10 @@ func main() {
 		return
 	}
 
+	if *w <= 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -w is the eavesdropping window and must be positive, got %v\n", *w)
+		os.Exit(2)
+	}
 	cfg := experiments.DefaultConfig(*w)
 	if *quick {
 		cfg = experiments.QuickConfig(*w)

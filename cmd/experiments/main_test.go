@@ -44,3 +44,26 @@ func TestNegativeFleetCountsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNonPositiveWindowRejected: -w 0 is a usage error (exit 2, a
+// message naming the flag), not an integer-divide panic while a
+// runner derives its window, and a negative -w fails the same way
+// before any traffic is generated.
+func TestNonPositiveWindowRejected(t *testing.T) {
+	for _, w := range []string{"0", "-5s"} {
+		args := []string{"-quick", "-run", "table2", "-w", w}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit %v, want status 2\nstderr: %s", args, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "-w") || !strings.Contains(stderr.String(), "must be positive") {
+			t.Errorf("%v: stderr %q does not say why", args, stderr.String())
+		}
+	}
+}

@@ -28,7 +28,7 @@ import (
 
 func TestHotPathAllocGuards(t *testing.T) {
 	tr := appgen.Generate(trace.Video, 60*time.Second, 5)
-	ws := features.WindowsOf(tr, 5*time.Second)
+	ws := features.AppendWindowsOf(nil, tr, 5*time.Second, false)
 	if len(ws) == 0 {
 		t.Fatal("no windows")
 	}
@@ -90,7 +90,7 @@ func buildPathGuards(t *testing.T) []struct {
 	var examples []features.Example
 	for _, app := range trace.Apps {
 		tr := appgen.Generate(app, 30*time.Second, 11)
-		for _, w := range features.WindowsOf(tr, 5*time.Second) {
+		for _, w := range features.AppendWindowsOf(nil, tr, 5*time.Second, false) {
 			w.App = app
 			examples = append(examples, features.Example{X: features.Extract(w), Y: app})
 		}

@@ -34,7 +34,7 @@ type Classifier struct {
 }
 
 // sizeFeatureIndices are the positions of mean/std/max/min size in
-// the feature vector, per features.Names.
+// the feature vector (see features.Vector).
 var sizeFeatureIndices = []int{1, 2, 3, 4, 7, 8, 9, 10}
 
 func maskSizes(v features.Vector) features.Vector {

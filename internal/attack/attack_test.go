@@ -258,7 +258,7 @@ func TestAttackWindowedMatchesClassifyLoop(t *testing.T) {
 
 		var want ml.Confusion
 		for addr, tr := range flows {
-			for _, win := range features.WindowsOf(tr, w) {
+			for _, win := range features.AppendWindowsOf(nil, tr, w, false) {
 				want.Add(truth[addr], c.Classify(win))
 			}
 		}
@@ -278,7 +278,7 @@ func TestTrainAllParallelMatchesTrain(t *testing.T) {
 	probeTraces := appgen.GenerateAll(60*time.Second, 4005)
 	var probe []features.Vector
 	for _, app := range trace.Apps {
-		for _, win := range features.WindowsOf(probeTraces[app], w) {
+		for _, win := range features.AppendWindowsOf(nil, probeTraces[app], w, false) {
 			probe = append(probe, features.Extract(win))
 		}
 	}

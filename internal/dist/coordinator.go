@@ -19,10 +19,10 @@ import (
 )
 
 // Coordinator owns the worker fleet and implements
-// experiments.Backend: EvalGrid ships wire-addressable cells to
-// connected workers and evaluates everything else — unregistered
-// schemes, cells stranded by worker death, the whole grid when no
-// worker is connected — in-process with the identical cell function.
+// experiments.Backend: EvalGrid ships every cell to connected workers
+// by its wire address and evaluates the cells the fleet cannot answer
+// — cells stranded by worker death, the whole grid when no worker is
+// connected — in-process with the identical cell function.
 // Workers may join and leave at any time, including mid-grid.
 type Coordinator struct {
 	ln           net.Listener
@@ -53,11 +53,10 @@ type Coordinator struct {
 // CoordinatorOptions tunes a coordinator.
 type CoordinatorOptions struct {
 	// Pool, when set, is the permit pool for cells evaluated
-	// in-process (non-wireable schemes, empty fleet, fallback after
-	// worker failure). Pass the driving Engine's Pool() so local
-	// fallback stays inside the engine's concurrency bound instead of
-	// doubling it. Nil gives the coordinator a private pool of one
-	// worker per CPU.
+	// in-process (empty fleet, fallback after worker failure). Pass
+	// the driving Engine's Pool() so local fallback stays inside the
+	// engine's concurrency bound instead of doubling it. Nil gives the
+	// coordinator a private pool of one worker per CPU.
 	Pool *par.Pool
 	// CellTimeout, when positive, bounds how long one cell may sit
 	// unanswered on a worker. TCP death is detected immediately, but a
@@ -84,13 +83,12 @@ type CoordinatorOptions struct {
 	// can only grind through it with doubling deadlines. Zero disables
 	// probing.
 	Heartbeat time.Duration
-	// Journal, when set, records every completed wire-addressable cell
-	// (scheme, app, config, trace ref → confusion families) to a
-	// durable append-only file, and answers matching cells from it on
-	// later grids — the crash-resume path behind `experiments -journal
-	// -resume`. Cells answered from the journal count as JournalHits
-	// and are never dispatched. Non-wireable (closure) schemes have no
-	// stable key and bypass the journal.
+	// Journal, when set, records every completed cell (scheme, app,
+	// config, trace ref → confusion families) to a durable append-only
+	// file, whether a worker or the local fallback evaluated it, and
+	// answers matching cells from it on later grids — the crash-resume
+	// path behind `experiments -journal -resume`. Cells answered from
+	// the journal count as JournalHits and are never dispatched.
 	Journal *GridJournal
 	// Logf, when set, receives worker lifecycle messages.
 	Logf func(format string, args ...any)
@@ -849,13 +847,13 @@ func (c *Coordinator) submitAll(reqs []CellRequest) []chan jobResult {
 	return chans
 }
 
-// EvalGrid implements experiments.Backend: wire-representable cells
-// go to the fleet, everything else runs in-process, and any cell the
-// fleet fails to answer is re-evaluated locally — so the grid always
-// completes, with results byte-identical to the serial engine's.
-// Grids over captured datasets ship their trace ref with every cell;
-// the traces themselves are registered with the coordinator's store
-// here and preloaded per worker by dispatch.
+// EvalGrid implements experiments.Backend: every cell goes to the
+// fleet by its wire address, and any cell the fleet fails to answer
+// (or every cell, when no worker is connected) is evaluated locally —
+// so the grid always completes, with results byte-identical to the
+// serial engine's. Grids over captured datasets ship their trace ref
+// with every cell; the traces themselves are registered with the
+// coordinator's store here and preloaded per worker by dispatch.
 func (c *Coordinator) EvalGrid(ds *experiments.Dataset, schemes []experiments.Scheme) [][]*ml.Confusion {
 	apps := trace.Apps
 	n := len(schemes) * len(apps)
@@ -867,63 +865,32 @@ func (c *Coordinator) EvalGrid(ds *experiments.Dataset, schemes []experiments.Sc
 		traceRef = &ref
 	}
 
-	type wait struct {
-		idx  int
-		done chan jobResult
-	}
-	var waits []wait
-	var local []int
-	var remoteIdx []int
-	var reqs []CellRequest
-	// journalReq remembers each wire-addressable cell's request so its
-	// result can be recorded wherever it ends up evaluated (remote
-	// success or local fallback); only populated when a journal is
-	// attached.
-	var journalReq map[int]CellRequest
-	if c.journal != nil {
-		journalReq = make(map[int]CellRequest, n)
-	}
-	for i := 0; i < n; i++ {
-		name, ok := schemes[i/len(apps)].WireName()
-		if !ok {
-			local = append(local, i)
-			continue
-		}
-		req := CellRequest{Cfg: ds.Cfg, Scheme: name, App: apps[i%len(apps)], Traces: traceRef}
+	// reqs holds every cell's wire address, indexed by cell, so a
+	// result can be journaled wherever it ends up evaluated (remote
+	// success or local fallback).
+	reqs := make([]CellRequest, n)
+	var pending []int // cells the journal did not answer
+	var submit []CellRequest
+	for i := range reqs {
+		reqs[i] = CellRequest{Cfg: ds.Cfg, Scheme: schemes[i/len(apps)].Name, App: apps[i%len(apps)], Traces: traceRef}
 		if c.journal != nil {
-			if fams, hit := c.journal.Lookup(req); hit {
+			if fams, hit := c.journal.Lookup(reqs[i]); hit {
 				cells[i] = famPtrs(fams)
 				c.mu.Lock()
 				c.stats.JournalHits++
 				c.mu.Unlock()
 				continue
 			}
-			journalReq[i] = req
 		}
-		remoteIdx = append(remoteIdx, i)
-		reqs = append(reqs, req)
-	}
-	// The whole grid enqueues in one shot so dispatchers see the full
-	// queue (and can fill batches) from their first scan.
-	chans := c.submitAll(reqs)
-	if chans == nil {
-		local = append(local, remoteIdx...)
-	} else {
-		for k, done := range chans {
-			waits = append(waits, wait{idx: remoteIdx[k], done: done})
-		}
+		pending = append(pending, i)
+		submit = append(submit, reqs[i])
 	}
 
 	record := func(i int, fams []ml.Confusion) {
-		req, ok := journalReq[i]
-		if !ok {
-			return
-		}
-		if err := c.journal.Record(req, fams); err != nil && c.logf != nil {
+		if err := c.journal.Record(reqs[i], fams); err != nil && c.logf != nil {
 			c.logf("dist: journal: %v", err)
 		}
 	}
-
 	evalLocal := func(idxs []int) {
 		c.pool.Each(len(idxs), func(k int) {
 			i := idxs[k]
@@ -934,26 +901,29 @@ func (c *Coordinator) EvalGrid(ds *experiments.Dataset, schemes []experiments.Sc
 		c.mu.Unlock()
 		if c.journal != nil {
 			for _, i := range idxs {
-				if fams, ok := famValues(cells[i]); ok {
-					record(i, fams)
-				}
+				record(i, famValues(cells[i]))
 			}
 		}
 	}
 
-	// In-process cells run while remote ones are in flight.
-	evalLocal(local)
-
+	// The whole grid enqueues in one shot so dispatchers see the full
+	// queue (and can fill batches) from their first scan.
+	chans := c.submitAll(submit)
+	if chans == nil {
+		evalLocal(pending)
+		return cells
+	}
 	var retry []int
-	for _, w := range waits {
-		r := <-w.done
+	for k, done := range chans {
+		i := pending[k]
+		r := <-done
 		if r.err != nil {
-			retry = append(retry, w.idx)
+			retry = append(retry, i)
 			continue
 		}
-		cells[w.idx] = famPtrs(r.families)
+		cells[i] = famPtrs(r.families)
 		if c.journal != nil {
-			record(w.idx, r.families)
+			record(i, r.families)
 		}
 	}
 	evalLocal(retry)
@@ -971,13 +941,10 @@ func famPtrs(fams []ml.Confusion) []*ml.Confusion {
 	return out
 }
 
-func famValues(fams []*ml.Confusion) ([]ml.Confusion, bool) {
+func famValues(fams []*ml.Confusion) []ml.Confusion {
 	out := make([]ml.Confusion, len(fams))
 	for i, f := range fams {
-		if f == nil {
-			return nil, false
-		}
 		out[i] = *f
 	}
-	return out, true
+	return out
 }

@@ -24,8 +24,6 @@ import (
 	"trafficreshape/internal/experiments"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/par"
-	"trafficreshape/internal/reshape"
-	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
@@ -397,33 +395,6 @@ func TestNoWorkersFallsBackLocal(t *testing.T) {
 	}
 }
 
-// TestUnregisteredSchemeRunsLocal: ad-hoc closure schemes are not
-// wire-representable and must be evaluated in-process even when
-// workers are available — shipping them by name would evaluate the
-// wrong partition.
-func TestUnregisteredSchemeRunsLocal(t *testing.T) {
-	ds := sharedDataset(t)
-	custom := experiments.SchedulerScheme("custom-rr7", func(*stats.RNG) reshape.Scheduler {
-		return reshape.NewRoundRobin(7)
-	})
-	want := experiments.NewEngine(1).EvalSchemes(ds, []experiments.Scheme{custom})
-
-	coord, err := dist.NewCoordinator("", dist.CoordinatorOptions{Pool: par.NewPool(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	startWorker(t, coord.Addr(), dist.WorkerOptions{})
-	if err := coord.WaitWorkers(1, 60*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := experiments.NewEngine(2).WithBackend(coord).EvalSchemes(ds, []experiments.Scheme{custom})
-	sameConfusions(t, "unregistered scheme", want, got)
-	if stats := coord.Stats(); stats.RemoteCells != 0 || stats.LocalCells != len(trace.Apps) {
-		t.Errorf("unregistered scheme was shipped to workers: %+v", stats)
-	}
-}
-
 // spawnWorkerProcess re-executes the test binary as a real worker
 // process with the given slots (see TestMain). extraEnv appends
 // DIST_TEST_* settings for the TLS/auth variants.
@@ -549,8 +520,11 @@ func TestRunAllDistributedByteIdentical(t *testing.T) {
 			t.Errorf("%s: distributed result differs from serial", name)
 		}
 	}
-	if stats := coord.Stats(); stats.RemoteCells == 0 {
-		t.Errorf("full registry run placed no cells on the fleet: %+v", stats)
+	// Every grid cell of every runner goes to a healthy fleet: the
+	// run's 140 distinct cells are all remote, none bypass the fleet.
+	if stats := coord.Stats(); stats.RemoteCells != 140 || stats.LocalCells != 0 || stats.Reassigned != 0 {
+		t.Errorf("full registry run on a healthy fleet: %d remote, %d local, %d reassigned, want 140, 0, 0 (%+v)",
+			stats.RemoteCells, stats.LocalCells, stats.Reassigned, stats)
 	}
 }
 

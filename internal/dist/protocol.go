@@ -14,9 +14,8 @@
 //     in the cell's grid slot; the engine's ordered merge and the
 //     streaming collector then see exactly the serial layout.
 //  3. Fallback is the same function. Any cell the transport cannot
-//     deliver (no workers, worker death, unregistered scheme) is
-//     evaluated in-process with experiments.EvalCell — the identical
-//     code the workers run.
+//     deliver (no workers, worker death) is evaluated in-process with
+//     experiments.EvalCell — the identical code the workers run.
 package dist
 
 import (
@@ -280,12 +279,12 @@ func readOpeningFrame(r io.Reader, want byte, name string) ([]byte, error) {
 	return payload, nil
 }
 
-// Message is one decoded frame.
+// Message is one decoded frame. The opening frames of the handshake
+// (hello, challenge) are not messages: they decode only through
+// ReadHello and ReadChallenge.
 type Message struct {
-	Hello     *Hello
-	Have      *TraceHave
-	Challenge []byte
-	Shutdown  bool
+	Have     *TraceHave
+	Shutdown bool
 	// Batch and Results carry the binary batched dispatch frames;
 	// TraceZ carries a compressed preload (already decompressed).
 	Batch   []CellRequest
@@ -298,19 +297,14 @@ type Message struct {
 	Pong bool
 }
 
-// ReadMessage decodes the next frame from r.
+// ReadMessage decodes the next frame from r. Any kind it does not
+// know, the handshake's hello and challenge included, is ErrBadFrame.
 func ReadMessage(r io.Reader) (Message, error) {
 	kind, payload, err := readFrame(r)
 	if err != nil {
 		return Message{}, err
 	}
 	switch kind {
-	case kindHello:
-		var h Hello
-		if err := json.Unmarshal(payload, &h); err != nil {
-			return Message{}, fmt.Errorf("%w: hello: %v", ErrBadFrame, err)
-		}
-		return Message{Hello: &h}, nil
 	case kindTraceHave:
 		var h TraceHave
 		if err := json.Unmarshal(payload, &h); err != nil {
@@ -349,8 +343,6 @@ func ReadMessage(r io.Reader) (Message, error) {
 			return Message{}, fmt.Errorf("%w: %d-byte pong payload, want empty", ErrBadFrame, len(payload))
 		}
 		return Message{Pong: true}, nil
-	case kindChallenge:
-		return Message{Challenge: payload}, nil
 	case kindShutdown:
 		return Message{Shutdown: true}, nil
 	default:

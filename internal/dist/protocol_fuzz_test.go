@@ -111,13 +111,8 @@ func digest64(seed string) string {
 // reports false for kinds with no re-encoding invariant to check.
 func reencode(b *bytes.Buffer, msg Message) (bool, error) {
 	switch {
-	case msg.Hello != nil:
-		return true, EncodeHello(b, *msg.Hello)
 	case msg.Have != nil:
 		return true, EncodeTraceHave(b, *msg.Have)
-	case msg.Challenge != nil:
-		_, err := EncodeChallenge(b, msg.Challenge)
-		return true, err
 	case msg.Shutdown:
 		return true, EncodeShutdown(b)
 	case msg.Ping != nil:
@@ -151,8 +146,9 @@ func sameMessage(a, b Message) bool {
 
 // FuzzReadMessage hardens the steady-state decoder: garbage must
 // error (never panic or hang), a complete frame of a retired
-// version-2 kind must fail as ErrBadFrame, and accepted frames must
-// survive decode → encode → decode unchanged.
+// version-2 kind or of a handshake kind (hello, challenge) must fail
+// as ErrBadFrame, and accepted frames must survive decode → encode →
+// decode unchanged.
 func FuzzReadMessage(f *testing.F) {
 	for _, frame := range fuzzSeedFrames(f) {
 		f.Add(frame)
@@ -169,6 +165,9 @@ func FuzzReadMessage(f *testing.F) {
 		msg, err := ReadMessage(bytes.NewReader(data))
 		if len(data) >= 5 && (data[0] == 2 || data[0] == 3 || data[0] == 4) && !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("retired kind %d decoded with err = %v, want ErrBadFrame", data[0], err)
+		}
+		if len(data) >= 5 && (data[0] == kindHello || data[0] == kindChallenge) && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("handshake kind %d decoded with err = %v, want ErrBadFrame", data[0], err)
 		}
 		if err != nil {
 			return

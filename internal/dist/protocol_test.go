@@ -170,9 +170,19 @@ func TestCellResultRoundTripProperty(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	h := Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 17, Auth: AuthTag("secret", []byte{1, 2, 3})}
-	msg := roundTrip(t, func(b *bytes.Buffer) error { return EncodeHello(b, h) })
-	if msg.Hello == nil || *msg.Hello != h {
-		t.Fatalf("hello round trip: sent %+v got %+v", h, msg.Hello)
+	var b bytes.Buffer
+	if err := EncodeHello(&b, h); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadHello(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Fatalf("hello round trip: sent %+v got %+v", h, got)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("ReadHello left %d trailing bytes", b.Len())
 	}
 }
 
@@ -216,37 +226,30 @@ func TestTraceHaveRoundTrip(t *testing.T) {
 }
 
 // TestChallengeRoundTrip covers both the fixed-nonce form and the
-// crypto/rand form, plus the worker-side exact-frame reader.
+// crypto/rand form through the worker-side exact-frame reader.
 func TestChallengeRoundTrip(t *testing.T) {
-	fixed := []byte{9, 8, 7, 6}
-	msg := roundTrip(t, func(b *bytes.Buffer) error {
-		nonce, err := EncodeChallenge(b, fixed)
-		if err == nil && !bytes.Equal(nonce, fixed) {
+	for _, fixed := range [][]byte{{9, 8, 7, 6}, nil} {
+		var b bytes.Buffer
+		sent, err := EncodeChallenge(&b, fixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed != nil && !bytes.Equal(sent, fixed) {
 			t.Fatalf("EncodeChallenge rewrote the provided nonce")
 		}
-		return err
-	})
-	if !bytes.Equal(msg.Challenge, fixed) {
-		t.Fatalf("challenge changed in flight: %x", msg.Challenge)
-	}
-
-	var b bytes.Buffer
-	generated, err := EncodeChallenge(&b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(generated) != nonceLen {
-		t.Fatalf("generated nonce is %d bytes, want %d", len(generated), nonceLen)
-	}
-	got, err := ReadChallenge(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, generated) {
-		t.Fatal("ReadChallenge decoded a different nonce")
-	}
-	if b.Len() != 0 {
-		t.Fatalf("ReadChallenge left %d trailing bytes", b.Len())
+		if fixed == nil && len(sent) != nonceLen {
+			t.Fatalf("generated nonce is %d bytes, want %d", len(sent), nonceLen)
+		}
+		got, err := ReadChallenge(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, sent) {
+			t.Fatalf("challenge changed in flight: sent %x got %x", sent, got)
+		}
+		if b.Len() != 0 {
+			t.Fatalf("ReadChallenge left %d trailing bytes", b.Len())
+		}
 	}
 }
 
@@ -462,5 +465,20 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadMessage(&b); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	// The handshake's opening frames are not steady-state messages.
+	b.Reset()
+	if err := EncodeHello(&b, Hello{Magic: protoMagic, Version: ProtoVersion, Slots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMessage(&b); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("hello frame after the handshake: err = %v, want ErrBadFrame", err)
+	}
+	b.Reset()
+	if _, err := EncodeChallenge(&b, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMessage(&b); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("challenge frame after the handshake: err = %v, want ErrBadFrame", err)
 	}
 }

@@ -11,8 +11,8 @@ package dist
 type StatsSnapshot struct {
 	// RemoteCells were evaluated by worker processes.
 	RemoteCells int
-	// LocalCells were evaluated in-process (unregistered scheme, no
-	// workers connected, or fallback after worker failure).
+	// LocalCells were evaluated in-process (no workers connected, or
+	// fallback after worker failure).
 	LocalCells int
 	// Reassigned counts cells re-queued because their worker died —
 	// or exceeded CellTimeout — before answering.

@@ -263,8 +263,10 @@ func Serve(addr string, opt WorkerOptions) error {
 			// the coordinator meant).
 			state.Store().Put(msg.TraceZ.Trace)
 		default:
-			// A cell batch. Any other frame carries none and is
-			// ignored, tolerating unknown kinds from newer coordinators.
+			// A cell batch, or a frame a worker has no use for (a
+			// result batch, a trace-have, a pong), which carries none
+			// and is ignored. An unknown kind never gets here:
+			// ReadMessage rejects it, which ends the session.
 			for _, req := range msg.Batch {
 				sem <- struct{}{}
 				wg.Add(1)

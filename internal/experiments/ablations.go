@@ -53,7 +53,7 @@ func runSplitting(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	confs := ds.engine().EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+split")})
+	confs := ds.eng.EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+split")})
 	confOR, confSplit := confs[0], confs[1]
 
 	// Performance cost: packet-count inflation and byte overhead on
@@ -183,7 +183,7 @@ func runPolicyAblation(ds *Dataset, cfg Config) (*Result, error) {
 	for i, name := range policyPoints {
 		schemes[i] = mustNamed(ds, name)
 	}
-	for i, conf := range ds.engine().EvalSchemes(ds, schemes) {
+	for i, conf := range ds.eng.EvalSchemes(ds, schemes) {
 		name := policyPoints[i]
 		br := accOrZero(conf, trace.Browsing)
 		do := accOrZero(conf, trace.Downloading)

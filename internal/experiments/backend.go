@@ -23,8 +23,10 @@ import (
 // implementations may evaluate them anywhere, in any order, and retry
 // them freely — but must return results equal to EvalCell's. Remote
 // implementations additionally assume ds was built by
-// BuildDataset(ds.Cfg), which is how every Dataset in this package is
-// made; they reconstruct it from the Config on the far side.
+// BuildDatasetFrom(ds.Cfg, ds.Source()) and every scheme by
+// NamedScheme, which is how every Dataset and Scheme in this package
+// is made; they reconstruct both from the cell's wire address on the
+// far side.
 //
 // EvalGrid must not fail: a backend whose transport can die (worker
 // processes, sockets) falls back to evaluating the affected cells

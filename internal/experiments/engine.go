@@ -62,7 +62,7 @@ type Engine struct {
 }
 
 // serialEngine backs the package-level serial entry points
-// (BuildDataset, RunAll) and datasets that carry no engine.
+// (BuildDataset, RunAll).
 var serialEngine = NewEngine(1)
 
 // NewEngine returns an engine running at most workers shards
@@ -81,14 +81,12 @@ func NewEngine(workers int) *Engine {
 func (e *Engine) Pool() *par.Pool { return e.pool }
 
 // WithBackend returns a copy of the engine whose grid evaluations run
-// on b (nil keeps the current backend). Dataset builds and experiment
-// fan-out stay on the engine's own pool — only the (scheme × app)
-// cells move, which is where the paper's tables spend their time.
+// on b. Dataset builds and experiment fan-out stay on the engine's own
+// pool — only the (scheme × app) cells move, which is where the
+// paper's tables spend their time.
 func (e *Engine) WithBackend(b Backend) *Engine {
 	out := *e
-	if b != nil {
-		out.backend = b
-	}
+	out.backend = b
 	return &out
 }
 
@@ -128,7 +126,7 @@ func (e *Engine) BuildDatasetFrom(cfg Config, set *TraceSet) (*Dataset, error) {
 		return nil, fmt.Errorf("experiments: training adversaries: %w", err)
 	}
 	test := e.resolveTraffic(capturedTest, cfg.TestDuration, cfg.Seed^0x5eed)
-	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, train: train, cache: newDatasetCache()}
+	ds := &Dataset{Cfg: cfg, Classifiers: clfs, Test: test, train: train, eng: e, cache: newDatasetCache()}
 	for _, app := range trace.Apps {
 		ds.morphs[app] = sync.OnceValues(func() (*defense.MorphModel, error) {
 			return defense.NewMorphModel(test[app])
@@ -137,9 +135,6 @@ func (e *Engine) BuildDatasetFrom(cfg Config, set *TraceSet) (*Dataset, error) {
 	if !set.Empty() {
 		ds.src = set
 		ds.srcRef = set.Ref()
-	}
-	if e != serialEngine {
-		ds.eng = e
 	}
 	return ds, nil
 }
@@ -363,10 +358,9 @@ func (c *datasetCache) get(key datasetCacheKey, build func() (*Dataset, error)) 
 // cellMemo shares the grid results of one dataset between the runners
 // of one RunAll: Tables II–IV and the §V-C runners attack Original or
 // OR on the same datasets, so of the run's 182 grid cells only 140
-// are distinct. Entries are keyed by wire name, because only
-// a registry scheme's name determines its partition; ad-hoc schemes
-// are never memoised. Each entry holds one scheme's cells for every
-// application.
+// are distinct. Entries are keyed by scheme name, because every scheme
+// comes from the registry, where the name determines the partition.
+// Each entry holds one scheme's cells for every application.
 //
 // The memo sits above the Backend, so a distributed backend is never
 // handed a repeated cell. It is scoped to one run on purpose: a
@@ -405,42 +399,30 @@ func (m *cellMemo) evalGrid(b Backend, ds *Dataset, schemes []Scheme) [][]*ml.Co
 	n := len(trace.Apps)
 	entries := make([]*memoEntry, len(schemes))
 	var mine []Scheme
-	var mineIdx []int
-	var claimed []*memoEntry // parallel to mine; nil for unmemoised schemes
+	var claimed []*memoEntry // parallel to mine
 	m.mu.Lock()
 	for i, s := range schemes {
-		name, ok := s.WireName()
-		if !ok {
-			mine, mineIdx, claimed = append(mine, s), append(mineIdx, i), append(claimed, nil)
-			continue
+		e, seen := m.entries[s.Name]
+		if !seen {
+			e = &memoEntry{done: make(chan struct{})}
+			m.entries[s.Name] = e
+			mine, claimed = append(mine, s), append(claimed, e)
 		}
-		if e, seen := m.entries[name]; seen {
-			entries[i] = e
-			continue
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		m.entries[name] = e
-		mine, mineIdx, claimed = append(mine, s), append(mineIdx, i), append(claimed, e)
+		entries[i] = e
 	}
 	m.mu.Unlock()
 
-	cells := make([][]*ml.Confusion, len(schemes)*n)
 	if len(mine) > 0 {
 		got := b.EvalGrid(ds, mine)
-		for k, i := range mineIdx {
-			row := got[k*n : (k+1)*n]
-			copy(cells[i*n:], row)
-			if e := claimed[k]; e != nil {
-				e.cells = row
-				close(e.done)
-			}
+		for k, e := range claimed {
+			e.cells = got[k*n : (k+1)*n]
+			close(e.done)
 		}
 	}
+	cells := make([][]*ml.Confusion, len(schemes)*n)
 	for i, e := range entries {
-		if e != nil {
-			<-e.done
-			copy(cells[i*n:], e.cells)
-		}
+		<-e.done
+		copy(cells[i*n:], e.cells)
 	}
 	return cells
 }

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"trafficreshape/internal/reshape"
-	"trafficreshape/internal/stats"
 )
 
 // withEngine returns a shallow copy of ds whose evaluations run on
@@ -127,8 +124,8 @@ func TestEngineBuildDatasetDeterministic(t *testing.T) {
 // under -race this pins that classification is read-only.
 func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 	ds := withEngine(quickDataset(t), NewEngine(4))
-	s := SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
-	want := ds.engine().EvalSchemes(ds, []Scheme{s})[0].String()
+	s := mustNamed(ds, "OR")
+	want := ds.eng.EvalSchemes(ds, []Scheme{s})[0].String()
 
 	var wg sync.WaitGroup
 	outs := make([]string, 8)
@@ -140,7 +137,7 @@ func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 			// odd goroutines run a whole table against the same
 			// shared dataset.
 			if i%2 == 0 {
-				outs[i] = ds.engine().EvalSchemes(ds, []Scheme{s})[0].String()
+				outs[i] = ds.eng.EvalSchemes(ds, []Scheme{s})[0].String()
 				return
 			}
 			res, err := runTable5(ds, ds.Cfg)
@@ -225,33 +222,6 @@ func TestEngineWorkersDefault(t *testing.T) {
 	}
 	if w := NewEngine(6).workers; w != 6 {
 		t.Fatalf("NewEngine(6) selected %d workers", w)
-	}
-}
-
-// TestDatasetForWEngineAffinity pins the cache-rebind rule: a derived
-// dataset cached by a serial run must adopt the requester's engine on
-// later hits (while sharing the heavy contents), so switching to
-// engines never silently evaluates cached windows serially.
-func TestDatasetForWEngineAffinity(t *testing.T) {
-	ds := quickDataset(t)
-	w := 2 * time.Second
-	d1, err := datasetForW(ds, ds.Cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.engine() != serialEngine {
-		t.Fatal("serially requested derived dataset must stay serial")
-	}
-	e := NewEngine(4)
-	d2, err := datasetForW(withEngine(ds, e), ds.Cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.engine() != e {
-		t.Error("cached derived dataset did not adopt the requester's engine")
-	}
-	if reflect.ValueOf(d1.Test).Pointer() != reflect.ValueOf(d2.Test).Pointer() {
-		t.Error("rebound dataset rebuilt instead of sharing the cached contents")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"trafficreshape/internal/reshape"
-	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
@@ -348,9 +346,9 @@ func TestRegistryAndRunnerByName(t *testing.T) {
 
 func TestEvalSchemeDeterministic(t *testing.T) {
 	ds := quickDataset(t)
-	s := SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
-	a := ds.engine().EvalSchemes(ds, []Scheme{s})[0]
-	b := ds.engine().EvalSchemes(ds, []Scheme{s})[0]
+	s := mustNamed(ds, "OR")
+	a := ds.eng.EvalSchemes(ds, []Scheme{s})[0]
+	b := ds.eng.EvalSchemes(ds, []Scheme{s})[0]
 	if a.String() != b.String() {
 		t.Fatal("EvalSchemes is not deterministic")
 	}

@@ -131,7 +131,7 @@ func runCombined(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	confs := ds.engine().EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+morph")})
+	confs := ds.eng.EvalSchemes(ds, []Scheme{mustNamed(ds, "OR"), mustNamed(ds, "OR+morph")})
 	confOR, confCombined := confs[0], confs[1]
 
 	var b strings.Builder

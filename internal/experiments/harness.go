@@ -85,10 +85,10 @@ type Dataset struct {
 	// one RunAll (see cellMemo); nil evaluates every cell on every
 	// call.
 	cells *cellMemo
-	// eng, when set, shards grid evaluations over a worker pool; nil
-	// keeps every path serial. Either way each (scheme, app) cell
-	// draws from its own SplitAt stream, so the results are
-	// bit-identical.
+	// eng is the engine that built the dataset: its grid evaluations
+	// and the datasets derived from it run there. Each (scheme, app)
+	// cell draws from its own SplitAt stream, so the results are
+	// bit-identical at any worker count.
 	eng *Engine
 	// cache deduplicates derived datasets at other eavesdropping
 	// windows (Tables III/IV both need W = 60 s) across concurrently
@@ -96,9 +96,9 @@ type Dataset struct {
 	cache *datasetCache
 	// morphs builds, once per morph target, the immutable morphing
 	// tables toward that application's test trace: the OR+morph grid
-	// cells and Table VI share each build. The engine-rebound copies
-	// datasetForW hands out share the entries, like the test traces.
-	// Zero-value datasets leave them nil (see MorphModel).
+	// cells and Table VI share each build, and shallow copies of the
+	// dataset share the entries, like the test traces. Zero-value
+	// datasets leave them nil (see MorphModel).
 	morphs [trace.NumApps]func() (*defense.MorphModel, error)
 	// src, when non-nil, is the captured traffic this dataset was
 	// built from (BuildDatasetFrom); srcRef holds its content-digest
@@ -134,14 +134,6 @@ func (ds *Dataset) MorphModel(target trace.App) (*defense.MorphModel, error) {
 	return defense.NewMorphModel(ds.Test[target])
 }
 
-// engine returns the evaluation engine, defaulting to the serial one.
-func (ds *Dataset) engine() *Engine {
-	if ds == nil || ds.eng == nil {
-		return serialEngine
-	}
-	return ds.eng
-}
-
 // BuildDataset generates training traffic, trains one adversary per
 // classifier family on its one training set, and generates unseen
 // test traffic (see Engine.BuildDataset).
@@ -161,12 +153,6 @@ type Scheme struct {
 	// it builds live in sc's memory; parts that alias the input
 	// (Original's) are never sc's and are never recycled.
 	partition func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace
-	// wire marks schemes obtained from the registry (NamedScheme):
-	// only those may be evaluated on another process by name, because
-	// only the registry guarantees the name reconstructs the exact
-	// partition. Ad-hoc schemes keep wire == false and always run
-	// in-process.
-	wire bool
 }
 
 // Partition splits tr into the sub-flows the scheme exposes, built
@@ -189,36 +175,12 @@ type cellScratch struct {
 
 var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 
-// WireName returns the name a distributed backend may ship instead of
-// the partition, and whether the scheme is wire-representable at all
-// (i.e. came from the scheme registry).
+// WireName returns the name a distributed backend ships instead of
+// the partition, and whether the scheme has a partition at all. Every
+// scheme with one comes from the registry (NamedScheme), whose names
+// reconstruct the exact partition on any process.
 func (s Scheme) WireName() (string, bool) {
-	if !s.wire {
-		return "", false
-	}
-	return s.Name, true
-}
-
-// OriginalScheme observes the flow unmodified under one address.
-func OriginalScheme() Scheme {
-	return Scheme{
-		Name: "Original",
-		partition: func(_ *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
-			return []*trace.Trace{tr}
-		},
-	}
-}
-
-// SchedulerScheme partitions with a fresh per-cell scheduler
-// instance, so stateful schedulers (RR's counter, RA's stream,
-// Adaptive's quantiles) never leak state across shards.
-func SchedulerScheme(name string, mk func(rng *stats.RNG) reshape.Scheduler) Scheme {
-	return Scheme{
-		Name: name,
-		partition: func(sc *cellScratch, _ trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-			return sc.apply.Apply(mk(rng), tr)
-		},
-	}
+	return s.Name, s.partition != nil
 }
 
 // StandardSchemes returns the five columns of Tables II/III:

@@ -7,9 +7,10 @@ package experiments
 // worker reconstructs the identical scheme from its own copy of the
 // dataset (itself a pure function of the Config). Constructors build
 // a fresh scheme per call; every scheduler with state (RA, Adaptive)
-// is instantiated per cell inside SchedulerScheme, so reconstruction
+// is instantiated per cell inside schedulerScheme, so reconstruction
 // on another process replays exactly the draws the serial engine
-// would make.
+// would make. The registry is the only source of schemes, so every
+// grid cell is wire-addressable.
 
 import (
 	"fmt"
@@ -37,6 +38,18 @@ func mustOR(r reshape.Ranges) reshape.Scheduler {
 	return o
 }
 
+// schedulerScheme partitions with a fresh per-cell scheduler
+// instance, so stateful schedulers (RR's counter, RA's stream,
+// Adaptive's quantiles) never leak state across shards.
+func schedulerScheme(name string, mk func(rng *stats.RNG) reshape.Scheduler) Scheme {
+	return Scheme{
+		Name: name,
+		partition: func(sc *cellScratch, _ trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
+			return sc.apply.Apply(mk(rng), tr)
+		},
+	}
+}
+
 // policyPoints lists the §III-C2 scheduling-policy design points in
 // report order (runPolicyAblation's rows and metric indices).
 var policyPoints = []string{
@@ -52,18 +65,26 @@ var policyPoints = []string{
 // relative to its test traffic; most ignore it, so the standard
 // schemes can also be built with ds == nil.
 var schemeRegistry = map[string]func(ds *Dataset) Scheme{
-	"Original": func(*Dataset) Scheme { return OriginalScheme() },
+	// Original observes the flow unmodified under one address.
+	"Original": func(*Dataset) Scheme {
+		return Scheme{
+			Name: "Original",
+			partition: func(_ *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
+				return []*trace.Trace{tr}
+			},
+		}
+	},
 	"FH": func(*Dataset) Scheme {
-		return SchedulerScheme("FH", func(*stats.RNG) reshape.Scheduler { return reshape.PaperFH() })
+		return schedulerScheme("FH", func(*stats.RNG) reshape.Scheduler { return reshape.PaperFH() })
 	},
 	"RA": func(*Dataset) Scheme {
-		return SchedulerScheme("RA", func(rng *stats.RNG) reshape.Scheduler { return reshape.NewRandomFrom(3, rng) })
+		return schedulerScheme("RA", func(rng *stats.RNG) reshape.Scheduler { return reshape.NewRandomFrom(3, rng) })
 	},
 	"RR": func(*Dataset) Scheme {
-		return SchedulerScheme("RR", func(*stats.RNG) reshape.Scheduler { return reshape.NewRoundRobin(3) })
+		return schedulerScheme("RR", func(*stats.RNG) reshape.Scheduler { return reshape.NewRoundRobin(3) })
 	},
 	"OR": func(*Dataset) Scheme {
-		return SchedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
+		return schedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
 	},
 	"OR-I2": orInterfaces(2),
 	"OR-I3": orInterfaces(3),
@@ -108,19 +129,19 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 		}
 	},
 	policyPoints[0]: func(*Dataset) Scheme {
-		return SchedulerScheme(policyPoints[0], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.PaperRanges3()) })
+		return schedulerScheme(policyPoints[0], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.PaperRanges3()) })
 	},
 	policyPoints[1]: func(*Dataset) Scheme {
-		return SchedulerScheme(policyPoints[1], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.EqualRanges(1576, 3)) })
+		return schedulerScheme(policyPoints[1], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.EqualRanges(1576, 3)) })
 	},
 	policyPoints[2]: func(*Dataset) Scheme {
-		return SchedulerScheme(policyPoints[2], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(3) })
+		return schedulerScheme(policyPoints[2], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(3) })
 	},
 	policyPoints[3]: func(*Dataset) Scheme {
-		return SchedulerScheme(policyPoints[3], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(5) })
+		return schedulerScheme(policyPoints[3], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(5) })
 	},
 	policyPoints[4]: func(*Dataset) Scheme {
-		return SchedulerScheme(policyPoints[4], func(*stats.RNG) reshape.Scheduler { return reshape.NewAdaptive(3, 500) })
+		return schedulerScheme(policyPoints[4], func(*stats.RNG) reshape.Scheduler { return reshape.NewAdaptive(3, 500) })
 	},
 }
 
@@ -133,22 +154,20 @@ func orInterfaces(i int) func(*Dataset) Scheme {
 			panic(err)
 		}
 		or := mustOR(ranges)
-		return SchedulerScheme(fmt.Sprintf("OR-I%d", i), func(*stats.RNG) reshape.Scheduler { return or })
+		return schedulerScheme(fmt.Sprintf("OR-I%d", i), func(*stats.RNG) reshape.Scheduler { return or })
 	}
 }
 
-// NamedScheme reconstructs a registered scheme. The returned scheme is
-// wire-representable: distributed backends may evaluate its cells on
-// another process by name, because the constructor depends only on the
-// name and the dataset's Config-derived contents.
+// NamedScheme reconstructs a registered scheme. Distributed backends
+// may evaluate its cells on another process by name, because the
+// constructor depends only on the name and the dataset's
+// Config-derived contents.
 func NamedScheme(ds *Dataset, name string) (Scheme, error) {
 	ctor, ok := schemeRegistry[name]
 	if !ok {
 		return Scheme{}, fmt.Errorf("experiments: unknown scheme %q", name)
 	}
-	s := ctor(ds)
-	s.wire = true
-	return s, nil
+	return ctor(ds), nil
 }
 
 // mustNamed is NamedScheme for the statically registered names the

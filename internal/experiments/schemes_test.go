@@ -33,13 +33,10 @@ func TestSchemeRegistry(t *testing.T) {
 	}
 }
 
-// TestAdHocSchemesAreNotWireable: closure schemes built outside the
-// registry must refuse a wire name, forcing distributed backends to
-// evaluate them in-process.
+// TestAdHocSchemesAreNotWireable: a scheme literal built outside the
+// registry has no partition and must refuse a wire name, even when it
+// is named like a registered scheme.
 func TestAdHocSchemesAreNotWireable(t *testing.T) {
-	if _, ok := OriginalScheme().WireName(); ok {
-		t.Error("OriginalScheme() constructed directly claims to be wireable")
-	}
 	if _, ok := (Scheme{Name: "OR"}).WireName(); ok {
 		t.Error("ad-hoc scheme named like a registered one claims to be wireable")
 	}

@@ -63,7 +63,7 @@ func runTable1(_ *Dataset, cfg Config) (*Result, error) {
 // across the worker pool.
 func accuracyTable(ds *Dataset, title string) (*Result, error) {
 	schemes := StandardSchemes()
-	confusions := ds.engine().EvalSchemes(ds, schemes)
+	confusions := ds.eng.EvalSchemes(ds, schemes)
 	header := []string{"App"}
 	for _, s := range schemes {
 		header = append(header, s.Name+" (%)")
@@ -122,7 +122,7 @@ func runTable3(ds *Dataset, cfg Config) (*Result, error) {
 // deduplicated per window, so experiments running concurrently under
 // RunAll share one W = 60 s build instead of racing two.
 func datasetForW(ds *Dataset, cfg Config, w time.Duration) (*Dataset, error) {
-	if ds != nil && ds.Cfg.W == w {
+	if ds.Cfg.W == w {
 		return ds, nil
 	}
 	scaled := cfg
@@ -137,38 +137,15 @@ func datasetForW(ds *Dataset, cfg Config, w time.Duration) (*Dataset, error) {
 	// durations only size the synthetic slots), so captured cells stay
 	// captured at every window — and stay wire-addressable, because
 	// the derived dataset carries the same digests.
-	var src *TraceSet
-	var srcKey string
-	if ds != nil && ds.src != nil {
-		src = ds.src
-		srcKey = ds.srcRef.Key()
-	}
-	build := func() (*Dataset, error) {
-		derived, err := ds.engine().BuildDatasetFrom(scaled, src)
+	return ds.cache.get(datasetCacheKey{cfg: scaled, src: ds.srcRef.Key()}, func() (*Dataset, error) {
+		derived, err := ds.eng.BuildDatasetFrom(scaled, ds.src)
 		// A run's derived datasets share its cell memo scope: each
 		// gets a memo of its own when its parent has one.
-		if err == nil && ds != nil && ds.cells != nil {
+		if err == nil && ds.cells != nil {
 			derived.cells = newCellMemo()
 		}
 		return derived, err
-	}
-	if ds != nil && ds.cache != nil {
-		derived, err := ds.cache.get(datasetCacheKey{cfg: scaled, src: srcKey}, build)
-		if err != nil {
-			return nil, err
-		}
-		// Re-bind engine affinity to the requester: the cache entry
-		// keeps whichever engine built it first, but evaluations
-		// against it must shard (or not) like the dataset the runner
-		// was handed. The heavy contents stay shared.
-		if derived.eng != ds.eng {
-			rebound := *derived
-			rebound.eng = ds.eng
-			return &rebound, nil
-		}
-		return derived, nil
-	}
-	return build()
+	})
 }
 
 // runTable4 reproduces Table IV: per-application false positives,
@@ -182,8 +159,8 @@ func runTable4(ds *Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c5 := ds5.engine().EvalSchemes(ds5, []Scheme{mustNamed(ds5, "Original"), mustNamed(ds5, "OR")})
-	c60 := ds60.engine().EvalSchemes(ds60, []Scheme{mustNamed(ds60, "Original"), mustNamed(ds60, "OR")})
+	c5 := ds5.eng.EvalSchemes(ds5, []Scheme{mustNamed(ds5, "Original"), mustNamed(ds5, "OR")})
+	c60 := ds60.eng.EvalSchemes(ds60, []Scheme{mustNamed(ds60, "Original"), mustNamed(ds60, "OR")})
 	conf5o, conf5r, conf60o, conf60r := c5[0], c5[1], c60[0], c60[1]
 
 	header := []string{"App", "W=5s Orig (%)", "W=5s OR (%)", "W=60s Orig (%)", "W=60s OR (%)"}
@@ -228,7 +205,7 @@ func runTable5(ds *Dataset, cfg Config) (*Result, error) {
 	for idx, i := range is {
 		schemes[idx] = mustNamed(ds, fmt.Sprintf("OR-I%d", i))
 	}
-	confs := ds.engine().EvalSchemes(ds, schemes)
+	confs := ds.eng.EvalSchemes(ds, schemes)
 	header := []string{"App", "I=2 (%)", "I=3 (%)", "I=5 (%)"}
 	var rows [][]string
 	metrics := make(map[string]float64)

@@ -16,13 +16,9 @@ import (
 // Dim is the dimensionality of a feature vector: six per direction.
 const Dim = 12
 
-// Names lists the feature order, for diagnostics and reports.
-var Names = [Dim]string{
-	"down_count", "down_mean", "down_std", "down_max", "down_min", "down_gap",
-	"up_count", "up_mean", "up_std", "up_max", "up_min", "up_gap",
-}
-
-// Vector is one window's features in the order of Names.
+// Vector is one window's features: the downlink block (count, mean,
+// std, max, min and mean gap), then the uplink block in the same
+// order.
 type Vector [Dim]float64
 
 // Example pairs a feature vector with its ground-truth label for
@@ -225,18 +221,13 @@ func WindowQualifies(downlink int, w time.Duration) bool {
 	return downlink >= MinDownlink(w)
 }
 
-// WindowsOf cuts a per-MAC flow into eavesdropping windows of length
-// w, keeping only windows with at least MinDownlink(w) downlink
-// packets. Windows carry the majority ground-truth label and alias
-// the flow's packet storage (see trace.Trace.Windows).
-func WindowsOf(tr *trace.Trace, w time.Duration) []trace.Window {
-	return AppendWindowsOf(nil, tr, w, true)
-}
-
-// AppendWindowsOf is WindowsOf with scratch reuse and optional
-// labeling: qualifying windows are appended to dst. Hot-path callers
-// that label windows from external ground truth (or not at all) pass
-// labeled=false and recycle one buffer across flows.
+// AppendWindowsOf cuts a per-MAC flow into eavesdropping windows of
+// length w and appends to dst only those with at least MinDownlink(w)
+// downlink packets. The windows alias the flow's packet storage (see
+// trace.Trace.AppendWindows); labeled windows carry the majority
+// ground-truth label. Hot-path callers that label windows from
+// external ground truth (or not at all) pass labeled=false and recycle
+// one buffer across flows.
 func AppendWindowsOf(dst []trace.Window, tr *trace.Trace, w time.Duration, labeled bool) []trace.Window {
 	mark := len(dst)
 	dst = tr.AppendWindows(dst, w, 1, labeled)

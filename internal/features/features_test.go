@@ -56,7 +56,7 @@ func TestExtractMissingDirection(t *testing.T) {
 	v := Extract(w)
 	for i := 6; i < Dim; i++ {
 		if v[i] != 0 {
-			t.Fatalf("uplink block must be all-zero when absent, got %v at %s", v[i], Names[i])
+			t.Fatalf("uplink block must be all-zero when absent, got %v at feature %d", v[i], i)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestExtractEmptyWindow(t *testing.T) {
 	v := Extract(window(nil))
 	for i, x := range v {
 		if x != 0 {
-			t.Fatalf("empty window feature %s = %v, want 0", Names[i], x)
+			t.Fatalf("empty window feature %d = %v, want 0", i, x)
 		}
 	}
 }
@@ -144,14 +144,14 @@ func TestWindowsOfDropsUplinkOnly(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Append(trace.Packet{Time: time.Duration(i) * 50 * time.Millisecond, Size: 1576, Dir: trace.Uplink})
 	}
-	if ws := WindowsOf(tr, 5*time.Second); len(ws) != 0 {
+	if ws := AppendWindowsOf(nil, tr, 5*time.Second, false); len(ws) != 0 {
 		t.Fatalf("uplink-only flow produced %d windows, want 0", len(ws))
 	}
 }
 
 func TestWindowsOfKeepsDense(t *testing.T) {
 	tr := appgen.Generate(trace.Video, 30*time.Second, 11)
-	ws := WindowsOf(tr, 5*time.Second)
+	ws := AppendWindowsOf(nil, tr, 5*time.Second, false)
 	if len(ws) < 4 {
 		t.Fatalf("video flow produced only %d windows over 30s", len(ws))
 	}
@@ -174,8 +174,8 @@ func TestRealTracesSeparateInFeatureSpace(t *testing.T) {
 	// core premise that features identify activities.
 	do := appgen.Generate(trace.Downloading, 20*time.Second, 21)
 	up := appgen.Generate(trace.Uploading, 20*time.Second, 22)
-	wd := WindowsOf(do, 5*time.Second)
-	wu := WindowsOf(up, 5*time.Second)
+	wd := AppendWindowsOf(nil, do, 5*time.Second, false)
+	wu := AppendWindowsOf(nil, up, 5*time.Second, false)
 	if len(wd) == 0 || len(wu) == 0 {
 		t.Fatal("expected windows for both apps")
 	}
@@ -294,7 +294,7 @@ func TestExtractEquivalentToReference(t *testing.T) {
 func TestExtractEquivalenceOnGeneratedTraffic(t *testing.T) {
 	for _, app := range trace.Apps {
 		tr := appgen.Generate(app, 30*time.Second, 5+uint64(app))
-		for i, w := range WindowsOf(tr, 5*time.Second) {
+		for i, w := range AppendWindowsOf(nil, tr, 5*time.Second, false) {
 			if got, want := Extract(w), extractReference(w); got != want {
 				t.Fatalf("%v window %d: Extract diverges from reference", app, i)
 			}
@@ -303,11 +303,11 @@ func TestExtractEquivalenceOnGeneratedTraffic(t *testing.T) {
 }
 
 // AppendWindowsOf with a reused scratch buffer must produce the same
-// qualifying windows as WindowsOf, and the unlabeled variant the same
-// windows modulo the label.
+// qualifying windows as a fresh labeled call, and the unlabeled variant
+// the same windows modulo the label.
 func TestAppendWindowsOfReuse(t *testing.T) {
 	tr := appgen.Generate(trace.Video, 30*time.Second, 13)
-	want := WindowsOf(tr, 5*time.Second)
+	want := AppendWindowsOf(nil, tr, 5*time.Second, true)
 	var scratch []trace.Window
 	for round := 0; round < 3; round++ {
 		scratch = AppendWindowsOf(scratch[:0], tr, 5*time.Second, false)
@@ -319,7 +319,7 @@ func TestAppendWindowsOfReuse(t *testing.T) {
 				t.Fatalf("unlabeled window %d carries App %v", i, scratch[i].App)
 			}
 			if scratch[i].Start != want[i].Start || len(scratch[i].Packets) != len(want[i].Packets) {
-				t.Fatalf("round %d window %d: diverges from WindowsOf", round, i)
+				t.Fatalf("round %d window %d: diverges from the fresh labeled windows", round, i)
 			}
 		}
 	}
@@ -329,7 +329,7 @@ func TestAppendWindowsOfReuse(t *testing.T) {
 // lives: Extract must not touch the heap.
 func TestExtractAllocFree(t *testing.T) {
 	tr := appgen.Generate(trace.Video, 30*time.Second, 17)
-	ws := WindowsOf(tr, 5*time.Second)
+	ws := AppendWindowsOf(nil, tr, 5*time.Second, false)
 	if len(ws) == 0 {
 		t.Fatal("expected windows")
 	}

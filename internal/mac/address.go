@@ -33,27 +33,6 @@ func (a Address) String() string {
 // order of the rendered strings, without formatting them.
 func (a Address) Compare(b Address) int { return bytes.Compare(a[:], b[:]) }
 
-// IsMulticast reports whether the group bit is set.
-func (a Address) IsMulticast() bool { return a[0]&0x01 != 0 }
-
-// ParseAddress parses the colon form produced by String.
-func ParseAddress(s string) (Address, error) {
-	var a Address
-	var b [6]int
-	n, err := fmt.Sscanf(s, "%02x:%02x:%02x:%02x:%02x:%02x",
-		&b[0], &b[1], &b[2], &b[3], &b[4], &b[5])
-	if err != nil || n != 6 {
-		return Zero, fmt.Errorf("mac: invalid address %q", s)
-	}
-	for i, v := range b {
-		if v < 0 || v > 255 {
-			return Zero, fmt.Errorf("mac: invalid octet in %q", s)
-		}
-		a[i] = byte(v)
-	}
-	return a, nil
-}
-
 // RandomAddress mints a random unicast, locally-administered address.
 // Virtual MAC addresses minted by the AP always set the
 // locally-administered bit so they can never collide with burned-in

@@ -123,16 +123,12 @@ func TestStreamMatchesBatchWindowing(t *testing.T) {
 	ingestTrace(e, in)
 	rep := e.Drain()
 
-	perFlow := in.ByMAC()
+	perFlow := flowsByMAC(in)
 	if len(rep.Flows) != len(perFlow) {
 		t.Fatalf("report has %d flows, capture has %d", len(rep.Flows), len(perFlow))
 	}
 	for _, fr := range rep.Flows {
-		addr, err := mac.ParseAddress(fr.MAC)
-		if err != nil {
-			t.Fatalf("report MAC %q: %v", fr.MAC, err)
-		}
-		tr := perFlow[addr]
+		tr := perFlow[fr.MAC]
 		if tr == nil {
 			t.Fatalf("report flow %s not in capture", fr.MAC)
 		}
@@ -147,6 +143,16 @@ func TestStreamMatchesBatchWindowing(t *testing.T) {
 	}
 }
 
+// flowsByMAC splits a capture into its per-MAC flows, keyed by the
+// address's colon form, as the report names them.
+func flowsByMAC(in *trace.Trace) map[string]*trace.Trace {
+	out := make(map[string]*trace.Trace)
+	for addr, tr := range in.ByMAC() {
+		out[addr.String()] = tr
+	}
+	return out
+}
+
 // TestStreamPredictionsMatchBatch: with one interface the stream's
 // window contents are the flow's raw packets, so its per-window
 // predictions must equal classifying the batch-cut windows.
@@ -159,11 +165,10 @@ func TestStreamPredictionsMatchBatch(t *testing.T) {
 	ingestTrace(e, in)
 	rep := e.Drain()
 
-	perFlow := in.ByMAC()
+	perFlow := flowsByMAC(in)
 	for _, fr := range rep.Flows {
-		addr, _ := mac.ParseAddress(fr.MAC)
 		var batchHist [trace.NumApps]int64
-		for _, win := range features.AppendWindowsOf(nil, perFlow[addr], w, false) {
+		for _, win := range features.AppendWindowsOf(nil, perFlow[fr.MAC], w, false) {
 			batchHist[cls.Classify(win)]++
 		}
 		if fr.Pred != batchHist {

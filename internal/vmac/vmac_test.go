@@ -81,7 +81,7 @@ func TestHandleRequestGrantsAddresses(t *testing.T) {
 			t.Fatalf("duplicate or physical address granted: %v", a)
 		}
 		seen[a] = true
-		if a[0]&0x02 == 0 || a.IsMulticast() {
+		if a[0]&0x02 == 0 || a[0]&0x01 != 0 {
 			t.Fatalf("granted address %v has wrong bits", a)
 		}
 	}
