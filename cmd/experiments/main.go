@@ -60,7 +60,7 @@ const distKeyEnv = "TRDIST_KEY"
 func main() {
 	run := flag.String("run", "", "experiment to run (default: all); see -list")
 	quick := flag.Bool("quick", false, "down-scaled durations for a fast pass")
-	w := flag.Duration("w", 5*time.Second, "eavesdropping window for the primary dataset")
+	w := flag.Duration("w", 5*time.Second, "eavesdropping window for the primary dataset of -run or -dump-traces")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for the experiment engine (1 = serial)")
 	distWorkers := flag.Int("dist-workers", 0, "spawn this many local worker processes and distribute grid cells to them")
 	distListen := flag.String("dist-listen", "", "also accept standalone expworker processes on this address (host:port)")
@@ -96,6 +96,21 @@ func main() {
 	if *w <= 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -w is the eavesdropping window and must be positive, got %v\n", *w)
 		os.Exit(2)
+	}
+	// The full registry fixes its own datasets, so without -run the
+	// flags that describe the primary dataset have nothing to act on.
+	// Both checks come before any trace is read or worker started.
+	if *run == "" && *dumpTraces == "" {
+		wSet := false
+		flag.Visit(func(f *flag.Flag) { wSet = wSet || f.Name == "w" })
+		if wSet {
+			fmt.Fprintln(os.Stderr, "experiments: -w requires -run or -dump-traces (the full registry fixes the window of every dataset it builds)")
+			os.Exit(2)
+		}
+		if *captured != "" {
+			fmt.Fprintln(os.Stderr, "experiments: -captured requires -run (the full registry derives datasets the captured layout does not describe)")
+			os.Exit(2)
+		}
 	}
 	cfg := experiments.DefaultConfig(*w)
 	if *quick {
@@ -166,10 +181,6 @@ func main() {
 	}
 
 	if *run == "" {
-		if set != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -captured requires -run (the full registry derives datasets the captured layout does not describe)")
-			os.Exit(2)
-		}
 		if _, err := eng.RunAll(os.Stdout, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

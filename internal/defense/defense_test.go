@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -201,6 +202,37 @@ func TestAppendSplitAppendsSplit(t *testing.T) {
 	dst.Packets = dst.Packets[:0]
 	if AppendSplit(dst, tr, 800, 28); !slices.Equal(dst.Packets, want.Packets) {
 		t.Fatalf("AppendSplit into a reused trace = %v, want %v", dst.Packets, want.Packets)
+	}
+}
+
+// AppendSplit on an unsorted, captured-style trace (late packets, runs
+// of equal times) equals splitting every packet on its own, in input
+// order, and stable-sorting the fragments afterwards. A single
+// packet's fragments are already in time order, so each one-packet
+// split is exactly the fragments AppendSplit emits for that packet.
+func TestAppendSplitUnsortedMatchesSortAfterSplit(t *testing.T) {
+	tr := appgen.Generate(trace.Downloading, 20*time.Second, 3)
+	r := stats.NewRNG(5)
+	for i := range tr.Packets {
+		if r.Intn(8) == 0 { // a late capture: stamped up to 2 ms early
+			tr.Packets[i].Time -= time.Duration(r.Intn(2000)) * time.Microsecond
+		}
+		if i > 0 && r.Intn(6) == 0 {
+			tr.Packets[i].Time = tr.Packets[i-1].Time
+		}
+		tr.Packets[i].Seq = uint16(i)
+	}
+	if tr.Sorted() {
+		t.Fatal("fixture is sorted")
+	}
+	var want []trace.Packet
+	for _, p := range tr.Packets {
+		one := trace.Trace{Packets: []trace.Packet{p}}
+		want = AppendSplit(&trace.Trace{Packets: want}, &one, 500, 28).Packets
+	}
+	slices.SortStableFunc(want, func(a, b trace.Packet) int { return cmp.Compare(a.Time, b.Time) })
+	if got := AppendSplit(new(trace.Trace), tr, 500, 28); !slices.Equal(got.Packets, want) {
+		t.Fatal("AppendSplit differs from a stable sort after splitting")
 	}
 }
 

@@ -97,7 +97,7 @@ type cellKey struct {
 const (
 	maxStoredTraces = 64
 	// defaultCachedResults holds several full registry runs' worth of
-	// cells (one is 140) at a few KB per entry.
+	// cells (one is 126) at a few KB per entry.
 	defaultCachedResults = 4096
 )
 

@@ -26,9 +26,11 @@ package experiments
 //
 // A RunAll does each piece of work once: one training set per
 // dataset, windowed and extracted once and shared by every family,
-// Table VI and the attacker ablation; and one evaluation per cell per
-// run, because the run's cell memo hands a (dataset, scheme) grid one
-// runner evaluated to every other runner asking for it.
+// Table VI and the attacker ablation; and one evaluation per distinct
+// cell per run, because the run's cell memo hands a (dataset, scheme)
+// grid one runner evaluated to every other runner asking for it, and
+// scheme aliases (see schemeAliases) share their canonical scheme's
+// name.
 
 import (
 	"fmt"
@@ -98,8 +100,9 @@ func (e *Engine) WithBackend(b Backend) *Engine {
 // pool larger than the shard count leaves permits idle during a
 // build. Every composition is bit-identical to the serial build. The
 // dataset carries the engine, so every later evaluation against it is
-// sharded too. It carries no cell memo: every EvalSchemes call on it
-// evaluates its whole grid.
+// sharded too. It carries no run-scoped cell memo: each EvalSchemes
+// call on it evaluates every distinct scheme of its grid once, however
+// often the call lists it, and a second call evaluates them again.
 func (e *Engine) BuildDataset(cfg Config) (*Dataset, error) {
 	return e.BuildDatasetFrom(cfg, nil)
 }
@@ -196,12 +199,19 @@ func (e *Engine) resolveTraffic(captured map[trace.App]*trace.Trace, duration ti
 // ties) is reported — exactly the serial reduction, whichever process
 // evaluated each cell.
 //
-// Under RunAll the dataset carries the run's cell memo, and a registry
-// scheme another runner has already claimed on the same dataset is
-// not evaluated again: this call waits for that runner's cells instead.
+// A scheme is evaluated once per call however often it is listed
+// (aliases resolve to one scheme name, see schemeAliases): the call
+// goes through a cell memo scoped to it. Under RunAll the dataset
+// carries the run's memo instead, and a scheme another runner has
+// already claimed on the same dataset is not evaluated again: this
+// call waits for that runner's cells.
 func (e *Engine) EvalSchemes(ds *Dataset, schemes []Scheme) []*ml.Confusion {
 	apps := trace.Apps
-	cells := ds.cells.evalGrid(e.backend, ds, schemes)
+	memo := ds.cells
+	if memo == nil {
+		memo = newCellMemo()
+	}
+	cells := memo.evalGrid(e.backend, ds, schemes)
 	out := make([]*ml.Confusion, len(schemes))
 	for si := range schemes {
 		var best *ml.Confusion
@@ -355,18 +365,22 @@ func (c *datasetCache) get(key datasetCacheKey, build func() (*Dataset, error)) 
 
 // --- cell memo --------------------------------------------------------------
 
-// cellMemo shares the grid results of one dataset between the runners
-// of one RunAll: Tables II–IV and the §V-C runners attack Original or
-// OR on the same datasets, so of the run's 182 grid cells only 140
-// are distinct. Entries are keyed by scheme name, because every scheme
-// comes from the registry, where the name determines the partition.
-// Each entry holds one scheme's cells for every application.
+// cellMemo shares the grid results of one dataset between the callers
+// that ask for them. Entries are keyed by scheme name, because every
+// scheme comes from the registry, where the name determines the
+// partition and aliases resolve to their canonical name. Each entry
+// holds one scheme's cells for every application.
+//
+// A memo has one of two scopes. RunAll gives its dataset a memo for
+// the run: Tables II–V and the §III-C2/§V-C runners attack Original or
+// OR (under three names) on the same datasets, so of the run's 182
+// grid cells only 126 are distinct. Every other EvalSchemes call makes
+// a memo for itself, so a grid listing one scheme twice evaluates it
+// once, while a caller that evaluates the same grid again (a
+// benchmark, say) measures evaluation every time.
 //
 // The memo sits above the Backend, so a distributed backend is never
-// handed a repeated cell. It is scoped to one run on purpose: a
-// dataset from BuildDataset carries none, so a caller that evaluates
-// the same grid again (a benchmark, say) measures evaluation every
-// time.
+// handed a repeated cell.
 type cellMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
@@ -383,19 +397,15 @@ func newCellMemo() *cellMemo {
 	return &cellMemo{entries: make(map[string]*memoEntry)}
 }
 
-// evalGrid is Backend.EvalGrid through the memo (a nil memo calls b
-// directly). It claims every scheme nobody has claimed yet, evaluates
-// its claims in one EvalGrid call, and only then waits on the entries
-// other callers claimed. A caller never waits while holding an
-// unfinished claim, so two runners waiting on each other's schemes
-// cannot deadlock: each finishes its own claims first, which no
-// backend makes wait on another caller (par.Pool.Each always runs
-// shards on the calling goroutine, and the fleet falls back to local
-// evaluation).
+// evalGrid is Backend.EvalGrid through the memo. It claims every
+// scheme nobody has claimed yet, evaluates its claims in one EvalGrid
+// call, and only then waits on the entries other callers claimed. A
+// caller never waits while holding an unfinished claim, so two
+// runners waiting on each other's schemes cannot deadlock: each
+// finishes its own claims first, which no backend makes wait on
+// another caller (par.Pool.Each always runs shards on the calling
+// goroutine, and the fleet falls back to local evaluation).
 func (m *cellMemo) evalGrid(b Backend, ds *Dataset, schemes []Scheme) [][]*ml.Confusion {
-	if m == nil {
-		return b.EvalGrid(ds, schemes)
-	}
 	n := len(trace.Apps)
 	entries := make([]*memoEntry, len(schemes))
 	var mine []Scheme

@@ -82,8 +82,8 @@ type Dataset struct {
 	// regenerating the traffic (see ownTraffic).
 	train *attack.TrainingSet
 	// cells, when set, shares grid results between the runners of
-	// one RunAll (see cellMemo); nil evaluates every cell on every
-	// call.
+	// one RunAll (see cellMemo); nil gives each EvalSchemes call a
+	// memo of its own.
 	cells *cellMemo
 	// eng is the engine that built the dataset: its grid evaluations
 	// and the datasets derived from it run there. Each (scheme, app)

@@ -33,20 +33,21 @@ func countingEngine(workers int) (*Engine, *countingBackend) {
 }
 
 // TestRunAllEvaluatesEachCellOnce: the 182 grid cells the runners of
-// one quick RunAll ask for hold 140 distinct (dataset, scheme, app)
-// cells, and the backend sees each of them once.
+// one quick RunAll ask for hold 126 distinct (dataset, scheme, app)
+// cells once scheme aliases resolve, and the backend sees each of
+// them once.
 func TestRunAllEvaluatesEachCellOnce(t *testing.T) {
 	eng, b := countingEngine(2)
 	if _, err := eng.RunAll(io.Discard, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.cells.Load(); got != 140 {
-		t.Fatalf("backend evaluated %d cells, want 140", got)
+	if got := b.cells.Load(); got != 126 {
+		t.Fatalf("backend evaluated %d cells, want 126", got)
 	}
 }
 
-// TestBuildDatasetHasNoCellMemo: outside RunAll nothing is memoised,
-// so evaluating the same grid twice evaluates it twice.
+// TestBuildDatasetHasNoCellMemo: outside RunAll nothing is memoised
+// across calls, so evaluating the same grid twice evaluates it twice.
 func TestBuildDatasetHasNoCellMemo(t *testing.T) {
 	eng, b := countingEngine(2)
 	ds, err := eng.BuildDataset(QuickConfig(5 * time.Second))
@@ -61,6 +62,28 @@ func TestBuildDatasetHasNoCellMemo(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("the two evaluations differ")
+	}
+}
+
+// TestEvalSchemesDedupsWithinCall: one EvalSchemes call evaluates each
+// scheme name once, aliases included, and hands every listed scheme
+// its canonical scheme's result.
+func TestEvalSchemesDedupsWithinCall(t *testing.T) {
+	eng, b := countingEngine(2)
+	ds := withEngine(quickDataset(t), eng)
+	names := []string{"OR", "OR-I3", policyPoints[0], "Original", "OR"}
+	schemes := make([]Scheme, len(names))
+	for i, name := range names {
+		schemes[i] = mustNamed(ds, name)
+	}
+	got := eng.EvalSchemes(ds, schemes)
+	if want := int64(2 * trace.NumApps); b.cells.Load() != want {
+		t.Fatalf("backend evaluated %d cells, want %d", b.cells.Load(), want)
+	}
+	for _, i := range []int{1, 2, 4} {
+		if *got[i] != *got[0] {
+			t.Errorf("%s: result differs from OR's", names[i])
+		}
 	}
 }
 

@@ -11,6 +11,12 @@ package experiments
 // on another process replays exactly the draws the serial engine
 // would make. The registry is the only source of schemes, so every
 // grid cell is wire-addressable.
+//
+// Some names are aliases: the paper's recommended scheduler is
+// Table II's OR, Table V's I = 3 point and the policy ablation's
+// paper-ranges row. An alias resolves to its canonical scheme, so the
+// three share one scheme name and every cell memo evaluates their
+// cells once.
 
 import (
 	"fmt"
@@ -87,7 +93,6 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 		return schedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
 	},
 	"OR-I2": orInterfaces(2),
-	"OR-I3": orInterfaces(3),
 	"OR-I5": orInterfaces(5),
 	"OR+split": func(*Dataset) Scheme {
 		return Scheme{
@@ -128,9 +133,6 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 			},
 		}
 	},
-	policyPoints[0]: func(*Dataset) Scheme {
-		return schedulerScheme(policyPoints[0], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.PaperRanges3()) })
-	},
 	policyPoints[1]: func(*Dataset) Scheme {
 		return schedulerScheme(policyPoints[1], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.EqualRanges(1576, 3)) })
 	},
@@ -143,6 +145,19 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 	policyPoints[4]: func(*Dataset) Scheme {
 		return schedulerScheme(policyPoints[4], func(*stats.RNG) reshape.Scheduler { return reshape.NewAdaptive(3, 500) })
 	},
+}
+
+// schemeAliases maps a name whose partition is another registered
+// scheme's to that scheme: SelectRanges(3) and the policy ablation's
+// paper ranges are both PaperRanges3, the ranges of Recommended. A
+// cell's confusion matrices count its windows' (truth, prediction)
+// pairs, and the windows depend on the partition alone, not on the
+// addresses minted for its sub-flows, so an alias's cells are exactly
+// its canonical scheme's. TestSchemeAliasesPartitionAlike holds each
+// alias to its former definition.
+var schemeAliases = map[string]string{
+	"OR-I3":         "OR",
+	policyPoints[0]: "OR",
 }
 
 // orInterfaces builds the Table V sweep point with I interfaces and
@@ -158,11 +173,15 @@ func orInterfaces(i int) func(*Dataset) Scheme {
 	}
 }
 
-// NamedScheme reconstructs a registered scheme. Distributed backends
-// may evaluate its cells on another process by name, because the
-// constructor depends only on the name and the dataset's
+// NamedScheme reconstructs a registered scheme, resolving an alias to
+// its canonical scheme (whose Name is the canonical one). Distributed
+// backends may evaluate its cells on another process by name, because
+// the constructor depends only on the name and the dataset's
 // Config-derived contents.
 func NamedScheme(ds *Dataset, name string) (Scheme, error) {
+	if canonical, ok := schemeAliases[name]; ok {
+		name = canonical
+	}
 	ctor, ok := schemeRegistry[name]
 	if !ok {
 		return Scheme{}, fmt.Errorf("experiments: unknown scheme %q", name)
@@ -180,10 +199,14 @@ func mustNamed(ds *Dataset, name string) Scheme {
 	return s
 }
 
-// SchemeNames lists every registered scheme name (unordered).
+// SchemeNames lists every registered scheme name, aliases included
+// (unordered).
 func SchemeNames() []string {
-	names := make([]string, 0, len(schemeRegistry))
+	names := make([]string, 0, len(schemeRegistry)+len(schemeAliases))
 	for name := range schemeRegistry {
+		names = append(names, name)
+	}
+	for name := range schemeAliases {
 		names = append(names, name)
 	}
 	return names

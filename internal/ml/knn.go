@@ -63,10 +63,14 @@ func (m *knnModel) Name() string { return "knn" }
 // by features it does not have would let the absent block outvote the
 // evidence. This partial-distance rule is the standard kNN treatment
 // of missing features.
+//
+// The scan takes four training rows per iteration. Each row's squared
+// distance is summed left to right, exactly as a one-row loop would,
+// but the four sums are independent chains the CPU overlaps. The rows
+// are then offered to the selection in index order.
 func (m *knnModel) Predict(x features.Vector) trace.App {
 	lo, hi := observedRange(&x)
 	q := x[lo:hi]
-	norm := float64(hi - lo)
 	// Bounded selection instead of a full sort: a max-heap of the k
 	// best (distance, index) pairs streams over the training set in
 	// O(n log k) with the heap living on the stack for practical k, so
@@ -81,24 +85,38 @@ func (m *knnModel) Predict(x features.Vector) trace.App {
 	} else {
 		sel = make([]knnHit, 0, m.k)
 	}
-	for i, app := range m.y {
-		row := m.x[i*features.Dim+lo : i*features.Dim+hi]
+	k, norm := m.k, float64(hi-lo)
+	const dim = features.Dim
+	n := len(m.y)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0 := m.x[i*dim+lo : i*dim+hi]
+		r1 := m.x[(i+1)*dim+lo : (i+1)*dim+hi]
+		r2 := m.x[(i+2)*dim+lo : (i+2)*dim+hi]
+		r3 := m.x[(i+3)*dim+lo : (i+3)*dim+hi]
+		r0, r1, r2, r3 = r0[:len(q)], r1[:len(q)], r2[:len(q)], r3[:len(q)]
+		var s0, s1, s2, s3 float64
+		for j, v := range q {
+			d0, d1, d2, d3 := r0[j]-v, r1[j]-v, r2[j]-v, r3[j]-v
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		sel = knnOffer(sel, k, norm, s0, i, m.y[i])
+		sel = knnOffer(sel, k, norm, s1, i+1, m.y[i+1])
+		sel = knnOffer(sel, k, norm, s2, i+2, m.y[i+2])
+		sel = knnOffer(sel, k, norm, s3, i+3, m.y[i+3])
+	}
+	for ; i < n; i++ {
+		row := m.x[i*dim+lo : i*dim+hi]
 		row = row[:len(q)]
 		s := 0.0
-		for j, v := range row {
-			d := v - q[j]
+		for j, v := range q {
+			d := row[j] - v
 			s += d * d
 		}
-		// Normalize so queries with different numbers of observed
-		// dimensions are comparable.
-		h := knnHit{d: s / norm, idx: int32(i), app: app}
-		if len(sel) < m.k {
-			sel = append(sel, h)
-			knnSiftUp(sel, len(sel)-1)
-		} else if knnHitLess(h, sel[0]) {
-			sel[0] = h
-			knnSiftDown(sel, 0)
-		}
+		sel = knnOffer(sel, k, norm, s, i, m.y[i])
 	}
 	var votes [trace.NumApps]int
 	nearest := 0
@@ -124,10 +142,41 @@ func (m *knnModel) Predict(x features.Vector) trace.App {
 // allocation.
 const knnStackK = 32
 
+// knnOffer considers training row idx, whose squared differences sum
+// to s, for sel: a max-heap of at most k hits under knnHitLess (root =
+// worst retained hit). Rows must be offered in increasing index
+// order: then a row whose sum is not below the root's cannot displace
+// it (s/norm is monotone in s, and an equal distance loses the tie on
+// its higher index), so it is dropped before the division.
+func knnOffer(sel []knnHit, k int, norm, s float64, idx int, app trace.App) []knnHit {
+	if len(sel) == k && s >= sel[0].s {
+		return sel
+	}
+	return knnInsert(sel, k, norm, s, idx, app)
+}
+
+// knnInsert is knnOffer's slow path, kept out of line so the skip
+// test inlines into the scan.
+func knnInsert(sel []knnHit, k int, norm, s float64, idx int, app trace.App) []knnHit {
+	// Normalize so queries with different numbers of observed
+	// dimensions are comparable.
+	h := knnHit{s: s, d: s / norm, idx: int32(idx), app: app}
+	if len(sel) < k {
+		sel = append(sel, h)
+		knnSiftUp(sel, len(sel)-1)
+	} else if knnHitLess(h, sel[0]) {
+		sel[0] = h
+		knnSiftDown(sel, 0)
+	}
+	return sel
+}
+
+// knnHit is one candidate neighbour: s is its raw sum of squared
+// differences, d = s / norm the distance it is ordered by.
 type knnHit struct {
-	d   float64
-	idx int32
-	app trace.App
+	s, d float64
+	idx  int32
+	app  trace.App
 }
 
 // knnHitLess orders hits by (distance, training index): the total

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -115,38 +116,103 @@ func randomKNN(t *testing.T, n, k int, seed uint64) (*knnModel, *stats.RNG) {
 	return model.(*knnModel), r
 }
 
-// Property: heap selection and the full-sort reference agree on every
-// prediction, across training sizes, k values (including k beyond the
-// stack bound) and random queries. The queries cover every observed
-// range: both directions, downlink only, uplink only (the other block
-// zeroed, as the scaler encodes an unobserved direction) and the
-// all-zero degenerate query.
-func TestKNNSelectionEquivalentToSort(t *testing.T) {
-	shapes := []struct {
-		name     string
-		down, up bool
-	}{
-		{"both", true, true},
-		{"downlink-only", true, false},
-		{"uplink-only", false, true},
-		{"all-zero", false, false},
+// queryShapes are the observed ranges a query can have: both
+// directions, downlink only, uplink only (the other block zeroed, as
+// the scaler encodes an unobserved direction) and the all-zero
+// degenerate query.
+var queryShapes = []struct {
+	name     string
+	down, up bool
+}{
+	{"both", true, true},
+	{"downlink-only", true, false},
+	{"uplink-only", false, true},
+	{"all-zero", false, false},
+}
+
+// checkKNNQueries asserts Predict matches the reference on queries of
+// every shape; draw fills one observed feature.
+func checkKNNQueries(t *testing.T, label string, model *knnModel, queries int, draw func(q, j int) float64) {
+	t.Helper()
+	for q := 0; q < queries; q++ {
+		shape := queryShapes[q%len(queryShapes)]
+		var x features.Vector
+		for j := range x {
+			if (j < 6 && shape.down) || (j >= 6 && shape.up) {
+				x[j] = draw(q, j)
+			}
+		}
+		if got, want := model.Predict(x), knnPredictReference(model, x); got != want {
+			t.Fatalf("%s query %d (%s): Predict = %v, reference = %v", label, q, shape.name, got, want)
+		}
 	}
+}
+
+// Property: heap selection and the full-sort reference agree on every
+// prediction, across training sizes (every residue mod 4 of the
+// four-row scan, sizes below four, and k equal to the size), k values
+// (including k beyond the stack bound), queries of every observed
+// range, and distance ties on the k boundary.
+func TestKNNSelectionEquivalentToSort(t *testing.T) {
+	t.Run("random", knnRandomSizes)
+	t.Run("small-n", knnSmallSizes)
+	t.Run("ties-at-boundary", knnTiesAtBoundary)
+}
+
+func knnRandomSizes(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		for _, k := range []int{1, 2, 5, 17, knnStackK, knnStackK + 9} {
 			n := 40 + int(seed)*23
 			model, r := randomKNN(t, n, k, seed)
-			for q := 0; q < 40; q++ {
-				shape := shapes[q%len(shapes)]
-				var x features.Vector
-				for j := range x {
-					if (j < 6 && shape.down) || (j >= 6 && shape.up) {
-						x[j] = r.NormFloat64()
-					}
-				}
-				if got, want := model.Predict(x), knnPredictReference(model, x); got != want {
-					t.Fatalf("seed %d k %d query %d (%s): Predict = %v, reference = %v", seed, k, q, shape.name, got, want)
-				}
+			checkKNNQueries(t, fmt.Sprintf("seed %d n %d k %d", seed, n, k), model, 40,
+				func(int, int) float64 { return r.NormFloat64() })
+		}
+	}
+}
+
+func knnSmallSizes(t *testing.T) {
+	for n := 1; n <= 13; n++ {
+		for _, k := range []int{1, 3, 5, n} {
+			if k > n {
+				continue
 			}
+			model, r := randomKNN(t, n, k, uint64(100+n))
+			if model.k != k {
+				t.Fatalf("n %d: model k = %d, want %d", n, model.k, k)
+			}
+			checkKNNQueries(t, fmt.Sprintf("n %d k %d", n, k), model, 24,
+				func(int, int) float64 { return r.NormFloat64() })
+		}
+	}
+}
+
+// knnTiesAtBoundary repeats a handful of rows under random labels, so
+// nearly every query's distances tie in groups that straddle the kth
+// neighbour, and the lower-index rule alone decides which tied rows
+// are kept. Queries are training rows themselves (distance-0 ties),
+// or small integer vectors, whose sums tie exactly too.
+func knnTiesAtBoundary(t *testing.T) {
+	r := stats.NewRNG(77)
+	var pool [5]features.Vector
+	for i := range pool {
+		for j := range pool[i] {
+			pool[i][j] = float64(r.Intn(3) - 1)
+		}
+	}
+	for _, n := range []int{36, 37, 38, 39} {
+		examples := make([]features.Example, n)
+		for i := range examples {
+			examples[i] = features.Example{X: pool[r.Intn(len(pool))], Y: trace.App(r.Intn(trace.NumApps))}
+		}
+		for _, k := range []int{2, 3, 4, 5, 7, 9} {
+			model, err := (&KNNTrainer{K: k}).Train(examples, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := model.(*knnModel)
+			label := fmt.Sprintf("n %d k %d", n, k)
+			checkKNNQueries(t, label+" pool", m, 40, func(q, j int) float64 { return pool[q%len(pool)][j] })
+			checkKNNQueries(t, label+" grid", m, 40, func(int, int) float64 { return float64(r.Intn(3) - 1) })
 		}
 	}
 }

@@ -130,11 +130,31 @@ func (t *Trace) Duration() time.Duration {
 }
 
 // Sort orders packets by time, stably, preserving insertion order for
-// equal timestamps so merged traces remain deterministic. A trace that
-// is already sorted is left as it is.
+// equal timestamps so merged traces remain deterministic.
+//
+// It first runs an in-place insertion pass allowed len(Packets)
+// moves, which sorts an already sorted or nearly sorted trace (a
+// split's fragments, say) in linear time. A trace that exhausts the
+// budget is finished by slices.SortStableFunc, so the worst case stays
+// that sort's. Insertion only moves a packet past strictly later ones,
+// which keeps equal times in their original order: either way the
+// result is the one stable order.
 func (t *Trace) Sort() {
-	if !t.Sorted() {
-		slices.SortStableFunc(t.Packets, byTime)
+	ps := t.Packets
+	budget := len(ps)
+	for i := 1; i < len(ps); i++ {
+		p := ps[i]
+		j := i
+		for ; j > 0 && ps[j-1].Time > p.Time; j-- {
+			if budget == 0 {
+				ps[j] = p
+				slices.SortStableFunc(ps, byTime)
+				return
+			}
+			budget--
+			ps[j] = ps[j-1]
+		}
+		ps[j] = p
 	}
 }
 
