@@ -342,9 +342,8 @@ func startFleet(eng *experiments.Engine, fc fleetConfig) (*dist.Coordinator, fun
 		fmt.Fprintf(os.Stderr, "dist: %d cells remote (%d cached), %d local, %d reassigned, %d traces sent, %d workers joined, %d lost\n",
 			stats.RemoteCells, stats.RemoteCacheHits, stats.LocalCells, stats.Reassigned,
 			stats.TracesSent, stats.WorkersJoined, stats.WorkersLost)
-		fmt.Fprintf(os.Stderr, "dist: %d batches (%d cells batched), max queue %d, locality %d covered / %d uncovered / %d deferrals\n",
-			stats.BatchesSent, stats.BatchedCells, stats.MaxQueueDepth,
-			stats.LocalityPlacements, stats.LocalityMisses, stats.LocalityDeferrals)
+		fmt.Fprintf(os.Stderr, "dist: %d batches (%d cells batched), max queue %d\n",
+			stats.BatchesSent, stats.BatchedCells, stats.MaxQueueDepth)
 		if stats.PingsSent > 0 || stats.HeartbeatReaps > 0 || stats.CorruptFrames > 0 {
 			fmt.Fprintf(os.Stderr, "dist: %d pings (%d pongs), %d heartbeat reaps, %d corrupt frames\n",
 				stats.PingsSent, stats.PongsReceived, stats.HeartbeatReaps, stats.CorruptFrames)

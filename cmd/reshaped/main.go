@@ -54,6 +54,7 @@ import (
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/stream"
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/vmac"
 )
 
 func main() {
@@ -84,6 +85,33 @@ func main() {
 		haltAfter = flag.Int("halt-after", 0, "exit(3) without draining after N packets — crash simulation for the kill-and-restore harness")
 	)
 	flag.Parse()
+
+	// The engine would silently replace or ignore these values, so
+	// reject them before the classifier trains or the capture is read.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "reshaped: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	if *ckptDir != "" && *ckptEvery <= 0 {
+		usage("-checkpoint needs a positive -checkpoint-every, got %d", *ckptEvery)
+	}
+	if *shards < 0 {
+		usage("-shards counts shard goroutines (0 = inline) and cannot be negative, got %d", *shards)
+	}
+	if *interfaces < 1 || *interfaces > vmac.MaxInterfaces {
+		usage("-interfaces must be in 1..%d, got %d", vmac.MaxInterfaces, *interfaces)
+	}
+	if *window <= 0 {
+		usage("-window must be positive, got %v", *window)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"period", *period}, {"ringcap", *ringCap}, {"queue-depth", *queueDepth}, {"escalate-after", *escalate}} {
+		if f.v <= 0 {
+			usage("-%s must be positive, got %d", f.name, f.v)
+		}
+	}
 
 	shedPolicy, err := stream.ParseShedPolicy(*policy)
 	if err != nil {
@@ -165,7 +193,7 @@ ingest:
 		engine.Ingest(capture.Packets[i])
 		ingested++
 		n := i + 1
-		if *ckptDir != "" && *ckptEvery > 0 && n%int64(*ckptEvery) == 0 {
+		if *ckptDir != "" && n%int64(*ckptEvery) == 0 {
 			if err := writeCheckpoint(engine, *ckptDir); err != nil {
 				fatal(err)
 			}

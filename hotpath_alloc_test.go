@@ -156,7 +156,7 @@ func streamPathGuards(t *testing.T) []struct {
 
 	es := stream.New(stream.Config{
 		W: 250 * time.Millisecond, RingCap: 512, Seed: 3,
-		Shards: 2, BatchSize: 64, EscalateAfter: 1 << 30,
+		Shards: 2, EscalateAfter: 1 << 30,
 		Policy: stream.PolicyFailClosed, QueueDepth: 2, DegradeAudit: true,
 	})
 	t.Cleanup(func() { es.Drain() })
@@ -174,7 +174,7 @@ func streamPathGuards(t *testing.T) []struct {
 
 	eb := stream.New(stream.Config{
 		W: 250 * time.Millisecond, RingCap: 512, Seed: 3,
-		Shards: 4, BatchSize: 64, EscalateAfter: 1 << 30,
+		Shards: 4, EscalateAfter: 1 << 30,
 	})
 	t.Cleanup(func() { eb.Drain() })
 	cycb := newCycle(in)

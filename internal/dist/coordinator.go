@@ -42,7 +42,7 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []*job // FIFO, reclaimed cells at the front (see sched.go)
+	queue    []*job // FIFO, reclaimed cells at the front (see popJobs)
 	sessions map[*session]bool
 	nextID   uint64
 	reapTick uint64
@@ -103,9 +103,6 @@ type CoordinatorOptions struct {
 type job struct {
 	req  CellRequest
 	done chan jobResult
-	// digests caches req.Traces.Digests() (computed once at submit;
-	// popJobs consults it on every scan).
-	digests []string
 	// assignedAt is when the job last left the queue for a worker;
 	// guarded by the coordinator's mu.
 	assignedAt time.Time
@@ -116,7 +113,7 @@ type job struct {
 	// progress, even when honest evaluation time exceeds the base
 	// timeout. Guarded by the coordinator's mu.
 	deadline time.Duration
-	// excluded names the session the job last timed out on, so popJob
+	// excluded names the session the job last timed out on, so popJobs
 	// steers the retry to a different worker — a wedged multi-slot
 	// worker must not immediately re-claim (and re-wedge) the cell it
 	// just lost. The exclusion is best-effort and expires after one
@@ -141,20 +138,11 @@ type session struct {
 	die   chan struct{} // closed when the session fails
 
 	// sent tracks the trace digests this worker holds: seeded from
-	// its trace-have announcement, grown as dispatch preloads traces
-	// ahead of captured cells. Reads for locality placement happen
-	// under the coordinator's mu; writes happen in admit (before the
-	// dispatch goroutine starts) and in preloadTraces, which takes mu
-	// for the update.
+	// its trace-have announcement in admit (before the dispatch
+	// goroutine starts), grown by preloadTraces on that goroutine. No
+	// other goroutine touches it, so it needs no lock.
 	sent map[string]bool
 
-	// want is how many more jobs this session's dispatch goroutine is
-	// prepared to take right now — positive exactly while it is inside
-	// popJobs, which is what "a covered worker with a free slot" means
-	// to the locality deferral rule. Initialized to the slot count at
-	// admit (a fresh session is about to ask). Guarded by the
-	// coordinator's mu.
-	want int
 	// cells and batches count dispatched work for WorkerSnapshot.
 	// Guarded by the coordinator's mu.
 	cells   int
@@ -361,12 +349,8 @@ func (c *Coordinator) admit(conn net.Conn) {
 		slots:       make(chan struct{}, slots),
 		die:         make(chan struct{}),
 		sent:        sent,
-		// A fresh session is about to ask for work; registering its
-		// full capacity up front closes the admit→popJobs window in
-		// which the locality rule would otherwise not see it.
-		want:     slots,
-		inflight: make(map[uint64]*job),
-		lastRecv: time.Now(),
+		inflight:    make(map[uint64]*job),
+		lastRecv:    time.Now(),
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -512,7 +496,8 @@ func (c *Coordinator) dispatch(s *session) {
 // forward, so the push is resumable across reconnects). A digest
 // missing from the coordinator's own store is skipped: the worker will
 // answer with a store-miss error and the cell falls back to local
-// evaluation.
+// evaluation. s.sent belongs to s's dispatch goroutine, the only
+// caller; mu is taken only for the TracesSent counter.
 func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 	if req.Traces == nil {
 		return nil
@@ -539,8 +524,8 @@ func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 		if err != nil {
 			return err
 		}
-		c.mu.Lock()
 		s.sent[d] = true
+		c.mu.Lock()
 		c.stats.TracesSent++
 		c.mu.Unlock()
 	}
@@ -548,23 +533,18 @@ func (c *Coordinator) preloadTraces(s *session, req CellRequest) error {
 }
 
 // popJobs claims up to max queued cells s may take, blocking until at
-// least one exists. A scan from the front takes the oldest claimable
-// cells first. Each claim is recorded in s.inflight before any request
+// least one exists. The queue is FIFO: cells join the back in
+// submission order, reclaimed and stranded cells go back to the front,
+// and a scan from the front takes the oldest cells first, passing over
+// only a cell whose timeout exclusion names s. A cost-ordered queue
+// (longest estimated cell first) was measured against this FIFO on the
+// fleet-cold benchmark and did not pay, so the queue carries no cost
+// model. Each claim is recorded in s.inflight before any request
 // leaves, so a death at any later point finds the cells and re-queues
 // them.
-//
-// Locality rule: a captured cell whose digests s does not hold is
-// passed over — left for a covered worker — exactly when some other
-// live session that covers it is registered as wanting work at this
-// instant. That session is guaranteed to rescan before sleeping again
-// (every queue insertion broadcasts), so deferral never strands a
-// cell; and when no covered worker has a free slot, s takes the cell
-// and pays the preload — the scheduler stays work-conserving.
 func (c *Coordinator) popJobs(s *session, max int) []*job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s.want = max
-	defer func() { s.want = 0 }()
 	for !s.dead && !c.closed {
 		var taken []*job
 		for i := 0; i < len(c.queue) && len(taken) < max; {
@@ -573,22 +553,10 @@ func (c *Coordinator) popJobs(s *session, max int) []*job {
 				i++
 				continue
 			}
-			if len(j.digests) > 0 && !covers(s, j) && c.coveredWaiter(s, j) {
-				c.stats.LocalityDeferrals++
-				i++
-				continue
-			}
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			j.excluded = nil
 			j.assignedAt = time.Now()
 			s.inflight[j.req.ID] = j
-			if len(j.digests) > 0 {
-				if covers(s, j) {
-					c.stats.LocalityPlacements++
-				} else {
-					c.stats.LocalityMisses++
-				}
-			}
 			taken = append(taken, j)
 		}
 		if len(taken) > 0 {
@@ -597,21 +565,6 @@ func (c *Coordinator) popJobs(s *session, max int) []*job {
 		c.cond.Wait()
 	}
 	return nil
-}
-
-// coveredWaiter reports whether a live session other than s covers
-// j's traces and wants work right now (and was not just excluded from
-// j by a timeout). Caller holds mu.
-func (c *Coordinator) coveredWaiter(s *session, j *job) bool {
-	for t := range c.sessions {
-		if t == s || t.want <= 0 || j.excluded == t {
-			continue
-		}
-		if covers(t, j) {
-			return true
-		}
-	}
-	return false
 }
 
 // reap periodically reclaims cells that have sat on a worker past
@@ -833,9 +786,6 @@ func (c *Coordinator) submitAll(reqs []CellRequest) []chan jobResult {
 			req:      req,
 			done:     make(chan jobResult, 1),
 			deadline: c.cellTimeout,
-		}
-		if req.Traces != nil {
-			j.digests = req.Traces.Digests()
 		}
 		c.queue = append(c.queue, j)
 		chans[i] = j.done

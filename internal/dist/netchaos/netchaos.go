@@ -1,8 +1,8 @@
 // Package netchaos injects deterministic network faults into fleet
-// connections. It is the transport-layer sibling of
-// internal/stream/streamchaos: where streamchaos perturbs the
-// streaming daemon's logical event order, netchaos perturbs the bytes
-// and lifetime of a net.Conn — injected latency, short writes split
+// connections. It is the transport-layer sibling of the stream
+// package's chaos test hooks: where those perturb the streaming
+// daemon's logical event order, netchaos perturbs the bytes and
+// lifetime of a net.Conn — injected latency, short writes split
 // across syscalls, flipped bytes, mid-frame resets, and the half-open
 // "blackhole" state where a peer is gone but TCP never says so.
 //

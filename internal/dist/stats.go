@@ -52,19 +52,6 @@ type StatsSnapshot struct {
 	// the realized mean batch size.
 	BatchesSent  int
 	BatchedCells int
-	// LocalityPlacements counts captured cells placed on a worker
-	// whose announced trace holdings already covered every digest the
-	// cell names (no preload needed). LocalityMisses counts captured
-	// cells that had to go to an uncovered worker — because no covered
-	// worker had a free slot — paying the preload.
-	LocalityPlacements int
-	LocalityMisses     int
-	// LocalityDeferrals counts scan events where an uncovered worker
-	// passed over a captured cell because a covered worker with a free
-	// slot existed to take it. The scheduler invariant the placement
-	// tests pin: a fully covered captured cell is never dispatched to
-	// a trace-less worker while a covered worker has a free slot.
-	LocalityDeferrals int
 
 	// --- fault tolerance (heartbeat liveness + grid journal) ---------
 

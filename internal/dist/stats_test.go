@@ -38,14 +38,11 @@ func TestStatsSnapshotFieldStability(t *testing.T) {
 		"WorkersJoined":      "int",
 		"WorkersLost":        "int",
 		// Scheduler observability.
-		"QueueDepth":         "int",
-		"MaxQueueDepth":      "int",
-		"BatchesSent":        "int",
-		"BatchedCells":       "int",
-		"LocalityPlacements": "int",
-		"LocalityMisses":     "int",
-		"LocalityDeferrals":  "int",
-		"Workers":            "[]dist.WorkerSnapshot",
+		"QueueDepth":    "int",
+		"MaxQueueDepth": "int",
+		"BatchesSent":   "int",
+		"BatchedCells":  "int",
+		"Workers":       "[]dist.WorkerSnapshot",
 	})
 
 	promised(reflect.TypeOf(WorkerSnapshot{}), map[string]string{

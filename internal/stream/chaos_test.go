@@ -2,13 +2,103 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"trafficreshape/internal/mac"
-	"trafficreshape/internal/stream/streamchaos"
 	"trafficreshape/internal/trace"
 )
+
+// The fault plans below are logical rather than timed: a wedge blocks
+// until released, a panic fires on an exact per-flow packet count. A
+// plan replayed twice injects the same faults at the same points in
+// the packet sequence regardless of goroutine scheduling, which is
+// what lets these tests pin exact shed/stall/lost/restart counters
+// and byte-identical reports.
+
+// wedge blocks callers until released.
+type wedge struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newWedge() *wedge { return &wedge{ch: make(chan struct{})} }
+
+// block parks the caller until release. After release it returns
+// immediately, so a released wedge is a no-op hook.
+func (w *wedge) block() { <-w.ch }
+
+// release unblocks every past and future block call. Idempotent.
+func (w *wedge) release() { w.once.Do(func() { close(w.ch) }) }
+
+// receiveWedge wedges the given shard before its very first dequeue:
+// the shard never picks work up until release, so the bounded queue in
+// front of it fills deterministically.
+func receiveWedge(w *wedge, shard int) hooks {
+	return hooks{beforeReceive: func(s int) {
+		if s == shard {
+			w.block()
+		}
+	}}
+}
+
+// ingestWedge wedges the shard owning addr when it is about to ingest
+// that flow's n-th packet (1-based): the shard goes quiet mid-batch
+// while marked busy, the shape the watchdog reaps.
+func ingestWedge(w *wedge, addr mac.Address, n int64) hooks {
+	var count flowCounter
+	return hooks{beforeIngest: func(s int, p trace.Packet) {
+		if p.MAC == addr && count.next(p.MAC) == n {
+			w.block()
+		}
+	}}
+}
+
+// panicOn panics when the flow owning addr reaches its n-th packet
+// (1-based) — a poisoned-flow fault the supervisor must contain to one
+// shard restart. The trigger fires exactly once.
+func panicOn(addr mac.Address, n int64) hooks {
+	var count flowCounter
+	var fired atomic.Bool
+	return hooks{beforeIngest: func(s int, p trace.Packet) {
+		if p.MAC == addr && count.next(p.MAC) == n && fired.CompareAndSwap(false, true) {
+			panic(fmt.Sprintf("chaos: injected panic on %s packet %d", addr, n))
+		}
+	}}
+}
+
+// delayEvery sleeps d before every n-th ingested packet on any shard —
+// a timing-jitter storm that perturbs queue occupancy without changing
+// any logical decision.
+func delayEvery(n int64, d time.Duration) hooks {
+	var seq atomic.Int64
+	return hooks{beforeIngest: func(int, trace.Packet) {
+		if seq.Add(1)%n == 0 {
+			time.Sleep(d)
+		}
+	}}
+}
+
+// flowCounter counts packets per flow across shard goroutines. A flow
+// is owned by one shard, so per-key accesses are sequential; the map
+// itself is shared across shards and needs the lock.
+type flowCounter struct {
+	mu sync.Mutex
+	m  map[mac.Address]int64
+}
+
+func (c *flowCounter) next(a mac.Address) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = make(map[mac.Address]int64)
+	}
+	c.m[a]++
+	return c.m[a]
+}
 
 // singleFlow builds n evenly spaced packets for one flow — the
 // workload whose batch boundaries are exactly predictable, which is
@@ -40,19 +130,20 @@ func assertConservation(t *testing.T, r *Report) {
 // every further packet is dropped. stalled = K - Q*B - (B-1),
 // identical on every run.
 func TestChaosFailClosedShedsDeterministically(t *testing.T) {
-	const K, B, Q = 100, 8, 2
+	const B, Q = batchSize, 2
+	const K = 12*B + 4
 	addr := flowMAC(0)
 	run := func() *Report {
-		w := streamchaos.NewWedge()
+		w := newWedge()
 		e := New(Config{
-			Seed: 5, Shards: 1, BatchSize: B, QueueDepth: Q,
+			Seed: 5, Shards: 1, QueueDepth: Q,
 			Policy: PolicyFailClosed,
-			Chaos:  streamchaos.ReceiveWedge(w, 0),
+			chaos:  receiveWedge(w, 0),
 		})
 		for _, p := range singleFlow(addr, K) {
 			e.Ingest(p)
 		}
-		w.Release()
+		w.release()
 		return e.Drain()
 	}
 	rep := run()
@@ -80,18 +171,19 @@ func TestChaosFailClosedShedsDeterministically(t *testing.T) {
 // and DegradeAudit latches the degraded flag at the first full-queue
 // event.
 func TestChaosFailOpenCountsLeaksAndDegrades(t *testing.T) {
-	const K, B, Q = 100, 8, 2
+	const B, Q = batchSize, 2
+	const K = 12*B + 4
 	addr := flowMAC(0)
-	w := streamchaos.NewWedge()
+	w := newWedge()
 	e := New(Config{
-		Seed: 5, Shards: 1, BatchSize: B, QueueDepth: Q,
+		Seed: 5, Shards: 1, QueueDepth: Q,
 		Policy: PolicyFailOpen, DegradeAudit: true,
-		Chaos: streamchaos.ReceiveWedge(w, 0),
+		chaos: receiveWedge(w, 0),
 	})
 	for _, p := range singleFlow(addr, K) {
 		e.Ingest(p)
 	}
-	w.Release()
+	w.release()
 	rep := e.Drain()
 	wantShed := int64(K - Q*B - (B - 1))
 	if rep.Shed != wantShed {
@@ -111,12 +203,13 @@ func TestChaosFailOpenCountsLeaksAndDegrades(t *testing.T) {
 // checkpoint was taken), counts the rolled-back packets lost, and the
 // engine keeps running. Two runs are byte-identical.
 func TestChaosPanicRestartDeterministic(t *testing.T) {
-	const K, B = 100, 10
+	const B = batchSize
+	const K, poison = 10 * B, 5*B + B/2
 	addr := flowMAC(0)
 	run := func() *Report {
 		e := New(Config{
-			Seed: 5, Shards: 1, BatchSize: B,
-			Chaos: streamchaos.PanicOn(addr, 55),
+			Seed: 5, Shards: 1,
+			chaos: panicOn(addr, poison),
 		})
 		for _, p := range singleFlow(addr, K) {
 			e.Ingest(p)
@@ -127,14 +220,14 @@ func TestChaosPanicRestartDeterministic(t *testing.T) {
 	if rep.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", rep.Restarts)
 	}
-	// The panic fires on packet 55, inside batch 51..60; with no prior
+	// The panic fires in the middle of the sixth batch; with no prior
 	// checkpoint the rollback loses everything consumed so far: the
 	// five completed batches plus the poisoned one.
-	if rep.Lost != 60 {
-		t.Errorf("lost = %d, want 60", rep.Lost)
+	if rep.Lost != 6*B {
+		t.Errorf("lost = %d, want %d", rep.Lost, 6*B)
 	}
-	if rep.Packets != int64(K)-60 {
-		t.Errorf("packets = %d, want %d", rep.Packets, K-60)
+	if rep.Packets != K-6*B {
+		t.Errorf("packets = %d, want %d", rep.Packets, K-6*B)
 	}
 	assertConservation(t, rep)
 	if a, b := renderReport(t, rep), renderReport(t, run()); !bytes.Equal(a, b) {
@@ -146,11 +239,12 @@ func TestChaosPanicRestartDeterministic(t *testing.T) {
 // mid-stream, a later panic rolls back only to the checkpoint — the
 // flow survives with its pre-checkpoint history intact.
 func TestChaosCheckpointThenPanicRestoresFlows(t *testing.T) {
-	const K, B, C = 100, 10, 40
+	const B = batchSize
+	const K, C, poison = 10 * B, 4 * B, 5*B + B/2
 	addr := flowMAC(0)
 	e := New(Config{
-		Seed: 5, Shards: 1, BatchSize: B,
-		Chaos: streamchaos.PanicOn(addr, 55),
+		Seed: 5, Shards: 1,
+		chaos: panicOn(addr, poison),
 	})
 	packets := singleFlow(addr, K)
 	for _, p := range packets[:C] {
@@ -167,16 +261,17 @@ func TestChaosCheckpointThenPanicRestoresFlows(t *testing.T) {
 	if rep.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", rep.Restarts)
 	}
-	// Lost: packets 41..60 — the completed post-checkpoint batch and
-	// the poisoned one. The checkpointed 40 survive the rollback.
-	if rep.Lost != 20 {
-		t.Errorf("lost = %d, want 20", rep.Lost)
+	// Lost: batches 5 and 6 — the completed post-checkpoint batch
+	// and the poisoned one. The four checkpointed batches survive the
+	// rollback.
+	if rep.Lost != 2*B {
+		t.Errorf("lost = %d, want %d", rep.Lost, 2*B)
 	}
-	if rep.Packets != 80 {
-		t.Errorf("packets = %d, want 80 (40 checkpointed + 40 after the poisoned batch)", rep.Packets)
+	if rep.Packets != 8*B {
+		t.Errorf("packets = %d, want %d (%d checkpointed + %d after the poisoned batch)", rep.Packets, 8*B, C, K-6*B)
 	}
-	if len(rep.Flows) != 1 || rep.Flows[0].Packets != 80 {
-		t.Errorf("flow survived with %+v, want one flow with 80 packets", rep.Flows)
+	if len(rep.Flows) != 1 || rep.Flows[0].Packets != 8*B {
+		t.Errorf("flow survived with %+v, want one flow with %d packets", rep.Flows, 8*B)
 	}
 	assertConservation(t, rep)
 }
@@ -186,32 +281,33 @@ func TestChaosCheckpointThenPanicRestoresFlows(t *testing.T) {
 // queue; the watchdog must reap the shard, unblock the producer, and
 // account every packet stranded in the dead shard's queue as lost.
 func TestChaosWatchdogReapsWedgedShard(t *testing.T) {
-	const K, B, Q = 100, 10, 2
+	const B, Q = batchSize, 2
+	const K, stuck = 10 * B, 2*B + B/2
 	addr := flowMAC(0)
-	w := streamchaos.NewWedge()
+	w := newWedge()
 	e := New(Config{
-		Seed: 5, Shards: 1, BatchSize: B, QueueDepth: Q,
+		Seed: 5, Shards: 1, QueueDepth: Q,
 		Watchdog: 50 * time.Millisecond,
-		Chaos:    streamchaos.IngestWedge(w, addr, 25),
+		chaos:    ingestWedge(w, addr, stuck),
 	})
 	for _, p := range singleFlow(addr, K) {
 		e.Ingest(p)
 	}
-	w.Release()
+	w.release()
 	rep := e.Drain()
 	if rep.Reaps != 1 {
 		t.Fatalf("reaps = %d, want 1 (report: %+v)", rep.Reaps, rep)
 	}
-	// The wedge freezes the shard on packet 25 (inside batch 3). The
+	// The wedge freezes the shard in the middle of batch 3. The
 	// producer fills the queue with batches 4 and 5, blocks on batch
 	// 6, and the reaper's drain lets that send complete into the dead
-	// queue: six batches — 60 packets — are charged to the zombie.
-	// Batches 7..10 reach the replacement shard.
-	if rep.Lost != 60 {
-		t.Errorf("lost = %d, want 60", rep.Lost)
+	// queue: six batches are charged to the zombie. Batches 7..10
+	// reach the replacement shard.
+	if rep.Lost != 6*B {
+		t.Errorf("lost = %d, want %d", rep.Lost, 6*B)
 	}
-	if rep.Packets != 40 {
-		t.Errorf("packets = %d, want 40", rep.Packets)
+	if rep.Packets != 4*B {
+		t.Errorf("packets = %d, want %d", rep.Packets, 4*B)
 	}
 	if rep.Restarts != 0 {
 		t.Errorf("restarts = %d, want 0 (a reap is not a panic restart)", rep.Restarts)
@@ -226,9 +322,9 @@ func TestChaosWatchdogReapsWedgedShard(t *testing.T) {
 func TestChaosDelayStormConservation(t *testing.T) {
 	in := capture(t, 10*time.Second, 77)
 	e := New(Config{
-		Seed: 5, Shards: 4, BatchSize: 16, QueueDepth: 1,
+		Seed: 5, Shards: 4, QueueDepth: 1,
 		Policy: PolicyFailClosed, DegradeAudit: true,
-		Chaos: streamchaos.DelayEvery(63, 200*time.Microsecond),
+		chaos: delayEvery(63, 200*time.Microsecond),
 	})
 	ingestTrace(e, in)
 	rep := e.Drain()

@@ -38,7 +38,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		return buf.Bytes()
 	}
 	f.Add(seed(Config{Seed: 5, RingCap: 8, Period: 16}, 40))
-	f.Add(seed(Config{Seed: 9, Shards: 2, BatchSize: 4, RingCap: 16, Period: 8}, 90))
+	f.Add(seed(Config{Seed: 9, Shards: 2, RingCap: 16, Period: 8}, 90))
 	f.Add([]byte(ckptMagic))
 	f.Add([]byte("TRCK\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,7 +23,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	in := capture(t, 30*time.Second, 42)
 	cut := len(in.Packets) / 2
 	cfg := func(shards int) Config {
-		return Config{Seed: 11, Shards: shards, Classifier: cls, BatchSize: 64}
+		return Config{Seed: 11, Shards: shards, Classifier: cls}
 	}
 
 	full := New(cfg(4))
@@ -63,7 +63,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 // state are byte-identical.
 func TestCheckpointRoundTrip(t *testing.T) {
 	in := capture(t, 10*time.Second, 7)
-	e := New(Config{Seed: 9, Shards: 2, BatchSize: 32})
+	e := New(Config{Seed: 9, Shards: 2})
 	ingestTrace(e, in)
 	var a, b bytes.Buffer
 	if err := e.Checkpoint(&a); err != nil {
@@ -213,7 +213,7 @@ func TestDrainIdempotent(t *testing.T) {
 // and correctly (the full-hash shard), with no cross-talk between the
 // colliding flows.
 func TestShardIndexNibbleCollisions(t *testing.T) {
-	e := New(Config{Seed: 4, Shards: 4, BatchSize: 8})
+	e := New(Config{Seed: 4, Shards: 4})
 	defer e.Drain()
 	// Eight addresses, all sharing low nibble 0x3, differing elsewhere.
 	addrs := make([]mac.Address, 8)
@@ -239,7 +239,7 @@ func TestShardIndexNibbleCollisions(t *testing.T) {
 func TestShardIndexCollisionRouting(t *testing.T) {
 	a := mac.Address{0x02, 0x00, 0x00, 0x00, 0x00, 0x13}
 	b := mac.Address{0x02, 0x00, 0x00, 0x00, 0x00, 0x23} // same low nibble
-	e := New(Config{Seed: 4, Shards: 4, BatchSize: 4})
+	e := New(Config{Seed: 4, Shards: 4})
 	const perFlow = 500
 	for i := 0; i < perFlow; i++ {
 		ts := time.Duration(i) * time.Millisecond

@@ -22,7 +22,7 @@ func TestGoldenCheckpointEncoding(t *testing.T) {
 		want string
 	}{
 		{"inline", Config{Seed: 3, RingCap: 16, Period: 32}, "f48fd931a316c181fd5e7e0ac6bd4dbfa09173f9c4d539d4107d9c0c09c261d8"},
-		{"shards2", Config{Seed: 3, Shards: 2, BatchSize: 8, RingCap: 16, Period: 32}, "f48fd931a316c181fd5e7e0ac6bd4dbfa09173f9c4d539d4107d9c0c09c261d8"},
+		{"shards2", Config{Seed: 3, Shards: 2, RingCap: 16, Period: 32}, "f48fd931a316c181fd5e7e0ac6bd4dbfa09173f9c4d539d4107d9c0c09c261d8"},
 	}
 	for _, tc := range cases {
 		e := New(tc.cfg)

@@ -60,7 +60,6 @@ import (
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/reshape"
 	"trafficreshape/internal/stats"
-	"trafficreshape/internal/stream/streamchaos"
 	"trafficreshape/internal/trace"
 	"trafficreshape/internal/vmac"
 )
@@ -138,11 +137,8 @@ type Config struct {
 	// on the caller's goroutine; N > 0 runs N shard goroutines with
 	// batched hand-off. Results are identical either way.
 	Shards int
-	// BatchSize is the packets per shard batch in sharded mode
-	// (default 256).
-	BatchSize int
 	// QueueDepth bounds the batches queued per shard (default 2).
-	// With BatchSize it fixes the engine's maximum in-flight buffer:
+	// With batchSize it fixes the engine's maximum in-flight buffer:
 	// admission control triggers once a shard has QueueDepth batches
 	// queued and one more full batch pending.
 	QueueDepth int
@@ -169,9 +165,29 @@ type Config struct {
 	// EscalateAfter is how many consecutive leaky windows trigger a
 	// +1 interface escalation (default 2).
 	EscalateAfter int
-	// Chaos injects faults at the engine's scheduling points. Tests
-	// only; nil in production.
-	Chaos *streamchaos.Hooks
+
+	// chaos injects faults at the engine's scheduling points. Only
+	// the package's chaos tests set it.
+	chaos hooks
+}
+
+// batchSize is the packets per shard batch in sharded mode.
+const batchSize = 256
+
+// hooks are the engine's fault-injection seam. Either func may be
+// nil, which is all a production engine ever sees: one predictable
+// branch per seam. Both run on shard goroutines and must be safe for
+// concurrent calls from different shards (one shard calls them
+// sequentially).
+type hooks struct {
+	// beforeReceive runs immediately before a shard waits for its
+	// next message. Blocking here wedges the shard while it holds no
+	// work, so the queue in front of it fills.
+	beforeReceive func(shard int)
+	// beforeIngest runs before a shard processes one packet. Blocking
+	// here wedges the shard mid-batch; panicking simulates a poisoned
+	// flow.
+	beforeIngest func(shard int, p trace.Packet)
 }
 
 func (cfg *Config) fillDefaults() {
@@ -195,9 +211,6 @@ func (cfg *Config) fillDefaults() {
 	}
 	if cfg.EscalateAfter <= 0 {
 		cfg.EscalateAfter = 2
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2
@@ -361,7 +374,7 @@ func newShardWithQueue(e *Engine, idx int) *shard {
 	sh.in = make(chan shardMsg, e.cfg.QueueDepth)
 	sh.free = make(chan []trace.Packet, e.cfg.QueueDepth+2)
 	for j := 0; j < e.cfg.QueueDepth+2; j++ {
-		sh.free <- make([]trace.Packet, 0, e.cfg.BatchSize)
+		sh.free <- make([]trace.Packet, 0, batchSize)
 	}
 	sh.done = make(chan struct{})
 	return sh
@@ -393,10 +406,6 @@ type Engine struct {
 	inheritedShed, inheritedStalled, inheritedLost int64
 	inheritedRestarts, inheritedReaps              int64
 
-	// Cached chaos hooks (nil in production: one predictable branch).
-	chaosReceive func(int)
-	chaosIngest  func(int, trace.Packet)
-
 	// mu guards the state shared between the producer and the
 	// watchdog: last checkpoint snapshots, reaped shard husks.
 	mu       sync.Mutex
@@ -419,10 +428,6 @@ func New(cfg Config) *Engine {
 			Seed:         cfg.Seed ^ 0x9e3779b97f4a7c15,
 		}),
 		master: stats.NewRNG(cfg.Seed),
-	}
-	if cfg.Chaos != nil {
-		e.chaosReceive = cfg.Chaos.BeforeReceive
-		e.chaosIngest = cfg.Chaos.BeforeIngest
 	}
 	if cfg.Shards == 0 {
 		e.inline = newShard(e, 0)
@@ -453,7 +458,7 @@ func New(cfg Config) *Engine {
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
-		if h := sh.e.chaosReceive; h != nil {
+		if h := sh.e.cfg.chaos.beforeReceive; h != nil {
 			h(sh.idx)
 		}
 		msg, ok := <-sh.in
@@ -646,7 +651,7 @@ func (e *Engine) Flush() {
 // ingest is the per-packet hot path: window maintenance, scheduling,
 // ring append, digest fold. Zero heap allocations in steady state.
 func (sh *shard) ingest(p trace.Packet) int {
-	if h := sh.e.chaosIngest; h != nil {
+	if h := sh.e.cfg.chaos.beforeIngest; h != nil {
 		h(sh.idx, p)
 		// A husk un-wedged after the watchdog reaped it must not touch
 		// flow or AP state its replacement now owns. Only hooks can

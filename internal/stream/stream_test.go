@@ -76,7 +76,7 @@ func TestReplayEquivalenceAcrossShards(t *testing.T) {
 	cls := auditClassifier(t, 5*time.Second)
 	in := capture(t, 30*time.Second, 42)
 	run := func(shards int) []byte {
-		e := New(Config{Seed: 11, Shards: shards, Classifier: cls, BatchSize: 64})
+		e := New(Config{Seed: 11, Shards: shards, Classifier: cls})
 		ingestTrace(e, in)
 		return renderReport(t, e.Drain())
 	}

@@ -74,7 +74,9 @@ func (w *watchdog) run() {
 // restored from the slot's last checkpoint snapshot (empty if none —
 // the flows rebuild deterministically from subsequent traffic), swap
 // the routing pointer, and leave a drainer on the husk's queue so a
-// producer blocked mid-send wakes up. The husk's consumed-but-
+// producer blocked mid-send wakes up. The drainer starts only after
+// the swap: a producer it unblocks must route its next batch to the
+// successor, not back into the husk. The husk's consumed-but-
 // unaccounted packets are charged to the slot's lost counter when the
 // report is assembled.
 func (e *Engine) reap(i int, old *shard) {
@@ -86,8 +88,8 @@ func (e *Engine) reap(i int, old *shard) {
 	nsh.lastLocalSnap = snap
 	nsh.resetTo(snap)
 	go nsh.run()
-	go drainZombie(old)
 	e.shards[i].Store(nsh)
+	go drainZombie(old)
 	e.mu.Lock()
 	e.zombies = append(e.zombies, old)
 	e.reaps++

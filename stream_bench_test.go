@@ -117,7 +117,7 @@ func BenchmarkStreamIngestInline(b *testing.B) {
 // per packet with the shards consuming concurrently.
 func BenchmarkStreamIngestSharded(b *testing.B) {
 	in := streamBenchCapture(20 * time.Second)
-	e := stream.New(stream.Config{W: time.Second, RingCap: 512, Seed: 11, Shards: 4, BatchSize: 1024, Period: benchPeriod})
+	e := stream.New(stream.Config{W: time.Second, RingCap: 512, Seed: 11, Shards: 4, Period: benchPeriod})
 	cyc := newCycle(in)
 	for i := 0; i < len(in.Packets)+10000; i++ {
 		e.Ingest(cyc.next())
