@@ -112,6 +112,15 @@ func main() {
 			usage("-%s must be positive, got %d", f.name, f.v)
 		}
 	}
+	if *period < *interfaces {
+		usage("-period must be at least -interfaces (%d), got %d", *interfaces, *period)
+	}
+	if *watchdog < 0 {
+		usage("-watchdog cannot be negative (0 = off), got %v", *watchdog)
+	}
+	if *haltAfter < 0 {
+		usage("-halt-after cannot be negative (0 = never), got %d", *haltAfter)
+	}
 
 	shedPolicy, err := stream.ParseShedPolicy(*policy)
 	if err != nil {

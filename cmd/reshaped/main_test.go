@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"os/exec"
@@ -21,15 +23,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runMain runs the command on args and returns its standard error and
-// exit error.
-func runMain(args ...string) (string, error) {
+// runMain runs the command on args and returns its standard output,
+// standard error and exit error.
+func runMain(args ...string) (stdout []byte, stderr string, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RESHAPED_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	return stderr.String(), err
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.Bytes(), errOut.String(), err
 }
 
 // TestFlagValuesRejected: a flag value the engine would silently
@@ -54,9 +57,12 @@ func TestFlagValuesRejected(t *testing.T) {
 		{[]string{"-ringcap", "-1"}, "-ringcap"},
 		{[]string{"-queue-depth", "0"}, "-queue-depth"},
 		{[]string{"-escalate-after", "0"}, "-escalate-after"},
+		{[]string{"-interfaces", "3", "-period", "2"}, "-period"},
+		{[]string{"-watchdog", "-1s"}, "-watchdog"},
+		{[]string{"-halt-after", "-1"}, "-halt-after"},
 	} {
 		args := append([]string{"-synth", "-duration", "3s"}, tc.args...)
-		stderr, err := runMain(args...)
+		_, stderr, err := runMain(args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%v: exit %v, want status 2\nstderr: %s", tc.args, err, stderr)
@@ -77,10 +83,38 @@ func TestFlagBoundsAccepted(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ck")
 	args := []string{"-synth", "-duration", "3s", "-audit=false",
 		"-interfaces", "16", "-shards", "0", "-checkpoint", ckpt, "-checkpoint-every", "1000"}
-	if stderr, err := runMain(args...); err != nil {
+	if _, stderr, err := runMain(args...); err != nil {
 		t.Fatalf("%v: %v\nstderr: %s", args, err, stderr)
 	}
 	if _, err := os.Stat(filepath.Join(ckpt, "reshaped.ckpt")); err != nil {
 		t.Errorf("no checkpoint written: %v", err)
+	}
+}
+
+// TestReportMatchesCommittedHash pins the -synth report bytes to the
+// hashes committed under testdata. The ringcap-64 run evicts in five of
+// its seven flows, so its windows are audited from a wrapped ring, and
+// its flows escalate up to six interfaces.
+func TestReportMatchesCommittedHash(t *testing.T) {
+	for _, tc := range []struct {
+		hashFile string
+		args     []string
+	}{
+		{"synth30s.sha256", nil},
+		{"synth30s-ringcap64.sha256", []string{"-ringcap", "64"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.hashFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-synth", "-duration", "30s"}, tc.args...)
+		stdout, stderr, err := runMain(args...)
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr)
+		}
+		sum := sha256.Sum256(stdout)
+		if got, want := hex.EncodeToString(sum[:]), strings.Fields(string(want))[0]; got != want {
+			t.Errorf("%v: report sha256 %s, %s pins %s\nreport:\n%s", args, got, tc.hashFile, want, stdout)
+		}
 	}
 }

@@ -257,6 +257,15 @@ func flowHash(a mac.Address) uint64 {
 	return h
 }
 
+// addrKey packs a flow address into the low 48 bits of a uint64, the
+// key of a shard's flow map. The runtime hashes a uint64 key on its
+// 64-bit fast path; a 6-byte array key goes through the generic
+// variable-length hasher on every packet.
+func addrKey(a mac.Address) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 |
+		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
+}
+
 // flowState is everything the engine remembers about one flow. It is
 // owned by exactly one shard, so no field needs synchronization.
 type flowState struct {
@@ -314,7 +323,8 @@ type shard struct {
 	e   *Engine
 	idx int
 
-	flows map[mac.Address]*flowState
+	// flows holds the shard's flows, keyed by addrKey of the address.
+	flows map[uint64]*flowState
 
 	// classification scratch, sized to RingCap so window close never
 	// allocates.
@@ -358,7 +368,7 @@ func newShard(e *Engine, idx int) *shard {
 	return &shard{
 		e:          e,
 		idx:        idx,
-		flows:      make(map[mac.Address]*flowState),
+		flows:      make(map[uint64]*flowState),
 		winScratch: make([]trace.Packet, 0, e.cfg.RingCap),
 		subScratch: make([]trace.Packet, 0, e.cfg.RingCap),
 	}
@@ -537,13 +547,13 @@ func (sh *shard) snapshot() snapReply {
 // Engine.Restore before any traffic flows. Unlike resetTo it fails
 // loudly if a flow's vMAC grant cannot be re-established.
 func (sh *shard) install(snaps []flowSnap) error {
-	sh.flows = make(map[mac.Address]*flowState, len(snaps))
+	sh.flows = make(map[uint64]*flowState, len(snaps))
 	for i := range snaps {
 		f, err := sh.restoreFlow(&snaps[i])
 		if err != nil {
 			return err
 		}
-		sh.flows[f.addr] = f
+		sh.flows[addrKey(f.addr)] = f
 	}
 	sh.lastLocalSnap = snaps
 	return nil
@@ -554,14 +564,14 @@ func (sh *shard) install(snaps []flowSnap) error {
 // into the flow's vmacErrors counter — a restarting shard must come
 // back up even if the AP is unhappy.
 func (sh *shard) resetTo(snaps []flowSnap) {
-	sh.flows = make(map[mac.Address]*flowState, len(snaps))
+	sh.flows = make(map[uint64]*flowState, len(snaps))
 	for i := range snaps {
 		f, err := sh.restoreFlow(&snaps[i])
 		if err != nil {
 			f.vmacErrors++
 			f.granted = 0
 		}
-		sh.flows[f.addr] = f
+		sh.flows[addrKey(f.addr)] = f
 	}
 }
 
@@ -660,7 +670,7 @@ func (sh *shard) ingest(p trace.Packet) int {
 			return -1
 		}
 	}
-	f := sh.flows[p.MAC]
+	f := sh.flows[addrKey(p.MAC)]
 	if f == nil {
 		f = sh.newFlow(p.MAC)
 	}
@@ -718,7 +728,7 @@ func (sh *shard) newFlow(addr mac.Address) *flowState {
 		digest: fnvOffset,
 	}
 	sh.grant(f)
-	sh.flows[addr] = f
+	sh.flows[addrKey(addr)] = f
 	return f
 }
 
@@ -753,9 +763,15 @@ func (sh *shard) grant(f *flowState) {
 // then check every per-interface sub-window against that prediction.
 // A sub-flow classified as the same application as the original
 // window is a leak (the reshaping failed to disguise that interface);
-// EscalateAfter consecutive leaky windows trigger escalation. In
-// degraded mode (admission pressure tripped the DegradeAudit latch)
-// the self-audit is skipped entirely.
+// EscalateAfter consecutive leaky windows trigger escalation, up to
+// the interface ceiling. In degraded mode (admission pressure tripped
+// the DegradeAudit latch) the self-audit is skipped entirely.
+//
+// The sub-windows are cut in two passes over the window, whatever the
+// interface count, as reshape.Buffer.Apply cuts sub-flows: one pass
+// counts each interface's packets and downlink packets, one scatters
+// the window into subScratch grouped by interface. Each group keeps
+// the window's arrival order.
 func (sh *shard) closeWindow(f *flowState) {
 	if f.ring.Len() == 0 {
 		return
@@ -770,37 +786,55 @@ func (sh *shard) closeWindow(f *flowState) {
 		f.classified++
 		f.digest = mix(f.digest, markPredict)
 		f.digest = mix(f.digest, uint64(obs))
-		leaked := false
 		// winScratch holds the window in arrival order; the matching
 		// interface assignments start at ifbuf slot 0 while the ring
 		// was filling, or at the next write position (the oldest
-		// surviving slot) once it wrapped.
-		n := f.ring.Len()
+		// surviving slot) once it wrapped. Every assignment is below
+		// f.ifaces <= vmac.MaxInterfaces (the checkpoint decoder
+		// enforces it for restored rings), so it indexes the arrays.
+		n := len(sh.winScratch)
 		start := 0
 		if n == len(f.ifbuf) {
 			start = f.slot
 		}
-		for k := 0; k < f.ifaces; k++ {
-			sh.subScratch = sh.subScratch[:0]
-			subDown := 0
-			slot := start
-			for i := 0; i < n; i++ {
-				if int(f.ifbuf[slot]) == k {
-					pk := sh.winScratch[i]
-					sh.subScratch = append(sh.subScratch, pk)
-					if pk.Dir == trace.Downlink {
-						subDown++
-					}
-				}
-				slot++
-				if slot == len(f.ifbuf) {
-					slot = 0
-				}
+		// ends[k+1] counts interface k's packets, then, after the
+		// prefix sum, ends[k]:ends[k+1] is its span of subScratch.
+		var ends [vmac.MaxInterfaces + 1]int
+		var down [vmac.MaxInterfaces]int
+		slot := start
+		for _, pk := range sh.winScratch {
+			k := f.ifbuf[slot]
+			ends[k+1]++
+			if pk.Dir == trace.Downlink {
+				down[k]++
 			}
-			if !features.WindowQualifies(subDown, w) {
+			slot++
+			if slot == len(f.ifbuf) {
+				slot = 0
+			}
+		}
+		for k := 1; k <= f.ifaces; k++ {
+			ends[k] += ends[k-1]
+		}
+		sub := sh.subScratch[:n]
+		next := ends
+		slot = start
+		for _, pk := range sh.winScratch {
+			k := f.ifbuf[slot]
+			sub[next[k]] = pk
+			next[k]++
+			slot++
+			if slot == len(f.ifbuf) {
+				slot = 0
+			}
+		}
+		leaked := false
+		for k := 0; k < f.ifaces; k++ {
+			if !features.WindowQualifies(down[k], w) {
 				continue
 			}
-			if c.Classify(trace.Window{Start: f.winStart, W: w, Packets: sh.subScratch}) == obs {
+			lo, hi := ends[k], ends[k+1]
+			if c.Classify(trace.Window{Start: f.winStart, W: w, Packets: sub[lo:hi:hi]}) == obs {
 				leaked = true
 			}
 		}
@@ -808,7 +842,10 @@ func (sh *shard) closeWindow(f *flowState) {
 			f.leakedWins++
 			f.leakStreak++
 			f.digest = mix(f.digest, markLeak)
-			if f.leakStreak >= sh.e.cfg.EscalateAfter && f.ifaces < vmac.MaxInterfaces {
+			// The ceiling is the vMAC per-client limit, and the period:
+			// an adaptive scheduler needs at least one packet per
+			// interface per period.
+			if f.leakStreak >= sh.e.cfg.EscalateAfter && f.ifaces < min(vmac.MaxInterfaces, sh.e.cfg.Period) {
 				sh.escalate(f)
 			}
 		} else {

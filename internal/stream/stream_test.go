@@ -245,6 +245,41 @@ func TestEscalationOnPersistentLeak(t *testing.T) {
 	}
 }
 
+// TestEscalationCappedByPeriod: the adaptive scheduler re-derives its
+// ranges from at least one packet per interface, so a flow escalates
+// no further than Period interfaces. With Period 3 and leaking flows,
+// escalation past three interfaces would panic in reshape.NewAdaptive:
+// inline in Ingest, sharded in Drain.
+func TestEscalationCappedByPeriod(t *testing.T) {
+	const w = 5 * time.Second
+	cls := auditClassifier(t, w)
+	in := capture(t, 30*time.Second, 42)
+	var ref []byte
+	for _, shards := range []int{0, 2} {
+		e := New(Config{W: w, Seed: 11, Shards: shards, Classifier: cls,
+			Interfaces: 2, Period: 3, EscalateAfter: 1})
+		ingestTrace(e, in)
+		rep := e.Drain()
+		if rep.Escalations == 0 {
+			t.Fatalf("shards=%d: no flow escalated, so the ceiling is never reached", shards)
+		}
+		for _, f := range rep.Flows {
+			if f.Interfaces > 3 {
+				t.Errorf("shards=%d: flow %s escalated to %d interfaces with Period 3", shards, f.MAC, f.Interfaces)
+			}
+		}
+		if rep.Restarts != 0 || rep.Lost != 0 {
+			t.Errorf("shards=%d: restarts=%d lost=%d, want 0/0", shards, rep.Restarts, rep.Lost)
+		}
+		got := renderReport(t, rep)
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(got, ref) {
+			t.Errorf("shards=%d report diverges from inline:\n--- inline ---\n%s--- shards=%d ---\n%s", shards, ref, shards, got)
+		}
+	}
+}
+
 // TestStingyAPCapsInterfaces: when the AP policy grants fewer
 // interfaces than requested, the engine schedules only onto granted
 // addresses.
