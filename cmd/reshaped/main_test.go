@@ -94,20 +94,25 @@ func TestFlagBoundsAccepted(t *testing.T) {
 // TestReportMatchesCommittedHash pins the -synth report bytes to the
 // hashes committed under testdata. The ringcap-64 run evicts in five of
 // its seven flows, so its windows are audited from a wrapped ring, and
-// its flows escalate up to six interfaces.
+// its flows escalate up to six interfaces. The 300 s runs reach the
+// 16-interface ceiling: three flows by default, and three at ringcap
+// 256, two of them over wrapped rings.
 func TestReportMatchesCommittedHash(t *testing.T) {
 	for _, tc := range []struct {
 		hashFile string
+		duration string
 		args     []string
 	}{
-		{"synth30s.sha256", nil},
-		{"synth30s-ringcap64.sha256", []string{"-ringcap", "64"}},
+		{"synth30s.sha256", "30s", nil},
+		{"synth30s-ringcap64.sha256", "30s", []string{"-ringcap", "64"}},
+		{"synth300s.sha256", "300s", nil},
+		{"synth300s-ringcap256.sha256", "300s", []string{"-ringcap", "256"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.hashFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		args := append([]string{"-synth", "-duration", "30s"}, tc.args...)
+		args := append([]string{"-synth", "-duration", tc.duration}, tc.args...)
 		stdout, stderr, err := runMain(args...)
 		if err != nil {
 			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr)
