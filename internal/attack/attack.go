@@ -214,11 +214,12 @@ func TrainAllParallel(ts *TrainingSet, opt TrainOptions, pool *par.Pool) ([]*Cla
 // mean-imputed (see features.Scaler.ApplyImputed) so single-direction
 // sub-flows are judged on what was observed.
 func (c *Classifier) Classify(w trace.Window) trace.App {
-	return c.classifyVector(features.Extract(w))
+	return c.ClassifyVector(features.Extract(w))
 }
 
-// classifyVector labels one raw (unscaled, unmasked) feature vector.
-func (c *Classifier) classifyVector(x features.Vector) trace.App {
+// ClassifyVector labels one raw (unscaled, unmasked) feature vector,
+// as Classify labels the window it was extracted from.
+func (c *Classifier) ClassifyVector(x features.Vector) trace.App {
 	if c.TimingOnly {
 		x = maskSizes(x)
 	}
@@ -283,7 +284,7 @@ func AppendWindowFlows(fw *FlowWindows, flows map[mac.Address]*trace.Trace, trut
 func (c *Classifier) AttackWindowed(fw *FlowWindows) *ml.Confusion {
 	var conf ml.Confusion
 	for i, x := range fw.X {
-		conf.Add(fw.Truth[i], c.classifyVector(x))
+		conf.Add(fw.Truth[i], c.ClassifyVector(x))
 	}
 	return &conf
 }

@@ -285,7 +285,7 @@ func TestTrainAllParallelMatchesTrain(t *testing.T) {
 	predict := func(c *Classifier) []trace.App {
 		out := make([]trace.App, len(probe))
 		for i, x := range probe {
-			out[i] = c.classifyVector(x)
+			out[i] = c.ClassifyVector(x)
 		}
 		return out
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"trafficreshape/internal/trace"
+	"trafficreshape/internal/vmac"
 )
 
 // Dim is the dimensionality of a feature vector: six per direction.
@@ -36,62 +37,142 @@ type Example struct {
 // filtering is needed here; trace-level filtering (§IV-B) happens
 // before windowing.
 func Extract(w trace.Window) Vector {
-	// Streaming per-direction accumulators, indexed 0 = downlink,
-	// 1 = uplink. Two passes over the window (sum, then squared
-	// deviations) keep the arithmetic — and therefore the resulting
-	// bits — identical to the slice-based stats.Describe formulation
-	// while allocating nothing.
-	var n [2]int
-	var sum, minv, maxv [2]float64
-	var first, last [2]time.Duration
+	// Two passes over the window (sum, then squared deviations) keep
+	// the arithmetic — and therefore the resulting bits — identical to
+	// the slice-based stats.Describe formulation while allocating
+	// nothing.
+	var acc dirAccs
 	for _, p := range w.Packets {
-		d := 0
-		if p.Dir == trace.Uplink {
-			d = 1
-		}
-		s := float64(p.Size)
-		if n[d] == 0 {
-			minv[d], maxv[d] = s, s
-			first[d] = p.Time
-		} else {
-			if s < minv[d] {
-				minv[d] = s
-			}
-			if s > maxv[d] {
-				maxv[d] = s
-			}
-		}
-		sum[d] += s
-		last[d] = p.Time
-		n[d]++
+		acc[dirOf(p.Dir)].add(float64(p.Size), p.Time)
 	}
-	var mean, ss [2]float64
-	for d := 0; d < 2; d++ {
-		if n[d] > 0 {
-			mean[d] = sum[d] / float64(n[d])
-		}
-	}
+	acc.setMeans()
 	for _, p := range w.Packets {
-		d := 0
-		if p.Dir == trace.Uplink {
-			d = 1
-		}
-		diff := float64(p.Size) - mean[d]
-		ss[d] += diff * diff
+		acc[dirOf(p.Dir)].addDeviation(float64(p.Size))
 	}
+	return acc.vector()
+}
+
+// MaxGroups bounds the groups ExtractGroups splits a window into: one
+// per virtual interface a flow can hold.
+const MaxGroups = vmac.MaxInterfaces
+
+// Groups is ExtractGroups' result: the whole window's vector, and per
+// group its vector and downlink packet count. Entries at or past the
+// group count passed to ExtractGroups are zero.
+type Groups struct {
+	Whole Vector
+	Sub   [MaxGroups]Vector
+	Down  [MaxGroups]int
+}
+
+// ExtractGroups computes in two passes what Extract computes for a
+// window and for each of its sub-windows: the window is pkts[0]
+// followed by pkts[1], in arrival order (a wrapped ring's older and
+// newer runs), and group[s][i] < groups <= MaxGroups names the
+// sub-window of pkts[s][i]. Every accumulator adds its packets in
+// arrival order, as Extract does, so each vector is bit-identical to
+// Extract on the materialised sub-window, and the whole-window vector
+// to Extract on the concatenation. The accumulators live on the stack;
+// nothing is allocated.
+func ExtractGroups(out *Groups, groups int, pkts [2][]trace.Packet, group [2][]uint8) {
+	var whole dirAccs
+	var sub [MaxGroups]dirAccs
+	for s := range pkts {
+		g := group[s][:len(pkts[s])]
+		for i, p := range pkts[s] {
+			d, size := dirOf(p.Dir), float64(p.Size)
+			whole[d].add(size, p.Time)
+			sub[g[i]][d].add(size, p.Time)
+		}
+	}
+	whole.setMeans()
+	for k := 0; k < groups; k++ {
+		sub[k].setMeans()
+	}
+	for s := range pkts {
+		g := group[s][:len(pkts[s])]
+		for i, p := range pkts[s] {
+			d, size := dirOf(p.Dir), float64(p.Size)
+			whole[d].addDeviation(size)
+			sub[g[i]][d].addDeviation(size)
+		}
+	}
+	*out = Groups{Whole: whole.vector()}
+	for k := 0; k < groups; k++ {
+		out.Sub[k], out.Down[k] = sub[k].vector(), sub[k][0].n
+	}
+}
+
+// dirOf indexes a direction's accumulator: 0 downlink, 1 uplink.
+func dirOf(dir trace.Direction) int {
+	if dir == trace.Uplink {
+		return 1
+	}
+	return 0
+}
+
+// dirAcc accumulates one direction of a window, packet by packet in
+// arrival order: count, sum, extremes and first and last timestamps in
+// the first pass, squared deviations from the mean in the second.
+type dirAcc struct {
+	n           int
+	sum, mean   float64
+	min, max    float64
+	ss          float64
+	first, last time.Duration
+}
+
+// dirAccs are a window's accumulators, indexed by dirOf.
+type dirAccs [2]dirAcc
+
+func (a *dirAcc) add(s float64, t time.Duration) {
+	if a.n == 0 {
+		a.min, a.max = s, s
+		a.first = t
+	} else {
+		if s < a.min {
+			a.min = s
+		}
+		if s > a.max {
+			a.max = s
+		}
+	}
+	a.sum += s
+	a.last = t
+	a.n++
+}
+
+func (a *dirAcc) addDeviation(s float64) {
+	diff := s - a.mean
+	a.ss += diff * diff
+}
+
+// setMeans ends the first pass.
+func (acc *dirAccs) setMeans() {
+	for d := range acc {
+		if acc[d].n > 0 {
+			acc[d].mean = acc[d].sum / float64(acc[d].n)
+		}
+	}
+}
+
+// vector turns the finished accumulators into the feature vector: the
+// one place the feature formulas live.
+func (acc *dirAccs) vector() Vector {
 	var v Vector
-	for d := 0; d < 2; d++ {
-		if n[d] == 0 {
+	for d := range acc {
+		a := &acc[d]
+		if a.n == 0 {
 			continue // all-zero block encodes "direction absent"
 		}
 		off := 6 * d
-		v[off+0] = math.Log1p(float64(n[d]))
-		v[off+1] = mean[d]
-		v[off+2] = math.Sqrt(ss[d] / float64(n[d]))
-		v[off+3] = maxv[d]
-		v[off+4] = minv[d]
-		if n[d] >= 2 {
-			v[off+5] = (last[d] - first[d]).Seconds() / float64(n[d]-1)
+		v[off+0] = math.Log1p(float64(a.n))
+		v[off+1] = a.mean
+		v[off+2] = math.Sqrt(a.ss / float64(a.n))
+		v[off+3] = a.max
+		v[off+4] = a.min
+		if a.n >= 2 {
+			v[off+5] = (a.last - a.first).Seconds() / float64(a.n-1)
 		}
 	}
 	return v

@@ -40,11 +40,18 @@ const LMax = 1576
 // and performs zero heap allocations, which is what lets the
 // streaming daemon run one Adaptive per flow across millions of
 // flows.
+//
+// Assign routes a packet with one table read: bin maps every size in
+// [0, LMax] to its range, refilled whenever the edges change, so the
+// per-packet cost does not grow with the interface count the way
+// BinOf's edge scan does. Like counts, the table is derived data and
+// stays out of AdaptiveState.
 type Adaptive struct {
 	i      int
 	period int
-	window []int   // recent packet sizes, bounded by period
-	counts []int32 // rederive scratch: size histogram, one bucket per size in [0, LMax]
+	window []int    // recent packet sizes, bounded by period
+	counts []int32  // rederive scratch: size histogram, one bucket per size in [0, LMax]
+	bin    []uint16 // bin[s] == edges.BinOf(s) for s in [0, LMax]; uint16 since i may reach LMax
 	edges  Ranges
 	seen   int
 	epochs int
@@ -75,23 +82,40 @@ func NewAdaptive(i, period int) *Adaptive {
 		}
 		copy(edges, initial)
 	}
-	return &Adaptive{
+	a := &Adaptive{
 		i:      i,
 		period: period,
 		window: make([]int, 0, period),
 		counts: make([]int32, LMax+1),
+		bin:    make([]uint16, LMax+1),
 		edges:  edges,
+	}
+	a.fillBins()
+	return a
+}
+
+// fillBins rewrites the routing table from the current edges. Sizes up
+// to the first edge go to range 0 and sizes above the last edge to the
+// top range, as BinOf clamps them.
+func (a *Adaptive) fillBins() {
+	s := 0
+	for j, e := range a.edges {
+		for ; s <= e; s++ {
+			a.bin[s] = uint16(j)
+		}
+	}
+	for ; s <= LMax; s++ {
+		a.bin[s] = uint16(len(a.edges) - 1)
 	}
 }
 
 // Assign implements Scheduler. The current epoch's edges route the
-// packet; the packet's size feeds the next epoch's quantiles. The
-// edges slice always holds exactly i entries (see the structural
-// invariant on Adaptive), so BinOf's top-range clamp already bounds
-// the index to [0, i) and no further clamping is needed.
+// packet through the bin table; the packet's size feeds the next
+// epoch's quantiles.
 func (a *Adaptive) Assign(p trace.Packet) int {
-	idx := a.edges.BinOf(int(p.Size))
-	a.window = append(a.window, int(p.Size))
+	s := int(p.Size)
+	idx := a.binOf(s)
+	a.window = append(a.window, s)
 	a.seen++
 	if len(a.window) >= a.period {
 		a.rederive()
@@ -99,6 +123,12 @@ func (a *Adaptive) Assign(p trace.Packet) int {
 	}
 	return idx
 }
+
+// binOf is the table's answer to edges.BinOf(size). It clamps size
+// into [0, LMax] as the rederive histogram does, which leaves BinOf's
+// answer unchanged: sizes up to the first edge go to range 0, sizes
+// above the top edge to the top range.
+func (a *Adaptive) binOf(size int) int { return int(a.bin[min(max(size, 0), LMax)]) }
 
 // rederive sets the range edges to the empirical i-quantiles of the
 // last window, keeping them strictly ascending and capped at ℓ_max:
@@ -172,6 +202,7 @@ func (a *Adaptive) rederive() {
 			a.edges[k] = a.edges[k+1] - 1
 		}
 	}
+	a.fillBins()
 }
 
 // Interfaces implements Scheduler.
@@ -188,7 +219,8 @@ func (a *Adaptive) Epochs() int { return a.epochs }
 // AdaptiveState is the serializable snapshot of an Adaptive scheduler:
 // everything a restored scheduler needs to continue the exact decision
 // sequence the original would have produced. The counting-sort scratch
-// is excluded — it is all-zero between Assign calls by construction.
+// is excluded — it is all-zero between Assign calls by construction —
+// and so is the bin table, which the edges determine.
 type AdaptiveState struct {
 	Interfaces int
 	Period     int
@@ -242,11 +274,13 @@ func RestoreAdaptive(st AdaptiveState) (*Adaptive, error) {
 		period: st.Period,
 		window: make([]int, len(st.Window), st.Period),
 		counts: make([]int32, LMax+1),
+		bin:    make([]uint16, LMax+1),
 		edges:  make(Ranges, st.Interfaces),
 		seen:   st.Seen,
 		epochs: st.Epochs,
 	}
 	copy(a.window, st.Window)
 	copy(a.edges, st.Edges)
+	a.fillBins()
 	return a, nil
 }

@@ -1,11 +1,13 @@
 package reshape
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"trafficreshape/internal/appgen"
+	"trafficreshape/internal/stats"
 	"trafficreshape/internal/trace"
 )
 
@@ -299,5 +301,42 @@ func TestAdaptiveChangesSubflowStats(t *testing.T) {
 	}
 	if shifted < 2 {
 		t.Errorf("only %d interfaces shifted their mean size away from the original", shifted)
+	}
+}
+
+// TestAdaptiveBinTableMatchesBinOf: the table Assign routes by answers
+// exactly what BinOf answers on the current edges, for every size in
+// [-1, LMax+1] — after construction, after each re-derivation of a
+// random size stream, and after a State/RestoreAdaptive round trip.
+// 300 interfaces need range indices a uint8 table cannot hold.
+func TestAdaptiveBinTableMatchesBinOf(t *testing.T) {
+	check := func(a *Adaptive, when string) {
+		t.Helper()
+		for s := -1; s <= LMax+1; s++ {
+			if got, want := a.binOf(s), a.edges.BinOf(s); got != want {
+				t.Fatalf("i=%d %s: size %d routes to %d, BinOf says %d (edges %v)", a.i, when, s, got, want, a.edges)
+			}
+		}
+	}
+	for _, i := range []int{1, 2, 3, 16, 300} {
+		period := max(64, 2*i)
+		a := NewAdaptive(i, period)
+		check(a, "after NewAdaptive")
+		r := stats.NewRNG(uint64(i))
+		for k := 0; k < 6*period; k++ {
+			epochs := a.Epochs()
+			a.Assign(trace.Packet{Size: int32(r.IntRange(-5, LMax+50))})
+			if a.Epochs() != epochs {
+				check(a, fmt.Sprintf("after epoch %d", a.Epochs()))
+			}
+		}
+		if i == 300 && a.edges.BinOf(LMax) < 256 {
+			t.Fatalf("i=300: top range %d fits a uint8; the stream did not spread the edges", a.edges.BinOf(LMax))
+		}
+		b, err := RestoreAdaptive(a.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(b, "after RestoreAdaptive")
 	}
 }

@@ -127,12 +127,13 @@ func (r Ranges) Validate() error {
 }
 
 // BinOf returns the range index j with size ∈ (ℓ_{j-1}, ℓ_j],
-// clamping values above ℓ_L into the last range. The paper's range
-// counts are tiny (2–5, at most vmac.MaxInterfaces), so this is a
-// deliberate linear scan: the streaming engine calls it once per
-// ingested packet, and for a handful of sequentially-read ints a scan
-// beats sort.SearchInts' closure indirection — and, unlike the binary
-// search, it is small enough to inline into Adaptive.Assign.
+// clamping values above ℓ_L into the last range. The paper's fixed
+// range counts are tiny (2–5), so this is a deliberate linear scan:
+// for a handful of sequentially-read ints a scan beats
+// sort.SearchInts' closure indirection, and it is small enough to
+// inline into Orthogonal.Assign and Measure. Adaptive, whose
+// ranges grow to vmac.MaxInterfaces in the daemon, routes through a
+// per-size table built from the same rule instead.
 func (r Ranges) BinOf(size int) int {
 	for j, e := range r {
 		if size <= e {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"trafficreshape/internal/attack"
+	"trafficreshape/internal/features"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/trace"
 )
@@ -335,5 +337,68 @@ func TestChaosDelayStormConservation(t *testing.T) {
 	out := renderReport(t, rep)
 	if !bytes.Contains(out, []byte("admission policy=fail-closed")) {
 		t.Errorf("report missing admission line:\n%s", out)
+	}
+}
+
+// armedModel predicts downloading until armed, then panics on every
+// call: a self-audit that blows up in a flow's final window.
+type armedModel struct{ armed atomic.Bool }
+
+func (m *armedModel) Predict(features.Vector) trace.App {
+	if m.armed.Load() {
+		panic("chaos: armed audit model")
+	}
+	return trace.Downloading
+}
+
+func (m *armedModel) Name() string { return "armed" }
+
+// TestChaosPanicInFinalAuditIsSupervised: the final windows close
+// under the same supervision as mid-stream ones. A model armed just
+// before Drain panics in the last audit; Drain still returns a report,
+// the shard rolls back to its last checkpoint (none, one taken
+// mid-stream, or the one a fresh engine restored), and the packets
+// consumed since are counted lost.
+func TestChaosPanicInFinalAuditIsSupervised(t *testing.T) {
+	const K, C = 2000, 1200
+	addr := flowMAC(0)
+	packets := singleFlow(addr, K)
+	for _, shards := range []int{0, 2} {
+		for _, mode := range []string{"none", "checkpoint", "restore"} {
+			model := &armedModel{}
+			cfg := Config{Seed: 5, Shards: shards,
+				Classifier: &attack.Classifier{Scaler: features.FitScaler(nil), Model: model}}
+			e := New(cfg)
+			mark := 0
+			if mode != "none" {
+				mark = C
+				for _, p := range packets[:C] {
+					e.Ingest(p)
+				}
+				var ck bytes.Buffer
+				if err := e.Checkpoint(&ck); err != nil {
+					t.Fatalf("shards=%d: checkpoint: %v", shards, err)
+				}
+				if mode == "restore" {
+					e.Drain()
+					e = New(cfg)
+					if err := e.Restore(&ck); err != nil {
+						t.Fatalf("shards=%d: restore: %v", shards, err)
+					}
+				}
+			}
+			for _, p := range packets[mark:] {
+				e.Ingest(p)
+			}
+			model.armed.Store(true)
+			rep := e.Drain()
+			if rep.Restarts != 1 {
+				t.Errorf("shards=%d %s: restarts = %d, want 1", shards, mode, rep.Restarts)
+			}
+			if rep.Lost != int64(K-mark) || rep.Packets != int64(mark) {
+				t.Errorf("shards=%d %s: lost=%d packets=%d, want %d/%d", shards, mode, rep.Lost, rep.Packets, K-mark, mark)
+			}
+			assertConservation(t, rep)
+		}
 	}
 }

@@ -71,11 +71,12 @@ type flowSnap struct {
 }
 
 // snapFlow serializes f. The interface-assignment buffer is rotated
-// into ring order: assignments start at slot 0 while the ring is
-// filling and at the next write position (the oldest surviving slot)
-// once it has wrapped — the same origin closeWindow uses.
+// into ring order by the split closeWindow uses: ifbuf is indexed by
+// ring slot, so it splits where the ring's two runs do.
 func snapFlow(f *flowState) flowSnap {
 	n := f.ring.Len()
+	older, newer := f.ring.Segments()
+	h := len(newer)
 	s := flowSnap{
 		addr:        f.addr,
 		rng:         f.rng.State(),
@@ -96,14 +97,7 @@ func snapFlow(f *flowState) flowSnap {
 		predHist:    f.predHist,
 		sched:       f.sched.State(),
 		ring:        f.ring.AppendTo(make([]trace.Packet, 0, n)),
-		ifassign:    make([]uint8, n),
-	}
-	start := 0
-	if n == len(f.ifbuf) {
-		start = f.slot
-	}
-	for i := 0; i < n; i++ {
-		s.ifassign[i] = f.ifbuf[(start+i)%len(f.ifbuf)]
+		ifassign:    append(append(make([]uint8, 0, n), f.ifbuf[h:h+len(older)]...), f.ifbuf[:h]...),
 	}
 	return s
 }
@@ -226,6 +220,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		degraded:      e.auditOff.Load(),
 	}
 	if e.inline != nil {
+		e.inline.syncInline(e.offered)
 		rep := e.inline.snapshot()
 		d.flows = rep.flows
 		d.lost = e.inline.lost.Load() + e.inheritedLost
@@ -308,6 +303,10 @@ func (e *Engine) Restore(r io.Reader) error {
 		e.auditOff.Store(true)
 	}
 	if e.inline != nil {
+		// The restored packets are settled: a rollback before the next
+		// checkpoint loses only what follows them.
+		e.inline.syncInline(d.offered)
+		e.inline.accounted.Store(d.offered)
 		return e.inline.install(d.flows)
 	}
 	groups := make([][]flowSnap, e.nshards)

@@ -40,10 +40,11 @@
 // byte-identical to the uninterrupted run.
 //
 // The per-packet ingest path performs zero heap allocations in steady
-// state — including window close, self-audit classification and
-// admission accounting, which reuse per-shard scratch — so the
-// engine's footprint is bounded by the number of live flows, not by
-// traffic volume.
+// state — including window close and self-audit classification, which
+// read the flow's ring in place with accumulators on the stack, and
+// admission accounting, which recycles batch buffers — so the engine's
+// footprint is bounded by the number of live flows, not by traffic
+// volume.
 package stream
 
 import (
@@ -160,7 +161,10 @@ type Config struct {
 	// Classifier, when set, runs the self-audit: each qualifying
 	// closed window is classified as the eavesdropper would see it,
 	// and each per-interface sub-window is checked against that
-	// prediction to detect leaks.
+	// prediction to detect leaks. One two-pass
+	// features.ExtractGroups over the ring yields every vector, so
+	// the audit costs in proportion to the window's packets, not to
+	// packets × interfaces.
 	Classifier *attack.Classifier
 	// EscalateAfter is how many consecutive leaky windows trigger a
 	// +1 interface escalation (default 2).
@@ -271,7 +275,7 @@ func addrKey(a mac.Address) uint64 {
 type flowState struct {
 	addr   mac.Address
 	ring   *trace.Ring
-	ifbuf  []uint8 // interface assignment per ring slot
+	ifbuf  []uint8 // interface assignment per ring slot, split where ring.Segments splits
 	slot   int     // next ifbuf write position, mirrors the ring head
 	sched  *reshape.Adaptive
 	ifaces int
@@ -312,6 +316,9 @@ type shardMsg struct {
 	batch   []trace.Packet
 	snap    chan snapReply
 	install *installReq
+	// drain closes every flow's final window; it is the last message
+	// a shard receives.
+	drain bool
 }
 
 // errReaped is reported when a control-plane request (checkpoint
@@ -324,12 +331,9 @@ type shard struct {
 	idx int
 
 	// flows holds the shard's flows, keyed by addrKey of the address.
+	// Window close reads each flow's ring in place, so the shard keeps
+	// no per-packet scratch.
 	flows map[uint64]*flowState
-
-	// classification scratch, sized to RingCap so window close never
-	// allocates.
-	winScratch []trace.Packet
-	subScratch []trace.Packet
 
 	in   chan shardMsg
 	free chan []trace.Packet
@@ -366,11 +370,9 @@ type shard struct {
 
 func newShard(e *Engine, idx int) *shard {
 	return &shard{
-		e:          e,
-		idx:        idx,
-		flows:      make(map[uint64]*flowState),
-		winScratch: make([]trace.Packet, 0, e.cfg.RingCap),
-		subScratch: make([]trace.Packet, 0, e.cfg.RingCap),
+		e:     e,
+		idx:   idx,
+		flows: make(map[uint64]*flowState),
 	}
 }
 
@@ -493,6 +495,10 @@ func (sh *shard) handle(msg shardMsg) {
 		msg.snap <- sh.snapshot()
 	case msg.install != nil:
 		msg.install.done <- sh.install(msg.install.flows)
+	case msg.drain:
+		for _, f := range sh.flows {
+			sh.closeWindow(f)
+		}
 	default:
 		if sh.reaped.Load() {
 			// Reaped husk: recycle without processing. The packets are
@@ -510,8 +516,10 @@ func (sh *shard) handle(msg shardMsg) {
 
 // recoverPanic settles the books after a panic in handle: every packet
 // consumed since the last checkpoint — completed batches plus the one
-// that blew up — is lost, the flows roll back to the last snapshot,
-// and the loop continues.
+// that blew up, if any — is lost, the flows roll back to the last
+// snapshot, and the loop continues. A panic in the final window close
+// of Drain rolls back the same way; the restored flows are reported
+// as the snapshot left them.
 func (sh *shard) recoverPanic(msg shardMsg) {
 	switch {
 	case msg.snap != nil:
@@ -520,6 +528,7 @@ func (sh *shard) recoverPanic(msg shardMsg) {
 	case msg.install != nil:
 		msg.install.done <- fmt.Errorf("stream: shard %d panicked during install", sh.idx)
 		return
+	case msg.drain:
 	default:
 		sh.processed.Add(int64(len(msg.batch)))
 		defer func() { sh.free <- msg.batch[:0] }()
@@ -529,6 +538,12 @@ func (sh *shard) recoverPanic(msg shardMsg) {
 	sh.restarts.Add(1)
 	sh.resetTo(sh.lastLocalSnap)
 }
+
+// syncInline sets the inline shard's processed count to offered.
+// Inline mode processes every offered packet at once on the caller's
+// goroutine, so the count is read off offered where a rollback needs
+// it — at a checkpoint and at Drain — rather than kept per packet.
+func (sh *shard) syncInline(offered int64) { sh.processed.Store(offered) }
 
 // snapshot serializes the shard's flows for a checkpoint barrier and
 // marks every processed packet accounted: the snapshot is now the
@@ -767,11 +782,12 @@ func (sh *shard) grant(f *flowState) {
 // the interface ceiling. In degraded mode (admission pressure tripped
 // the DegradeAudit latch) the self-audit is skipped entirely.
 //
-// The sub-windows are cut in two passes over the window, whatever the
-// interface count, as reshape.Buffer.Apply cuts sub-flows: one pass
-// counts each interface's packets and downlink packets, one scatters
-// the window into subScratch grouped by interface. Each group keeps
-// the window's arrival order.
+// The audit reads the ring in place: features.ExtractGroups takes the
+// ring's two arrival-order runs with the matching runs of ifbuf and,
+// in two passes whatever the interface count, returns the whole
+// window's features and every interface's features and downlink
+// count. Every assignment is below f.ifaces <= vmac.MaxInterfaces (the
+// checkpoint decoder enforces it for restored rings).
 func (sh *shard) closeWindow(f *flowState) {
 	if f.ring.Len() == 0 {
 		return
@@ -780,61 +796,20 @@ func (sh *shard) closeWindow(f *flowState) {
 	f.windows++
 	f.digest = mix(f.digest, markWindow)
 	if c := sh.e.cfg.Classifier; c != nil && !sh.e.auditOff.Load() && features.WindowQualifies(f.winDown, w) {
-		sh.winScratch = f.ring.AppendTo(sh.winScratch[:0])
-		obs := c.Classify(trace.Window{Start: f.winStart, W: w, Packets: sh.winScratch})
+		older, newer := f.ring.Segments()
+		h := len(newer)
+		var g features.Groups
+		features.ExtractGroups(&g, f.ifaces,
+			[2][]trace.Packet{older, newer},
+			[2][]uint8{f.ifbuf[h : h+len(older)], f.ifbuf[:h]})
+		obs := c.ClassifyVector(g.Whole)
 		f.predHist[obs]++
 		f.classified++
 		f.digest = mix(f.digest, markPredict)
 		f.digest = mix(f.digest, uint64(obs))
-		// winScratch holds the window in arrival order; the matching
-		// interface assignments start at ifbuf slot 0 while the ring
-		// was filling, or at the next write position (the oldest
-		// surviving slot) once it wrapped. Every assignment is below
-		// f.ifaces <= vmac.MaxInterfaces (the checkpoint decoder
-		// enforces it for restored rings), so it indexes the arrays.
-		n := len(sh.winScratch)
-		start := 0
-		if n == len(f.ifbuf) {
-			start = f.slot
-		}
-		// ends[k+1] counts interface k's packets, then, after the
-		// prefix sum, ends[k]:ends[k+1] is its span of subScratch.
-		var ends [vmac.MaxInterfaces + 1]int
-		var down [vmac.MaxInterfaces]int
-		slot := start
-		for _, pk := range sh.winScratch {
-			k := f.ifbuf[slot]
-			ends[k+1]++
-			if pk.Dir == trace.Downlink {
-				down[k]++
-			}
-			slot++
-			if slot == len(f.ifbuf) {
-				slot = 0
-			}
-		}
-		for k := 1; k <= f.ifaces; k++ {
-			ends[k] += ends[k-1]
-		}
-		sub := sh.subScratch[:n]
-		next := ends
-		slot = start
-		for _, pk := range sh.winScratch {
-			k := f.ifbuf[slot]
-			sub[next[k]] = pk
-			next[k]++
-			slot++
-			if slot == len(f.ifbuf) {
-				slot = 0
-			}
-		}
 		leaked := false
 		for k := 0; k < f.ifaces; k++ {
-			if !features.WindowQualifies(down[k], w) {
-				continue
-			}
-			lo, hi := ends[k], ends[k+1]
-			if c.Classify(trace.Window{Start: f.winStart, W: w, Packets: sub[lo:hi:hi]}) == obs {
+			if features.WindowQualifies(g.Down[k], w) && c.ClassifyVector(g.Sub[k]) == obs {
 				leaked = true
 			}
 		}
@@ -875,10 +850,15 @@ func (sh *shard) escalate(f *flowState) {
 	sh.grant(f)
 }
 
-// Drain flushes buffered packets, stops the watchdog and the shards,
-// closes every flow's final partial window (mirroring the batch
-// cutter's trailing flush), and returns the deterministic report.
-// Drain is idempotent: subsequent calls return the same Report.
+// Drain flushes buffered packets, stops the watchdog, closes every
+// flow's final partial window (mirroring the batch cutter's trailing
+// flush), stops the shards and returns the deterministic report. The
+// final windows close in each shard's handle, under the supervision
+// of every other message: sharded, as a drain message queued behind
+// the last batch; inline, on the caller's goroutine. A panic in the
+// final audit therefore rolls the shard back to its last checkpoint
+// and counts the packets consumed since as lost, as one mid-stream
+// does. Drain is idempotent: subsequent calls return the same Report.
 func (e *Engine) Drain() *Report {
 	if e.final != nil {
 		return e.final
@@ -887,11 +867,15 @@ func (e *Engine) Drain() *Report {
 		e.wd.halt()
 	}
 	shards := []*shard{e.inline}
-	if e.inline == nil {
+	if e.inline != nil {
+		e.inline.syncInline(e.offered)
+		e.inline.handle(shardMsg{drain: true})
+	} else {
 		e.Flush()
 		shards = make([]*shard, e.nshards)
 		for i := range e.shards {
 			sh := e.shards[i].Load()
+			sh.in <- shardMsg{drain: true}
 			close(sh.in)
 			shards[i] = sh
 		}
@@ -906,13 +890,6 @@ func (e *Engine) Drain() *Report {
 			close(z.in)
 		}
 		e.mu.Unlock()
-	}
-	for _, sh := range shards {
-		for _, f := range sh.flows {
-			if f.ring.Len() > 0 {
-				sh.closeWindow(f)
-			}
-		}
 	}
 	e.final = e.report(shards)
 	return e.final

@@ -367,3 +367,37 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state ingest allocates %.2f per 200 packets, want 0", allocs)
 	}
 }
+
+// TestCloseWindowAllocFreeAt16Interfaces: the same promise at the
+// interface ceiling. Every flow schedules over 16 interfaces from its
+// first packet and the busiest flows overflow a 64-packet ring, so the
+// measured window closes run the audit's grouped extraction at 16
+// groups over wrapped rings.
+func TestCloseWindowAllocFreeAt16Interfaces(t *testing.T) {
+	const w = 250 * time.Millisecond
+	cls := auditClassifier(t, w)
+	in := capture(t, 30*time.Second, 49)
+	e := New(Config{W: w, Seed: 11, Classifier: cls, RingCap: 64, Interfaces: vmac.MaxInterfaces, EscalateAfter: 1 << 30})
+	warm := in.Packets[:len(in.Packets)/2]
+	rest := in.Packets[len(in.Packets)/2:]
+	for _, p := range warm {
+		e.Ingest(p)
+	}
+	before := e.inline.flows[addrKey(flowMAC(int(trace.Downloading)))]
+	windows, classified := before.windows, before.classified
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for j := 0; j < 200; j++ {
+			e.Ingest(rest[i%len(rest)])
+			i++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ingest at 16 interfaces allocates %.2f per 200 packets, want 0", allocs)
+	}
+	f := e.inline.flows[addrKey(flowMAC(int(trace.Downloading)))]
+	if f.ifaces != vmac.MaxInterfaces || f.evicted == 0 || f.windows == windows || f.classified == classified {
+		t.Fatalf("downloading flow: ifaces=%d evicted=%d, windows %d→%d, classified %d→%d; the runs did not audit a wrapped 16-interface window",
+			f.ifaces, f.evicted, windows, f.windows, classified, f.classified)
+	}
+}

@@ -4,8 +4,12 @@ package trace
 // store of the streaming engine. Pushing beyond capacity overwrites
 // the oldest packet, so a flow's memory footprint is bounded no matter
 // how fast it transmits, and the buffer never allocates after
-// construction. Packets are stored by value; AppendTo reads them back
-// in arrival order.
+// construction. Packets are stored by value; AppendTo copies them out
+// in arrival order, and Segments reads them in place as two runs. The
+// i-th packet pushed since the last Reset sits in physical slot
+// i mod capacity, so a caller can keep per-packet data in a parallel
+// array indexed by slot and split it where Segments splits the
+// packets.
 //
 // The implementation is deliberately division-free (a wrapping head
 // index instead of modulo arithmetic): Push sits on the streaming
@@ -49,6 +53,16 @@ func (r *Ring) Len() int { return len(r.buf) }
 func (r *Ring) AppendTo(dst []Packet) []Packet {
 	dst = append(dst, r.buf[r.head:]...)
 	return append(dst, r.buf[:r.head]...)
+}
+
+// Segments returns the held packets in arrival order as two runs that
+// alias the ring's storage: older, from the oldest packet's slot to the
+// end of the storage, then newer, from slot 0 up to that slot. newer is
+// empty until the ring wraps. A parallel array a indexed by physical
+// slot lines up as a[len(newer):len(newer)+len(older)] and
+// a[:len(newer)]. Both runs are valid until the next Push or Reset.
+func (r *Ring) Segments() (older, newer []Packet) {
+	return r.buf[r.head:], r.buf[:r.head]
 }
 
 // Reset empties the ring without releasing its storage, ready for the

@@ -6,6 +6,10 @@ package trafficreshape
 //     maintenance, adaptive scheduling, ring append, self-audit
 //     classification on window close — inline on one goroutine.
 //     Zero-alloc, pinned by hotpath_alloc_test.go.
+//   - StreamIngestDaemon: the same inline path under reshaped's
+//     defaults, with escalation on, so the audit runs at up to 16
+//     interfaces per flow. Profile it with
+//     go test -run '^$' -bench StreamIngestDaemon -cpuprofile cpu.out
 //   - StreamIngestSharded: the asynchronous batched path across many
 //     flows — what the daemon actually sustains.
 
@@ -102,6 +106,40 @@ func BenchmarkStreamIngestInline(b *testing.B) {
 	})
 	cyc := newCycle(in)
 	for i := 0; i < len(in.Packets)+10000; i++ { // create flows, cross windows and epochs
+		e.Ingest(cyc.next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.Ingest(cyc.next())
+	}
+}
+
+// BenchmarkStreamIngestDaemon: the inline ingest path under
+// reshaped's defaults (bench/daemon.go's daemonConfig): 5 s windows,
+// 4096-packet rings, a re-derivation period of 500 packets and
+// escalation after two leaky windows, audited by a kNN trained at
+// 5 s. Three warm-up laps of the capture let flows escalate; three of
+// the seven then audit their windows at the 16-interface ceiling, as
+// the chatting, downloading and uploading flows do in reshaped's
+// 300 s synthetic run.
+func BenchmarkStreamIngestDaemon(b *testing.B) {
+	const w = 5 * time.Second
+	in := streamBenchCapture(60 * time.Second)
+	training := make(map[trace.App]*trace.Trace, trace.NumApps)
+	for i, app := range trace.Apps {
+		training[app] = appgen.Generate(app, 60*time.Second, 600+uint64(i))
+	}
+	cls, err := attack.Train(training, attack.TrainOptions{W: w, Trainer: &ml.KNNTrainer{K: 5}, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := stream.New(stream.Config{
+		W: w, RingCap: 4096, Period: 500, EscalateAfter: 2, Seed: 11,
+		Classifier: cls,
+	})
+	cyc := newCycle(in)
+	for i := 0; i < 3*len(in.Packets); i++ {
 		e.Ingest(cyc.next())
 	}
 	b.ReportAllocs()
