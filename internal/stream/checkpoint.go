@@ -71,12 +71,10 @@ type flowSnap struct {
 }
 
 // snapFlow serializes f. The interface-assignment buffer is rotated
-// into ring order by the split closeWindow uses: ifbuf is indexed by
-// ring slot, so it splits where the ring's two runs do.
+// into ring order by the runs closeWindow reads.
 func snapFlow(f *flowState) flowSnap {
 	n := f.ring.Len()
-	older, newer := f.ring.Segments()
-	h := len(newer)
+	_, ifs := f.runs()
 	s := flowSnap{
 		addr:        f.addr,
 		rng:         f.rng.State(),
@@ -97,7 +95,7 @@ func snapFlow(f *flowState) flowSnap {
 		predHist:    f.predHist,
 		sched:       f.sched.State(),
 		ring:        f.ring.AppendTo(make([]trace.Packet, 0, n)),
-		ifassign:    append(append(make([]uint8, 0, n), f.ifbuf[h:h+len(older)]...), f.ifbuf[:h]...),
+		ifassign:    append(append(make([]uint8, 0, n), ifs[0]...), ifs[1]...),
 	}
 	return s
 }

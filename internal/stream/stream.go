@@ -275,7 +275,7 @@ func addrKey(a mac.Address) uint64 {
 type flowState struct {
 	addr   mac.Address
 	ring   *trace.Ring
-	ifbuf  []uint8 // interface assignment per ring slot, split where ring.Segments splits
+	ifbuf  []uint8 // interface assignment per ring slot, read through runs
 	slot   int     // next ifbuf write position, mirrors the ring head
 	sched  *reshape.Adaptive
 	ifaces int
@@ -727,6 +727,15 @@ func (sh *shard) ingest(p trace.Packet) int {
 	return iface
 }
 
+// runs returns the current window as the ring's two arrival-order
+// runs of packets, with the matching runs of interface assignments:
+// ifbuf is indexed by ring slot, so it splits where the ring does.
+func (f *flowState) runs() (pkts [2][]trace.Packet, ifs [2][]uint8) {
+	older, newer := f.ring.Segments()
+	h := len(newer)
+	return [2][]trace.Packet{older, newer}, [2][]uint8{f.ifbuf[h : h+len(older)], f.ifbuf[:h]}
+}
+
 // newFlow builds per-flow state and performs the initial Figure 2
 // virtual-interface grant. The flow's RNG stream is SplitAt(flowHash):
 // independent of every other flow and of shard count.
@@ -783,11 +792,11 @@ func (sh *shard) grant(f *flowState) {
 // the DegradeAudit latch) the self-audit is skipped entirely.
 //
 // The audit reads the ring in place: features.ExtractGroups takes the
-// ring's two arrival-order runs with the matching runs of ifbuf and,
-// in two passes whatever the interface count, returns the whole
-// window's features and every interface's features and downlink
-// count. Every assignment is below f.ifaces <= vmac.MaxInterfaces (the
-// checkpoint decoder enforces it for restored rings).
+// window's runs (see runs) and, in two passes whatever the interface
+// count, returns the whole window's features and every interface's
+// features and downlink count. Every assignment is below
+// f.ifaces <= vmac.MaxInterfaces (the checkpoint decoder enforces it
+// for restored rings).
 func (sh *shard) closeWindow(f *flowState) {
 	if f.ring.Len() == 0 {
 		return
@@ -796,12 +805,9 @@ func (sh *shard) closeWindow(f *flowState) {
 	f.windows++
 	f.digest = mix(f.digest, markWindow)
 	if c := sh.e.cfg.Classifier; c != nil && !sh.e.auditOff.Load() && features.WindowQualifies(f.winDown, w) {
-		older, newer := f.ring.Segments()
-		h := len(newer)
+		pkts, ifs := f.runs()
 		var g features.Groups
-		features.ExtractGroups(&g, f.ifaces,
-			[2][]trace.Packet{older, newer},
-			[2][]uint8{f.ifbuf[h : h+len(older)], f.ifbuf[:h]})
+		features.ExtractGroups(&g, f.ifaces, pkts, ifs)
 		obs := c.ClassifyVector(g.Whole)
 		f.predHist[obs]++
 		f.classified++
