@@ -49,13 +49,19 @@ const LMax = 1576
 type Adaptive struct {
 	i      int
 	period int
-	window []int    // recent packet sizes, bounded by period
-	counts []int32  // rederive scratch: size histogram, one bucket per size in [0, LMax]
+	window []int   // recent packet sizes, bounded by period
+	counts []int32 // rederive scratch: size histogram, one bucket per size in [0, LMax]
+	// blocks is rederive scratch too: counts summed over each run of
+	// countBlock sizes, so the quantile walk skips empty runs whole.
+	blocks [(LMax + countBlock) / countBlock]int32
 	bin    []uint16 // bin[s] == edges.BinOf(s) for s in [0, LMax]; uint16 since i may reach LMax
 	edges  Ranges
 	seen   int
 	epochs int
 }
+
+// countBlock is the number of histogram buckets one blocks entry sums.
+const countBlock = 64
 
 // NewAdaptive builds an adaptive scheduler over i interfaces that
 // re-derives its ranges every period packets (period >= i). i is
@@ -152,18 +158,10 @@ func (a *Adaptive) binOf(size int) int { return int(a.bin[min(max(size, 0), LMax
 // ℓ_max collapses through the backward strict-ascent walk below.
 func (a *Adaptive) rederive() {
 	a.epochs++
-	hi := 0
 	for _, s := range a.window {
-		if s > LMax {
-			s = LMax
-		}
-		if s < 0 {
-			s = 0
-		}
+		s = min(max(s, 0), LMax)
 		a.counts[s]++
-		if s > hi {
-			hi = s
-		}
+		a.blocks[s/countBlock]++
 	}
 	// Walk the occupied buckets once, reading quantiles and re-zeroing
 	// in the same pass so the histogram is clean for the next epoch
@@ -173,23 +171,29 @@ func (a *Adaptive) rederive() {
 	k := 1
 	target := n * k / a.i // index into the (virtual) sorted window
 	cum := 0
-	for v := 0; v <= hi; v++ {
-		c := int(a.counts[v])
-		if c == 0 {
+	for b := range a.blocks {
+		if a.blocks[b] == 0 {
 			continue
 		}
-		a.counts[v] = 0
-		cum += c
-		for k < a.i && cum > target { // sorted[target] == v
-			q := v
-			if q <= prev {
-				q = prev + 1
+		a.blocks[b] = 0
+		for v := b * countBlock; v < min((b+1)*countBlock, LMax+1); v++ {
+			c := int(a.counts[v])
+			if c == 0 {
+				continue
 			}
-			a.edges[k-1] = q
-			prev = q
-			k++
-			if k < a.i {
-				target = n * k / a.i
+			a.counts[v] = 0
+			cum += c
+			for k < a.i && cum > target { // sorted[target] == v
+				q := v
+				if q <= prev {
+					q = prev + 1
+				}
+				a.edges[k-1] = q
+				prev = q
+				k++
+				if k < a.i {
+					target = n * k / a.i
+				}
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"trafficreshape/internal/mac"
@@ -264,10 +264,13 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		d.restarts += e.inheritedRestarts
 		d.reaps += e.inheritedReaps
 	}
-	sort.Slice(d.flows, func(i, j int) bool {
-		return bytes.Compare(d.flows[i].addr[:], d.flows[j].addr[:]) < 0
-	})
-	return encodeCheckpoint(w, d)
+	slices.SortFunc(d.flows, func(a, b flowSnap) int { return bytes.Compare(a.addr[:], b.addr[:]) })
+	// The image is encoded into the engine's buffer from the last
+	// checkpoint: io.Writer implementations must not retain p, so the
+	// buffer is free again once Write returns.
+	e.ckpt = encodeCheckpoint(e.ckpt[:0], d)
+	_, err := w.Write(e.ckpt)
+	return err
 }
 
 // Restore loads a checkpoint into a freshly built engine: it
@@ -336,8 +339,10 @@ func (e *Engine) Restore(r io.Reader) error {
 // bounded by, so a forged count cannot allocate beyond the input.
 const minFlowRecord = 8 + 4*8 + 2*8 + 1 + 9*8 + 3*4 + trace.NumApps*8 + 2*4 + 2*8 + 3*4
 
-func encodeCheckpoint(w io.Writer, d *ckptData) error {
-	// Sized up front: append's growth on a multi-megabyte image would
+// encodeCheckpoint appends d's checkpoint image to b and returns the
+// extended slice.
+func encodeCheckpoint(b []byte, d *ckptData) []byte {
+	// Grown up front: append's growth on a multi-megabyte image would
 	// copy it several times over. The fixed part (header, configuration,
 	// counters, CRC) is 97 bytes.
 	size := 128
@@ -346,7 +351,8 @@ func encodeCheckpoint(w io.Writer, d *ckptData) error {
 		size += minFlowRecord + 4*(len(f.sched.Edges)+len(f.sched.Window)) + (trace.PacketRecordLen+1)*len(f.ring)
 	}
 	le := binary.LittleEndian
-	b := wire.AppendHeader(make([]byte, 0, size), ckptMagic, ckptVersion)
+	start := len(b)
+	b = wire.AppendHeader(slices.Grow(b, size), ckptMagic, ckptVersion)
 	b = le.AppendUint64(b, uint64(d.w))
 	for _, v := range []int{d.ringCap, d.interfaces, d.period, d.escalateAfter} {
 		b = le.AppendUint32(b, uint32(v))
@@ -357,7 +363,6 @@ func encodeCheckpoint(w io.Writer, d *ckptData) error {
 	}
 	b = append(b, boolByte(d.degraded))
 	b = le.AppendUint32(b, uint32(len(d.flows)))
-	var rec [trace.PacketRecordLen]byte
 	for i := range d.flows {
 		f := &d.flows[i]
 		b = append(b, f.addr[:]...)
@@ -389,14 +394,17 @@ func encodeCheckpoint(w io.Writer, d *ckptData) error {
 			}
 		}
 		b = le.AppendUint32(b, uint32(len(f.ring)))
+		// Records are written in place: PutPacketRecord sets every byte
+		// of its 40, so nothing of a reused buffer's old image survives.
+		n := len(b)
+		b = b[:n+trace.PacketRecordLen*len(f.ring)]
 		for _, p := range f.ring {
-			trace.PutPacketRecord(rec[:], p)
-			b = append(b, rec[:]...)
+			trace.PutPacketRecord(b[n:n+trace.PacketRecordLen], p)
+			n += trace.PacketRecordLen
 		}
 		b = append(b, f.ifassign...)
 	}
-	_, err := w.Write(wire.AppendCRC(b, 0))
-	return err
+	return wire.AppendCRC(b, start)
 }
 
 func boolByte(v bool) byte {

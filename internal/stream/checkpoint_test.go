@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -83,12 +84,75 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(d.flows) == 0 || d.offered == 0 {
 		t.Fatalf("decoded checkpoint is empty: flows=%d offered=%d", len(d.flows), d.offered)
 	}
-	var again bytes.Buffer
-	if err := encodeCheckpoint(&again, d); err != nil {
-		t.Fatalf("re-encode: %v", err)
+	if again := encodeCheckpoint(nil, d); !bytes.Equal(again, a.Bytes()) {
+		t.Fatalf("decode→encode is not an involution (%d vs %d bytes)", len(again), a.Len())
 	}
-	if !bytes.Equal(again.Bytes(), a.Bytes()) {
-		t.Fatalf("decode→encode is not an involution (%d vs %d bytes)", again.Len(), a.Len())
+}
+
+// TestCheckpointReusedBufferMatchesFresh: an engine encodes each
+// checkpoint over its previous image. A smaller image after a larger
+// one must equal the same state checkpointed by a twin engine that
+// encodes into a fresh buffer, byte for byte: no tail of the larger
+// image may survive.
+func TestCheckpointReusedBufferMatchesFresh(t *testing.T) {
+	pkt := func(i int, at time.Duration) trace.Packet {
+		return trace.Packet{Time: at, Size: int32(60 + (i*131)%1400), Dir: trace.Direction(i % 2), MAC: flowMAC(i % 4)}
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := Config{Seed: 3, Shards: shards, RingCap: 64, Period: 32}
+		a, b := New(cfg), New(cfg)
+		var large bytes.Buffer
+		for i := 0; i < 600; i++ {
+			a.Ingest(pkt(i, time.Duration(i)*5*time.Millisecond))
+			b.Ingest(pkt(i, time.Duration(i)*5*time.Millisecond))
+		}
+		if err := a.Checkpoint(&large); err != nil {
+			t.Fatalf("shards=%d: first checkpoint: %v", shards, err)
+		}
+		// One packet per flow past the window: every ring is cut to a
+		// single packet, so the next image is smaller.
+		for i := 0; i < 4; i++ {
+			a.Ingest(pkt(i, time.Minute))
+			b.Ingest(pkt(i, time.Minute))
+		}
+		var small, fresh bytes.Buffer
+		if err := a.Checkpoint(&small); err != nil {
+			t.Fatalf("shards=%d: second checkpoint: %v", shards, err)
+		}
+		if err := b.Checkpoint(&fresh); err != nil {
+			t.Fatalf("shards=%d: twin checkpoint: %v", shards, err)
+		}
+		a.Drain()
+		b.Drain()
+		if small.Len() >= large.Len() {
+			t.Fatalf("shards=%d: second image %d bytes, want fewer than the first's %d", shards, small.Len(), large.Len())
+		}
+		if !bytes.Equal(small.Bytes(), fresh.Bytes()) {
+			t.Errorf("shards=%d: image over a reused buffer (%d bytes) differs from a fresh one (%d bytes)",
+				shards, small.Len(), fresh.Len())
+		}
+	}
+}
+
+// TestCheckpointImageAllocatedOnce: a second checkpoint of an
+// unchanged inline engine allocates only its snapshot. The image is
+// encoded over the first one's buffer, not allocated again.
+func TestCheckpointImageAllocatedOnce(t *testing.T) {
+	e := New(Config{Seed: 3, RingCap: 64, Period: 32})
+	for i := 0; i < 600; i++ {
+		e.Ingest(trace.Packet{Time: time.Duration(i) * 5 * time.Millisecond, Size: int32(60 + (i*131)%1400), MAC: flowMAC(i % 4)})
+	}
+	if err := e.Checkpoint(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	snap := testing.AllocsPerRun(10, func() { e.inline.snapshot() })
+	ckpt := testing.AllocsPerRun(10, func() {
+		if err := e.Checkpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ckpt != snap {
+		t.Fatalf("checkpoint allocates %.0f times, its snapshot %.0f; want no allocation beyond the snapshot", ckpt, snap)
 	}
 }
 
@@ -132,23 +196,18 @@ func TestCheckpointFlowCountBound(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.flows = append(d.flows, flowSnap{addr: flowMAC(i), rng: [4]uint64{1}, ifaces: 1})
 	}
-	var empty, full bytes.Buffer
-	if err := encodeCheckpoint(&empty, &ckptData{ringCap: 4, interfaces: 1, period: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := encodeCheckpoint(&full, d); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := full.Len()-empty.Len(), 3*minFlowRecord; got != want {
+	empty := encodeCheckpoint(nil, &ckptData{ringCap: 4, interfaces: 1, period: 8})
+	full := encodeCheckpoint(nil, d)
+	if got, want := len(full)-len(empty), 3*minFlowRecord; got != want {
 		t.Fatalf("3 minimal flows encode in %d bytes, want 3 × minFlowRecord = %d", got, want)
 	}
-	if _, err := decodeCheckpoint(bytes.NewReader(full.Bytes())); err != nil {
+	if _, err := decodeCheckpoint(bytes.NewReader(full)); err != nil {
 		t.Fatalf("minimal flows refused: %v", err)
 	}
 	// Claim a fourth flow: the CRC is recomputed, so only the count
 	// bound can refuse it.
 	const countOff = 8 + 8 + 4*4 + 8 + 6*8 + 1
-	forged := append([]byte(nil), full.Bytes()[:full.Len()-4]...)
+	forged := append([]byte(nil), full[:len(full)-4]...)
 	forged[countOff] = 4
 	forged = wire.AppendCRC(forged, 0)
 	if _, err := decodeCheckpoint(bytes.NewReader(forged)); !errors.Is(err, ErrBadCheckpoint) {

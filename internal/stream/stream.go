@@ -138,10 +138,12 @@ type Config struct {
 	// on the caller's goroutine; N > 0 runs N shard goroutines with
 	// batched hand-off. Results are identical either way.
 	Shards int
-	// QueueDepth bounds the batches queued per shard (default 2).
-	// With batchSize it fixes the engine's maximum in-flight buffer:
-	// admission control triggers once a shard has QueueDepth batches
-	// queued and one more full batch pending.
+	// QueueDepth bounds the batches queued per shard (default 2). A
+	// batch is 1024 packets (batchSize). Admission control triggers
+	// once a shard has QueueDepth batches queued and one more full
+	// batch pending, so at most (QueueDepth+2) × 1024 packets are in
+	// flight per shard: one batch filling, QueueDepth queued, one being
+	// processed.
 	QueueDepth int
 	// Policy is the admission policy applied when a shard's queue is
 	// full (default PolicyBackpressure).
@@ -175,8 +177,14 @@ type Config struct {
 	chaos hooks
 }
 
-// batchSize is the packets per shard batch in sharded mode.
-const batchSize = 256
+// batchSize is the packets per shard batch in sharded mode. Under
+// backpressure the producer parks on the full queue and the shard
+// wakes it once per batch it takes, so every batch pays one park and
+// unpark. On 2 vCPUs, daemon-sharded ran 9% more packets per
+// CPU-second at 1024 than at 256. 2048 read best, by less than its own
+// interquartile range; 512 fell below that range. A larger batch also
+// raises the in-flight bound (see Config.QueueDepth).
+const batchSize = 1024
 
 // hooks are the engine's fault-injection seam. Either func may be
 // nil, which is all a production engine ever sees: one predictable
@@ -426,6 +434,11 @@ type Engine struct {
 	reaps    int64
 
 	wd *watchdog
+
+	// ckpt holds the last checkpoint image; the next checkpoint is
+	// encoded over it, so a steady checkpoint interval stops allocating
+	// images once the largest has been seen.
+	ckpt []byte
 }
 
 // New builds an engine and, in sharded mode, starts its shard
@@ -813,11 +826,11 @@ func (sh *shard) closeWindow(f *flowState) {
 		f.classified++
 		f.digest = mix(f.digest, markPredict)
 		f.digest = mix(f.digest, uint64(obs))
+		// One matching sub-window settles the verdict, and prediction
+		// is pure, so the rest are not classified.
 		leaked := false
-		for k := 0; k < f.ifaces; k++ {
-			if features.WindowQualifies(g.Down[k], w) && c.ClassifyVector(g.Sub[k]) == obs {
-				leaked = true
-			}
+		for k := 0; k < f.ifaces && !leaked; k++ {
+			leaked = features.WindowQualifies(g.Down[k], w) && c.ClassifyVector(g.Sub[k]) == obs
 		}
 		if leaked {
 			f.leakedWins++

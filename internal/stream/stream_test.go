@@ -89,6 +89,48 @@ func TestReplayEquivalenceAcrossShards(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesInlineAtBatchBoundaries: streams that end one
+// packet short of, exactly on and one packet past a shard batch boundary
+// report as the inline engine does, so neither the last full handoff
+// nor Drain's flush of the partial batch drops or repeats a packet. A
+// single flow puts every packet on one shard at any shard count, so its
+// boundaries are exact at 4 shards too.
+func TestShardedMatchesInlineAtBatchBoundaries(t *testing.T) {
+	const k = 3
+	inputs := []struct {
+		name    string
+		packets []trace.Packet
+	}{
+		{"capture", capture(t, 30*time.Second, 44).Packets},
+		{"one flow", singleFlow(flowMAC(0), k*batchSize+1)},
+	}
+	for _, in := range inputs {
+		if len(in.packets) < k*batchSize+1 {
+			t.Fatalf("%s: %d packets, want at least %d", in.name, len(in.packets), k*batchSize+1)
+		}
+		for _, n := range []int{k*batchSize - 1, k * batchSize, k*batchSize + 1} {
+			run := func(shards int) *Report {
+				e := New(Config{W: time.Second, Seed: 11, Shards: shards, RingCap: 256, Period: 64})
+				for _, p := range in.packets[:n] {
+					e.Ingest(p)
+				}
+				return e.Drain()
+			}
+			inline := run(0)
+			if inline.Packets != int64(n) {
+				t.Fatalf("%s n=%d: inline processed %d packets", in.name, n, inline.Packets)
+			}
+			want := renderReport(t, inline)
+			for _, shards := range []int{1, 4} {
+				if got := renderReport(t, run(shards)); !bytes.Equal(got, want) {
+					t.Errorf("%s n=%d shards=%d: report diverges from inline:\n--- inline ---\n%s--- sharded ---\n%s",
+						in.name, n, shards, want, got)
+				}
+			}
+		}
+	}
+}
+
 // TestReplayRepeatable: two runs of the identical configuration are
 // byte-identical (no hidden global state, map-order, or time
 // dependence).

@@ -1,6 +1,6 @@
 package trafficreshape
 
-// Streaming-engine benchmarks. Two shapes:
+// Streaming-engine benchmarks:
 //
 //   - StreamIngestInline: the full per-packet path — window
 //     maintenance, adaptive scheduling, ring append, self-audit
@@ -10,6 +10,9 @@ package trafficreshape
 //     defaults, with escalation on, so the audit runs at up to 16
 //     interfaces per flow. Profile it with
 //     go test -run '^$' -bench StreamIngestDaemon -cpuprofile cpu.out
+//   - StreamIngestShardedDaemon: reshaped's defaults on one shard
+//     goroutine with a checkpoint every 50 000 packets — the handoff,
+//     barrier and checkpoint-encoding path. Profile it the same way.
 //   - StreamIngestSharded: the asynchronous batched path across many
 //     flows — what the daemon actually sustains.
 
@@ -124,20 +127,8 @@ func BenchmarkStreamIngestInline(b *testing.B) {
 // the chatting, downloading and uploading flows do in reshaped's
 // 300 s synthetic run.
 func BenchmarkStreamIngestDaemon(b *testing.B) {
-	const w = 5 * time.Second
 	in := streamBenchCapture(60 * time.Second)
-	training := make(map[trace.App]*trace.Trace, trace.NumApps)
-	for i, app := range trace.Apps {
-		training[app] = appgen.Generate(app, 60*time.Second, 600+uint64(i))
-	}
-	cls, err := attack.Train(training, attack.TrainOptions{W: w, Trainer: &ml.KNNTrainer{K: 5}, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := stream.New(stream.Config{
-		W: w, RingCap: 4096, Period: 500, EscalateAfter: 2, Seed: 11,
-		Classifier: cls,
-	})
+	e := stream.New(daemonBenchConfig(b, 0))
 	cyc := newCycle(in)
 	for i := 0; i < 3*len(in.Packets); i++ {
 		e.Ingest(cyc.next())
@@ -147,6 +138,62 @@ func BenchmarkStreamIngestDaemon(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		e.Ingest(cyc.next())
 	}
+}
+
+// daemonBenchConfig is reshaped's default configuration at the given
+// shard count, with its self-audit kNN trained at 5 s.
+func daemonBenchConfig(b *testing.B, shards int) stream.Config {
+	const w = 5 * time.Second
+	training := make(map[trace.App]*trace.Trace, trace.NumApps)
+	for i, app := range trace.Apps {
+		training[app] = appgen.Generate(app, 60*time.Second, 600+uint64(i))
+	}
+	cls, err := attack.Train(training, attack.TrainOptions{W: w, Trainer: &ml.KNNTrainer{K: 5}, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stream.Config{
+		W: w, RingCap: 4096, Period: 500, EscalateAfter: 2, Seed: 11,
+		Shards: shards, DegradeAudit: true, Classifier: cls,
+	}
+}
+
+// BenchmarkStreamIngestShardedDaemon: the daemon's sharded path as
+// bench/daemon.go's daemon-sharded workload drives it — reshaped's
+// defaults on one shard goroutine, with a checkpoint every 50 000
+// packets into a writer that only counts. Per-op time is the
+// producer's wall time per packet, handoff, barriers and checkpoint
+// encoding included. Profile it with
+// go test -run '^$' -bench StreamIngestShardedDaemon -cpuprofile cpu.out
+func BenchmarkStreamIngestShardedDaemon(b *testing.B) {
+	const checkpointEvery = 50_000
+	in := streamBenchCapture(60 * time.Second)
+	e := stream.New(daemonBenchConfig(b, 1))
+	cyc := newCycle(in)
+	for i := 0; i < 3*len(in.Packets); i++ {
+		e.Ingest(cyc.next())
+	}
+	var w countWriter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 1; n <= b.N; n++ {
+		e.Ingest(cyc.next())
+		if n%checkpointEvery == 0 {
+			if err := e.Checkpoint(&w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	e.Drain()
+}
+
+// countWriter counts the bytes written to it and drops them.
+type countWriter struct{ n int64 }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }
 
 // BenchmarkStreamIngestSharded: asynchronous batched ingest across
