@@ -236,10 +236,6 @@ func (c *Classifier) ClassifyVector(x features.Vector) trace.App {
 type FlowWindows struct {
 	X     []features.Vector
 	Truth []trace.App
-	// addrs and windows are AppendWindowFlows' scratch, kept so a
-	// reused FlowWindows cuts its next flows without allocating.
-	addrs   []mac.Address
-	windows []trace.Window
 }
 
 // WindowFlows cuts every flow with known ground truth into
@@ -248,34 +244,24 @@ type FlowWindows struct {
 // reused across flows — the windows themselves are zero-copy views,
 // so only the vectors and labels survive the call.
 func WindowFlows(flows map[mac.Address]*trace.Trace, truth map[mac.Address]trace.App, w time.Duration) *FlowWindows {
-	return AppendWindowFlows(new(FlowWindows), flows, truth, w)
-}
-
-// AppendWindowFlows appends the vectors and labels WindowFlows would
-// return to fw's and returns fw. It is the scratch-reuse form: a
-// caller that windows cell after cell truncates fw.X and fw.Truth and
-// re-fills one FlowWindows. fw keeps no reference to the flows.
-func AppendWindowFlows(fw *FlowWindows, flows map[mac.Address]*trace.Trace, truth map[mac.Address]trace.App, w time.Duration) *FlowWindows {
-	addrs := fw.addrs[:0]
+	addrs := make([]mac.Address, 0, len(flows))
 	for a := range flows {
 		addrs = append(addrs, a)
 	}
 	slices.SortFunc(addrs, mac.Address.Compare)
+	fw := new(FlowWindows)
+	var windows []trace.Window
 	for _, addr := range addrs {
 		app, ok := truth[addr]
 		if !ok {
 			continue
 		}
-		fw.windows = features.AppendWindowsOf(fw.windows[:0], flows[addr], w, false)
-		for _, win := range fw.windows {
+		windows = features.AppendWindowsOf(windows[:0], flows[addr], w, false)
+		for _, win := range windows {
 			fw.X = append(fw.X, features.Extract(win))
 			fw.Truth = append(fw.Truth, app)
 		}
 	}
-	// The windows are views of the flows: drop them so fw does not
-	// keep the flows alive.
-	clear(fw.windows)
-	fw.addrs = addrs
 	return fw
 }
 

@@ -8,7 +8,6 @@ import (
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/attack"
 	"trafficreshape/internal/defense"
-	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/plot"
 	"trafficreshape/internal/trace"
@@ -120,12 +119,10 @@ func runAttackerAblation(ds *Dataset, cfg Config) (*Result, error) {
 	}
 	families := append(append([]*attack.Classifier(nil), ds.Classifiers...), treeClf)
 
-	origFlows, origTruth := schemeFlows(ds, mustNamed(ds, "Original"))
-	orFlows, orTruth := schemeFlows(ds, mustNamed(ds, "OR"))
-	// Window + extract each flow set once; every family attacks the
-	// identical vectors (see evalCell).
-	origFW := attack.WindowFlows(origFlows, origTruth, ds.Cfg.W)
-	orFW := attack.WindowFlows(orFlows, orTruth, ds.Cfg.W)
+	// Window + extract each scheme's cells once; every family attacks
+	// the identical vectors (see evalCell).
+	origFW := schemeWindows(ds, mustNamed(ds, "Original"))
+	orFW := schemeWindows(ds, mustNamed(ds, "OR"))
 
 	header := []string{"Family", "Original mean (%)", "OR mean (%)"}
 	var rows [][]string
@@ -148,22 +145,16 @@ func runAttackerAblation(ds *Dataset, cfg Config) (*Result, error) {
 	return &Result{Name: "Ablation — attacker families vs reshaping", Text: b.String(), Metrics: metrics}, nil
 }
 
-// schemeFlows materializes the observed flows of a scheme once, so
-// several classifiers can attack the identical observation. It is the
-// union of the engine's per-app cells, so the flows match what
-// EvalSchemes attacks cell by cell. Every cell partitions into its own
-// fresh scratch, because the flows outlive the loop.
-func schemeFlows(ds *Dataset, s Scheme) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
-	flows := make(map[mac.Address]*trace.Trace)
-	truth := make(map[mac.Address]trace.App)
+// schemeWindows extracts a scheme's windows once, so several
+// classifiers can attack the identical observation: every per-app
+// cell's vectors, so a classifier tallies exactly what EvalSchemes
+// tallies cell by cell.
+func schemeWindows(ds *Dataset, s Scheme) *attack.FlowWindows {
+	fw, sc := new(attack.FlowWindows), new(cellScratch)
 	for _, app := range trace.Apps {
-		f, tr := cellFlows(new(cellScratch), ds, s, app)
-		for addr, p := range f {
-			flows[addr] = p
-			truth[addr] = tr[addr]
-		}
+		appendCellWindows(fw, sc, ds, s, app)
 	}
-	return flows, truth
+	return fw
 }
 
 // runPolicyAblation quantifies §III-C2's remark that "different

@@ -8,12 +8,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"trafficreshape/internal/attack"
 	"trafficreshape/internal/defense"
+	"trafficreshape/internal/features"
 	"trafficreshape/internal/mac"
 	"trafficreshape/internal/ml"
 	"trafficreshape/internal/reshape"
@@ -146,31 +148,40 @@ func BuildDataset(cfg Config) (*Dataset, error) {
 // (each sub-flow appears under its own MAC address).
 type Scheme struct {
 	Name string
-	// partition splits the trace; a single-element result models an
-	// undefended flow. rng is the shard's private stream: the engine
-	// derives one per (scheme, app) cell, so a partition that draws
-	// from it stays deterministic under any worker count. Sub-flows
-	// it builds live in sc's memory; parts that alias the input
-	// (Original's) are never sc's and are never recycled.
-	partition func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace
+	// groups assigns every packet the eavesdropper observes to the
+	// sub-flow it appears in: pkts[k] is in sub-flow group[k] < n, and
+	// each sub-flow's packets are in time order within pkts. A
+	// single-group result models an undefended flow. rng is the
+	// shard's private stream: the engine derives one per (scheme, app)
+	// cell, so a scheme that draws from it stays deterministic under
+	// any worker count. pkts is the input trace's own packets, or
+	// packets the scheme built in sc; group lives in sc.
+	groups func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) (pkts []trace.Packet, group []int32, n int)
 }
 
 // Partition splits tr into the sub-flows the scheme exposes, built
 // in fresh memory the caller owns: it may keep them as long as it
 // likes.
 func (s Scheme) Partition(app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-	return s.partition(new(cellScratch), app, tr, rng)
+	pkts, group, n := s.groups(new(cellScratch), app, tr, rng)
+	return new(reshape.Buffer).Scatter(pkts, group, n)
 }
 
 // cellScratch is the memory one grid cell works in: the reshape
-// buffer and the split destination its flows are built in, and the
-// windowed vectors they are attacked as. EvalCell takes one from
-// cellScratchPool and returns it when the cell is done, so a warm
-// worker evaluates a cell with little garbage.
+// buffer, the split destination and the group index its packets are
+// assigned in, the minted addresses and the order they sort the
+// groups in, the windowing scratch, and the vectors the cell is
+// attacked as. EvalCell takes one from cellScratchPool and returns it
+// when the cell is done, so a warm worker evaluates a cell with
+// little garbage.
 type cellScratch struct {
 	apply   reshape.Buffer
 	split   trace.Trace
-	windows attack.FlowWindows
+	group   []int32
+	addrs   []mac.Address
+	order   []int
+	windows features.GroupWindows
+	fw      attack.FlowWindows
 }
 
 var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
@@ -180,7 +191,7 @@ var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 // scheme with one comes from the registry (NamedScheme), whose names
 // reconstruct the exact partition on any process.
 func (s Scheme) WireName() (string, bool) {
-	return s.Name, s.partition != nil
+	return s.Name, s.groups != nil
 }
 
 // StandardSchemes returns the five columns of Tables II/III:
@@ -210,30 +221,13 @@ func cellRNG(ds *Dataset, s Scheme, app trace.App) *stats.RNG {
 	return stats.NewRNG(ds.Cfg.Seed ^ 0xface ^ h).SplitAt(uint64(app))
 }
 
-// cellFlows materializes the observed sub-flows of one (scheme, app)
-// cell: the partition under fresh per-cell randomness into sc, each
-// sub-flow minted its own MAC address. The flows alias sc.
-func cellFlows(sc *cellScratch, ds *Dataset, s Scheme, app trace.App) (map[mac.Address]*trace.Trace, map[mac.Address]trace.App) {
-	r := cellRNG(ds, s, app)
-	addrRNG := r.SplitAt(0)
-	parts := s.partition(sc, app, ds.Test[app], r.SplitAt(1))
-	flows := make(map[mac.Address]*trace.Trace, len(parts))
-	truth := make(map[mac.Address]trace.App, len(parts))
-	for _, p := range parts {
-		addr := mac.RandomAddress(addrRNG)
-		flows[addr] = p
-		truth[addr] = app
-	}
-	return flows, truth
-}
-
 // EvalCell attacks one (scheme, app) cell with every classifier
 // family, returning one confusion matrix per family (in
 // ds.Classifiers order). Cells are the engine's shard unit: each is a
 // pure function of (dataset, scheme, app) — which is also what makes
 // them safe for a Backend to evaluate on any process and retry after
-// a worker death. The cell's flows are windowed and feature-extracted
-// once, then shared read-only across the families — extraction is
+// a worker death. The cell's windows are feature-extracted once, then
+// shared read-only across the families — extraction is
 // classifier-independent, so this divides the windowing cost by the
 // family count without moving any result bit.
 func EvalCell(ds *Dataset, s Scheme, app trace.App) []*ml.Confusion {
@@ -243,24 +237,45 @@ func EvalCell(ds *Dataset, s Scheme, app trace.App) []*ml.Confusion {
 	return out
 }
 
-// evalCell is EvalCell working in an explicit scratch.
-//
-// The lifetime rule that makes the scratch reusable: the flows, and
-// the windows cut from them, alias sc and are dead once
-// AppendWindowFlows returns; from then on only the feature vectors
-// survive, and they too live in sc until the last family has
-// attacked them. The confusion matrices returned alias nothing, so
-// when evalCell returns the caller may hand sc to the next cell.
+// evalCell is EvalCell working in an explicit scratch. Everything the
+// cell builds lives in sc, and the confusion matrices returned alias
+// nothing, so when evalCell returns the caller may hand sc to the
+// next cell.
 func evalCell(sc *cellScratch, ds *Dataset, s Scheme, app trace.App) []*ml.Confusion {
-	flows, truth := cellFlows(sc, ds, s, app)
-	fw := &sc.windows
+	fw := &sc.fw
 	fw.X, fw.Truth = fw.X[:0], fw.Truth[:0]
-	attack.AppendWindowFlows(fw, flows, truth, ds.Cfg.W)
+	appendCellWindows(fw, sc, ds, s, app)
 	out := make([]*ml.Confusion, len(ds.Classifiers))
 	for i, clf := range ds.Classifiers {
 		out[i] = clf.AttackWindowed(fw)
 	}
 	return out
+}
+
+// appendCellWindows appends to fw the vectors the adversary extracts
+// from one (scheme, app) cell, each labelled app: exactly what
+// attack.WindowFlows extracts from the cell's sub-flows under
+// their minted addresses, without building the sub-flows. The scheme
+// assigns the packets to groups under the cell's private randomness;
+// every group is minted its own MAC address, in group order; and the
+// groups are windowed in address order, as the adversary sorts the
+// flows it observes.
+func appendCellWindows(fw *attack.FlowWindows, sc *cellScratch, ds *Dataset, s Scheme, app trace.App) {
+	r := cellRNG(ds, s, app)
+	addrRNG := r.SplitAt(0)
+	pkts, group, n := s.groups(sc, app, ds.Test[app], r.SplitAt(1))
+	addrs, order := sc.addrs[:0], sc.order[:0]
+	for k := 0; k < n; k++ {
+		addrs = append(addrs, mac.RandomAddress(addrRNG))
+		order = append(order, k)
+	}
+	slices.SortFunc(order, func(a, b int) int { return addrs[a].Compare(addrs[b]) })
+	mark := len(fw.X)
+	fw.X = features.AppendGroupWindows(fw.X, &sc.windows, pkts, group, n, order, ds.Cfg.W)
+	for range fw.X[mark:] {
+		fw.Truth = append(fw.Truth, app)
+	}
+	sc.addrs, sc.order = addrs, order
 }
 
 // Result is a rendered experiment with machine-checkable metrics.

@@ -44,16 +44,36 @@ func mustOR(r reshape.Ranges) reshape.Scheduler {
 	return o
 }
 
-// schedulerScheme partitions with a fresh per-cell scheduler
-// instance, so stateful schedulers (RR's counter, RA's stream,
-// Adaptive's quantiles) never leak state across shards.
+// schedulerScheme assigns each packet with a fresh per-cell
+// scheduler instance, so stateful schedulers (RR's counter, RA's
+// stream, Adaptive's quantiles) never leak state across shards.
 func schedulerScheme(name string, mk func(rng *stats.RNG) reshape.Scheduler) Scheme {
 	return Scheme{
 		Name: name,
-		partition: func(sc *cellScratch, _ trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-			return sc.apply.Apply(mk(rng), tr)
+		groups: func(sc *cellScratch, _ trace.App, tr *trace.Trace, rng *stats.RNG) ([]trace.Packet, []int32, int) {
+			s := mk(rng)
+			return tr.Packets, sc.apply.Assign(s, tr), s.Interfaces()
 		},
 	}
+}
+
+// constantScheduler is schedulerScheme over one stateless scheduler,
+// shared by every cell.
+func constantScheduler(name string, s reshape.Scheduler) Scheme {
+	return schedulerScheme(name, func(*stats.RNG) reshape.Scheduler { return s })
+}
+
+// runIndex sets sc.group to the group index of sub-flows laid out
+// back to back, parts[0]'s packets first, and returns it.
+func runIndex(sc *cellScratch, parts []*trace.Trace) []int32 {
+	group := sc.group[:0]
+	for k, p := range parts {
+		for range p.Packets {
+			group = append(group, int32(k))
+		}
+	}
+	sc.group = group
+	return group
 }
 
 // policyPoints lists the §III-C2 scheduling-policy design points in
@@ -75,13 +95,13 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 	"Original": func(*Dataset) Scheme {
 		return Scheme{
 			Name: "Original",
-			partition: func(_ *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
-				return []*trace.Trace{tr}
+			groups: func(sc *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) ([]trace.Packet, []int32, int) {
+				return tr.Packets, runIndex(sc, []*trace.Trace{tr}), 1
 			},
 		}
 	},
 	"FH": func(*Dataset) Scheme {
-		return schedulerScheme("FH", func(*stats.RNG) reshape.Scheduler { return reshape.PaperFH() })
+		return constantScheduler("FH", reshape.PaperFH())
 	},
 	"RA": func(*Dataset) Scheme {
 		return schedulerScheme("RA", func(rng *stats.RNG) reshape.Scheduler { return reshape.NewRandomFrom(3, rng) })
@@ -90,61 +110,69 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 		return schedulerScheme("RR", func(*stats.RNG) reshape.Scheduler { return reshape.NewRoundRobin(3) })
 	},
 	"OR": func(*Dataset) Scheme {
-		return schedulerScheme("OR", func(*stats.RNG) reshape.Scheduler { return reshape.Recommended() })
+		return constantScheduler("OR", reshape.Recommended())
 	},
 	"OR-I2": orInterfaces(2),
 	"OR-I5": orInterfaces(5),
 	"OR+split": func(*Dataset) Scheme {
+		or := reshape.Recommended()
 		return Scheme{
 			Name: "OR+split",
-			partition: func(sc *cellScratch, app trace.App, tr *trace.Trace, _ *stats.RNG) []*trace.Trace {
+			groups: func(sc *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) ([]trace.Packet, []int32, int) {
 				sc.split.Packets = sc.split.Packets[:0]
 				fragmented := defense.AppendSplit(&sc.split, tr, splitAt, headerBytes)
-				return sc.apply.Apply(reshape.Recommended(), fragmented)
+				return fragmented.Packets, sc.apply.Assign(or, fragmented), or.Interfaces()
 			},
 		}
 	},
 	"OR+morph": func(ds *Dataset) Scheme {
+		or := reshape.Recommended()
 		chain := defense.PaperMorphChain()
 		return Scheme{
 			Name: "OR+morph",
-			partition: func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
-				parts := sc.apply.Apply(reshape.Recommended(), tr)
-				target, ok := chain[app]
-				if !ok {
-					return parts // do./up. stay unmorphed, as in §V-C
-				}
-				// The seed is drawn before the model lookup, so the
-				// cell's stream is the same on the (empty-target)
-				// error path.
-				seed := rng.Uint64()
-				model, err := ds.MorphModel(target)
-				if err != nil {
-					return parts
-				}
-				// The sub-flows are copies in the cell's own scratch,
-				// so they are morphed in place instead of cloned a
-				// second time.
-				m := model.Morpher(seed)
-				for _, p := range parts {
-					m.ApplyInPlace(p)
-				}
-				return parts
+			groups: func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) ([]trace.Packet, []int32, int) {
+				// The sub-flows are morphed one after another, so the
+				// scheme builds them: copies in the cell's own scratch,
+				// morphed in place.
+				parts := sc.apply.Apply(or, tr)
+				morph(ds, chain, app, parts, rng)
+				return sc.apply.Packets(), runIndex(sc, parts), len(parts)
 			},
 		}
 	},
 	policyPoints[1]: func(*Dataset) Scheme {
-		return schedulerScheme(policyPoints[1], func(*stats.RNG) reshape.Scheduler { return mustOR(reshape.EqualRanges(1576, 3)) })
+		return constantScheduler(policyPoints[1], mustOR(reshape.EqualRanges(1576, 3)))
 	},
 	policyPoints[2]: func(*Dataset) Scheme {
-		return schedulerScheme(policyPoints[2], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(3) })
+		return constantScheduler(policyPoints[2], reshape.NewModulo(3))
 	},
 	policyPoints[3]: func(*Dataset) Scheme {
-		return schedulerScheme(policyPoints[3], func(*stats.RNG) reshape.Scheduler { return reshape.NewModulo(5) })
+		return constantScheduler(policyPoints[3], reshape.NewModulo(5))
 	},
 	policyPoints[4]: func(*Dataset) Scheme {
 		return schedulerScheme(policyPoints[4], func(*stats.RNG) reshape.Scheduler { return reshape.NewAdaptive(3, 500) })
 	},
+}
+
+// morph disguises app's sub-flows as its morph target's test traffic
+// (§V-C), in place and in part order. do./up. have no target and stay
+// unmorphed, as in §V-C.
+func morph(ds *Dataset, chain map[trace.App]trace.App, app trace.App, parts []*trace.Trace, rng *stats.RNG) {
+	target, ok := chain[app]
+	if !ok {
+		return
+	}
+	// The seed is drawn before the model lookup, so the cell's stream
+	// is the same on the (empty-target) error path.
+	seed := rng.Uint64()
+	model, err := ds.MorphModel(target)
+	if err != nil {
+		return
+	}
+	m := model.Morpher(seed)
+	for _, p := range parts {
+		m.ApplyInPlace(p)
+	}
 }
 
 // schemeAliases maps a name whose partition is another registered
@@ -168,8 +196,7 @@ func orInterfaces(i int) func(*Dataset) Scheme {
 		if err != nil {
 			panic(err)
 		}
-		or := mustOR(ranges)
-		return schedulerScheme(fmt.Sprintf("OR-I%d", i), func(*stats.RNG) reshape.Scheduler { return or })
+		return constantScheduler(fmt.Sprintf("OR-I%d", i), mustOR(ranges))
 	}
 }
 

@@ -42,7 +42,7 @@ func TestSchemeRegistry(t *testing.T) {
 		if !ok || wire != want {
 			t.Errorf("scheme %q is not wire-representable as %q (got %q, %v)", name, want, wire, ok)
 		}
-		if s.partition == nil {
+		if s.groups == nil {
 			t.Errorf("scheme %q has no partition", name)
 		}
 	}

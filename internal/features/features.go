@@ -103,6 +103,105 @@ func ExtractGroups(out *Groups, groups int, pkts [2][]trace.Packet, group [2][]u
 	}
 }
 
+// GroupWindows is AppendGroupWindows' scratch. The zero value is ready
+// to use; once its arrays have grown to a trace and its window count,
+// AppendGroupWindows allocates nothing. It is not safe for concurrent
+// use.
+type GroupWindows struct {
+	slot  []pktSlot // per packet: its window and direction, and its size
+	accs  []dirAccs // per window, in the order windows open
+	owner []int32   // per window: its group
+	// Per group: the current window (-1 before the group's first
+	// packet) and its start.
+	tail  []int32
+	start []time.Duration
+}
+
+// pktSlot is what the second pass of AppendGroupWindows reads of a
+// packet: its window's accumulator index shifted left by one, or'd
+// with its direction's, and its size. Eight bytes instead of the
+// packet's 32 keep the pass in cache.
+type pktSlot struct {
+	acc, size int32
+}
+
+// AppendGroupWindows appends to dst the feature vector of every
+// qualifying eavesdropping window of every group, without building
+// the groups: pkts[i] belongs to group group[i] < groups. Groups are
+// emitted in order's order (a group missing from order is skipped),
+// each group's windows in time order. The vectors are bit-identical to
+// materialising each group's packets in pkts order and running
+// AppendWindowsOf and Extract on it: each group is windowed from its
+// own first packet, windows that would hold no packet are skipped as
+// trace.Trace.AppendWindows skips them, and a window qualifies on its
+// downlink count (WindowQualifies). Only each group's packets need be
+// in time order, not pkts as a whole, and pkts must open fewer than
+// 2^30 windows, which a trace of fewer than 2^30 packets always does.
+//
+// The first pass opens windows and fills their accumulators, recording
+// each packet's window; the second adds the squared deviations. Every
+// accumulator adds its packets in group order, as Extract does.
+func AppendGroupWindows(dst []Vector, sc *GroupWindows, pkts []trace.Packet, group []int32, groups int, order []int, w time.Duration) []Vector {
+	if w <= 0 {
+		panic("features: window duration must be positive")
+	}
+	group = group[:len(pkts)]
+	slot := resizeScratch(sc.slot, len(pkts))
+	tail := resizeScratch(sc.tail, groups)
+	start := resizeScratch(sc.start, groups)
+	for g := range tail {
+		tail[g] = -1
+	}
+	accs, owner := sc.accs[:0], sc.owner[:0]
+	for i, p := range pkts {
+		g := group[i]
+		s := tail[g]
+		if s < 0 || p.Time-start[g] >= w {
+			// Open the group's next window: the one holding p. Times
+			// are compared by their distance from the window start, as
+			// trace.Trace.AppendWindows compares them.
+			if s < 0 {
+				start[g] = p.Time
+			} else {
+				start[g] += (p.Time - start[g]) / w * w
+			}
+			s = int32(len(accs))
+			accs = append(accs, dirAccs{})
+			owner = append(owner, g)
+			tail[g] = s
+		}
+		d := dirOf(p.Dir)
+		slot[i] = pktSlot{acc: s<<1 | int32(d), size: p.Size}
+		accs[s][d].add(float64(p.Size), p.Time)
+	}
+	for s := range accs {
+		accs[s].setMeans()
+	}
+	for _, ps := range slot {
+		accs[ps.acc>>1][ps.acc&1].addDeviation(float64(ps.size))
+	}
+	// A group's windows open in time order, so each scan of the
+	// windows meets its group's in time order.
+	for _, g := range order {
+		for s, o := range owner {
+			if o == int32(g) && WindowQualifies(accs[s][0].n, w) {
+				dst = append(dst, accs[s].vector())
+			}
+		}
+	}
+	sc.slot, sc.accs, sc.owner, sc.tail, sc.start = slot, accs, owner, tail, start
+	return dst
+}
+
+// resizeScratch returns xs at length n, reusing its array when it is
+// large enough. Reused elements keep their old values.
+func resizeScratch[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}
+
 // dirOf indexes a direction's accumulator: 0 downlink, 1 uplink.
 func dirOf(dir trace.Direction) int {
 	if dir == trace.Uplink {

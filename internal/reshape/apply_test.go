@@ -130,3 +130,36 @@ func TestApplyAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterMatchesReference checks Scatter over an arbitrary group
+// index, from one reused buffer, against per-group appends, and
+// Packets against the sub-flows laid back to back.
+func TestScatterMatchesReference(t *testing.T) {
+	var buf Buffer
+	r := stats.NewRNG(4)
+	for _, groups := range []int{1, 3, 16} {
+		for _, n := range []int{0, 1, 700, 20} {
+			tr := applyTrace(uint64(n+groups), n)
+			group := make([]int32, n)
+			ref := make([]trace.Trace, groups)
+			for k, p := range tr.Packets {
+				group[k] = int32(r.Intn(groups))
+				ref[group[k]].Append(p)
+			}
+			parts := buf.Scatter(tr.Packets, group, groups)
+			if len(parts) != groups {
+				t.Fatalf("groups=%d n=%d: %d sub-flows", groups, n, len(parts))
+			}
+			var flat []trace.Packet
+			for g := range parts {
+				if !slices.Equal(parts[g].Packets, ref[g].Packets) {
+					t.Fatalf("groups=%d n=%d: group %d differs from the reference", groups, n, g)
+				}
+				flat = append(flat, parts[g].Packets...)
+			}
+			if !slices.Equal(buf.Packets(), flat) {
+				t.Fatalf("groups=%d n=%d: Packets is not the sub-flows back to back", groups, n)
+			}
+		}
+	}
+}

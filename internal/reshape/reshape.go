@@ -127,13 +127,13 @@ func (r Ranges) Validate() error {
 }
 
 // BinOf returns the range index j with size ∈ (ℓ_{j-1}, ℓ_j],
-// clamping values above ℓ_L into the last range. The paper's fixed
-// range counts are tiny (2–5), so this is a deliberate linear scan:
-// for a handful of sequentially-read ints a scan beats
-// sort.SearchInts' closure indirection, and it is small enough to
-// inline into Orthogonal.Assign and Measure. Adaptive, whose
-// ranges grow to vmac.MaxInterfaces in the daemon, routes through a
-// per-size table built from the same rule instead.
+// clamping values above ℓ_L into the last range and values at or
+// below zero into the first. The paper's fixed range counts are tiny
+// (2–5), so this is a deliberate linear scan: for a handful of
+// sequentially-read ints a scan beats sort.SearchInts' closure
+// indirection, and it is small enough to inline into Measure. The
+// schedulers, which route every packet, read per-size tables built
+// from this rule instead (Orthogonal once, Adaptive per epoch).
 func (r Ranges) BinOf(size int) int {
 	for j, e := range r {
 		if size <= e {
@@ -181,7 +181,16 @@ type Orthogonal struct {
 	// (Eq. 2) holds because each range has exactly one owner.
 	ifaceOf []int
 	i       int
+	// route[s] is ifaceOf[ranges.BinOf(s)] for every size s from 0 to
+	// the top edge, filled once at construction: Assign reads one
+	// entry instead of scanning the edges.
+	route []int32
 }
+
+// maxOrthogonalEdge bounds an Orthogonal scheduler's top range edge,
+// and with it the routing table (four bytes per size up to the edge).
+// It sits far above any 802.11 frame.
+const maxOrthogonalEdge = 1 << 16
 
 // NewOrthogonal builds an OR scheduler with L = len(ranges) = I and
 // range j owned by interface j.
@@ -212,16 +221,30 @@ func NewOrthogonalMapped(ranges Ranges, ifaceOf []int, interfaces int) (*Orthogo
 			return nil, fmt.Errorf("reshape: range %d mapped to invalid interface %d", j, i)
 		}
 	}
+	top := ranges[len(ranges)-1]
+	if top > maxOrthogonalEdge {
+		return nil, fmt.Errorf("reshape: top range edge %d above %d", top, maxOrthogonalEdge)
+	}
+	route := make([]int32, top+1)
+	s := 0
+	for j, e := range ranges {
+		for ; s <= e; s++ {
+			route[s] = int32(ifaceOf[j])
+		}
+	}
 	return &Orthogonal{
 		ranges:  ranges,
 		ifaceOf: append([]int(nil), ifaceOf...),
 		i:       interfaces,
+		route:   route,
 	}, nil
 }
 
-// Assign implements Scheduler.
+// Assign implements Scheduler with one read of the routing table.
+// Sizes above the top edge clamp to the top range's owner and negative
+// sizes to the first range's, as BinOf clamps them.
 func (o *Orthogonal) Assign(p trace.Packet) int {
-	return o.ifaceOf[o.ranges.BinOf(int(p.Size))]
+	return int(o.route[min(max(int(p.Size), 0), len(o.route)-1)])
 }
 
 // Interfaces implements Scheduler.
@@ -330,15 +353,9 @@ func (f *FrequencyHopping) Name() string { return "FH" }
 // contents (time, size, direction) are never modified: reshaping adds
 // no noise traffic.
 //
-// Apply runs in two passes so each packet is copied once. The first
-// calls s.Assign exactly once per packet, in trace order — the call
-// sequence stateful schedulers (RA's stream, RR's counter, Adaptive's
-// epochs) depend on — recording each packet's interface and counting
-// per interface. The second carves every sub-flow from one exact-size
-// backing array and scatters the packets into it. Each sub-flow's
-// capacity is capped at its own length, so a later Append reallocates
-// instead of overwriting the next interface's packets, and in-place
-// edits (OR+morph's Morpher.ApplyInPlace) stay inside the sub-flow.
+// Apply runs in two passes so each packet is copied once: Buffer.Assign
+// records every packet's interface, and Buffer.Scatter carves the
+// sub-flows from that index.
 //
 // Apply is new(Buffer).Apply: the sub-flows own fresh memory.
 func Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
@@ -360,30 +377,57 @@ type Buffer struct {
 }
 
 // Apply partitions tr exactly as the package-level Apply does, into
-// the buffer's memory. The returned sub-flows and slice alias the
-// buffer: they stay valid only until the next call on b.
+// the buffer's memory: Assign, then Scatter over the index. The
+// returned sub-flows and slice alias the buffer: they stay valid only
+// until the next call on b.
 func (b *Buffer) Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
-	n := len(tr.Packets)
-	iface := resize(b.iface, n)
-	// ends[i] counts interface i's packets, then holds its start
-	// offset in the backing array, and after the scatter its end.
-	ends := resize(b.ends, s.Interfaces())
-	clear(ends)
+	return b.Scatter(tr.Packets, b.Assign(s, tr), s.Interfaces())
+}
+
+// Assign calls s.Assign exactly once per packet of tr, in trace order
+// — the call sequence stateful schedulers (RA's stream, RR's counter,
+// Adaptive's epochs) depend on — and returns each packet's interface.
+// A caller that needs only the sub-flows' features, not the sub-flows,
+// stops here. The index aliases the buffer until its next Assign or
+// Apply.
+func (b *Buffer) Assign(s Scheduler, tr *trace.Trace) []int32 {
+	iface := resize(b.iface, len(tr.Packets))
 	for k, p := range tr.Packets {
-		i := s.Assign(p)
-		ends[i]++
-		iface[k] = int32(i)
+		iface[k] = int32(s.Assign(p))
+	}
+	b.iface = iface
+	return iface
+}
+
+// Scatter materialises a group index: pkts[k] goes to sub-flow
+// group[k], with 0 <= group[k] < groups, and each sub-flow keeps its
+// packets in pkts order. It counts per group, then carves every
+// sub-flow from one exact-size backing array and copies each packet
+// once. Each sub-flow's capacity is capped at its own length, so a
+// later Append reallocates instead of overwriting the next group's
+// packets, and in-place edits (OR+morph's Morpher.ApplyInPlace) stay
+// inside the sub-flow. The sub-flows are laid out in group order, so
+// Packets returns them back to back. pkts must not alias the buffer's
+// own backing array; the result aliases the buffer until its next
+// Scatter or Apply.
+func (b *Buffer) Scatter(pkts []trace.Packet, group []int32, groups int) []*trace.Trace {
+	group = group[:len(pkts)]
+	// ends[i] counts group i's packets, then holds its start offset in
+	// the backing array, and after the scatter its end.
+	ends := resize(b.ends, groups)
+	clear(ends)
+	for _, g := range group {
+		ends[g]++
 	}
 	off := 0
 	for i, c := range ends {
 		ends[i] = off
 		off += c
 	}
-	backing := resize(b.packets, n)
-	for k := range tr.Packets {
-		i := iface[k]
-		backing[ends[i]] = tr.Packets[k]
-		ends[i]++
+	backing := resize(b.packets, len(pkts))
+	for k, g := range group {
+		backing[ends[g]] = pkts[k]
+		ends[g]++
 	}
 	subs := resize(b.subs, len(ends))
 	out := resize(b.out, len(ends))
@@ -393,9 +437,14 @@ func (b *Buffer) Apply(s Scheduler, tr *trace.Trace) []*trace.Trace {
 		out[i] = &subs[i]
 		start = end
 	}
-	b.iface, b.ends, b.packets, b.subs, b.out = iface, ends, backing, subs, out
+	b.ends, b.packets, b.subs, b.out = ends, backing, subs, out
 	return out
 }
+
+// Packets returns the backing array of the last Scatter or Apply:
+// every sub-flow's packets, sub-flow after sub-flow. It aliases the
+// sub-flows, so an in-place edit of one shows in the other.
+func (b *Buffer) Packets() []trace.Packet { return b.packets }
 
 // resize returns xs at length n, reusing its array when it is large
 // enough and allocating exactly n elements otherwise. Reused elements

@@ -184,6 +184,47 @@ func TestOrthogonalMapped(t *testing.T) {
 	checkPartition(t, tr, Apply(o, tr))
 }
 
+// TestOrthogonalTableMatchesBinOf pins Orthogonal's routing table to
+// the edge scan it replaced: every size from -1 to one past the top
+// edge goes to the owner of its BinOf range, for the paper's range
+// sets, the equal thirds, a set whose top edge is above LMax, and a
+// mapped set with L > I.
+func TestOrthogonalTableMatchesBinOf(t *testing.T) {
+	select2, err := SelectRanges(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select5, err := SelectRanges(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		ranges  Ranges
+		ifaceOf []int
+	}{
+		{"PaperRanges3", PaperRanges3(), []int{0, 1, 2}},
+		{"SelectRanges(2)", select2, []int{0, 1}},
+		{"SelectRanges(5)", select5, []int{0, 1, 2, 3, 4}},
+		{"EqualRanges(1576, 3)", EqualRanges(1576, 3), []int{0, 1, 2}},
+		{"above LMax", Ranges{300, LMax + 24, 2400}, []int{0, 1, 2}},
+		{"mapped", PaperRanges5(), []int{2, 0, 1, 0, 1}},
+	}
+	for _, c := range cases {
+		o, err := NewOrthogonalMapped(c.ranges, c.ifaceOf, slices.Max(c.ifaceOf)+1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		top := c.ranges[len(c.ranges)-1]
+		for size := -1; size <= top+1; size++ {
+			want := c.ifaceOf[c.ranges.BinOf(size)]
+			if got := o.Assign(trace.Packet{Size: int32(size)}); got != want {
+				t.Fatalf("%s: size %d routed to interface %d, want %d", c.name, size, got, want)
+			}
+		}
+	}
+}
+
 func TestOrthogonalMappedValidation(t *testing.T) {
 	if _, err := NewOrthogonalMapped(PaperRanges3(), []int{0, 1}, 3); err == nil {
 		t.Error("length mismatch should fail")
@@ -196,6 +237,12 @@ func TestOrthogonalMappedValidation(t *testing.T) {
 	}
 	if _, err := NewOrthogonalMapped(PaperRanges3(), []int{0, 1, 2}, 0); err == nil {
 		t.Error("zero interfaces should fail")
+	}
+	if _, err := NewOrthogonal(Ranges{232, maxOrthogonalEdge + 1}); err == nil {
+		t.Error("a top edge past the routing table's bound should fail")
+	}
+	if _, err := NewOrthogonal(Ranges{232, maxOrthogonalEdge}); err != nil {
+		t.Errorf("a top edge at the routing table's bound failed: %v", err)
 	}
 }
 

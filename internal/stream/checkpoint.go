@@ -517,6 +517,9 @@ func decodeCheckpoint(src io.Reader) (*ckptData, error) {
 			f.ring = make([]trace.Packet, nRing)
 			for j := range f.ring {
 				f.ring[j] = trace.PacketFromRecord(rec[j*trace.PacketRecordLen:])
+				if dir := f.ring[j].Dir; !dir.Valid() {
+					r.Failf("flow %s ring packet %d has direction byte %d", f.addr, j, dir)
+				}
 			}
 		}
 		if asg := r.Take(nRing); asg != nil {

@@ -215,6 +215,33 @@ func TestCheckpointFlowCountBound(t *testing.T) {
 	}
 }
 
+// ringCheckpoint encodes a one-flow checkpoint whose ring holds one
+// packet in direction dir.
+func ringCheckpoint(dir trace.Direction) []byte {
+	return encodeCheckpoint(nil, &ckptData{ringCap: 4, interfaces: 1, period: 8, flows: []flowSnap{{
+		addr: flowMAC(0), rng: [4]uint64{1}, ifaces: 1,
+		ring:     []trace.Packet{{Time: time.Second, Size: 100, Dir: dir}},
+		ifassign: []uint8{0},
+	}}})
+}
+
+// TestCheckpointRefusesBadDirection: a ring packet whose direction
+// byte is neither Downlink nor Uplink is refused with
+// ErrBadCheckpoint, though the CRC matches; both real directions
+// decode.
+func TestCheckpointRefusesBadDirection(t *testing.T) {
+	for _, dir := range []trace.Direction{trace.Downlink, trace.Uplink, 2, 255} {
+		_, err := decodeCheckpoint(bytes.NewReader(ringCheckpoint(dir)))
+		if dir.Valid() {
+			if err != nil {
+				t.Errorf("direction %d refused: %v", dir, err)
+			}
+		} else if !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("direction byte %d: err = %v, want ErrBadCheckpoint", dir, err)
+		}
+	}
+}
+
 // TestCheckpointConfigMismatch: a checkpoint only restores into an
 // engine built with the identical defense configuration.
 func TestCheckpointConfigMismatch(t *testing.T) {

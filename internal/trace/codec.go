@@ -104,7 +104,10 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // records from r rather than reading the input whole: replay captures
 // can be large, and network callers bound r themselves. A record with
 // a negative packet size is rejected: no packet has one, and the
-// defenses' size tables (the morpher's) assume none.
+// defenses' size tables (the morpher's) assume none. So is a direction
+// byte other than Downlink's or Uplink's: the feature extractors count
+// every non-uplink packet as downlink, while the window qualification
+// counts only Downlink, so such a packet would make them disagree.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var head [headerLen]byte
@@ -138,6 +141,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		p := PacketFromRecord(rec[:])
 		if p.Size < 0 {
 			return nil, fmt.Errorf("%w: negative packet size %d at record %d", ErrBadFormat, p.Size, i)
+		}
+		if !p.Dir.Valid() {
+			return nil, fmt.Errorf("%w: direction byte %d at record %d", ErrBadFormat, p.Dir, i)
 		}
 		t.Append(p)
 	}

@@ -47,7 +47,8 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	// Adversarial seeds: bad magic, bad version, a count far beyond
-	// the data, a truncated record, and a negative packet size.
+	// the data, a truncated record, a negative packet size and a bad
+	// direction byte.
 	f.Add([]byte("XXSH\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("TRSH\xff\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	huge := []byte("TRSH\x02\x00\x00\x00")
@@ -62,6 +63,15 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(negBuf.Bytes())
+	// A well-formed record with a direction byte that is neither
+	// direction.
+	badDir := New(1)
+	badDir.Append(Packet{Time: time.Second, Size: 100, Dir: 2})
+	var dirBuf bytes.Buffer
+	if err := WriteBinary(&dirBuf, badDir); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dirBuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))
@@ -71,6 +81,9 @@ func FuzzReadBinary(f *testing.F) {
 		for i, p := range tr.Packets {
 			if p.Size < 0 {
 				t.Fatalf("accepted packet %d with negative size %d", i, p.Size)
+			}
+			if !p.Dir.Valid() {
+				t.Fatalf("accepted packet %d with direction byte %d", i, p.Dir)
 			}
 		}
 		// Accepted input: encoding must be an exact involution over

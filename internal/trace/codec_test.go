@@ -112,6 +112,30 @@ func TestBinaryRejectsNegativeSize(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsBadDirection: a record whose direction byte is
+// neither Downlink nor Uplink is refused with ErrBadFormat naming the
+// record, and both real directions decode.
+func TestBinaryRejectsBadDirection(t *testing.T) {
+	for _, dir := range []Direction{Downlink, Uplink, 2, 255} {
+		tr := randomTrace(3, 5)
+		tr.Packets[3].Dir = dir
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(&buf)
+		if dir.Valid() {
+			if err != nil {
+				t.Errorf("direction %d refused: %v", dir, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "record 3") {
+			t.Errorf("direction byte %d decoded with err = %v, want ErrBadFormat at record 3", dir, err)
+		}
+	}
+}
+
 // Property: binary round trip is lossless for arbitrary traces.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {

@@ -27,6 +27,10 @@ const (
 	Uplink
 )
 
+// Valid reports whether d is Downlink or Uplink, the only directions
+// a packet has. The decoders refuse any other byte.
+func (d Direction) Valid() bool { return d == Downlink || d == Uplink }
+
 // String implements fmt.Stringer.
 func (d Direction) String() string {
 	if d == Uplink {
