@@ -42,6 +42,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -104,12 +105,22 @@ func main() {
 	if *window <= 0 {
 		usage("-window must be positive, got %v", *window)
 	}
+	// A checkpoint could record a period, ring capacity or escalation
+	// count above stream.MaxConfigValue but never restore it.
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"period", *period}, {"ringcap", *ringCap}, {"queue-depth", *queueDepth}, {"escalate-after", *escalate}} {
+		name   string
+		v, max int
+	}{
+		{"period", *period, stream.MaxConfigValue},
+		{"ringcap", *ringCap, stream.MaxConfigValue},
+		{"queue-depth", *queueDepth, math.MaxInt},
+		{"escalate-after", *escalate, stream.MaxConfigValue},
+	} {
 		if f.v <= 0 {
 			usage("-%s must be positive, got %d", f.name, f.v)
+		}
+		if f.v > f.max {
+			usage("-%s must be at most %d, got %d", f.name, f.max, f.v)
 		}
 	}
 	if *period < *interfaces {

@@ -57,6 +57,9 @@ func TestFlagValuesRejected(t *testing.T) {
 		{[]string{"-ringcap", "-1"}, "-ringcap"},
 		{[]string{"-queue-depth", "0"}, "-queue-depth"},
 		{[]string{"-escalate-after", "0"}, "-escalate-after"},
+		{[]string{"-period", "16777217"}, "-period"},
+		{[]string{"-ringcap", "16777217"}, "-ringcap"},
+		{[]string{"-escalate-after", "4294967298"}, "-escalate-after"},
 		{[]string{"-interfaces", "3", "-period", "2"}, "-period"},
 		{[]string{"-watchdog", "-1s"}, "-watchdog"},
 		{[]string{"-halt-after", "-1"}, "-halt-after"},

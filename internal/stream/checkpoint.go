@@ -43,28 +43,12 @@ const (
 // mismatches from a corrupted or truncated file.
 var ErrBadCheckpoint = errors.New("stream: bad checkpoint")
 
-// flowSnap is one flow's serializable state. Ring packets and
+// flowSnap is one flow's serializable state: its plain values, and
+// copies of what flowState holds by reference. Ring packets and
 // interface assignments are aligned oldest-first.
 type flowSnap struct {
-	addr     mac.Address
+	flowVals
 	rng      [4]uint64
-	digest   uint64
-	winStart time.Duration
-	started  bool
-	winDown  int64
-
-	packets     int64
-	evicted     int64
-	windows     int64
-	classified  int64
-	leakedWins  int64
-	escalations int64
-	vmacErrors  int64
-	leakStreak  int64
-	ifaces      int
-	granted     int
-	predHist    [trace.NumApps]int64
-
 	sched    reshape.AdaptiveState
 	ring     []trace.Packet
 	ifassign []uint8
@@ -75,29 +59,13 @@ type flowSnap struct {
 func snapFlow(f *flowState) flowSnap {
 	n := f.ring.Len()
 	_, ifs := f.runs()
-	s := flowSnap{
-		addr:        f.addr,
-		rng:         f.rng.State(),
-		digest:      f.digest,
-		winStart:    f.winStart,
-		started:     f.started,
-		winDown:     int64(f.winDown),
-		packets:     f.packets,
-		evicted:     f.evicted,
-		windows:     f.windows,
-		classified:  f.classified,
-		leakedWins:  f.leakedWins,
-		escalations: f.escalations,
-		vmacErrors:  f.vmacErrors,
-		leakStreak:  int64(f.leakStreak),
-		ifaces:      f.ifaces,
-		granted:     f.granted,
-		predHist:    f.predHist,
-		sched:       f.sched.State(),
-		ring:        f.ring.AppendTo(make([]trace.Packet, 0, n)),
-		ifassign:    append(append(make([]uint8, 0, n), ifs[0]...), ifs[1]...),
+	return flowSnap{
+		flowVals: f.flowVals,
+		rng:      f.rng.State(),
+		sched:    f.sched.State(),
+		ring:     f.ring.AppendTo(make([]trace.Packet, 0, n)),
+		ifassign: append(append(make([]uint8, 0, n), ifs[0]...), ifs[1]...),
 	}
-	return s
 }
 
 // restoreFlow rebuilds a flow from its snapshot. Structural errors
@@ -127,27 +95,12 @@ func (sh *shard) restoreFlow(s *flowSnap) (*flowState, error) {
 			s.addr, sched.Interfaces(), s.ifaces)
 	}
 	f := &flowState{
-		addr:        s.addr,
-		ring:        trace.NewRing(e.cfg.RingCap),
-		ifbuf:       make([]uint8, e.cfg.RingCap),
-		sched:       sched,
-		ifaces:      s.ifaces,
-		client:      vmac.NewClient(s.addr),
-		rng:         stats.NewRNG(0),
-		digest:      s.digest,
-		winStart:    s.winStart,
-		started:     s.started,
-		winDown:     int(s.winDown),
-		packets:     s.packets,
-		evicted:     s.evicted,
-		windows:     s.windows,
-		classified:  s.classified,
-		leakedWins:  s.leakedWins,
-		escalations: s.escalations,
-		vmacErrors:  s.vmacErrors,
-		leakStreak:  int(s.leakStreak),
-		granted:     s.granted,
-		predHist:    s.predHist,
+		ring:     trace.NewRing(e.cfg.RingCap),
+		ifbuf:    make([]uint8, e.cfg.RingCap),
+		sched:    sched,
+		flowVals: s.flowVals,
+		client:   vmac.NewClient(s.addr),
+		rng:      stats.NewRNG(0),
 	}
 	f.rng.RestoreState(s.rng)
 	for i, p := range s.ring {
@@ -185,28 +138,33 @@ type ckptData struct {
 	seed          uint64
 
 	offered  int64
-	shed     int64
-	stalled  int64
-	lost     int64
-	restarts int64
-	reaps    int64
+	faults   ShardStats // totals only; Shard is unused
 	degraded bool
 
 	flows []flowSnap
 }
 
 // Checkpoint snapshots every flow's defense state and the engine's
-// cumulative counters to w. In sharded mode it runs a barrier: all
-// buffered packets are flushed, then each shard serializes its flows
-// at its queue's current frontier — the checkpoint boundary is
-// exactly the set of packets Ingested before the call. The snapshot
-// also becomes each shard's rollback point for panic recovery and
-// watchdog reaps. The producer goroutine must call it; it cannot run
-// concurrently with Ingest.
+// cumulative counters to w. It runs a barrier: all buffered packets
+// are flushed, then each shard serializes its flows at its queue's
+// current frontier — the checkpoint boundary is exactly the set of
+// packets Ingested before the call. The snapshot also becomes each
+// shard's rollback point for panic recovery and watchdog reaps. The
+// image does not depend on the shard count. The producer goroutine
+// must call it; it cannot run concurrently with Ingest.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.final != nil {
 		return errors.New("stream: checkpoint after drain")
 	}
+	e.Flush()
+	if err := e.control(opSnap, nil); err != nil {
+		return err
+	}
+	e.ckptFlows = e.ckptFlows[:0]
+	for _, flows := range e.lastSnap {
+		e.ckptFlows = append(e.ckptFlows, flows...)
+	}
+	slices.SortFunc(e.ckptFlows, func(a, b flowSnap) int { return bytes.Compare(a.addr[:], b.addr[:]) })
 	d := &ckptData{
 		w:             e.cfg.W,
 		ringCap:       e.cfg.RingCap,
@@ -215,56 +173,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		escalateAfter: e.cfg.EscalateAfter,
 		seed:          e.cfg.Seed,
 		offered:       e.offered,
+		faults:        e.faults(nil),
 		degraded:      e.auditOff.Load(),
+		flows:         e.ckptFlows,
 	}
-	if e.inline != nil {
-		e.inline.syncInline(e.offered)
-		rep := e.inline.snapshot()
-		d.flows = rep.flows
-		d.lost = e.inline.lost.Load() + e.inheritedLost
-		d.restarts = e.inline.restarts.Load() + e.inheritedRestarts
-		d.reaps = e.inheritedReaps
-	} else {
-		e.Flush()
-		chs := make([]chan snapReply, e.nshards)
-		for i := range e.shards {
-			ch := make(chan snapReply, 1)
-			e.shards[i].Load().in <- shardMsg{snap: ch}
-			chs[i] = ch
-		}
-		for i, ch := range chs {
-			rep := <-ch
-			if rep.err != nil {
-				return rep.err
-			}
-			e.mu.Lock()
-			e.lastSnap[i] = rep.flows
-			e.mu.Unlock()
-			d.flows = append(d.flows, rep.flows...)
-		}
-		for i := range e.shedBy {
-			d.shed += e.shedBy[i]
-			d.stalled += e.stallBy[i]
-		}
-		for i := range e.shards {
-			sh := e.shards[i].Load()
-			d.lost += sh.lost.Load()
-			d.restarts += sh.restarts.Load()
-		}
-		e.mu.Lock()
-		for _, z := range e.zombies {
-			d.lost += z.lost.Load() + z.sent.Load() - z.accounted.Load()
-			d.restarts += z.restarts.Load()
-		}
-		d.reaps = e.reaps
-		e.mu.Unlock()
-		d.shed += e.inheritedShed
-		d.stalled += e.inheritedStalled
-		d.lost += e.inheritedLost
-		d.restarts += e.inheritedRestarts
-		d.reaps += e.inheritedReaps
-	}
-	slices.SortFunc(d.flows, func(a, b flowSnap) int { return bytes.Compare(a.addr[:], b.addr[:]) })
 	// The image is encoded into the engine's buffer from the last
 	// checkpoint: io.Writer implementations must not retain p, so the
 	// buffer is free again once Write returns.
@@ -295,41 +207,16 @@ func (e *Engine) Restore(r io.Reader) error {
 			e.cfg.W, e.cfg.RingCap, e.cfg.Interfaces, e.cfg.Period, e.cfg.EscalateAfter, e.cfg.Seed)
 	}
 	e.offered = d.offered
-	e.inheritedShed = d.shed
-	e.inheritedStalled = d.stalled
-	e.inheritedLost = d.lost
-	e.inheritedRestarts = d.restarts
-	e.inheritedReaps = d.reaps
+	e.inherited = d.faults
 	if d.degraded {
 		e.auditOff.Store(true)
 	}
-	if e.inline != nil {
-		// The restored packets are settled: a rollback before the next
-		// checkpoint loses only what follows them.
-		e.inline.syncInline(d.offered)
-		e.inline.accounted.Store(d.offered)
-		return e.inline.install(d.flows)
-	}
-	groups := make([][]flowSnap, e.nshards)
+	groups := make([][]flowSnap, len(e.shards))
 	for _, s := range d.flows {
 		i := e.shardIndex(s.addr)
 		groups[i] = append(groups[i], s)
 	}
-	reqs := make([]installReq, e.nshards)
-	for i := range e.shards {
-		reqs[i] = installReq{flows: groups[i], done: make(chan error, 1)}
-		e.shards[i].Load().in <- shardMsg{install: &reqs[i]}
-	}
-	var firstErr error
-	for i := range reqs {
-		if err := <-reqs[i].done; err != nil && firstErr == nil {
-			firstErr = err
-		}
-		e.mu.Lock()
-		e.lastSnap[i] = groups[i]
-		e.mu.Unlock()
-	}
-	return firstErr
+	return e.control(opInstall, groups)
 }
 
 // --- binary encoding --------------------------------------------------------
@@ -358,7 +245,7 @@ func encodeCheckpoint(b []byte, d *ckptData) []byte {
 		b = le.AppendUint32(b, uint32(v))
 	}
 	b = le.AppendUint64(b, d.seed)
-	for _, v := range []int64{d.offered, d.shed, d.stalled, d.lost, d.restarts, d.reaps} {
+	for _, v := range []int64{d.offered, d.faults.Shed, d.faults.Stalled, d.faults.Lost, d.faults.Restarts, d.faults.Reaps} {
 		b = le.AppendUint64(b, uint64(v))
 	}
 	b = append(b, boolByte(d.degraded))
@@ -373,8 +260,8 @@ func encodeCheckpoint(b []byte, d *ckptData) []byte {
 		b = le.AppendUint64(b, f.digest)
 		b = le.AppendUint64(b, uint64(f.winStart))
 		b = append(b, boolByte(f.started))
-		for _, v := range []int64{f.winDown, f.packets, f.evicted, f.windows, f.classified,
-			f.leakedWins, f.escalations, f.vmacErrors, f.leakStreak} {
+		for _, v := range []int64{int64(f.winDown), f.packets, f.evicted, f.windows, f.classified,
+			f.leakedWins, f.escalations, f.vmacErrors, int64(f.leakStreak)} {
 			b = le.AppendUint64(b, uint64(v))
 		}
 		b = le.AppendUint32(b, uint32(f.ifaces))
@@ -440,22 +327,25 @@ func decodeCheckpoint(src io.Reader) (*ckptData, error) {
 	d.interfaces = int(r.U32())
 	d.period = int(r.U32())
 	d.escalateAfter = int(r.U32())
-	if d.ringCap <= 0 || d.ringCap > 1<<24 {
+	if d.ringCap <= 0 || d.ringCap > MaxConfigValue {
 		r.Failf("implausible ring capacity %d", d.ringCap)
 	}
 	if d.interfaces < 1 || d.interfaces > vmac.MaxInterfaces {
 		r.Failf("interfaces %d out of [1, %d]", d.interfaces, vmac.MaxInterfaces)
 	}
-	if d.period <= 0 || d.period > 1<<24 {
+	if d.period <= 0 || d.period > MaxConfigValue {
 		r.Failf("implausible period %d", d.period)
+	}
+	if d.escalateAfter > MaxConfigValue {
+		r.Failf("implausible escalate-after %d", d.escalateAfter)
 	}
 	d.seed = r.U64()
 	d.offered = nonNeg(r, "offered")
-	d.shed = nonNeg(r, "shed")
-	d.stalled = nonNeg(r, "stalled")
-	d.lost = nonNeg(r, "lost")
-	d.restarts = nonNeg(r, "restarts")
-	d.reaps = nonNeg(r, "reaps")
+	d.faults.Shed = nonNeg(r, "shed")
+	d.faults.Stalled = nonNeg(r, "stalled")
+	d.faults.Lost = nonNeg(r, "lost")
+	d.faults.Restarts = nonNeg(r, "restarts")
+	d.faults.Reaps = nonNeg(r, "reaps")
 	d.degraded = r.U8() != 0
 	nFlows := r.Count("flow", 1<<20, minFlowRecord)
 	d.flows = make([]flowSnap, 0, nFlows)
@@ -477,7 +367,7 @@ func decodeCheckpoint(src io.Reader) (*ckptData, error) {
 		f.digest = r.U64()
 		f.winStart = time.Duration(r.U64())
 		f.started = r.U8() != 0
-		f.winDown = nonNeg(r, "winDown")
+		f.winDown = int(nonNeg(r, "winDown"))
 		f.packets = nonNeg(r, "packets")
 		f.evicted = nonNeg(r, "evicted")
 		f.windows = nonNeg(r, "windows")
@@ -485,7 +375,7 @@ func decodeCheckpoint(src io.Reader) (*ckptData, error) {
 		f.leakedWins = nonNeg(r, "leaked")
 		f.escalations = nonNeg(r, "escalations")
 		f.vmacErrors = nonNeg(r, "vmacErrors")
-		f.leakStreak = nonNeg(r, "leakStreak")
+		f.leakStreak = int(nonNeg(r, "leakStreak"))
 		f.ifaces = int(r.U32())
 		f.granted = int(r.U32())
 		if f.ifaces < 1 || f.ifaces > vmac.MaxInterfaces {

@@ -16,9 +16,12 @@ import (
 // TestCheckpointRestoreEquivalence is the tentpole contract: a run
 // killed after a checkpoint and resumed from it — into a fresh
 // engine, at any shard count — reports byte-identically to the
-// uninterrupted run. Exercised with the self-audit on so the
-// checkpoint carries mid-stream classifier state, leak streaks and
-// open windows, not just counters.
+// uninterrupted run. The checkpoint does not depend on the shard
+// count that wrote it: every image equals the inline one, and the
+// inline and 4-shard images also resume at each other's count.
+// Exercised with the self-audit on so the checkpoint carries
+// mid-stream classifier state, leak streaks and open windows, not
+// just counters.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	cls := auditClassifier(t, 5*time.Second)
 	in := capture(t, 30*time.Second, 42)
@@ -31,6 +34,8 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	ingestTrace(full, in)
 	want := renderReport(t, full.Drain())
 
+	restoreAt := map[int][]int{0: {0, 4}, 1: {1}, 4: {4, 0}, 8: {8}}
+	var inline []byte
 	for _, shards := range []int{0, 1, 4, 8} {
 		a := New(cfg(shards))
 		for _, p := range in.Packets[:cut] {
@@ -41,20 +46,27 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d checkpoint: %v", shards, err)
 		}
 		a.Drain() // the "crashed" daemon's goroutines; its report is discarded
+		if shards == 0 {
+			inline = ck.Bytes()
+		} else if !bytes.Equal(ck.Bytes(), inline) {
+			t.Errorf("shards=%d checkpoint (%d bytes) differs from the inline one (%d bytes)", shards, ck.Len(), len(inline))
+		}
 
-		b := New(cfg(shards))
-		if err := b.Restore(bytes.NewReader(ck.Bytes())); err != nil {
-			t.Fatalf("shards=%d restore: %v", shards, err)
-		}
-		if got := b.Offered(); got != int64(cut) {
-			t.Fatalf("shards=%d restored offset %d, want %d", shards, got, cut)
-		}
-		for _, p := range in.Packets[cut:] {
-			b.Ingest(p)
-		}
-		if got := renderReport(t, b.Drain()); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d resumed report diverges from uninterrupted run:\n--- full ---\n%s--- resumed ---\n%s",
-				shards, want, got)
+		for _, to := range restoreAt[shards] {
+			b := New(cfg(to))
+			if err := b.Restore(bytes.NewReader(ck.Bytes())); err != nil {
+				t.Fatalf("shards=%d image restore at %d: %v", shards, to, err)
+			}
+			if got := b.Offered(); got != int64(cut) {
+				t.Fatalf("shards=%d image at %d: restored offset %d, want %d", shards, to, got, cut)
+			}
+			for _, p := range in.Packets[cut:] {
+				b.Ingest(p)
+			}
+			if got := renderReport(t, b.Drain()); !bytes.Equal(got, want) {
+				t.Errorf("shards=%d image resumed at %d diverges from uninterrupted run:\n--- full ---\n%s--- resumed ---\n%s",
+					shards, to, want, got)
+			}
 		}
 	}
 }
@@ -194,7 +206,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 func TestCheckpointFlowCountBound(t *testing.T) {
 	d := &ckptData{ringCap: 4, interfaces: 1, period: 8}
 	for i := 0; i < 3; i++ {
-		d.flows = append(d.flows, flowSnap{addr: flowMAC(i), rng: [4]uint64{1}, ifaces: 1})
+		d.flows = append(d.flows, flowSnap{flowVals: flowVals{addr: flowMAC(i), ifaces: 1}, rng: [4]uint64{1}})
 	}
 	empty := encodeCheckpoint(nil, &ckptData{ringCap: 4, interfaces: 1, period: 8})
 	full := encodeCheckpoint(nil, d)
@@ -219,7 +231,7 @@ func TestCheckpointFlowCountBound(t *testing.T) {
 // packet in direction dir.
 func ringCheckpoint(dir trace.Direction) []byte {
 	return encodeCheckpoint(nil, &ckptData{ringCap: 4, interfaces: 1, period: 8, flows: []flowSnap{{
-		addr: flowMAC(0), rng: [4]uint64{1}, ifaces: 1,
+		flowVals: flowVals{addr: flowMAC(0), ifaces: 1}, rng: [4]uint64{1},
 		ring:     []trace.Packet{{Time: time.Second, Size: 100, Dir: dir}},
 		ifassign: []uint8{0},
 	}}})
@@ -308,7 +320,7 @@ func TestShardIndexNibbleCollisions(t *testing.T) {
 	}
 	want := make([]int, len(addrs))
 	for i, a := range addrs {
-		want[i] = int(flowHash(a) % uint64(e.nshards))
+		want[i] = int(flowHash(a) % uint64(len(e.shards)))
 	}
 	// Adversarial interleave: no two consecutive lookups share a flow.
 	for round := 0; round < 100; round++ {

@@ -7,14 +7,22 @@
 // eavesdropper's classifier, and escalating the interface count via
 // the vMAC configuration protocol when a flow keeps leaking.
 //
+// Flows are partitioned over shard slots by a hash of their address.
+// Config.Shards = N > 0 runs one goroutine per slot, fed in batches
+// through a bounded queue. Shards = 0 is one slot, slot 0, run on the
+// caller's goroutine: Ingest processes each packet at once, and a
+// checkpoint, restore or drain is handled in place where a sharded
+// slot would dequeue it. Either way the control plane (Checkpoint,
+// Restore, Drain, the report) takes one path over the slots.
+//
 // Determinism is the load-bearing property. Every per-flow decision —
 // scheduling, window boundaries, classification, escalation, nonce
 // draws — is a pure function of that flow's packet sequence and the
 // master seed: per-flow RNG streams come from stats.RNG.SplitAt keyed
 // by a hash of the flow address, so they do not depend on flow
 // arrival order or shard count. Replaying a captured trace therefore
-// produces a byte-identical Report whether the engine runs inline or
-// sharded over any number of goroutines. The only shard-order-
+// produces a byte-identical Report, and checkpoints taken at the same
+// packet are byte-identical, at any shard count. The only shard-order-
 // dependent values in the system are the virtual MAC address *bytes*
 // (the AP's pool is a shared allocator), so addresses are deliberately
 // excluded from digests and reports; grant counts, which depend only
@@ -23,11 +31,11 @@
 // Overload and failure are explicit, accounted-for states rather than
 // hangs or silent data loss. The shard handoff is a bounded queue
 // with a configurable admission policy: backpressure (block, the
-// legacy semantics), fail-closed (drop the packet — traffic stalls
-// but nothing ever leaves unshaped) or fail-open (pass the packet
-// through unshaped, counted as a leak). Before the first packet is
-// shed the engine can degrade itself instead, switching off the
-// self-audit classifier to shed load rather than traffic. Shard
+// default: nothing is shed), fail-closed (drop the packet — traffic
+// stalls but nothing ever leaves unshaped) or fail-open (pass the
+// packet through unshaped, counted as a leak). Before the first
+// packet is shed the engine can degrade itself instead, switching off
+// the self-audit classifier to shed load rather than traffic. Shard
 // goroutines are supervised: a panic rolls the shard back to its last
 // checkpoint and restarts it, a watchdog reaps a shard that wedges
 // mid-packet, and every shed, stalled, lost and restarted unit is
@@ -48,6 +56,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -70,8 +79,8 @@ import (
 type ShedPolicy uint8
 
 const (
-	// PolicyBackpressure blocks the producer until the queue drains —
-	// the legacy semantics. Nothing is ever shed, so replay results
+	// PolicyBackpressure blocks the producer until the queue drains,
+	// the default. Nothing is ever shed, so replay results
 	// are independent of timing; the cost is that a wedged shard
 	// stalls the producer (the watchdog, if enabled, un-wedges it).
 	PolicyBackpressure ShedPolicy = iota
@@ -121,22 +130,23 @@ type Config struct {
 	// flow's first window opens at its first packet's timestamp, and
 	// a packet at or past the boundary closes the current window.
 	W time.Duration
-	// RingCap bounds the packets held per flow window (default 4096).
-	// A window with more packets than RingCap keeps only the most
-	// recent RingCap for classification; qualification still counts
-	// every packet.
+	// RingCap bounds the packets held per flow window (default 4096,
+	// at most MaxConfigValue). A window with more packets than RingCap
+	// keeps only the most recent RingCap for classification;
+	// qualification still counts every packet.
 	RingCap int
 	// Interfaces is the initial virtual interface count per flow
 	// (default 3, the paper's recommendation).
 	Interfaces int
 	// Period is the adaptive scheduler's re-derivation period in
-	// packets (default 500).
+	// packets (default 500, at most MaxConfigValue).
 	Period int
 	// Seed drives every deterministic draw in the engine.
 	Seed uint64
-	// Shards selects the execution mode: 0 processes packets inline
+	// Shards selects the execution mode: 0 runs one shard slot inline,
 	// on the caller's goroutine; N > 0 runs N shard goroutines with
-	// batched hand-off. Results are identical either way.
+	// batched hand-off. Reports and checkpoints are identical either
+	// way.
 	Shards int
 	// QueueDepth bounds the batches queued per shard (default 2). A
 	// batch is 1024 packets (batchSize). Admission control triggers
@@ -169,13 +179,19 @@ type Config struct {
 	// packets × interfaces.
 	Classifier *attack.Classifier
 	// EscalateAfter is how many consecutive leaky windows trigger a
-	// +1 interface escalation (default 2).
+	// +1 interface escalation (default 2, at most MaxConfigValue).
 	EscalateAfter int
 
 	// chaos injects faults at the engine's scheduling points. Only
 	// the package's chaos tests set it.
 	chaos hooks
 }
+
+// MaxConfigValue bounds Config.RingCap, Config.Period and
+// Config.EscalateAfter. A checkpoint records each in 32 bits and its
+// decoder refuses a larger value, so an engine configured above it
+// would write checkpoints it cannot restore.
+const MaxConfigValue = 1 << 24
 
 // batchSize is the packets per shard batch in sharded mode. Under
 // backpressure the producer parks on the full queue and the shard
@@ -278,55 +294,65 @@ func addrKey(a mac.Address) uint64 {
 		uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
 }
 
-// flowState is everything the engine remembers about one flow. It is
-// owned by exactly one shard, so no field needs synchronization.
-type flowState struct {
-	addr   mac.Address
-	ring   *trace.Ring
-	ifbuf  []uint8 // interface assignment per ring slot, read through runs
-	slot   int     // next ifbuf write position, mirrors the ring head
-	sched  *reshape.Adaptive
-	ifaces int
-	client *vmac.Client
-	rng    *stats.RNG
-	digest uint64
-
+// flowVals are a flow's plain values: everything the engine keeps of
+// a flow by value. flowState and flowSnap both embed them, so a
+// checkpoint copies them whole. The fields ingest touches on every
+// packet come first.
+type flowVals struct {
 	winStart time.Duration
-	started  bool
+	digest   uint64
+	packets  int64
 	winDown  int // downlink packets in the current window, incl. evicted
+	started  bool
 
-	packets     int64
+	addr        mac.Address
+	ifaces      int
+	granted     int
+	leakStreak  int
 	evicted     int64
 	windows     int64
 	classified  int64
 	leakedWins  int64
 	escalations int64
 	vmacErrors  int64
-	leakStreak  int
-	granted     int
 	predHist    [trace.NumApps]int64
 }
 
-// snapReply carries one shard's checkpoint snapshot back to the
-// barrier in Engine.Checkpoint.
-type snapReply struct {
-	flows []flowSnap
-	err   error
+// flowState is everything the engine remembers about one flow. It is
+// owned by exactly one shard, so no field needs synchronization.
+type flowState struct {
+	ring  *trace.Ring
+	ifbuf []uint8 // interface assignment per ring slot, read through runs
+	slot  int     // next ifbuf write position, mirrors the ring head
+	sched *reshape.Adaptive
+	flowVals
+	client *vmac.Client
+	rng    *stats.RNG
 }
 
-// installReq hands a restored flow set to the shard that owns it.
-type installReq struct {
-	flows []flowSnap
-	done  chan error
-}
+// msgOp is what a shard message asks of its shard.
+type msgOp uint8
+
+const (
+	opBatch   msgOp = iota // ingest batch
+	opSnap                 // snapshot the flows: the checkpoint barrier
+	opInstall              // replace the flows with flows: restore
+	opDrain                // close every flow's final window; the last message
+)
+
+var opNames = [...]string{opSnap: "snapshot", opInstall: "install", opDrain: "drain"}
 
 type shardMsg struct {
-	batch   []trace.Packet
-	snap    chan snapReply
-	install *installReq
-	// drain closes every flow's final window; it is the last message
-	// a shard receives.
-	drain bool
+	op    msgOp
+	batch []trace.Packet // opBatch
+	flows []flowSnap     // opInstall
+}
+
+// reply answers one control message: the slot's flows after a
+// snapshot or install, or why it failed.
+type reply struct {
+	flows []flowSnap
+	err   error
 }
 
 // errReaped is reported when a control-plane request (checkpoint
@@ -343,9 +369,10 @@ type shard struct {
 	// no per-packet scratch.
 	flows map[uint64]*flowState
 
+	// in and free are the batch queue and its recycled buffers; both
+	// are nil on the inline slot, which has no goroutine.
 	in   chan shardMsg
 	free chan []trace.Packet
-	done chan struct{}
 
 	// Supervision state. sent counts packets handed to this shard's
 	// queue (producer-side); processed counts packets consumed from it
@@ -396,7 +423,6 @@ func newShardWithQueue(e *Engine, idx int) *shard {
 	for j := 0; j < e.cfg.QueueDepth+2; j++ {
 		sh.free <- make([]trace.Packet, 0, batchSize)
 	}
-	sh.done = make(chan struct{})
 	return sh
 }
 
@@ -408,37 +434,42 @@ type Engine struct {
 	ap     *vmac.AP
 	master *stats.RNG
 
-	inline  *shard
-	nshards int
-	shards  []atomic.Pointer[shard]
-	pend    [][]trace.Packet
-	final   *Report
+	// shards holds one shard per slot: Config.Shards slots, or one for
+	// inline mode. inline is slot 0's shard in inline mode and nil when
+	// sharded; only Ingest reads it.
+	shards []atomic.Pointer[shard]
+	inline *shard
+	pend   [][]trace.Packet
+	final  *Report
 
-	// Producer-owned admission accounting.
-	offered       int64
-	shedBy        []int64 // per shard: fail-open passes (unshaped leaks)
-	stallBy       []int64 // per shard: fail-closed drops
-	degradeEvents int64
-	auditOff      atomic.Bool
+	// replies has one channel per slot, capacity 1, on which the slot's
+	// shard (or a reaped predecessor) answers each control message.
+	replies []chan reply
 
-	// inherited* carry a restored checkpoint's fault totals, so a
+	// Producer-owned admission accounting: admission[i] holds slot i's
+	// Shed (fail-open passes) and Stalled (fail-closed drops).
+	offered   int64
+	admission []ShardStats
+	auditOff  atomic.Bool
+
+	// inherited carries a restored checkpoint's fault totals, so a
 	// resumed run reports over the whole logical stream.
-	inheritedShed, inheritedStalled, inheritedLost int64
-	inheritedRestarts, inheritedReaps              int64
+	inherited ShardStats
 
 	// mu guards the state shared between the producer and the
-	// watchdog: last checkpoint snapshots, reaped shard husks.
+	// watchdog: the slot pointers' swap with the zombie list, the last
+	// checkpoint snapshots.
 	mu       sync.Mutex
 	lastSnap [][]flowSnap
 	zombies  []*shard
-	reaps    int64
 
 	wd *watchdog
 
-	// ckpt holds the last checkpoint image; the next checkpoint is
-	// encoded over it, so a steady checkpoint interval stops allocating
-	// images once the largest has been seen.
-	ckpt []byte
+	// ckpt holds the last checkpoint image and ckptFlows its flows; the
+	// next checkpoint is built over both, so a steady checkpoint
+	// interval stops allocating them once the largest has been seen.
+	ckpt      []byte
+	ckptFlows []flowSnap
 }
 
 // New builds an engine and, in sharded mode, starts its shard
@@ -446,24 +477,29 @@ type Engine struct {
 // collects the report; it is idempotent.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
+	slots := max(cfg.Shards, 1)
 	e := &Engine{
 		cfg: cfg,
 		ap: vmac.NewAP(vmac.APConfig{
 			MaxPerClient: vmac.MaxInterfaces,
 			Seed:         cfg.Seed ^ 0x9e3779b97f4a7c15,
 		}),
-		master: stats.NewRNG(cfg.Seed),
+		master:    stats.NewRNG(cfg.Seed),
+		shards:    make([]atomic.Pointer[shard], slots),
+		replies:   make([]chan reply, slots),
+		admission: make([]ShardStats, slots),
+		lastSnap:  make([][]flowSnap, slots),
+	}
+	for i := range e.replies {
+		e.replies[i] = make(chan reply, 1)
+		e.admission[i].Shard = i
 	}
 	if cfg.Shards == 0 {
 		e.inline = newShard(e, 0)
+		e.shards[0].Store(e.inline)
 		return e
 	}
-	e.nshards = cfg.Shards
-	e.shards = make([]atomic.Pointer[shard], cfg.Shards)
-	e.pend = make([][]trace.Packet, cfg.Shards)
-	e.shedBy = make([]int64, cfg.Shards)
-	e.stallBy = make([]int64, cfg.Shards)
-	e.lastSnap = make([][]flowSnap, cfg.Shards)
+	e.pend = make([][]trace.Packet, slots)
 	for i := range e.shards {
 		sh := newShardWithQueue(e, i)
 		e.shards[i].Store(sh)
@@ -477,11 +513,10 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// run is the supervised consumer loop: it survives panics in the
-// ingest path by rolling the shard back to its last checkpoint
-// snapshot, counting the rolled-back packets as lost, and continuing.
+// run is the supervised consumer loop of a sharded slot. It returns
+// right after answering the drain, the last message a live shard
+// receives, or when Drain closes a reaped husk's queue.
 func (sh *shard) run() {
-	defer close(sh.done)
 	for {
 		if h := sh.e.cfg.chaos.beforeReceive; h != nil {
 			h(sh.idx)
@@ -491,89 +526,110 @@ func (sh *shard) run() {
 			return
 		}
 		sh.handle(msg)
+		if msg.op == opDrain {
+			return
+		}
 	}
 }
 
+// handle processes one message under supervision. A batch survives a
+// panic in the ingest path: every packet consumed since the last
+// checkpoint — completed batches plus the one that blew up — is lost,
+// the flows roll back to the last snapshot, and the loop continues. A
+// control message is answered on the slot's reply channel.
 func (sh *shard) handle(msg shardMsg) {
 	sh.beat.Add(1)
 	sh.busy.Store(true)
 	defer sh.busy.Store(false)
-	defer func() {
-		if r := recover(); r != nil {
-			sh.recoverPanic(msg)
-		}
-	}()
-	switch {
-	case msg.snap != nil:
-		msg.snap <- sh.snapshot()
-	case msg.install != nil:
-		msg.install.done <- sh.install(msg.install.flows)
-	case msg.drain:
-		for _, f := range sh.flows {
-			sh.closeWindow(f)
-		}
-	default:
-		if sh.reaped.Load() {
-			// Reaped husk: recycle without processing. The packets are
-			// already accounted as lost via sent - accounted.
-			sh.free <- msg.batch[:0]
-			return
-		}
-		for _, p := range msg.batch {
-			sh.ingest(p)
-		}
-		sh.processed.Add(int64(len(msg.batch)))
-		sh.free <- msg.batch[:0]
+	if sh.reaped.Load() {
+		sh.refuse(msg)
+		return
 	}
+	if msg.op != opBatch {
+		sh.e.replies[sh.idx] <- sh.answer(msg)
+		return
+	}
+	defer func() {
+		if recover() != nil {
+			sh.processed.Add(int64(len(msg.batch)))
+			sh.rollback()
+		}
+		sh.free <- msg.batch[:0]
+	}()
+	for _, p := range msg.batch {
+		sh.ingest(p)
+	}
+	sh.processed.Add(int64(len(msg.batch)))
 }
 
-// recoverPanic settles the books after a panic in handle: every packet
-// consumed since the last checkpoint — completed batches plus the one
-// that blew up, if any — is lost, the flows roll back to the last
-// snapshot, and the loop continues. A panic in the final window close
-// of Drain rolls back the same way; the restored flows are reported
-// as the snapshot left them.
-func (sh *shard) recoverPanic(msg shardMsg) {
-	switch {
-	case msg.snap != nil:
-		msg.snap <- snapReply{err: fmt.Errorf("stream: shard %d panicked during snapshot", sh.idx)}
-		return // snapshot does not consume packets; nothing to roll back
-	case msg.install != nil:
-		msg.install.done <- fmt.Errorf("stream: shard %d panicked during install", sh.idx)
-		return
-	case msg.drain:
-	default:
-		sh.processed.Add(int64(len(msg.batch)))
-		defer func() { sh.free <- msg.batch[:0] }()
+// answer carries out a control message. A panic in a snapshot or install
+// fails the request; a snapshot consumes no packets, so nothing rolls
+// back. A panic in the final window close rolls the shard back as one
+// mid-stream does, and the restored flows are reported as the snapshot
+// left them.
+func (sh *shard) answer(msg shardMsg) (r reply) {
+	defer func() {
+		if recover() == nil {
+			return
+		}
+		r = reply{}
+		if msg.op == opDrain {
+			sh.rollback()
+		} else {
+			r.err = fmt.Errorf("stream: shard %d panicked during %s", sh.idx, opNames[msg.op])
+		}
+	}()
+	switch msg.op {
+	case opSnap:
+		return reply{flows: sh.snapshot()}
+	case opInstall:
+		return reply{flows: msg.flows, err: sh.install(msg.flows)}
 	}
+	for _, f := range sh.flows {
+		sh.closeWindow(f)
+	}
+	return reply{}
+}
+
+// refuse answers a message a reaped shard will not process: a batch is
+// recycled, its packets already lost via sent - accounted, and a
+// control message gets errReaped.
+func (sh *shard) refuse(msg shardMsg) {
+	if msg.op == opBatch {
+		sh.free <- msg.batch[:0]
+		return
+	}
+	sh.e.replies[sh.idx] <- reply{err: errReaped}
+}
+
+// rollback settles the books after a panic: every packet consumed
+// since the last checkpoint is lost, and the flows return to the last
+// snapshot.
+func (sh *shard) rollback() {
 	sh.lost.Add(sh.processed.Load() - sh.accounted.Load())
 	sh.accounted.Store(sh.processed.Load())
 	sh.restarts.Add(1)
 	sh.resetTo(sh.lastLocalSnap)
 }
 
-// syncInline sets the inline shard's processed count to offered.
-// Inline mode processes every offered packet at once on the caller's
-// goroutine, so the count is read off offered where a rollback needs
-// it — at a checkpoint and at Drain — rather than kept per packet.
-func (sh *shard) syncInline(offered int64) { sh.processed.Store(offered) }
-
 // snapshot serializes the shard's flows for a checkpoint barrier and
 // marks every processed packet accounted: the snapshot is now the
 // rollback point for panics and reaps.
-func (sh *shard) snapshot() snapReply {
+func (sh *shard) snapshot() []flowSnap {
 	snaps := make([]flowSnap, 0, len(sh.flows))
 	for _, f := range sh.flows {
 		snaps = append(snaps, snapFlow(f))
 	}
 	sh.lastLocalSnap = snaps
 	sh.accounted.Store(sh.processed.Load())
-	return snapReply{flows: snaps}
+	return snaps
 }
 
 // install replaces the shard's flows with a restored snapshot; used by
-// Engine.Restore before any traffic flows. Unlike resetTo it fails
-// loudly if a flow's vMAC grant cannot be re-established.
+// Engine.Restore before any traffic flows. The restored packets are
+// settled, so a rollback before the next checkpoint loses only what
+// follows them. Unlike resetTo it fails loudly if a flow's vMAC grant
+// cannot be re-established.
 func (sh *shard) install(snaps []flowSnap) error {
 	sh.flows = make(map[uint64]*flowState, len(snaps))
 	for i := range snaps {
@@ -584,6 +640,7 @@ func (sh *shard) install(snaps []flowSnap) error {
 		sh.flows[addrKey(f.addr)] = f
 	}
 	sh.lastLocalSnap = snaps
+	sh.accounted.Store(sh.processed.Load())
 	return nil
 }
 
@@ -603,17 +660,53 @@ func (sh *shard) resetTo(snaps []flowSnap) {
 	}
 }
 
+// control sends op to every slot — opInstall with flows[i] for slot i —
+// and waits for every slot's answer, so none is left over for the next
+// request. A sharded slot queues the message behind the batches already
+// handed off, so it acts at the producer's frontier. The inline slot
+// has no queue: it handles the message at once on the caller's
+// goroutine, with processed first set to offered, since inline
+// processes each packet as it is offered. A snapshot or install
+// becomes its slot's rollback point for reaps. control returns the
+// first error.
+func (e *Engine) control(op msgOp, flows [][]flowSnap) error {
+	for i := range e.shards {
+		msg := shardMsg{op: op}
+		if flows != nil {
+			msg.flows = flows[i]
+		}
+		if sh := e.shards[i].Load(); sh.in != nil {
+			sh.in <- msg
+		} else {
+			sh.processed.Store(e.offered)
+			sh.handle(msg)
+		}
+	}
+	var first error
+	for i, ch := range e.replies {
+		r := <-ch
+		if r.err != nil {
+			first = cmp.Or(first, r.err)
+		} else if op != opDrain {
+			e.mu.Lock()
+			e.lastSnap[i] = r.flows
+			e.mu.Unlock()
+		}
+	}
+	return first
+}
+
 // shardIndex routes a flow's packets to one shard: a pure function of
 // the address.
 func (e *Engine) shardIndex(a mac.Address) int {
-	return int(flowHash(a) % uint64(e.nshards))
+	return int(flowHash(a) % uint64(len(e.shards)))
 }
 
 // Ingest feeds one packet. Inline mode processes it at once and
 // returns the interface index the scheduler chose; sharded mode
 // batches it for the flow's shard goroutine and returns -1. Packets
 // of one flow must arrive in time order; flows may interleave
-// arbitrarily.
+// arbitrarily. Ingest must not be called after Drain.
 func (e *Engine) Ingest(p trace.Packet) int {
 	e.offered++
 	if e.inline != nil {
@@ -648,7 +741,6 @@ func (e *Engine) handoff(i int, buf []trace.Packet) []trace.Packet {
 	default:
 	}
 	if e.cfg.DegradeAudit && e.auditOff.CompareAndSwap(false, true) {
-		e.degradeEvents++
 		// One retry after degrading: the queue may drain once the
 		// consumers stop classifying.
 		select {
@@ -659,9 +751,9 @@ func (e *Engine) handoff(i int, buf []trace.Packet) []trace.Packet {
 		}
 	}
 	if e.cfg.Policy == PolicyFailOpen {
-		e.shedBy[i]++
+		e.admission[i].Shed++
 	} else {
-		e.stallBy[i]++
+		e.admission[i].Stalled++
 	}
 	return buf[:len(buf)-1]
 }
@@ -755,14 +847,12 @@ func (f *flowState) runs() (pkts [2][]trace.Packet, ifs [2][]uint8) {
 func (sh *shard) newFlow(addr mac.Address) *flowState {
 	e := sh.e
 	f := &flowState{
-		addr:   addr,
-		ring:   trace.NewRing(e.cfg.RingCap),
-		ifbuf:  make([]uint8, e.cfg.RingCap),
-		sched:  reshape.NewAdaptive(e.cfg.Interfaces, e.cfg.Period),
-		ifaces: e.cfg.Interfaces,
-		client: vmac.NewClient(addr),
-		rng:    e.master.SplitAt(flowHash(addr)),
-		digest: fnvOffset,
+		ring:     trace.NewRing(e.cfg.RingCap),
+		ifbuf:    make([]uint8, e.cfg.RingCap),
+		sched:    reshape.NewAdaptive(e.cfg.Interfaces, e.cfg.Period),
+		flowVals: flowVals{addr: addr, ifaces: e.cfg.Interfaces, digest: fnvOffset},
+		client:   vmac.NewClient(addr),
+		rng:      e.master.SplitAt(flowHash(addr)),
 	}
 	sh.grant(f)
 	sh.flows[addrKey(addr)] = f
@@ -872,12 +962,12 @@ func (sh *shard) escalate(f *flowState) {
 // Drain flushes buffered packets, stops the watchdog, closes every
 // flow's final partial window (mirroring the batch cutter's trailing
 // flush), stops the shards and returns the deterministic report. The
-// final windows close in each shard's handle, under the supervision
-// of every other message: sharded, as a drain message queued behind
-// the last batch; inline, on the caller's goroutine. A panic in the
-// final audit therefore rolls the shard back to its last checkpoint
-// and counts the packets consumed since as lost, as one mid-stream
-// does. Drain is idempotent: subsequent calls return the same Report.
+// final windows close in each slot's handle, as a drain message queued
+// behind the slot's last batch, under the supervision of every other
+// message: a panic in the final audit rolls the shard back to its last
+// checkpoint and counts the packets consumed since as lost, as one
+// mid-stream does. Drain is idempotent: subsequent calls return the
+// same Report.
 func (e *Engine) Drain() *Report {
 	if e.final != nil {
 		return e.final
@@ -885,32 +975,17 @@ func (e *Engine) Drain() *Report {
 	if e.wd != nil {
 		e.wd.halt()
 	}
-	shards := []*shard{e.inline}
-	if e.inline != nil {
-		e.inline.syncInline(e.offered)
-		e.inline.handle(shardMsg{drain: true})
-	} else {
-		e.Flush()
-		shards = make([]*shard, e.nshards)
-		for i := range e.shards {
-			sh := e.shards[i].Load()
-			sh.in <- shardMsg{drain: true}
-			close(sh.in)
-			shards[i] = sh
-		}
-		for _, sh := range shards {
-			<-sh.done
-		}
-		// Reaped husks: close their queues so their drainers (and the
-		// husk goroutines, once un-wedged) exit. Their flows are
-		// discarded; their losses are read off the atomic counters.
-		e.mu.Lock()
-		for _, z := range e.zombies {
-			close(z.in)
-		}
-		e.mu.Unlock()
+	e.Flush()
+	e.control(opDrain, nil) // a drain answers no error: its panics roll back
+	// Reaped husks: close their queues so their drainers (and the husk
+	// goroutines, once un-wedged) exit. Their flows are discarded;
+	// their losses are read off the atomic counters.
+	e.mu.Lock()
+	for _, z := range e.zombies {
+		close(z.in)
 	}
-	e.final = e.report(shards)
+	e.mu.Unlock()
+	e.final = e.report()
 	return e.final
 }
 
@@ -949,6 +1024,43 @@ func (s ShardStats) active() bool {
 	return s.Shed|s.Stalled|s.Lost|s.Restarts|s.Reaps != 0
 }
 
+func (s *ShardStats) add(o ShardStats) {
+	s.Shed += o.Shed
+	s.Stalled += o.Stalled
+	s.Lost += o.Lost
+	s.Restarts += o.Restarts
+	s.Reaps += o.Reaps
+}
+
+// faults sums the fault counters over the whole logical stream: each
+// slot's admission drops, its live shard's and reaped predecessors'
+// losses and restarts, its reaps, and the totals a restored checkpoint
+// carried in. slot, if not nil, is passed each slot's own totals in
+// slot order.
+func (e *Engine) faults(slot func(ShardStats)) ShardStats {
+	total := e.inherited
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.shards {
+		s := e.admission[i]
+		sh := e.shards[i].Load()
+		s.Lost += sh.lost.Load()
+		s.Restarts += sh.restarts.Load()
+		for _, z := range e.zombies {
+			if z.idx == i {
+				s.Lost += z.lost.Load() + z.sent.Load() - z.accounted.Load()
+				s.Restarts += z.restarts.Load()
+				s.Reaps++
+			}
+		}
+		total.add(s)
+		if slot != nil {
+			slot(s)
+		}
+	}
+	return total
+}
+
 // Report is the engine's end-of-run summary. Every field, and the
 // text rendering, is byte-identical across runs and shard counts for
 // the same input and seed — fault counters included, provided the
@@ -977,50 +1089,21 @@ type Report struct {
 	Digest uint64
 }
 
-func (e *Engine) report(shards []*shard) *Report {
+func (e *Engine) report() *Report {
 	r := &Report{
 		Outstanding: e.ap.Outstanding(),
 		Policy:      e.cfg.Policy,
 		Offered:     e.offered,
 		Degraded:    e.auditOff.Load(),
 	}
-	slots := make([]ShardStats, len(shards))
-	for i, sh := range shards {
-		slots[i] = ShardStats{
-			Shard:    i,
-			Lost:     sh.lost.Load(),
-			Restarts: sh.restarts.Load(),
-		}
-		if e.shedBy != nil {
-			slots[i].Shed = e.shedBy[i]
-			slots[i].Stalled = e.stallBy[i]
-		}
-	}
-	e.mu.Lock()
-	for _, z := range e.zombies {
-		s := &slots[z.idx]
-		s.Lost += z.lost.Load() + z.sent.Load() - z.accounted.Load()
-		s.Restarts += z.restarts.Load()
-		s.Reaps++
-	}
-	r.Reaps = e.reaps + e.inheritedReaps
-	e.mu.Unlock()
-	for _, s := range slots {
-		r.Shed += s.Shed
-		r.Stalled += s.Stalled
-		r.Lost += s.Lost
-		r.Restarts += s.Restarts
+	t := e.faults(func(s ShardStats) {
 		if s.active() {
 			r.Shards = append(r.Shards, s)
 		}
-	}
-	r.Shed += e.inheritedShed
-	r.Stalled += e.inheritedStalled
-	r.Lost += e.inheritedLost
-	r.Restarts += e.inheritedRestarts
-
-	for _, sh := range shards {
-		for _, f := range sh.flows {
+	})
+	r.Shed, r.Stalled, r.Lost, r.Restarts, r.Reaps = t.Shed, t.Stalled, t.Lost, t.Restarts, t.Reaps
+	for i := range e.shards {
+		for _, f := range e.shards[i].Load().flows {
 			fr := FlowReport{
 				MAC:         f.addr.String(),
 				Packets:     f.packets,

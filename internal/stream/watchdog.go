@@ -38,7 +38,7 @@ func (w *watchdog) run() {
 		beat  int64
 		since time.Time
 	}
-	last := make([]obs, e.nshards)
+	last := make([]obs, len(e.shards))
 	tick := e.cfg.Watchdog / 4
 	if tick <= 0 {
 		tick = time.Millisecond
@@ -88,12 +88,13 @@ func (e *Engine) reap(i int, old *shard) {
 	nsh.lastLocalSnap = snap
 	nsh.resetTo(snap)
 	go nsh.run()
-	e.shards[i].Store(nsh)
-	go drainZombie(old)
+	// The swap and the zombie entry change together, so a fault tally
+	// sees the husk as the slot's shard or as a zombie, never both.
 	e.mu.Lock()
+	e.shards[i].Store(nsh)
 	e.zombies = append(e.zombies, old)
-	e.reaps++
 	e.mu.Unlock()
+	go drainZombie(old)
 }
 
 // drainZombie consumes a reaped shard's queue until Drain closes it:
@@ -101,13 +102,6 @@ func (e *Engine) reap(i int, old *shard) {
 // and control-plane requests get errReaped.
 func drainZombie(z *shard) {
 	for msg := range z.in {
-		switch {
-		case msg.snap != nil:
-			msg.snap <- snapReply{err: errReaped}
-		case msg.install != nil:
-			msg.install.done <- errReaped
-		default:
-			z.free <- msg.batch[:0]
-		}
+		z.refuse(msg)
 	}
 }
