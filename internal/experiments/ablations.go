@@ -60,7 +60,7 @@ func runSplitting(ds *Dataset, cfg Config) (*Result, error) {
 	var pktInflation, byteOverhead float64
 	for _, app := range []trace.App{trace.Downloading, trace.Uploading} {
 		orig := ds.Test[app]
-		frag := defense.AppendSplit(new(trace.Trace), orig, splitAt, headerBytes)
+		frag := ds.splitTest(app)
 		pktInflation += float64(frag.Len()) / float64(orig.Len())
 		byteOverhead += defense.Overhead(orig, frag)
 	}

@@ -26,7 +26,10 @@ package experiments
 //
 // A RunAll does each piece of work once: one training set per
 // dataset, windowed and extracted once and shared by every family,
-// Table VI and the attacker ablation; and one evaluation per distinct
+// Table VI and the attacker ablation; per dataset and application,
+// one set of morphing tables and one fragmented test trace, built on
+// first use and shared by every cell and runner that reads them (see
+// Dataset.morphs and Dataset.splits); and one evaluation per distinct
 // cell per run, because the run's cell memo hands a (dataset, scheme)
 // grid one runner evaluated to every other runner asking for it, and
 // scheme aliases (see schemeAliases) share their canonical scheme's
@@ -134,6 +137,7 @@ func (e *Engine) BuildDatasetFrom(cfg Config, set *TraceSet) (*Dataset, error) {
 		ds.morphs[app] = sync.OnceValues(func() (*defense.MorphModel, error) {
 			return defense.NewMorphModel(test[app])
 		})
+		ds.splits[app] = sync.OnceValue(func() *trace.Trace { return splitTrace(test[app]) })
 	}
 	if !set.Empty() {
 		ds.src = set

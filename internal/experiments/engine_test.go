@@ -165,6 +165,58 @@ func TestEngineConcurrentRunsShareClassifier(t *testing.T) {
 	}
 }
 
+// TestEngineConcurrentSplitFirstBuild is the sibling for the
+// dataset's lazily built fragments: on a freshly built dataset, many
+// goroutines evaluate OR+split cells and the splitting runner at once,
+// so under -race the first builds contend on the dataset's
+// OnceValues. Every evaluation equals the serial grid's.
+func TestEngineConcurrentSplitFirstBuild(t *testing.T) {
+	ref := quickDataset(t)
+	want := ref.eng.EvalSchemes(ref, []Scheme{mustNamed(ref, "OR+split")})[0].String()
+	ds, err := NewEngine(4).BuildDataset(ref.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNamed(ds, "OR+split")
+
+	var wg sync.WaitGroup
+	outs := make([]string, 8)
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Even goroutines evaluate the sharded OR+split grid; odd
+			// goroutines run the splitting runner, whose cost figures
+			// read the same fragments.
+			if i%2 == 0 {
+				outs[i] = ds.eng.EvalSchemes(ds, []Scheme{s})[0].String()
+				return
+			}
+			res, err := runSplitting(ds, ds.Cfg)
+			if err == nil {
+				outs[i] = res.Text
+			}
+		}(i)
+	}
+	wg.Wait()
+	var splitting string
+	for i, got := range outs {
+		if i%2 == 0 {
+			if got != want {
+				t.Errorf("concurrent OR+split EvalSchemes %d diverged from the serial grid", i)
+			}
+			continue
+		}
+		if got == "" {
+			t.Errorf("concurrent runSplitting %d failed", i)
+		} else if splitting == "" {
+			splitting = got
+		} else if got != splitting {
+			t.Errorf("concurrent runSplitting %d diverged", i)
+		}
+	}
+}
+
 // TestEngineRunAllOrderedStreaming: the parallel collector must emit
 // renderings in exact registry order with the serial engine's bytes.
 // Quick full runs are heavy, so this drives the collector through the

@@ -68,7 +68,9 @@ func QuickConfig(w time.Duration) Config {
 
 // Dataset bundles the trained adversaries and held-out test traffic,
 // plus the morphing tables toward each application's test trace
-// (MorphModel), which the OR+morph cells and Table VI share.
+// (MorphModel), which the OR+morph cells and Table VI share, and each
+// application's fragmented test trace (splitTest), which the OR+split
+// cells and the splitting cost figures share.
 type Dataset struct {
 	Cfg Config
 	// Classifiers holds one trained model per family (SVM, MLP, kNN,
@@ -102,6 +104,13 @@ type Dataset struct {
 	// dataset share the entries, like the test traces. Zero-value
 	// datasets leave them nil (see MorphModel).
 	morphs [trace.NumApps]func() (*defense.MorphModel, error)
+	// splits builds, once per application, its test trace with every
+	// packet above splitAt bytes fragmented (§V-C's closing remark):
+	// the OR+split grid cells and runSplitting's cost figures read each
+	// build, and shallow copies of the dataset share the entries, like
+	// the morph tables. Zero-value datasets leave them nil (see
+	// splitTest).
+	splits [trace.NumApps]func() *trace.Trace
 	// src, when non-nil, is the captured traffic this dataset was
 	// built from (BuildDatasetFrom); srcRef holds its content-digest
 	// address. A dataset with a source is no longer a pure function of
@@ -136,6 +145,23 @@ func (ds *Dataset) MorphModel(target trace.App) (*defense.MorphModel, error) {
 	return defense.NewMorphModel(ds.Test[target])
 }
 
+// splitTest returns app's test trace with every packet above splitAt
+// bytes fragmented, built on first use and shared read-only from then
+// on. Datasets constructed without the builds (zero-value literals)
+// fragment afresh per call.
+func (ds *Dataset) splitTest(app trace.App) *trace.Trace {
+	if build := ds.splits[app]; build != nil {
+		return build()
+	}
+	return splitTrace(ds.Test[app])
+}
+
+// splitTrace fragments every packet of tr above splitAt bytes into a
+// new trace.
+func splitTrace(tr *trace.Trace) *trace.Trace {
+	return defense.AppendSplit(new(trace.Trace), tr, splitAt, headerBytes)
+}
+
 // BuildDataset generates training traffic, trains one adversary per
 // classifier family on its one training set, and generates unseen
 // test traffic (see Engine.BuildDataset).
@@ -154,29 +180,30 @@ type Scheme struct {
 	// single-group result models an undefended flow. rng is the
 	// shard's private stream: the engine derives one per (scheme, app)
 	// cell, so a scheme that draws from it stays deterministic under
-	// any worker count. pkts is the input trace's own packets, or
-	// packets the scheme built in sc; group lives in sc.
+	// any worker count. pkts is the input trace's own packets, packets
+	// the scheme built in sc, or the dataset's shared fragments of
+	// app's test trace (OR+split, which reads them in place of tr);
+	// group lives in sc.
 	groups func(sc *cellScratch, app trace.App, tr *trace.Trace, rng *stats.RNG) (pkts []trace.Packet, group []int32, n int)
 }
 
 // Partition splits tr into the sub-flows the scheme exposes, built
 // in fresh memory the caller owns: it may keep them as long as it
-// likes.
+// likes. For a scheme built from a dataset, tr is app's test trace in
+// that dataset: OR+split partitions the dataset's fragments of it.
 func (s Scheme) Partition(app trace.App, tr *trace.Trace, rng *stats.RNG) []*trace.Trace {
 	pkts, group, n := s.groups(new(cellScratch), app, tr, rng)
 	return new(reshape.Buffer).Scatter(pkts, group, n)
 }
 
 // cellScratch is the memory one grid cell works in: the reshape
-// buffer, the split destination and the group index its packets are
-// assigned in, the minted addresses and the order they sort the
-// groups in, the windowing scratch, and the vectors the cell is
-// attacked as. EvalCell takes one from cellScratchPool and returns it
+// buffer and the group index its packets are assigned in, the minted
+// addresses and the order they sort the groups in, the windowing
+// scratch, and the vectors the cell is attacked as. EvalCell takes one from cellScratchPool and returns it
 // when the cell is done, so a warm worker evaluates a cell with
 // little garbage.
 type cellScratch struct {
 	apply   reshape.Buffer
-	split   trace.Trace
 	group   []int32
 	addrs   []mac.Address
 	order   []int

@@ -3,10 +3,12 @@ package experiments
 import (
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"trafficreshape/internal/appgen"
 	"trafficreshape/internal/attack"
@@ -241,6 +243,33 @@ func TestDatasetMorphModelShared(t *testing.T) {
 				if m != first {
 					t.Errorf("%v: dataset %d caller %d got tables %p, want %p", app, c, k, m, first)
 				}
+			}
+		}
+	}
+}
+
+// TestDatasetSplitTestCached: each application's fragments are
+// exactly defense.AppendSplit of its test trace, built once (a second
+// call returns the same backing array), and the OR+split cells of a
+// dataset literal without the builds, which fragments afresh per
+// cell, equal the built dataset's family by family.
+func TestDatasetSplitTestCached(t *testing.T) {
+	ds := quickDataset(t)
+	bare := &Dataset{Cfg: ds.Cfg, Classifiers: ds.Classifiers, Test: ds.Test}
+	cached, fresh := mustNamed(ds, "OR+split"), mustNamed(bare, "OR+split")
+	for _, app := range trace.Apps {
+		got := ds.splitTest(app)
+		want := defense.AppendSplit(new(trace.Trace), ds.Test[app], splitAt, headerBytes)
+		if !slices.Equal(got.Packets, want.Packets) {
+			t.Errorf("%v: cached fragments (%d packets) differ from AppendSplit's (%d)", app, got.Len(), want.Len())
+		}
+		if again := ds.splitTest(app); unsafe.SliceData(again.Packets) != unsafe.SliceData(got.Packets) {
+			t.Errorf("%v: a second call built the fragments again", app)
+		}
+		gotConfs, wantConfs := EvalCell(ds, cached, app), EvalCell(bare, fresh, app)
+		for i, clf := range ds.Classifiers {
+			if *gotConfs[i] != *wantConfs[i] {
+				t.Errorf("%v: %s confusion over the cached fragments differs from the uncached dataset's", app, clf.Model.Name())
 			}
 		}
 	}

@@ -87,9 +87,10 @@ var policyPoints = []string{
 }
 
 // schemeRegistry maps every wire name to its constructor. Constructors
-// take the dataset because some schemes (OR+morph) are defined
-// relative to its test traffic; most ignore it, so the standard
-// schemes can also be built with ds == nil.
+// take the dataset because some schemes are defined relative to its
+// test traffic (OR+morph) or read what it derives from it once
+// (OR+split's fragments); most ignore it, so the standard schemes can
+// also be built with ds == nil.
 var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 	// Original observes the flow unmodified under one address.
 	"Original": func(*Dataset) Scheme {
@@ -114,13 +115,14 @@ var schemeRegistry = map[string]func(ds *Dataset) Scheme{
 	},
 	"OR-I2": orInterfaces(2),
 	"OR-I5": orInterfaces(5),
-	"OR+split": func(*Dataset) Scheme {
+	"OR+split": func(ds *Dataset) Scheme {
 		or := reshape.Recommended()
 		return Scheme{
 			Name: "OR+split",
-			groups: func(sc *cellScratch, _ trace.App, tr *trace.Trace, _ *stats.RNG) ([]trace.Packet, []int32, int) {
-				sc.split.Packets = sc.split.Packets[:0]
-				fragmented := defense.AppendSplit(&sc.split, tr, splitAt, headerBytes)
+			groups: func(sc *cellScratch, app trace.App, _ *trace.Trace, _ *stats.RNG) ([]trace.Packet, []int32, int) {
+				// The fragments are a constant of the dataset: every
+				// cell assigns the shared trace, which Assign only reads.
+				fragmented := ds.splitTest(app)
 				return fragmented.Packets, sc.apply.Assign(or, fragmented), or.Interfaces()
 			},
 		}

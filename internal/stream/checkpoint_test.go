@@ -306,6 +306,31 @@ func TestDrainIdempotent(t *testing.T) {
 	}
 }
 
+// TestIngestAfterDrainPanics: a packet offered after Drain panics at
+// once, inline and sharded, instead of mutating flows behind the final
+// report or blocking on a stopped shard's queue; the report stays
+// what Drain returned.
+func TestIngestAfterDrainPanics(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		in := capture(t, 5*time.Second, 8)
+		e := New(Config{Seed: 2, Shards: shards})
+		ingestTrace(e, in)
+		r := e.Drain()
+		want := renderReport(t, r)
+		func() {
+			defer func() {
+				if msg := recover(); msg != "stream: Ingest after Drain" {
+					t.Errorf("shards=%d: Ingest after Drain recovered %v, want the after-Drain panic", shards, msg)
+				}
+			}()
+			e.Ingest(in.Packets[0])
+		}()
+		if e.Drain() != r || !bytes.Equal(renderReport(t, r), want) {
+			t.Errorf("shards=%d: Ingest after Drain changed the report", shards)
+		}
+	}
+}
+
 // TestShardIndexNibbleCollisions: flows whose addresses collide in
 // a[5]&0xf, interleaved, must route stably (same shard on every call)
 // and correctly (the full-hash shard), with no cross-talk between the

@@ -706,8 +706,12 @@ func (e *Engine) shardIndex(a mac.Address) int {
 // returns the interface index the scheduler chose; sharded mode
 // batches it for the flow's shard goroutine and returns -1. Packets
 // of one flow must arrive in time order; flows may interleave
-// arbitrarily. Ingest must not be called after Drain.
+// arbitrarily. Ingest panics after Drain: the report is final, and
+// the shards are stopped.
 func (e *Engine) Ingest(p trace.Packet) int {
+	if e.final != nil {
+		panic("stream: Ingest after Drain")
+	}
 	e.offered++
 	if e.inline != nil {
 		return e.inline.ingest(p)
